@@ -116,7 +116,7 @@ def _cmd_highlight(args) -> int:
         params = config.lexrank if config else None
         if args.dump_similarity:
             graph = build_similarity_graph(
-                document.sentences, threshold=params.threshold if params else 0.1
+                document.token_index, threshold=params.threshold if params else 0.1
             )
             dump_similarity_csv(graph, args.dump_similarity)
         highlights = lexrank_highlights(document, args.k, params) if params else lexrank_highlights(document, args.k)

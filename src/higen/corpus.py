@@ -1,16 +1,21 @@
-"""Document ingestion, normalization, and sentence segmentation.
+"""Document ingestion, normalization, sentence segmentation and tokenization.
 
 Documents are normalized once; every sentence records a character span into
 the normalized text so downstream consumers (ranking, ablation, prompting)
-can address source sentences by index without re-tokenizing.
+can address source sentences by index. Each document is tokenized at most
+once, on first use, into a token index shared by the lexical kernels.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, DatasetError
 
@@ -27,19 +32,24 @@ _DELIMITER_RE = re.compile(r"^={4,}\s*$")
 
 _TERMINALS = ".!?"
 
+TOKEN_RE = re.compile(r"[a-z0-9]+")
+
 SCHEMAS = ("scrolls_govreport", "scrolls_qmsum", "generic_jsonl")
 
 
-def _load_abbreviations() -> frozenset[str]:
-    entries = []
-    for line in (_RESOURCE_DIR / "abbreviations.txt").read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    return frozenset(entries)
+def _load_word_list(name: str) -> frozenset[str]:
+    """The non-blank, non-comment lines of a resource file."""
+    lines = (line.strip() for line in (_RESOURCE_DIR / name).read_text(encoding="utf-8").splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
-ABBREVIATIONS = _load_abbreviations()
+ABBREVIATIONS = _load_word_list("abbreviations.txt")
+STOPWORDS = _load_word_list("stopwords.txt")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase alphanumeric tokens; punctuation splits and is dropped."""
+    return TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,47 @@ class Sentence:
     text: str
     span: tuple[int, int]
     speaker: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class TokenIndex:
+    """The tokens of every sentence as int32 ids into one vocabulary.
+
+    Sentence i holds ``ids[offsets[i]:offsets[i + 1]]`` (CSR rows) and
+    ``lengths[i]`` tokens; ``stop`` marks the vocabulary ids of stopwords.
+    The size is O(tokens), never O(sentences x vocabulary).
+    """
+
+    vocab: dict[str, int]
+    ids: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    stop: np.ndarray
+
+    @classmethod
+    def build(cls, texts: Iterable[str]) -> TokenIndex:
+        vocab: dict[str, int] = {}
+        ids: list[int] = []
+        offsets = [0]
+        for text in texts:
+            ids.extend(vocab.setdefault(token, len(vocab)) for token in tokenize(text))
+            offsets.append(len(ids))
+        return cls(
+            vocab=vocab,
+            ids=np.array(ids, dtype=np.int32),
+            offsets=np.array(offsets, dtype=np.int64),
+            lengths=np.diff(offsets),
+            stop=np.array([token in STOPWORDS for token in vocab], dtype=bool),
+        )
+
+    def term_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sentence, term, count) for each distinct term of each sentence,
+        ordered by sentence, then by term."""
+        size = max(len(self.vocab), 1)
+        sentence = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        keys, counts = np.unique(sentence * size + self.ids, return_counts=True)
+        sentence, term = np.divmod(keys, size)
+        return sentence, term, counts
 
 
 @dataclass
@@ -66,6 +117,11 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise DatasetError("document id must be non-empty")
+
+    @cached_property
+    def token_index(self) -> TokenIndex:
+        """Token index of the sentences, built on first use."""
+        return TokenIndex.build(s.text for s in self.sentences)
 
 
 def normalize_text(raw: str) -> str:

@@ -1,36 +1,22 @@
-"""Unsupervised extractive highlighting by graph centrality.
+"""Unsupervised extractive highlighting by graph centrality (LexRank).
 
-Sentences become TF-IDF vectors, pairwise modified-cosine similarities form
-a thresholded graph, and a damped power iteration over the degree-normalized
-transition matrix yields a stationary saliency distribution. The top-k
-sentences, re-ordered by document position, form the content plan.
+Sentences are tf-idf rows over the document's token index, L2-normalized, so
+the modified cosines of all pairs are one product, weights = T @ T.T (Erkan &
+Radev 2004), with the diagonal set to 1 and entries below a threshold zeroed.
+A damped power iteration over the degree-normalized transition matrix yields
+a stationary saliency distribution. The top-k sentences, re-ordered by
+document position, form the content plan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, Sentence
-from .metrics import tokenize
+from .corpus import Document, TokenIndex
 from .prompts import Highlight, HighlightSet
-
-_RESOURCE_DIR = Path(__file__).parent / "resources"
-
-
-def _load_stopwords() -> frozenset[str]:
-    words = []
-    for line in (_RESOURCE_DIR / "stopwords.txt").read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return frozenset(words)
-
-
-STOPWORDS = _load_stopwords()
 
 
 @dataclass(frozen=True)
@@ -55,54 +41,42 @@ class CentralityScores:
     converged: bool
 
 
-def tfidf(sentences: list[Sentence]) -> list[dict[str, float]]:
-    """Per-sentence sparse tf*idf vectors over sentences-as-documents.
+def tfidf(index: TokenIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse tf*idf entries (sentence, term, weight) over sentences-as-documents.
 
     tf is the raw in-sentence count; idf = ln((n+1)/(df+1)) + 1. Stopwords
     are dropped before counting.
     """
-    n = len(sentences)
-    token_lists = [[t for t in tokenize(s.text) if t not in STOPWORDS] for s in sentences]
-    df: dict[str, int] = {}
-    for tokens in token_lists:
-        for token in set(tokens):
-            df[token] = df.get(token, 0) + 1
-    idf = {token: math.log((n + 1) / (count + 1)) + 1.0 for token, count in df.items()}
-    vectors: list[dict[str, float]] = []
-    for tokens in token_lists:
-        counts: dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        vectors.append({token: count * idf[token] for token, count in counts.items()})
-    return vectors
+    sentence, term, count = index.term_counts()
+    kept = ~index.stop[term]
+    sentence, term, count = sentence[kept], term[kept], count[kept]
+    df = np.bincount(term, minlength=len(index.vocab))
+    idf = np.log((len(index.lengths) + 1) / (df[term] + 1)) + 1.0
+    return sentence, term, count * idf
 
 
-def modified_cosine(u: dict[str, float], v: dict[str, float]) -> float:
-    """Cosine over tf*idf vectors (equivalently: sum tf_u*tf_v*idf^2 / norms)."""
-    if not u or not v:
-        return 0.0
-    if len(v) < len(u):
-        u, v = v, u
-    dot = sum(weight * v[token] for token, weight in u.items() if token in v)
-    if dot == 0.0:
-        return 0.0
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
-    return dot / (norm_u * norm_v)
-
-
-def build_similarity_graph(sentences: list[Sentence], threshold: float = 0.1) -> SimilarityGraph:
-    """Symmetric similarity matrix with unit diagonal; entries below the
+def build_similarity_graph(index: TokenIndex, threshold: float = 0.1) -> SimilarityGraph:
+    """Symmetric modified-cosine matrix with unit diagonal; entries below the
     threshold are zeroed."""
-    vectors = tfidf(sentences)
-    n = len(sentences)
-    weights = np.zeros((n, n))
+    n = len(index.lengths)
+    sentence, term, weight = tfidf(index)
+    norms = np.sqrt(np.bincount(sentence, weights=weight * weight, minlength=n))
+    # a term in one sentence only adds to that sentence's norm and diagonal
+    shared = np.bincount(term, minlength=len(index.vocab)) >= 2
+    entry = shared[term]
+    sentence, weight = sentence[entry], weight[entry] / norms[sentence[entry]]
+    term = (np.cumsum(shared) - 1)[term[entry]]
+    columns = np.zeros((int(shared.sum()), n))
+    columns[term, sentence] = weight
+    # Row i of T @ T.T sums the columns of i's terms scaled by its weights:
+    # exactly symmetric (sums in term order), and no BLAS thread pool whose
+    # idle workers spin on the CPU after a dense product.
+    bounds = np.searchsorted(sentence, np.arange(n + 1))
+    weights = np.empty((n, n))
     for i in range(n):
-        weights[i, i] = 1.0
-        for j in range(i + 1, n):
-            sim = modified_cosine(vectors[i], vectors[j])
-            weights[i, j] = sim
-            weights[j, i] = sim
+        entries = slice(bounds[i], bounds[i + 1])
+        weights[i] = (columns[term[entries]] * weight[entries, None]).sum(axis=0)
+    np.fill_diagonal(weights, 1.0)
     weights[weights < threshold] = 0.0
     return SimilarityGraph(n=n, weights=weights, threshold=threshold)
 
@@ -148,7 +122,7 @@ def lexrank_highlights(document: Document, k: int, params: LexRankParams = LexRa
     n = len(document.sentences)
     if n == 0:
         return HighlightSet(method="lexrank", items=(), k_requested=k)
-    graph = build_similarity_graph(document.sentences, threshold=params.threshold)
+    graph = build_similarity_graph(document.token_index, threshold=params.threshold)
     result = centrality(graph, damping=params.damping, tol=params.tol, max_iter=params.max_iter)
     order = sorted(range(n), key=lambda i: (-result.scores[i], i))
     chosen = sorted(order[: min(k, n)])

@@ -32,6 +32,7 @@ from .errors import (
     SeamAlignmentError,
     TransportError,
 )
+from .prompts import numbered_items
 
 DEFAULT_TIMEOUT = 120.0
 
@@ -371,7 +372,6 @@ class HTTPBackend:
 _KEY_SENTENCES_RE = re.compile(r"list of (\d+) key sentences", re.IGNORECASE)
 _FENCE_RE = re.compile(r"^={4,}\s*$", re.MULTILINE)
 _KEY_POINTS_MARKER = "key points:"
-_ITEM_RE = re.compile(r"^\s*\d+[.)]\s+(.*)$")
 
 
 def _mock_document_body(prompt: str) -> str:
@@ -394,12 +394,7 @@ def _mock_key_points(prompt: str) -> list[str]:
     idx = low.rfind(_KEY_POINTS_MARKER)
     if idx < 0:
         return []
-    items = []
-    for line in prompt[idx + len(_KEY_POINTS_MARKER) :].splitlines():
-        match = _ITEM_RE.match(line)
-        if match and match.group(1).strip():
-            items.append(match.group(1).strip())
-    return items
+    return numbered_items(prompt[idx + len(_KEY_POINTS_MARKER) :])
 
 
 def echo_first_k(req: GenRequest) -> str:
@@ -491,31 +486,6 @@ class MockBackend:
     def score(self, req: ScoreRequest) -> tuple[float, int]:
         with self._lock:
             self.score_calls += 1
-            self.requests.append(req)
-        return self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)
-
-
-class ScriptedBackend:
-    """Backend that replays a fixed sequence of completion texts."""
-
-    def __init__(self, responses: list[str], score_fn: Callable[[str, str], float] = per_token_scorer):
-        self._responses = list(responses)
-        self._index = 0
-        self.score_fn = score_fn
-        self.requests: list[GenRequest | ScoreRequest] = []
-        self._lock = threading.Lock()
-
-    def complete(self, req: GenRequest) -> tuple[str, int, int]:
-        with self._lock:
-            self.requests.append(req)
-            if self._index >= len(self._responses):
-                raise EndpointError(500, "scripted backend exhausted")
-            text = self._responses[self._index]
-            self._index += 1
-        return text, len(req.user_prompt.split()), len(text.split())
-
-    def score(self, req: ScoreRequest) -> tuple[float, int]:
-        with self._lock:
             self.requests.append(req)
         return self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)
 

@@ -1,9 +1,10 @@
 """Native evaluation metrics and significance testing.
 
-ROUGE-L, token-length statistics, and the paired t-test (via a native
-regularized incomplete beta) are computed in-process. FactScore-style
-factual consistency runs against a judge model through the shared client.
-Neural metrics computed out-of-band are joined through a JSONL adapter.
+ROUGE-L (via bit-parallel LCS), token-length statistics, and the paired
+t-test (via a native regularized incomplete beta) are computed in-process.
+FactScore-style factual consistency runs against a judge model through the
+shared client. Neural metrics computed out-of-band are joined through a JSONL
+adapter.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
-from .corpus import Document
+from .corpus import TOKEN_RE, Document, tokenize
 from .errors import DatasetError, HigenError, ParseError
 from .llm_client import GenRequest, LLMClient
+from .prompts import numbered_items
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_ITEM_RE = re.compile(r"^\s*\d+[.)]\s+(.*)$")
 _ANSWER_RE = re.compile(r"^\s*answer\s*:\s*(yes|no)\b", re.IGNORECASE | re.MULTILINE)
 
 # Judge documents are split into overlapping windows of this many tokens.
@@ -53,31 +54,26 @@ class TTestResult:
     p: float
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric tokens; punctuation splits and is dropped."""
-    return _TOKEN_RE.findall(text.lower())
-
-
 def summary_tokens(text: str) -> int:
     return len(tokenize(text))
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length, O(|a|*|b|) time, O(min) space."""
+    """Longest common subsequence length by the bit-parallel recurrence of
+    Allison & Dix (1986) and Hyyro (2004): bit i of the Python int ``v`` is
+    position i of the longer sequence, each item of the shorter one updates
+    all positions at once, and the zero bits of ``v`` count the LCS."""
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = max(prev[j], curr[j - 1])
-        prev = curr
-    return prev[-1]
+    positions: dict[str, int] = {}
+    for i, item in enumerate(a):
+        positions[item] = positions.get(item, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for item in b:
+        u = v & positions.get(item, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
@@ -97,6 +93,7 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 # -- factual consistency -----------------------------------------------------
 
 
+@cache
 def _load_judge_prompt(name: str) -> str:
     return (_RESOURCE_DIR / name).read_text(encoding="utf-8")
 
@@ -113,18 +110,14 @@ def extract_facts(summary: str, client: LLMClient, judge_model: str, max_tokens:
         return []
     prompt = _fill(_load_judge_prompt("judge_extract_facts.txt"), summary=summary)
     response = client.generate(GenRequest(model=judge_model, user_prompt=prompt, max_tokens=max_tokens))
-    facts = []
-    for line in response.text.splitlines():
-        match = _ITEM_RE.match(line)
-        if match and match.group(1).strip():
-            facts.append(match.group(1).strip())
+    facts = numbered_items(response.text)
     if not facts:
         raise ParseError("judge returned no parseable facts")
     return facts
 
 
 def _chunk_text(text: str, chunk_tokens: int = VERIFY_CHUNK_TOKENS, overlap: int = VERIFY_CHUNK_OVERLAP) -> list[str]:
-    spans = [m.span() for m in _TOKEN_RE.finditer(text.lower())]
+    spans = [m.span() for m in TOKEN_RE.finditer(text.lower())]
     if len(spans) <= chunk_tokens:
         return [text]
     chunks = []

@@ -2,8 +2,14 @@
 
 Templates live as resource files with named placeholders; model outputs
 follow a fixed scaffold ("Key Sentences:" numbered list, then "Summary:")
-that is parsed back with a line-oriented grammar. Generated highlight texts
-are aligned to source sentences by token-level F1.
+that is parsed back with a line-oriented grammar. Templates are read from
+disk once per process.
+
+Generated highlight texts are aligned to source sentences by token-level F1
+over the document's token index. For one text, the clipped overlap with every
+sentence, c[s] = sum over terms t of min(count_text(t), count_s(t)), is one
+bincount over the postings of the text's terms; then p = c / len(text),
+r = c / len(s) and F1 = 2pr / (p + r), vectorized over the sentences.
 """
 
 from __future__ import annotations
@@ -11,11 +17,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
-from .corpus import Document
+import numpy as np
+
+from .corpus import Document, tokenize
 from .errors import ParseError, RenderError
-from .metrics import tokenize
 
 _TEMPLATE_DIR = Path(__file__).parent / "resources" / "templates"
 
@@ -75,6 +83,7 @@ class PlannedOutput:
     raw: str
 
 
+@cache
 def load_template(template_id: str) -> str:
     if template_id not in TEMPLATE_IDS:
         raise RenderError(f"unknown template id: {template_id!r}")
@@ -116,6 +125,12 @@ def render(
     return rendered.rstrip("\n")
 
 
+def numbered_items(text: str) -> list[str]:
+    """The non-empty items of the numbered lines ("1. ...", "2) ...") of text, in order."""
+    matches = (_ITEM_RE.match(line) for line in text.splitlines())
+    return [match.group(1).strip() for match in matches if match and match.group(1).strip()]
+
+
 def _strip_think_block(raw: str) -> str:
     return _THINK_RE.sub("", raw, count=1)
 
@@ -128,14 +143,7 @@ def parse_highlights(raw: str) -> list[str]:
     start = key.end() if key else 0
     summary = _SUMMARY_MARKER_RE.search(text, start)
     end = summary.start() if summary else len(text)
-    items = []
-    for line in text[start:end].splitlines():
-        match = _ITEM_RE.match(line)
-        if match:
-            item = match.group(1).rstrip()
-            if item:
-                items.append(item)
-    return items
+    return numbered_items(text[start:end])
 
 
 def parse_planned(raw: str) -> PlannedOutput:
@@ -162,24 +170,8 @@ def parse_planned(raw: str) -> PlannedOutput:
     highlights: list[str] = []
     key = _KEY_MARKER_RE.search(text)
     if key and key.start() < marker.start():
-        for line in text[key.end() : marker.start()].splitlines():
-            match = _ITEM_RE.match(line)
-            if match:
-                item = match.group(1).rstrip()
-                if item:
-                    highlights.append(item)
+        highlights = numbered_items(text[key.end() : marker.start()])
     return PlannedOutput(highlights=tuple(highlights), summary=summary, raw=raw)
-
-
-def _token_f1(a: list[str], b: list[str]) -> float:
-    if not a or not b:
-        return 0.0
-    common = sum((Counter(a) & Counter(b)).values())
-    if common == 0:
-        return 0.0
-    precision = common / len(a)
-    recall = common / len(b)
-    return 2 * precision * recall / (precision + recall)
 
 
 def align(document: Document, texts: list[str], threshold: float = 0.6) -> list[Highlight]:
@@ -190,19 +182,28 @@ def align(document: Document, texts: list[str], threshold: float = 0.6) -> list[
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
-    sentence_tokens = [tokenize(s.text) for s in document.sentences]
+    index = document.token_index
+    sentence, term, count = index.term_counts()
+    # the (sentence, count) entries of term t are postings[t]:postings[t + 1]
+    by_term = np.argsort(term, kind="stable")
+    sentence, term, count = sentence[by_term], term[by_term], count[by_term]
+    postings = np.searchsorted(term, np.arange(len(index.vocab) + 1))
     out: list[Highlight] = []
     for text in texts:
         tokens = tokenize(text)
-        best_score = 0.0
-        best_index: int | None = None
-        for i, stoks in enumerate(sentence_tokens):
-            score = _token_f1(tokens, stoks)
-            if score > best_score:
-                best_score = score
-                best_index = i
-        if best_score >= threshold and best_index is not None:
-            out.append(Highlight(text=text, source_index=best_index, alignment_score=best_score))
-        else:
-            out.append(Highlight(text=text, source_index=None, alignment_score=best_score))
+        wanted = [(index.vocab[t], c) for t, c in Counter(tokens).items() if t in index.vocab]
+        best_score, best_index = 0.0, None
+        if wanted:
+            terms, caps = np.array(wanted).T
+            hits = np.concatenate([np.arange(postings[t], postings[t + 1]) for t in terms])
+            clipped = np.minimum(count[hits], np.repeat(caps, postings[terms + 1] - postings[terms]))
+            overlap = np.bincount(sentence[hits], weights=clipped, minlength=len(index.lengths))
+            matched = np.flatnonzero(overlap)
+            precision = overlap[matched] / len(tokens)
+            recall = overlap[matched] / index.lengths[matched]
+            f1 = 2 * precision * recall / (precision + recall)
+            best = int(np.argmax(f1))
+            best_score, best_index = float(f1[best]), int(matched[best])
+        source_index = best_index if best_score >= threshold else None
+        out.append(Highlight(text=text, source_index=source_index, alignment_score=best_score))
     return out

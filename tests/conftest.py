@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 from higen.corpus import Document, make_document
-from higen.llm_client import LLMClient, MockBackend
+from higen.errors import EndpointError
+from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, per_token_scorer
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -39,3 +42,28 @@ def make_mock_client(tmp_path, backend=None, **kwargs) -> tuple[LLMClient, MockB
     backend = backend or MockBackend()
     client = LLMClient(backend, cache_dir=tmp_path / "cache", **kwargs)
     return client, backend
+
+
+class ScriptedBackend:
+    """Backend that replays a fixed sequence of completion texts."""
+
+    def __init__(self, responses: list[str], score_fn: Callable[[str, str], float] = per_token_scorer):
+        self._responses = list(responses)
+        self._index = 0
+        self.score_fn = score_fn
+        self.requests: list[GenRequest | ScoreRequest] = []
+        self._lock = threading.Lock()
+
+    def complete(self, req: GenRequest) -> tuple[str, int, int]:
+        with self._lock:
+            self.requests.append(req)
+            if self._index >= len(self._responses):
+                raise EndpointError(500, "scripted backend exhausted")
+            text = self._responses[self._index]
+            self._index += 1
+        return text, len(req.user_prompt.split()), len(text.split())
+
+    def score(self, req: ScoreRequest) -> tuple[float, int]:
+        with self._lock:
+            self.requests.append(req)
+        return self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)

@@ -21,13 +21,13 @@ import pytest
 from higen.attribution import AttributionParams, contextcite_attribute, fit_lasso, lambda_max, logit_scale
 from higen.cli import main as cli_main
 from higen.lexrank import SimilarityGraph, centrality
-from higen.llm_client import GenRequest, LLMClient, MockBackend, ScriptedBackend
+from higen.llm_client import GenRequest, LLMClient, MockBackend
 from higen.metrics import lcs_length, paired_t_test, rouge_l, student_t_two_sided_p, tokenize
 from higen.pipeline import PipelineParams, run_direct
 from higen.prompts import parse_planned
 from higen.report import aggregate
 
-from conftest import DATA_DIR, doc_from_sentences
+from conftest import DATA_DIR, ScriptedBackend, doc_from_sentences
 
 
 def _passed(criterion: int, message: str) -> None:

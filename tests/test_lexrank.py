@@ -1,28 +1,37 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from higen.corpus import Sentence
+from higen.corpus import STOPWORDS, TokenIndex, tokenize
 from higen.lexrank import (
     LexRankParams,
     SimilarityGraph,
-    STOPWORDS,
     build_similarity_graph,
     centrality,
     lexrank_highlights,
-    modified_cosine,
     tfidf,
 )
-from higen.metrics import tokenize
 
 from conftest import doc_from_sentences
 
 
-def _sentences(texts: list[str]) -> list[Sentence]:
-    return [Sentence(i, t, (0, len(t))) for i, t in enumerate(texts)]
+def _tfidf_rows(texts: list[str]) -> list[dict[str, float]]:
+    """The sparse tf-idf entries of an index, as one token -> weight dict per sentence."""
+    index = TokenIndex.build(texts)
+    terms = list(index.vocab)
+    rows: list[dict[str, float]] = [{} for _ in texts]
+    for sentence, term, weight in zip(*tfidf(index)):
+        rows[sentence][terms[term]] = weight
+    return rows
+
+
+def _cosine(texts: list[str]) -> float:
+    """Graph weight between the first two sentences, with no threshold."""
+    return build_similarity_graph(TokenIndex.build(texts), threshold=0.0).weights[0, 1]
 
 
 def _brute_force_tfidf(texts: list[str]) -> list[dict[str, float]]:
@@ -41,24 +50,31 @@ def _brute_force_tfidf(texts: list[str]) -> list[dict[str, float]]:
     return out
 
 
+def _brute_force_cosine(u: dict[str, float], v: dict[str, float]) -> float:
+    dot = sum(u[t] * v[t] for t in set(u) & set(v))
+    if dot == 0.0:
+        return 0.0
+    return dot / (math.sqrt(sum(w * w for w in u.values())) * math.sqrt(sum(w * w for w in v.values())))
+
+
 class TestTfidf:
     def test_single_sentence_counts(self):
-        [vec] = tfidf(_sentences(["alpha alpha beta"]))
+        [vec] = _tfidf_rows(["alpha alpha beta"])
         # n=1, df=1 for both tokens: idf = ln(2/2)+1 = 1
         assert vec["alpha"] == pytest.approx(2.0)
         assert vec["beta"] == pytest.approx(1.0)
 
     def test_identical_sentences_identical_vectors(self):
-        vectors = tfidf(_sentences(["gamma delta", "gamma delta"]))
+        vectors = _tfidf_rows(["gamma delta", "gamma delta"])
         assert vectors[0] == vectors[1]
 
     def test_stopwords_removed(self):
-        [vec] = tfidf(_sentences(["the quick fox"]))
+        [vec] = _tfidf_rows(["the quick fox"])
         assert "the" not in vec
         assert "quick" in vec
 
     def test_empty_token_sentence_gets_zero_vector(self):
-        vectors = tfidf(_sentences(["the of and", "signal here"]))
+        vectors = _tfidf_rows(["the of and", "signal here"])
         assert vectors[0] == {}
 
     def test_five_sentence_fixture_matches_oracle(self):
@@ -69,7 +85,7 @@ class TestTfidf:
             "pilots praised harbor contract work",
             "funding comes from infrastructure bond",
         ]
-        mine = tfidf(_sentences(texts))
+        mine = _tfidf_rows(texts)
         oracle = _brute_force_tfidf(texts)
         assert len(mine) == len(oracle)
         for got, want in zip(mine, oracle):
@@ -80,24 +96,35 @@ class TestTfidf:
 
 class TestModifiedCosine:
     def test_identical_sentences(self):
-        u, v = tfidf(_sentences(["signal metric panel", "signal metric panel"]))
-        assert modified_cosine(u, v) == pytest.approx(1.0)
+        assert _cosine(["signal metric panel", "signal metric panel"]) == pytest.approx(1.0)
 
     def test_disjoint_sentences(self):
-        u, v = tfidf(_sentences(["signal metric", "harbor bond"]))
-        assert modified_cosine(u, v) == 0.0
+        assert _cosine(["signal metric", "harbor bond"]) == 0.0
 
     def test_zero_vector_similarity_zero(self):
-        u, v = tfidf(_sentences(["the of", "signal metric"]))
-        assert modified_cosine(u, v) == 0.0
+        assert _cosine(["the of", "signal metric"]) == 0.0
 
     def test_fixture_pair_matches_brute_force(self):
         texts = ["harbor dredging harbor contract", "dredging contract spring work"]
-        u, v = tfidf(_sentences(texts))
         ou, ov = _brute_force_tfidf(texts)
         dot = sum(ou[t] * ov[t] for t in set(ou) & set(ov))
         expected = dot / (math.sqrt(sum(w * w for w in ou.values())) * math.sqrt(sum(w * w for w in ov.values())))
-        assert modified_cosine(u, v) == pytest.approx(expected, abs=1e-12)
+        assert _cosine(texts) == pytest.approx(expected, abs=1e-12)
+
+    def test_graph_matches_pairwise_brute_force(self):
+        # every pair of a 120-sentence document, including all-stopword and
+        # repeated sentences, against the per-pair dict cosine
+        rng = random.Random(2004)
+        words = [f"w{i}" for i in range(60)] + ["the", "of", "and"]
+        texts = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 12))) for _ in range(118)]
+        texts += ["the of and", texts[5]]
+        for threshold in (0.0, 0.1):
+            graph = build_similarity_graph(TokenIndex.build(texts), threshold=threshold)
+            vectors = _brute_force_tfidf(texts)
+            expected = np.array([[_brute_force_cosine(u, v) for v in vectors] for u in vectors])
+            np.fill_diagonal(expected, 1.0)
+            assert np.abs(graph.weights - np.where(expected < threshold, 0.0, expected)).max() < 1e-12
+            assert (graph.weights == graph.weights.T).all()
 
 
 def _dominant_eigenvector(weights: np.ndarray, damping: float) -> np.ndarray:
@@ -128,7 +155,7 @@ class TestCentrality:
         assert result.converged
 
     def test_two_identical_sentences(self):
-        doc_graph = build_similarity_graph(_sentences(["signal metric", "signal metric"]))
+        doc_graph = build_similarity_graph(TokenIndex.build(["signal metric", "signal metric"]))
         result = centrality(doc_graph)
         assert result.scores.tolist() == pytest.approx([0.5, 0.5])
 
@@ -167,12 +194,12 @@ class TestCentrality:
 
 class TestGraphInvariants:
     def test_diagonal_one_before_threshold(self):
-        graph = build_similarity_graph(_sentences(["aa bb", "cc dd", "the of"]), threshold=0.0)
+        graph = build_similarity_graph(TokenIndex.build(["aa bb", "cc dd", "the of"]), threshold=0.0)
         assert np.diag(graph.weights).tolist() == pytest.approx([1.0, 1.0, 1.0])
 
     def test_symmetry_and_threshold(self):
         graph = build_similarity_graph(
-            _sentences(["harbor dredging work", "dredging work spring", "unrelated topic zone"]),
+            TokenIndex.build(["harbor dredging work", "dredging work spring", "unrelated topic zone"]),
             threshold=0.1,
         )
         assert np.allclose(graph.weights, graph.weights.T)
@@ -206,7 +233,7 @@ class TestLexrankHighlights:
         ]
         doc = doc_from_sentences(sentences)
         hs = lexrank_highlights(doc, k=2)
-        graph = build_similarity_graph(doc.sentences, threshold=0.1)
+        graph = build_similarity_graph(doc.token_index, threshold=0.1)
         scores = centrality(graph).scores
         oracle_top2 = sorted(sorted(range(len(sentences)), key=lambda i: (-scores[i], i))[:2])
         assert [h.source_index for h in hs.items] == oracle_top2

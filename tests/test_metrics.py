@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen.errors import DatasetError
-from higen.llm_client import LLMClient, ScriptedBackend
+from higen.llm_client import LLMClient
 from higen.metrics import (
     SUPPORTED,
     UNPARSEABLE,
@@ -27,7 +27,7 @@ from higen.metrics import (
     verify_fact,
 )
 
-from conftest import doc_from_sentences
+from conftest import ScriptedBackend, doc_from_sentences
 
 
 class TestTokenize:
@@ -60,6 +60,24 @@ def _recursive_lcs(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     return rec(len(a), len(b))
 
 
+def _dp_lcs(a: list[str], b: list[str]) -> int:
+    """The O(|a|*|b|) dynamic program, a second oracle."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr[j] = prev[j - 1] + 1
+            else:
+                curr[j] = max(prev[j], curr[j - 1])
+        prev = curr
+    return prev[-1]
+
+
 class TestLcs:
     def test_identical(self):
         assert lcs_length(["a", "b", "c"], ["a", "b", "c"]) == 3
@@ -76,6 +94,25 @@ class TestLcs:
             a = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             b = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             assert lcs_length(list(a), list(b)) == _recursive_lcs(a, b)
+
+    @pytest.mark.parametrize("alphabet_size", [2, 50])
+    def test_lengths_0_to_400_match_dp_exactly(self, alphabet_size):
+        # lengths straddle the 30-bit digits of Python ints and reach 400
+        import random
+
+        rng = random.Random(1986 + alphabet_size)
+        words = [f"w{i}" for i in range(alphabet_size)]
+        lengths = [0, 1, 2, 3, 29, 30, 31, 59, 60, 61, 64, 127, 128, 200, 399, 400]
+        pairs = [(la, rng.choice(lengths)) for la in lengths] + [(400, 400), (0, 400), (400, 1)]
+        for la, lb in pairs:
+            a = [rng.choice(words) for _ in range(la)]
+            b = [rng.choice(words) for _ in range(lb)]
+            expected = _dp_lcs(a, b)
+            assert lcs_length(a, b) == expected
+            assert lcs_length(b, a) == expected
+        a = [rng.choice(words) for _ in range(400)]
+        assert lcs_length(a, list(a)) == 400
+        assert lcs_length(a, a[::3]) == len(a[::3])
 
     @settings(max_examples=60, deadline=None)
     @given(

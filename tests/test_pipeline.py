@@ -5,7 +5,7 @@ import json
 import pytest
 
 from higen.attribution import AttributionParams
-from higen.llm_client import LLMClient, MockBackend, ScriptedBackend, GenRequest
+from higen.llm_client import LLMClient, MockBackend, GenRequest
 from higen.pipeline import (
     METHODS,
     PipelineParams,
@@ -16,7 +16,7 @@ from higen.pipeline import (
     run_two_stage,
 )
 
-from conftest import doc_from_sentences, make_mock_client
+from conftest import ScriptedBackend, doc_from_sentences, make_mock_client
 
 
 def _params(**kwargs) -> PipelineParams:
@@ -257,7 +257,10 @@ class TestDeterminism:
         def snapshot(cache_suffix: str) -> list[dict]:
             client = LLMClient(MockBackend(score_fn="overlap"), cache_dir=tmp_path / cache_suffix)
             params = _params(k=2, seed=7, attribution=AttributionParams(m=8))
-            return [run_method(client, doc, method, params).to_dict() for method in METHODS]
+            records = [run_method(client, doc, method, params).to_dict() for method in METHODS]
+            for record in records:
+                record.pop("wall_ms")  # a measured duration, not an output
+            return records
 
         first = snapshot("a")
         second = snapshot("b")

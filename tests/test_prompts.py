@@ -216,6 +216,41 @@ class TestAlign:
             scores = [f1(case["text"], s) for s in case["sentences"]]
             assert h.alignment_score == pytest.approx(max(scores))
 
+    def test_400_sentence_document_matches_counter_f1_oracle_exactly(self):
+        # a small vocabulary makes F1 ties common; sentence 300 repeats
+        # sentence 7; some texts carry tokens absent from the document
+        import random
+        from collections import Counter
+
+        from higen.metrics import tokenize
+
+        rng = random.Random(4242)
+        words = [f"w{i}" for i in range(40)]
+        sentences = [
+            " ".join(rng.choice(words) for _ in range(rng.randint(1, 15))).capitalize() + "." for _ in range(400)
+        ]
+        sentences[300] = sentences[7]
+        doc = doc_from_sentences(sentences)
+        assert len(doc.sentences) == 400
+        texts = [sentences[7], sentences[123], "zzz qqq", "", "W3 w3 w3 absentword w5"]
+        texts += [" ".join(rng.choice(words + ["absent", "missing"]) for _ in range(rng.randint(1, 20))) for _ in range(60)]
+        source = [Counter(tokenize(s.text)) for s in doc.sentences]
+        highlights = align(doc, texts, threshold=0.6)
+        assert [h.text for h in highlights] == texts
+        assert highlights[0].source_index == 7
+        for h, text in zip(highlights, texts):
+            wanted = Counter(tokenize(text))
+            best_score, best_index = 0.0, None
+            for i, have in enumerate(source):
+                common = sum((wanted & have).values())
+                if common:
+                    p, r = common / sum(wanted.values()), common / sum(have.values())
+                    score = 2 * p * r / (p + r)
+                    if score > best_score:
+                        best_score, best_index = score, i
+            assert h.alignment_score == best_score
+            assert h.source_index == (best_index if best_score >= 0.6 else None)
+
     def test_order_preserving_one_per_text(self):
         doc = doc_from_sentences(["Aa bb.", "Cc dd."])
         texts = ["Cc dd.", "Aa bb.", "zz"]

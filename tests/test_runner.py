@@ -254,7 +254,7 @@ class TestEvaluate:
         assert not any(r.get("metric") == "rouge_l" for r in rows)
 
     def test_factscore_rows_with_scripted_judge(self, tmp_path):
-        from higen.llm_client import ScriptedBackend
+        from conftest import ScriptedBackend
 
         data_path = tmp_path / "one.jsonl"
         data_path.write_text('{"id":"d1","input":"Alpha beta. Gamma delta.","output":"Alpha beta."}\n')
