@@ -172,6 +172,9 @@ def _cmd_attribute(args) -> int:
                 "lambda": result.lambda_,
                 "num_ablations": result.num_ablations,
                 "r_squared": result.r_squared,
+                "iterations": result.iterations,
+                "converged": result.converged,
+                "kkt_residual": result.kkt_residual,
                 "seed": result.seed,
                 "highlight_indices": [h.source_index for h in highlights.items],
             },

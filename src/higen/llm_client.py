@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from . import corpus
 from .errors import (
@@ -490,9 +491,12 @@ class MockBackend:
         return self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)
 
 
-def backend_from_url(base_url: str, api_key: str | None = None, timeout: float = DEFAULT_TIMEOUT):
+def backend_from_url(
+    base_url: str, api_key: str | None = None, timeout: float = DEFAULT_TIMEOUT, concurrency: int = 4
+):
     """Build a backend from a base URL; ``mock://<generator>?scorer=<name>``
-    selects the in-process mock."""
+    selects the in-process mock. An HTTP backend keeps up to ``concurrency``
+    connections open, one per client worker."""
     if base_url.startswith("mock://"):
         rest = base_url[len("mock://") :]
         name, _, query = rest.partition("?")
@@ -500,7 +504,11 @@ def backend_from_url(base_url: str, api_key: str | None = None, timeout: float =
         if query.startswith("scorer="):
             scorer = query[len("scorer=") :]
         return MockBackend(generate_fn=name or "echo_first_k", score_fn=scorer)
-    return HTTPBackend(base_url, api_key=api_key, timeout=timeout)
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=concurrency)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return HTTPBackend(base_url, api_key=api_key, timeout=timeout, session=session)
 
 
 def resolve_endpoint(base_url: str | None, api_key_env: str | None = None) -> tuple[str, str | None]:

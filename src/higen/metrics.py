@@ -19,7 +19,7 @@ from pathlib import Path
 from .corpus import TOKEN_RE, Document, tokenize
 from .errors import DatasetError, HigenError, ParseError
 from .llm_client import GenRequest, LLMClient
-from .prompts import numbered_items
+from .prompts import fill, numbered_items
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -98,17 +98,11 @@ def _load_judge_prompt(name: str) -> str:
     return (_RESOURCE_DIR / name).read_text(encoding="utf-8")
 
 
-def _fill(template: str, **values: str) -> str:
-    for key, value in values.items():
-        template = template.replace("{" + key + "}", value)
-    return template
-
-
 def extract_facts(summary: str, client: LLMClient, judge_model: str, max_tokens: int = 1024) -> list[str]:
     """Ask the judge to decompose a summary into atomic facts (numbered list)."""
     if not summary.strip():
         return []
-    prompt = _fill(_load_judge_prompt("judge_extract_facts.txt"), summary=summary)
+    prompt = fill(_load_judge_prompt("judge_extract_facts.txt"), {"summary": summary})
     response = client.generate(GenRequest(model=judge_model, user_prompt=prompt, max_tokens=max_tokens))
     facts = numbered_items(response.text)
     if not facts:
@@ -137,7 +131,7 @@ def verify_fact(statement: str, document: Document, client: LLMClient, judge_mod
     template = _load_judge_prompt("judge_verify_fact.txt")
     saw_no = False
     for chunk in _chunk_text(document.normalized_text, VERIFY_CHUNK_TOKENS, VERIFY_CHUNK_OVERLAP):
-        prompt = _fill(template, document=chunk, statement=statement)
+        prompt = fill(template, {"document": chunk, "statement": statement})
         response = client.generate(
             GenRequest(model=judge_model, user_prompt=prompt, max_tokens=16), doc_id=document.id
         )

@@ -38,9 +38,10 @@ TEMPLATE_IDS = (
     "stage2_summary_qmsum",
 )
 
-# Only these names are placeholders; any other {...} in a body is literal text
-# shown to the model (e.g. the "{Sentence Text}" slots of the scaffold).
-_PLACEHOLDER_NAMES = ("document", "k", "query", "highlights", "summary_length_hint")
+# Only these names are placeholders, in the templates and in the judge prompts;
+# any other {...} in a body is literal text shown to the model (e.g. the
+# "{Sentence Text}" slots of the scaffold).
+_PLACEHOLDER_NAMES = ("document", "k", "query", "highlights", "summary_length_hint", "summary", "statement")
 _PLACEHOLDER_RE = re.compile(r"\{(" + "|".join(_PLACEHOLDER_NAMES) + r")\}")
 
 _ITEM_RE = re.compile(r"^\s*\d+[.)]\s+(.*)$")
@@ -110,19 +111,20 @@ def render(
     if highlights is not None:
         values["highlights"] = format_highlights(highlights)
 
-    missing: list[str] = []
+    try:
+        return fill(body, values).rstrip("\n")
+    except RenderError as exc:
+        raise RenderError(f"template {template_id!r}: {exc}") from None
 
-    def _fill(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in values:
-            missing.append(name)
-            return match.group(0)
-        return values[name]
 
-    rendered = _PLACEHOLDER_RE.sub(_fill, body)
+def fill(body: str, values: dict[str, str]) -> str:
+    """Substitute every placeholder of body in one pass, so a value that itself
+    contains "{document}" or another placeholder stays literal. Raises
+    RenderError naming the placeholders that have no value."""
+    missing = sorted({name for name in _PLACEHOLDER_RE.findall(body) if name not in values})
     if missing:
-        raise RenderError(f"template {template_id!r} is missing placeholder value(s): {sorted(set(missing))}")
-    return rendered.rstrip("\n")
+        raise RenderError(f"missing placeholder value(s): {missing}")
+    return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], body)
 
 
 def numbered_items(text: str) -> list[str]:

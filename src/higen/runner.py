@@ -180,7 +180,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_client(config: ExperimentConfig) -> LLMClient:
     base_url, api_key = resolve_endpoint(config.endpoint.base_url, config.endpoint.api_key_env)
-    backend = backend_from_url(base_url, api_key=api_key, timeout=config.endpoint.timeout)
+    backend = backend_from_url(
+        base_url, api_key=api_key, timeout=config.endpoint.timeout, concurrency=config.concurrency
+    )
     return LLMClient(
         backend,
         cache_dir=config.cache_dir,

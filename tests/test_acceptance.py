@@ -108,7 +108,7 @@ def test_criterion_3_lasso_correctness():
         X = (rng.random((m, n)) < 0.5).astype(float)
         y = rng.normal(size=m)
         lam = float(rng.random()) * lambda_max(X, y)
-        w, b, _ = fit_lasso(X, y, lam)
+        w, b, *_ = fit_lasso(X, y, lam)
         gradient = -(X.T @ (y - b - X @ w)) / m
         for j in range(n):
             if w[j] == 0.0:
@@ -120,7 +120,7 @@ def test_criterion_3_lasso_correctness():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     y = np.array([0.5, 2.0, 0.0, 2.5])
     for factor in (1.0, 2.0, 10.0):
-        w, b, _ = fit_lasso(X, y, factor * lambda_max(X, y))
+        w, b, *_ = fit_lasso(X, y, factor * lambda_max(X, y))
         assert np.abs(w).max() == 0.0
         assert abs(b - y.mean()) < 1e-12
 
@@ -134,7 +134,7 @@ def test_criterion_3_lasso_correctness():
             if np.linalg.matrix_rank(augmented) == n + 1:
                 break
         y = rng.normal(size=m)
-        w, b, _ = fit_lasso(X, y, 0.0)
+        w, b, *_ = fit_lasso(X, y, 0.0)
         theta, *_ = np.linalg.lstsq(np.column_stack([np.ones(m), X]), y, rcond=None)
         assert abs(b - theta[0]) < 1e-8
         assert np.abs(w - theta[1:]).max() < 1e-8

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from higen.attribution import (
-    AblationMask,
     AttributionParams,
     ablate,
     attribution_highlights,
@@ -59,24 +58,24 @@ def _client_with_scorer(tmp_path, score_fn) -> LLMClient:
 class TestSampleMasks:
     def test_anchor_mask_is_all_ones(self):
         masks = sample_masks(n=3, m=2, keep_prob=0.5, seed=11)
-        assert masks[0].bits == (1, 1, 1)
+        assert tuple(masks[0]) == (1, 1, 1)
         assert len(masks) == 2
-        assert any(masks[1].bits)
+        assert any(tuple(masks[1]))
 
     def test_determinism(self):
         a = sample_masks(n=10, m=50, keep_prob=0.4, seed=9)
         b = sample_masks(n=10, m=50, keep_prob=0.4, seed=9)
-        assert [m.bits for m in a] == [m.bits for m in b]
+        assert [tuple(m) for m in a] == [tuple(m) for m in b]
 
     def test_keep_frequency_within_bounds(self):
         masks = sample_masks(n=10, m=1000, keep_prob=0.5, seed=7)
-        freq = np.array([m.bits for m in masks]).mean(axis=0)
+        freq = np.array([tuple(m) for m in masks]).mean(axis=0)
         assert (freq >= 0.45).all()
         assert (freq <= 0.55).all()
 
     def test_no_all_zero_masks(self):
         masks = sample_masks(n=2, m=200, keep_prob=0.2, seed=3)
-        assert all(any(m.bits) for m in masks)
+        assert all(any(tuple(m)) for m in masks)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,28 +86,51 @@ class TestSampleMasks:
             sample_masks(n=2, m=2, keep_prob=1.0, seed=0)
 
 
+def _row_loop_masks(n, m, keep_prob, seed):
+    """The masks as drawn when each was a tuple built row by row: the oracle
+    that keeps mask draws, and so ablated contexts and cache keys, stable."""
+    rng = np.random.default_rng(seed)
+    masks = [(1,) * n]
+    while len(masks) < m:
+        bits = (rng.random(n) < keep_prob).astype(int)
+        if bits.any():
+            masks.append(tuple(int(b) for b in bits))
+    return masks
+
+
+@pytest.mark.parametrize(
+    "n, m, keep_prob, seed",
+    [(1, 2, 0.5, 0), (2, 200, 0.2, 3), (12, 96, 0.5, 1234), (195, 256, 0.5, 7), (369, 64, 0.3, 11)],
+)
+def test_sample_masks_match_the_row_loop_oracle(n, m, keep_prob, seed):
+    masks = sample_masks(n, m, keep_prob, seed)
+    assert masks.dtype == bool
+    assert masks.shape == (m, n)
+    assert [tuple(row) for row in masks.astype(int).tolist()] == _row_loop_masks(n, m, keep_prob, seed)
+
+
 class TestAblate:
     def test_all_ones_reproduces_document(self):
         doc = doc_from_sentences(["Aa bb.", "Cc dd.", "Ee ff."])
-        assert ablate(doc, AblationMask((1, 1, 1))) == "Aa bb. Cc dd. Ee ff."
+        assert ablate(doc, np.array([1, 1, 1], bool)) == "Aa bb. Cc dd. Ee ff."
 
     def test_all_zeros_empty(self):
         doc = doc_from_sentences(["Aa bb.", "Cc dd."])
-        assert ablate(doc, AblationMask((0, 0))) == ""
+        assert ablate(doc, np.array([0, 0], bool)) == ""
 
     def test_selection(self):
         doc = doc_from_sentences(["A one.", "B two.", "C three."])
-        assert ablate(doc, AblationMask((1, 0, 1))) == "A one. C three."
+        assert ablate(doc, np.array([1, 0, 1], bool)) == "A one. C three."
 
     def test_transcript_keeps_speaker_prefix(self):
         doc = make_document("t", "Alice: We agreed.\nBob: Fine then.", kind="transcript")
-        assert ablate(doc, AblationMask((1, 1))) == "Alice: We agreed. Bob: Fine then."
-        assert ablate(doc, AblationMask((0, 1))) == "Bob: Fine then."
+        assert ablate(doc, np.array([1, 1], bool)) == "Alice: We agreed. Bob: Fine then."
+        assert ablate(doc, np.array([0, 1], bool)) == "Bob: Fine then."
 
     def test_length_mismatch(self):
         doc = doc_from_sentences(["Aa."])
         with pytest.raises(ValueError):
-            ablate(doc, AblationMask((1, 0)))
+            ablate(doc, np.array([1, 0], bool))
 
 
 class TestLogitScale:
@@ -152,7 +174,7 @@ def _random_instance(rng, full_rank=False):
 
 class TestFitLasso:
     def test_exact_fit(self):
-        w, b, r2 = fit_lasso(np.array([[0.0], [1.0], [0.0], [1.0]]), np.array([0.0, 2.0, 0.0, 2.0]), lam=0.0)
+        w, b, r2, *_ = fit_lasso(np.array([[0.0], [1.0], [0.0], [1.0]]), np.array([0.0, 2.0, 0.0, 2.0]), lam=0.0)
         assert w[0] == pytest.approx(2.0, abs=1e-6)
         assert b == pytest.approx(0.0, abs=1e-6)
         assert r2 == pytest.approx(1.0, abs=1e-9)
@@ -162,7 +184,7 @@ class TestFitLasso:
         y = np.array([0.0, 2.0, 0.0, 2.0])
         lmax = lambda_max(X, y)
         for lam in (lmax, lmax * 1.5, lmax * 10):
-            w, b, _ = fit_lasso(X, y, lam)
+            w, b, *_ = fit_lasso(X, y, lam)
             assert np.abs(w).max() == 0.0
             assert b == pytest.approx(float(y.mean()))
 
@@ -171,7 +193,7 @@ class TestFitLasso:
         for _ in range(50):
             X, y = _random_instance(rng)
             lam = float(rng.random()) * lambda_max(X, y)
-            w, b, _ = fit_lasso(X, y, lam)
+            w, b, *_ = fit_lasso(X, y, lam)
             gradient = -(X.T @ (y - b - X @ w)) / X.shape[0]
             for j in range(X.shape[1]):
                 if w[j] == 0.0:
@@ -184,7 +206,7 @@ class TestFitLasso:
         rng = np.random.default_rng(99)
         for _ in range(10):
             X, y = _random_instance(rng, full_rank=True)
-            w, b, _ = fit_lasso(X, y, lam=0.0)
+            w, b, *_ = fit_lasso(X, y, lam=0.0)
             augmented = np.column_stack([np.ones(X.shape[0]), X])
             theta, *_ = np.linalg.lstsq(augmented, y, rcond=None)
             assert b == pytest.approx(theta[0], abs=1e-8)
@@ -194,21 +216,72 @@ class TestFitLasso:
         rng = np.random.default_rng(5)
         X, y = _random_instance(rng)
         lam = 0.3 * lambda_max(X, y)
-        w1, b1, _ = fit_lasso(X, y, lam)
+        w1, b1, *_ = fit_lasso(X, y, lam)
         c = 3.5
-        w2, b2, _ = fit_lasso(X, c * y, c * lam)
+        w2, b2, *_ = fit_lasso(X, c * y, c * lam)
         assert np.abs(w2 - c * w1).max() < 1e-7
         assert b2 == pytest.approx(c * b1, abs=1e-7)
 
     def test_constant_column_gets_zero_weight(self):
         X = np.column_stack([np.ones(8), (np.arange(8) % 2).astype(float)])
         y = np.arange(8).astype(float)
-        w, _, _ = fit_lasso(X, y, lam=0.01)
+        w, *_ = fit_lasso(X, y, lam=0.01)
         assert w[0] == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             fit_lasso(np.array([[1.0], [np.nan]]), np.array([0.0, 1.0]), lam=0.0)
+
+
+@pytest.mark.parametrize("n", [300, 800])
+@pytest.mark.parametrize("m", [64, 256])
+def test_fit_converges_at_govreport_scale(n, m):
+    rng = np.random.default_rng(n + m)
+    X = (rng.random((m, n)) < 0.5).astype(float)
+    true_w = np.zeros(n)
+    true_w[rng.choice(n, 10, replace=False)] = rng.normal(0.0, 2.0, 10)
+    y = X @ true_w + rng.normal(0.0, 0.5, m)
+    lam = 0.01 * lambda_max(X, y)
+    fit = fit_lasso(X, y, lam)
+    assert fit.converged
+    assert fit.kkt_residual <= 1e-9
+    w, b = fit.weights, fit.intercept
+    gradient = -(X.T @ (y - b - X @ w)) / m
+    for j in range(n):
+        if w[j] == 0.0:
+            assert abs(gradient[j]) <= lam + 1e-9
+        else:
+            assert abs(gradient[j] + lam * np.sign(w[j])) <= 1e-9
+    # Off the support (|g_j| < lam) the weights are exact zeros, not tiny values.
+    off_support = np.abs(gradient) < lam - 1e-9
+    assert off_support.sum() >= n - m
+    assert (w[off_support] == 0.0).all()
+
+
+def test_fit_stopped_by_max_iter_reports_not_converged():
+    rng = np.random.default_rng(17)
+    X = (rng.random((64, 300)) < 0.5).astype(float)
+    y = X[:, :5].sum(axis=1) + rng.normal(0.0, 0.1, 64)
+    fit = fit_lasso(X, y, 0.01 * lambda_max(X, y), max_iter=1)
+    assert fit.iterations == 1
+    assert not fit.converged
+    assert fit.kkt_residual > 1e-9
+    assert np.isfinite(fit.weights).all()
+
+
+def test_fit_backtracks_from_an_underestimated_step_constant(monkeypatch):
+    import higen.attribution as attribution_mod
+
+    rng = np.random.default_rng(23)
+    X = (rng.random((64, 40)) < 0.5).astype(float)
+    y = X[:, :4] @ np.array([2.0, -1.0, 1.5, 0.5]) + rng.normal(0.0, 0.1, 64)
+    lam = 0.01 * lambda_max(X, y)
+    reference = fit_lasso(X, y, lam)
+    # An estimate far below the gradient's Lipschitz constant makes plain steps diverge.
+    monkeypatch.setattr(attribution_mod, "_lipschitz_estimate", lambda centered: 1e-3)
+    fit = fit_lasso(X, y, lam)
+    assert fit.converged
+    assert np.abs(fit.weights - reference.weights).max() < 1e-8
 
 
 class TestContextciteAttribute:

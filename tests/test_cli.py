@@ -121,10 +121,14 @@ class TestAttributeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["scores"]) == 3
         assert payload["num_ablations"] == 8
+        assert isinstance(payload["iterations"], int)
+        assert payload["converged"] is True
+        assert 0.0 <= payload["kkt_residual"] <= 1e-9
         # dumped pairs support offline refits
         pairs = [json.loads(line) for line in dump.read_text().splitlines()]
         assert len(pairs) == 8
         assert all(len(p["mask"]) == 3 for p in pairs)
+        assert all(type(bit) is int and bit in (0, 1) for p in pairs for bit in p["mask"])
         assert all(math.isfinite(p["logit"]) for p in pairs)
 
     def test_attribute_needs_config(self, tmp_path):

@@ -357,3 +357,9 @@ class TestBackendFromUrl:
         backend = backend_from_url("http://localhost:8000")
         assert isinstance(backend, HTTPBackend)
         assert backend.base_url == "http://localhost:8000"
+
+    def test_http_pool_holds_one_connection_per_worker(self):
+        backend = backend_from_url("http://localhost:8000", concurrency=32)
+        for url in ("http://localhost:8000", "https://example.org"):
+            adapter = backend.session.get_adapter(url)
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == 32

@@ -200,6 +200,15 @@ class TestFactScoring:
         client = _judge_client(["maybe"], tmp_path)
         assert verify_fact("sky is blue", doc, client, "judge") == UNPARSEABLE
 
+    def test_placeholders_inside_the_document_stay_literal(self, tmp_path):
+        doc = doc_from_sentences(["Quote {statement} and {document} verbatim."])
+        backend = ScriptedBackend(["Answer: yes"])
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        assert verify_fact("FACT", doc, client, "judge") == SUPPORTED
+        prompt = backend.requests[0].user_prompt
+        assert "Quote {statement} and {document} verbatim." in prompt
+        assert prompt.count("FACT") == 1
+
     def test_factscore_two_of_three(self, tmp_path):
         doc = doc_from_sentences(["Facts live here."])
         client = _judge_client(
