@@ -10,7 +10,7 @@ from .llm_client import (
     ScoreRequest,
     ScoreResponse,
 )
-from .pipeline import METHODS, PipelineParams, SummaryRecord, run_direct, run_e2e, run_method, run_two_stage
+from .pipeline import METHODS, PipelineParams, SummaryRecord, plan, run_method
 from .prompts import Highlight, HighlightSet, align, parse_highlights, parse_planned, render
 from .runner import ExperimentConfig, evaluate, load_config, run
 
@@ -33,10 +33,8 @@ __all__ = [
     "METHODS",
     "PipelineParams",
     "SummaryRecord",
-    "run_direct",
-    "run_e2e",
+    "plan",
     "run_method",
-    "run_two_stage",
     "Highlight",
     "HighlightSet",
     "align",

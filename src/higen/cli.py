@@ -9,15 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .attribution import attribution_highlights, contextcite_attribute
 from .corpus import make_document
 from .errors import ConfigError, HigenError
-from .lexrank import build_similarity_graph, dump_similarity_csv, lexrank_highlights
-from .llm_client import GenRequest
-from .pipeline import run_two_stage
-from .prompts import parse_highlights, render
+from .lexrank import build_similarity_graph, dump_similarity_csv
+from .pipeline import PipelineParams, plan
 from .report import aggregate, emit
 from .runner import build_client, evaluate, load_config, read_metric_rows, read_records, run
 
@@ -111,34 +110,15 @@ def _cmd_report(args) -> int:
 
 def _cmd_highlight(args) -> int:
     document = _document_from_file(args.doc)
-    if args.method == "lexrank":
-        config = load_config(args.config) if args.config else None
-        params = config.lexrank if config else None
-        if args.dump_similarity:
-            graph = build_similarity_graph(
-                document.token_index, threshold=params.threshold if params else 0.1
-            )
-            dump_similarity_csv(graph, args.dump_similarity)
-        highlights = lexrank_highlights(document, args.k, params) if params else lexrank_highlights(document, args.k)
-    else:
-        if not args.config:
-            raise ConfigError(f"--method {args.method} needs a config with an endpoint and model")
-        config = load_config(args.config)
-        client = build_client(config)
-        params = config.pipeline_params()
-        if args.method == "generative":
-            prompt = render(f"stage1_highlights_{config.family()}", document, k=args.k)
-            response = client.generate(
-                GenRequest(model=config.model, user_prompt=prompt, max_tokens=params.max_tokens, seed=config.seed)
-            )
-            for i, text in enumerate(parse_highlights(response.text)[: args.k], start=1):
-                print(f"{i}. {text}")
-            return EXIT_OK
-        record = run_two_stage(client, document, "contextcite", params)
-        if not record.ok:
-            raise HigenError(f"highlighting failed at stage {record.error_stage}: {record.error}")
-        highlights = record.highlights
-    for i, item in enumerate(highlights.items, start=1):
+    config = load_config(args.config) if args.config else None
+    if config is None and args.method != "lexrank":
+        raise ConfigError(f"--method {args.method} needs a config with an endpoint and model")
+    params = replace(config.pipeline_params() if config else PipelineParams(model=""), k=args.k)
+    if args.dump_similarity:
+        graph = build_similarity_graph(document.token_index, threshold=params.lexrank.threshold)
+        dump_similarity_csv(graph, args.dump_similarity)
+    client = build_client(config) if args.method != "lexrank" else None
+    for i, item in enumerate(plan(client, document, args.method, params).items, start=1):
         print(f"{i}. {item.text}")
     return EXIT_OK
 

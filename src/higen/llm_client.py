@@ -299,7 +299,10 @@ class HTTPBackend:
             if resp.status_code == 400 and _OVERSIZE_RE.search(excerpt):
                 raise OversizeError(f"backend rejected oversize request: {excerpt}")
             raise EndpointError(resp.status_code, excerpt)
-        return resp.json()
+        try:
+            return resp.json()
+        except ValueError as exc:  # requests.JSONDecodeError
+            raise EndpointError(resp.status_code, f"malformed JSON body: {resp.text[:200]}") from exc
 
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
         messages = []

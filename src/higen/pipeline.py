@@ -5,15 +5,23 @@ e2e               one call emitting the highlight list and the summary together
 two_stage_gen     call 1 extracts highlights, call 2 summarizes with doc + plan
 two_stage_lexrank centrality-ranked extractive plan, then one summarize call
 two_stage_cc      attribution over a draft summary selects the plan, then summarize
+
+``run_method`` is the only entry point and the one failure boundary: any
+exception raised inside a method becomes a failed record that names the
+stage it was raised in, keeps the plan reached so far and the hash of the
+last prompt sent. The stages are ``direct`` and ``e2e`` for the one-call
+methods; ``stage1`` (generative, lexrank) or ``draft`` then ``attribution``
+(contextcite) while ``plan`` builds the content plan; then ``stage2``, or
+``fallback_direct`` when the plan came back empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .attribution import AttributionParams, attribution_highlights, contextcite_attribute
 from .corpus import Document
-from .errors import HigenError, ParseError
+from .errors import ParseError
 from .lexrank import LexRankParams, lexrank_highlights
 from .llm_client import GenRequest, GenResponse, LLMClient, prompt_hash
 from .prompts import (
@@ -34,7 +42,6 @@ _HIGHLIGHTER_FOR_METHOD = {
     "two_stage_lexrank": "lexrank",
     "two_stage_cc": "contextcite",
 }
-_METHOD_FOR_HIGHLIGHTER = {v: k for k, v in _HIGHLIGHTER_FOR_METHOD.items()}
 
 
 @dataclass
@@ -70,73 +77,32 @@ class SummaryRecord:
         return self.error is None
 
     def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "method": self.method,
-            "model": self.model,
-            "highlights": {
-                "method": self.highlights.method,
-                "k_requested": self.highlights.k_requested,
-                "items": [
-                    {"text": h.text, "source_index": h.source_index, "alignment_score": h.alignment_score}
-                    for h in self.highlights.items
-                ],
-            },
-            "summary": self.summary,
-            "raw_responses": self.raw_responses,
-            "fallback_used": self.fallback_used,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "wall_ms": self.wall_ms,
-            "error": self.error,
-            "error_stage": self.error_stage,
-            "error_prompt_hash": self.error_prompt_hash,
-        }
+        data = asdict(self)
+        hs = data["highlights"]
+        data["highlights"] = {"method": hs["method"], "k_requested": hs["k_requested"], "items": list(hs["items"])}
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SummaryRecord":
         hs = data["highlights"]
-        highlights = HighlightSet(
-            method=hs["method"],
-            items=tuple(
-                Highlight(text=i["text"], source_index=i["source_index"], alignment_score=i["alignment_score"])
-                for i in hs["items"]
-            ),
-            k_requested=hs["k_requested"],
-        )
-        return cls(
-            doc_id=data["doc_id"],
-            method=data["method"],
-            model=data["model"],
-            highlights=highlights,
-            summary=data["summary"],
-            raw_responses=list(data["raw_responses"]),
-            fallback_used=data["fallback_used"],
-            prompt_tokens=data["prompt_tokens"],
-            completion_tokens=data["completion_tokens"],
-            wall_ms=data["wall_ms"],
-            error=data.get("error"),
-            error_stage=data.get("error_stage"),
-            error_prompt_hash=data.get("error_prompt_hash"),
-        )
+        items = tuple(Highlight(**item) for item in hs["items"])
+        highlights = HighlightSet(method=hs["method"], items=items, k_requested=hs["k_requested"])
+        return cls(**{**data, "highlights": highlights})
 
 
 class _CallLog:
-    """Accumulates LLM generate calls for one record."""
+    """What one record has reached so far: its LLM generate calls, the stage
+    it is in, the content plan and whether the direct fallback answered."""
 
-    def __init__(self) -> None:
+    def __init__(self, method: str = "") -> None:
         self.raw: list[str] = []
         self.prompt_tokens = 0
         self.completion_tokens = 0
         self.wall_ms = 0
         self.last_prompt = ""
-
-    def note(self, prompt: str, response: GenResponse) -> None:
-        self.last_prompt = prompt
-        self.raw.append(response.text)
-        self.prompt_tokens += response.prompt_tokens
-        self.completion_tokens += response.completion_tokens
-        self.wall_ms += response.latency_ms
+        self.stage = ""
+        self.highlights = HighlightSet(method=method, items=(), k_requested=0)
+        self.fallback_used = False
 
 
 def _generate(client: LLMClient, log: _CallLog, prompt: str, params: PipelineParams, doc_id: str) -> GenResponse:
@@ -149,7 +115,10 @@ def _generate(client: LLMClient, log: _CallLog, prompt: str, params: PipelinePar
     )
     log.last_prompt = prompt
     response = client.generate(request, doc_id=doc_id)
-    log.note(prompt, response)
+    log.raw.append(response.text)
+    log.prompt_tokens += response.prompt_tokens
+    log.completion_tokens += response.completion_tokens
+    log.wall_ms += response.latency_ms
     return response
 
 
@@ -166,137 +135,91 @@ def _generate_planned(
         return parse_planned(response.text)
 
 
-def _record(
-    document: Document,
-    method: str,
-    params: PipelineParams,
-    log: _CallLog,
-    highlights: HighlightSet,
-    summary: str,
-    fallback_used: bool = False,
-) -> SummaryRecord:
-    return SummaryRecord(
-        doc_id=document.id,
-        method=method,
-        model=params.model,
-        highlights=highlights,
-        summary=summary,
-        raw_responses=log.raw,
-        fallback_used=fallback_used,
-        prompt_tokens=log.prompt_tokens,
-        completion_tokens=log.completion_tokens,
-        wall_ms=log.wall_ms,
-    )
-
-
-def _failed_record(
-    document: Document,
-    method: str,
-    params: PipelineParams,
-    log: _CallLog,
-    stage: str,
-    exc: Exception,
-    highlights: HighlightSet | None = None,
-) -> SummaryRecord:
-    return SummaryRecord(
-        doc_id=document.id,
-        method=method,
-        model=params.model,
-        highlights=highlights or HighlightSet(method=method, items=(), k_requested=0),
-        summary="",
-        raw_responses=log.raw,
-        prompt_tokens=log.prompt_tokens,
-        completion_tokens=log.completion_tokens,
-        wall_ms=log.wall_ms,
-        error=str(exc),
-        error_stage=stage,
-        error_prompt_hash=prompt_hash(log.last_prompt) if log.last_prompt else None,
-    )
-
-
-def run_direct(client: LLMClient, document: Document, params: PipelineParams) -> SummaryRecord:
-    """One generate call with the direct template; no content plan."""
-    log = _CallLog()
-    highlights = HighlightSet(method="direct", items=(), k_requested=0)
+def _direct_summary(client: LLMClient, document: Document, params: PipelineParams, log: _CallLog) -> str:
     prompt = render(f"direct_{params.template_family}", document)
-    try:
-        planned = _generate_planned(client, log, prompt, params, document.id)
-    except HigenError as exc:
-        return _failed_record(document, "direct", params, log, "direct", exc, highlights)
-    return _record(document, "direct", params, log, highlights, planned.summary)
+    return _generate_planned(client, log, prompt, params, document.id).summary
 
 
-def run_e2e(client: LLMClient, document: Document, params: PipelineParams) -> SummaryRecord:
-    """One generate call emitting the highlight scaffold and the summary."""
-    log = _CallLog()
-    try:
+def plan(
+    client: LLMClient | None,
+    document: Document,
+    highlighter: str,
+    params: PipelineParams,
+    log: _CallLog | None = None,
+) -> HighlightSet:
+    """Stage 1: the content plan of one document from the chosen highlighter.
+
+    generative asks the model for up to k sentences and aligns them to the
+    source; lexrank ranks sentences by centrality and needs no client;
+    contextcite drafts a direct summary and keeps the sentences whose ablation
+    moves the draft's likelihood."""
+    log = log or _CallLog()
+    log.stage = "stage1"
+    if highlighter == "generative":
+        prompt = render(f"stage1_highlights_{params.template_family}", document, k=params.k)
+        response = _generate(client, log, prompt, params, document.id)
+        texts = parse_highlights(response.text)[: params.k]
+        items = tuple(align(document, texts, params.align_threshold))
+        return HighlightSet(method="generative", items=items, k_requested=params.k)
+    if highlighter == "lexrank":
+        return lexrank_highlights(document, params.k, params.lexrank)
+    if highlighter == "contextcite":
+        log.stage = "draft"
+        draft = _direct_summary(client, document, params, log)
+        log.stage = "attribution"
+        result = contextcite_attribute(client, document, draft, params.model, params.attribution, seed=params.seed or 0)
+        return attribution_highlights(result, document, params.k)
+    raise ValueError(f"unknown highlighter: {highlighter!r}")
+
+
+def _summarize(client: LLMClient, document: Document, method: str, params: PipelineParams, log: _CallLog) -> str:
+    """The body of one method: returns the summary and leaves the plan, the
+    stage reached and the fallback flag on ``log``."""
+    if method == "direct":
+        log.stage = "direct"
+        return _direct_summary(client, document, params, log)
+    if method == "e2e":
+        log.stage = "e2e"
         prompt = render(f"e2e_{params.template_family}", document, k=params.k)
         planned = _generate_planned(client, log, prompt, params, document.id)
-    except HigenError as exc:
-        return _failed_record(document, "e2e", params, log, "e2e", exc)
-    texts = list(planned.highlights)[: params.k]
-    items = tuple(align(document, texts, params.align_threshold))
-    highlights = HighlightSet(method="e2e", items=items, k_requested=params.k)
-    return _record(document, "e2e", params, log, highlights, planned.summary)
-
-
-def run_two_stage(
-    client: LLMClient, document: Document, highlighter: str, params: PipelineParams
-) -> SummaryRecord:
-    """Stage 1 builds the content plan with the chosen highlighter; stage 2
-    summarizes in a fresh context given the document plus the plan. An empty
-    plan falls back to direct prompting (recorded on the record)."""
-    if highlighter not in _METHOD_FOR_HIGHLIGHTER:
-        raise ValueError(f"unknown highlighter: {highlighter!r}")
-    method = _METHOD_FOR_HIGHLIGHTER[highlighter]
-    log = _CallLog()
-    stage = "stage1"
-    try:
-        if highlighter == "generative":
-            prompt = render(f"stage1_highlights_{params.template_family}", document, k=params.k)
-            response = _generate(client, log, prompt, params, document.id)
-            texts = parse_highlights(response.text)[: params.k]
-            items = tuple(align(document, texts, params.align_threshold))
-            highlights = HighlightSet(method="generative", items=items, k_requested=params.k)
-        elif highlighter == "lexrank":
-            highlights = lexrank_highlights(document, params.k, params.lexrank)
-        else:
-            stage = "draft"
-            draft_prompt = render(f"direct_{params.template_family}", document)
-            draft = _generate_planned(client, log, draft_prompt, params, document.id)
-            stage = "attribution"
-            result = contextcite_attribute(
-                client, document, draft.summary, params.model, params.attribution, seed=params.seed or 0
-            )
-            highlights = attribution_highlights(result, document, params.k)
-    except HigenError as exc:
-        return _failed_record(document, method, params, log, stage, exc)
-
-    if not highlights.items:
-        stage = "fallback_direct"
-        try:
-            prompt = render(f"direct_{params.template_family}", document)
-            planned = _generate_planned(client, log, prompt, params, document.id)
-        except HigenError as exc:
-            return _failed_record(document, method, params, log, stage, exc, highlights)
-        return _record(document, method, params, log, highlights, planned.summary, fallback_used=True)
-
-    stage = "stage2"
-    try:
-        prompt = render(
-            f"stage2_summary_{params.template_family}", document, highlights=highlights.items
-        )
-        planned = _generate_planned(client, log, prompt, params, document.id)
-    except HigenError as exc:
-        return _failed_record(document, method, params, log, stage, exc, highlights)
-    return _record(document, method, params, log, highlights, planned.summary)
+        texts = list(planned.highlights)[: params.k]
+        items = tuple(align(document, texts, params.align_threshold))
+        log.highlights = HighlightSet(method="e2e", items=items, k_requested=params.k)
+        return planned.summary
+    log.highlights = plan(client, document, _HIGHLIGHTER_FOR_METHOD[method], params, log)
+    if not log.highlights.items:
+        log.stage = "fallback_direct"
+        summary = _direct_summary(client, document, params, log)
+        log.fallback_used = True
+        return summary
+    log.stage = "stage2"
+    prompt = render(f"stage2_summary_{params.template_family}", document, highlights=log.highlights.items)
+    return _generate_planned(client, log, prompt, params, document.id).summary
 
 
 def run_method(client: LLMClient, document: Document, method: str, params: PipelineParams) -> SummaryRecord:
-    if method == "direct":
-        return run_direct(client, document, params)
-    if method == "e2e":
-        return run_e2e(client, document, params)
-    if method in _HIGHLIGHTER_FOR_METHOD:
-        return run_two_stage(client, document, _HIGHLIGHTER_FOR_METHOD[method], params)
-    raise ValueError(f"unknown method: {method!r}")
+    """One record for one (document, method) pair. Any exception in the
+    method becomes a failed record at the stage it was raised in."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method: {method!r}")
+    log = _CallLog(method)
+    summary, error = "", None
+    try:
+        summary = _summarize(client, document, method, params, log)
+    except Exception as exc:
+        error = str(exc) or type(exc).__name__
+    return SummaryRecord(
+        doc_id=document.id,
+        method=method,
+        model=params.model,
+        highlights=log.highlights,
+        summary=summary,
+        raw_responses=log.raw,
+        fallback_used=log.fallback_used,
+        prompt_tokens=log.prompt_tokens,
+        completion_tokens=log.completion_tokens,
+        wall_ms=log.wall_ms,
+        error=error,
+        error_stage=log.stage if error is not None else None,
+        error_prompt_hash=prompt_hash(log.last_prompt) if error is not None and log.last_prompt else None,
+    )

@@ -41,7 +41,7 @@ TEMPLATE_IDS = (
 # Only these names are placeholders, in the templates and in the judge prompts;
 # any other {...} in a body is literal text shown to the model (e.g. the
 # "{Sentence Text}" slots of the scaffold).
-_PLACEHOLDER_NAMES = ("document", "k", "query", "highlights", "summary_length_hint", "summary", "statement")
+_PLACEHOLDER_NAMES = ("document", "k", "query", "highlights", "summary", "statement")
 _PLACEHOLDER_RE = re.compile(r"\{(" + "|".join(_PLACEHOLDER_NAMES) + r")\}")
 
 _ITEM_RE = re.compile(r"^\s*\d+[.)]\s+(.*)$")

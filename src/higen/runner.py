@@ -3,8 +3,9 @@
 A run directory accumulates three artifacts: outputs.jsonl (one summary
 record per document x method, appended and flushed as completed),
 metrics.jsonl (one row per document x method x metric), and manifest.json
-(config snapshot plus bookkeeping). Re-invoking a run skips pairs already
-present, so interrupted experiments resume for free.
+(config snapshot plus bookkeeping). Re-invoking a run skips the pairs that
+already have an ok record and retries the failed ones, so interrupted
+experiments resume for free; readers see only the latest record of a pair.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -58,12 +59,11 @@ class MetricsConfig:
 @dataclass
 class ExperimentConfig:
     dataset: DatasetConfig
-    methods: list[str]
     model: str
     run_dir: str
+    methods: list[str] = field(default_factory=lambda: ["direct"])
     judge_model: str = "gpt-4o-mini"
     k: int = 30
-    temperature: float = 0.0
     prompt_family: str | None = None
     max_tokens: int | None = None
     align_threshold: float = 0.6
@@ -106,55 +106,46 @@ def _build(section: dict | None, cls, name: str):
     section = section or {}
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
-    valid = {f.name for f in cls.__dataclass_fields__.values()} if hasattr(cls, "__dataclass_fields__") else set()
-    unknown = set(section) - valid
+    unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
     return cls(**section)
 
 
+_SECTIONS = {
+    "dataset": DatasetConfig,
+    "endpoint": EndpointConfig,
+    "attribution": AttributionParams,
+    "lexrank": LexRankParams,
+    "metrics": MetricsConfig,
+    "retry": RetryPolicy,
+}
+
+
 def parse_config(data: dict) -> ExperimentConfig:
+    """Build the config from a mapping. A key left out or set to null takes
+    the dataclass default; an unknown key at any level is an error."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
     if "dataset" not in data or not isinstance(data["dataset"], dict) or "path" not in data["dataset"]:
         raise ConfigError("config is missing dataset.path")
-    if "model" not in data:
-        raise ConfigError("config is missing model")
-    if "run_dir" not in data:
-        raise ConfigError("config is missing run_dir")
+    for key in ("model", "run_dir"):
+        if key not in data:
+            raise ConfigError(f"config is missing {key}")
 
-    methods = data.get("methods") or ["direct"]
-    for method in methods:
+    top = {key: value for key, value in data.items() if value is not None}
+    top.update({name: _build(data.get(name), cls, name) for name, cls in _SECTIONS.items()})
+    config = _build(top, ExperimentConfig, "config")
+
+    if not config.methods:
+        raise ConfigError("methods must name at least one method")
+    for method in config.methods:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
-
-    config = ExperimentConfig(
-        dataset=_build(data["dataset"], DatasetConfig, "dataset"),
-        methods=list(methods),
-        model=str(data["model"]),
-        run_dir=str(data["run_dir"]),
-        judge_model=str(data.get("judge_model", "gpt-4o-mini")),
-        k=int(data.get("k", 30)),
-        temperature=float(data.get("temperature", 0.0)),
-        prompt_family=data.get("prompt_family"),
-        max_tokens=int(data["max_tokens"]) if data.get("max_tokens") is not None else None,
-        align_threshold=float(data.get("align_threshold", 0.6)),
-        endpoint=_build(data.get("endpoint"), EndpointConfig, "endpoint"),
-        concurrency=int(data.get("concurrency", 4)),
-        cache_dir=data.get("cache_dir"),
-        seed=int(data.get("seed", 0)),
-        attribution=_build(data.get("attribution"), AttributionParams, "attribution"),
-        lexrank=_build(data.get("lexrank"), LexRankParams, "lexrank"),
-        metrics=_build(data.get("metrics"), MetricsConfig, "metrics"),
-        retry=_build(data.get("retry"), RetryPolicy, "retry"),
-    )
-
     if config.k < 1:
         raise ConfigError("k must be >= 1")
     if config.concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
-    if config.temperature < 0:
-        raise ConfigError("temperature must be >= 0")
     if config.dataset.schema not in ("scrolls_govreport", "scrolls_qmsum", "generic_jsonl"):
         raise ConfigError(f"unknown dataset schema {config.dataset.schema!r}")
     if config.prompt_family not in (None, "gov", "qmsum"):
@@ -209,21 +200,23 @@ def _load_documents(config: ExperimentConfig) -> list[Document]:
 
 
 def read_records(run_dir: str | Path) -> list[SummaryRecord]:
-    """Read outputs.jsonl tolerantly (a truncated trailing line is skipped)."""
+    """The latest record of each (document, method) pair in outputs.jsonl,
+    read tolerantly (a truncated trailing line is skipped)."""
     path = Path(run_dir) / "outputs.jsonl"
-    records: list[SummaryRecord] = []
+    latest: dict[tuple[str, str], SummaryRecord] = {}
     if not path.exists():
-        return records
+        return []
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(SummaryRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError):
+                record = SummaryRecord.from_dict(json.loads(line))
+            except (json.JSONDecodeError, KeyError, TypeError):
                 continue
-    return records
+            latest[(record.doc_id, record.method)] = record
+    return list(latest.values())
 
 
 def run(
@@ -231,7 +224,8 @@ def run(
     client: LLMClient | None = None,
     stop_after_records: int | None = None,
 ) -> Path:
-    """Produce a SummaryRecord for every (document, method) pair not yet present.
+    """Produce a SummaryRecord for every (document, method) pair without an ok
+    one: a pair whose latest record failed is tried again.
 
     Records append to run_dir/outputs.jsonl as they complete (flushed per
     record); the manifest is written at the end. Per-record failures are
@@ -242,7 +236,7 @@ def run(
     outputs_path = run_dir / "outputs.jsonl"
 
     documents = sorted(_load_documents(config), key=lambda d: d.id)
-    done = {(r.doc_id, r.method) for r in read_records(run_dir)}
+    done = {(r.doc_id, r.method) for r in read_records(run_dir) if r.ok}
     tasks = [
         (doc, method)
         for doc in documents

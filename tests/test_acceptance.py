@@ -23,7 +23,7 @@ from higen.cli import main as cli_main
 from higen.lexrank import SimilarityGraph, centrality
 from higen.llm_client import GenRequest, LLMClient, MockBackend
 from higen.metrics import lcs_length, paired_t_test, rouge_l, student_t_two_sided_p, tokenize
-from higen.pipeline import PipelineParams, run_direct
+from higen.pipeline import PipelineParams, run_method
 from higen.prompts import parse_planned
 from higen.report import aggregate
 
@@ -258,7 +258,7 @@ def test_criterion_7_parser_robustness(tmp_path):
     backend = ScriptedBackend(["no marker", "again no marker"])
     client = LLMClient(backend, cache_dir=tmp_path / "cache")
     doc = doc_from_sentences(["Alpha one.", "Beta two."])
-    record = run_direct(client, doc, PipelineParams(model="m", k=2, max_tokens=64))
+    record = run_method(client, doc, "direct", PipelineParams(model="m", k=2, max_tokens=64))
     assert not record.ok
     gen_requests = [r for r in backend.requests if isinstance(r, GenRequest)]
     assert len(gen_requests) == 2

@@ -52,6 +52,18 @@ class TestExitCodes:
         path = _write_config(tmp_path)
         assert main(["run", "-c", str(path)]) == 0
 
+    def test_empty_document_run_completes_with_3(self, tmp_path):
+        data_path = tmp_path / "with_empty.jsonl"
+        normal = (DATA_DIR / "minicorpus.jsonl").read_text().splitlines()[0]
+        data_path.write_text('{"id":"empty","input":"","output":""}\n' + normal + "\n")
+        path = _write_config(
+            tmp_path,
+            dataset={"path": str(data_path), "schema": "scrolls_govreport"},
+            methods=["direct", "two_stage_cc"],
+        )
+        assert main(["run", "-c", str(path)]) == 3
+        assert (tmp_path / "run" / "manifest.json").exists()
+
     def test_report_without_manifest_is_2(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
 
@@ -100,6 +112,19 @@ class TestHighlightCommand:
         assert rc == 0
         out = capsys.readouterr().out.strip()
         assert out  # overlap scorer gives the draft's source sentences positive weight
+
+    def test_contextcite_makes_only_the_draft_call(self, tmp_path, capsys, monkeypatch):
+        from higen.llm_client import LLMClient, MockBackend
+
+        backend = MockBackend(score_fn="overlap")
+        monkeypatch.setattr("higen.cli.build_client", lambda config: LLMClient(backend, cache_dir=tmp_path / "c"))
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")
+        config = _write_config(tmp_path)
+        rc = main(["highlight", "--method", "contextcite", "--doc", str(doc_path), "-k", "2", "-c", str(config)])
+        assert rc == 0
+        assert backend.gen_calls == 1
+        assert len(capsys.readouterr().out.strip().splitlines()) <= 2
 
     def test_missing_doc_file_is_2(self, tmp_path):
         assert main(["highlight", "--method", "lexrank", "--doc", str(tmp_path / "nope.txt")]) == 2

@@ -4,6 +4,7 @@ import threading
 import time
 
 import pytest
+import requests
 
 from higen.corpus import make_document
 from higen.errors import CapabilityError, EndpointError, OversizeError, TransportError
@@ -345,6 +346,17 @@ class TestHTTPBackend:
         with pytest.raises(EndpointError) as err:
             backend.complete(GenRequest(model="m", user_prompt="p"))
         assert err.value.status == 404
+
+    def test_malformed_200_body_is_endpoint_error(self):
+        class _NotJSON(_FakeResponse):
+            def json(self):
+                raise requests.JSONDecodeError("Expecting value", self.text, 0)
+
+        session = _FakeSession([_NotJSON(200, text="<html>gateway</html>")])
+        backend = HTTPBackend("http://host", session=session)
+        with pytest.raises(EndpointError, match="malformed JSON") as err:
+            backend.complete(GenRequest(model="m", user_prompt="p"))
+        assert err.value.status == 200
 
 
 class TestBackendFromUrl:

@@ -10,10 +10,8 @@ from higen.pipeline import (
     METHODS,
     PipelineParams,
     SummaryRecord,
-    run_direct,
-    run_e2e,
+    plan,
     run_method,
-    run_two_stage,
 )
 
 from conftest import ScriptedBackend, doc_from_sentences, make_mock_client
@@ -35,7 +33,7 @@ def doc():
 class TestRunDirect:
     def test_mock_summary_and_empty_highlights(self, tmp_path, doc):
         client, _ = make_mock_client(tmp_path)
-        record = run_direct(client, doc, _params())
+        record = run_method(client, doc, "direct", _params())
         assert record.ok
         assert record.summary == "Alpha opens the report. Bravo covers the middle."
         assert record.highlights.items == ()
@@ -45,7 +43,7 @@ class TestRunDirect:
     def test_parse_failure_retries_once_then_fails(self, tmp_path, doc):
         backend = ScriptedBackend(["no marker here", "still no marker"])
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        record = run_direct(client, doc, _params())
+        record = run_method(client, doc, "direct", _params())
         assert not record.ok
         assert record.error_stage == "direct"
         assert len(record.raw_responses) == 2
@@ -58,7 +56,7 @@ class TestRunDirect:
     def test_malformed_then_valid_recovers(self, tmp_path, doc):
         backend = ScriptedBackend(["garbage", "Summary: recovered fine"])
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        record = run_direct(client, doc, _params())
+        record = run_method(client, doc, "direct", _params())
         assert record.ok
         assert record.summary == "recovered fine"
         assert len(record.raw_responses) == 2
@@ -91,7 +89,7 @@ class TestRunDirect:
 class TestRunE2E:
     def test_echo_first_k(self, tmp_path, doc):
         client, _ = make_mock_client(tmp_path)
-        record = run_e2e(client, doc, _params(k=2))
+        record = run_method(client, doc, "e2e", _params(k=2))
         assert record.ok
         assert [h.source_index for h in record.highlights.items] == [0, 1]
         assert all(h.alignment_score == pytest.approx(1.0) for h in record.highlights.items)
@@ -100,13 +98,13 @@ class TestRunE2E:
 
     def test_k_clamped_to_document_size(self, tmp_path, doc):
         client, _ = make_mock_client(tmp_path)
-        record = run_e2e(client, doc, _params(k=30))
+        record = run_method(client, doc, "e2e", _params(k=30))
         assert [h.source_index for h in record.highlights.items] == [0, 1, 2]
 
     def test_malformed_then_valid_bookkeeping(self, tmp_path, doc):
         backend = ScriptedBackend(["oops", "Key Sentences:\n1. Alpha opens the report.\nSummary: ok then"])
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        record = run_e2e(client, doc, _params())
+        record = run_method(client, doc, "e2e", _params())
         assert record.ok
         assert len(record.raw_responses) == 2
         assert record.summary == "ok then"
@@ -115,7 +113,7 @@ class TestRunE2E:
 class TestRunTwoStage:
     def test_lexrank_wiring_single_generate_call(self, tmp_path, doc):
         client, backend = make_mock_client(tmp_path)
-        record = run_two_stage(client, doc, "lexrank", _params(k=2))
+        record = run_method(client, doc, "two_stage_lexrank", _params(k=2))
         assert record.ok
         assert record.method == "two_stage_lexrank"
         assert record.highlights.method == "lexrank"
@@ -141,9 +139,7 @@ class TestRunTwoStage:
 
         backend = MockBackend(score_fn=scorer)
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        record = run_two_stage(
-            client, doc, "contextcite", _params(k=2, attribution=AttributionParams(m=16))
-        )
+        record = run_method(client, doc, "two_stage_cc", _params(k=2, attribution=AttributionParams(m=16)))
         assert record.ok
         assert [h.source_index for h in record.highlights.items] == [3]
         stage2_prompts = [
@@ -158,7 +154,7 @@ class TestRunTwoStage:
 
     def test_generative_highlights_verbatim_in_stage2_prompt(self, tmp_path, doc):
         client, backend = make_mock_client(tmp_path)
-        record = run_two_stage(client, doc, "generative", _params(k=2))
+        record = run_method(client, doc, "two_stage_gen", _params(k=2))
         assert record.ok
         assert record.method == "two_stage_gen"
         assert len(record.raw_responses) == 2
@@ -173,10 +169,10 @@ class TestRunTwoStage:
 
     def test_every_emitted_highlight_in_stage2_prompt(self, tmp_path, doc):
         # invariant across all two-stage highlighters
-        for highlighter in ("generative", "lexrank"):
+        for method in ("two_stage_gen", "two_stage_lexrank"):
             backend = MockBackend()
-            client = LLMClient(backend, cache_dir=tmp_path / f"cache_{highlighter}")
-            record = run_two_stage(client, doc, highlighter, _params(k=2))
+            client = LLMClient(backend, cache_dir=tmp_path / f"cache_{method}")
+            record = run_method(client, doc, method, _params(k=2))
             assert record.ok
             stage2 = [
                 r.user_prompt
@@ -190,9 +186,7 @@ class TestRunTwoStage:
         # constant scorer -> zero attribution everywhere -> empty plan -> fallback
         backend = MockBackend(score_fn=lambda ctx, cont: -2.0)
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        record = run_two_stage(
-            client, doc, "contextcite", _params(k=2, attribution=AttributionParams(m=8))
-        )
+        record = run_method(client, doc, "two_stage_cc", _params(k=2, attribution=AttributionParams(m=8)))
         assert record.ok
         assert record.fallback_used
         assert record.method == "two_stage_cc"
@@ -207,7 +201,7 @@ class TestRunTwoStage:
         responses = ["broken output", "still broken"]
         backend = ScriptedBackend(responses)
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        record = run_two_stage(client, doc, "lexrank", _params(k=2))
+        record = run_method(client, doc, "two_stage_lexrank", _params(k=2))
         assert not record.ok
         assert record.error_stage == "stage2"
         assert record.highlights.items  # stage-1 plan preserved on the failed record
@@ -215,7 +209,7 @@ class TestRunTwoStage:
     def test_unknown_highlighter(self, tmp_path, doc):
         client, _ = make_mock_client(tmp_path)
         with pytest.raises(ValueError):
-            run_two_stage(client, doc, "bogus", _params())
+            plan(client, doc, "bogus", _params())
 
 
 class TestQmsumFamily:
@@ -232,7 +226,7 @@ class TestQmsumFamily:
 
     def test_e2e_on_fenced_transcript(self, tmp_path, transcript_doc):
         client, backend = make_mock_client(tmp_path)
-        record = run_e2e(client, transcript_doc, _params(template_family="qmsum", k=2))
+        record = run_method(client, transcript_doc, "e2e", _params(template_family="qmsum", k=2))
         assert record.ok
         assert record.summary
         assert len(record.highlights.items) == 2
@@ -244,7 +238,7 @@ class TestQmsumFamily:
 
     def test_two_stage_lexrank_on_transcript(self, tmp_path, transcript_doc):
         client, backend = make_mock_client(tmp_path)
-        record = run_two_stage(client, transcript_doc, "lexrank", _params(template_family="qmsum", k=2))
+        record = run_method(client, transcript_doc, "two_stage_lexrank", _params(template_family="qmsum", k=2))
         assert record.ok
         stage2 = backend.requests[-1].user_prompt
         assert "key points:" in stage2
@@ -268,9 +262,9 @@ class TestDeterminism:
 
     def test_raw_responses_counts_generate_calls(self, tmp_path, doc):
         client, backend = make_mock_client(tmp_path)
-        run_direct(client, doc, _params())
+        run_method(client, doc, "direct", _params())
         first_calls = backend.gen_calls
-        record = run_direct(client, doc, _params())  # cache hit, still one raw response
+        record = run_method(client, doc, "direct", _params())  # cache hit, still one raw response
         assert backend.gen_calls == first_calls
         assert len(record.raw_responses) == 1
 
@@ -278,6 +272,6 @@ class TestDeterminism:
 class TestSerialization:
     def test_record_round_trip(self, tmp_path, doc):
         client, _ = make_mock_client(tmp_path)
-        record = run_e2e(client, doc, _params(k=2))
+        record = run_method(client, doc, "e2e", _params(k=2))
         clone = SummaryRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert clone == record

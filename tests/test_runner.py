@@ -51,7 +51,6 @@ class TestLoadConfig:
         )
         config = load_config(path)
         assert config.k == 30
-        assert config.temperature == 0.0
         assert config.concurrency == 4
         assert config.attribution.m == 64
         assert config.lexrank.damping == 0.85
@@ -317,3 +316,69 @@ class TestBuildClient:
         config = parse_config(_config_dict(tmp_path, endpoint={}))
         client = build_client(config)
         assert isinstance(client.backend, MockBackend)
+
+
+class TestFailureBoundary:
+    def test_empty_document_fails_one_record_not_the_run(self, tmp_path):
+        data_path = tmp_path / "with_empty.jsonl"
+        normal = (DATA_DIR / "minicorpus.jsonl").read_text().splitlines()[0]
+        data_path.write_text('{"id":"empty","input":"","output":""}\n' + normal + "\n")
+        config = parse_config(
+            _config_dict(
+                tmp_path,
+                dataset={"path": str(data_path), "schema": "scrolls_govreport"},
+                methods=["direct", "e2e", "two_stage_gen", "two_stage_lexrank", "two_stage_cc"],
+            )
+        )
+        run_dir = run(config)
+        records = read_records(run_dir)
+        pairs = [(r.doc_id, r.method) for r in records]
+        assert len(pairs) == len(set(pairs)) == 10
+        [failed] = [r for r in records if not r.ok]
+        assert (failed.doc_id, failed.method, failed.error_stage) == ("empty", "two_stage_cc", "attribution")
+        assert failed.highlights.method == "two_stage_cc" and failed.highlights.items == ()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["counts"]["two_stage_cc"]["failed"] == 1
+
+    def test_non_higen_exception_becomes_failed_record(self, tmp_path, monkeypatch):
+        def broken_highlighter(*args, **kwargs):
+            raise RuntimeError("highlighter bug")
+
+        monkeypatch.setattr("higen.pipeline.lexrank_highlights", broken_highlighter)
+        config = parse_config(_config_dict(tmp_path, methods=["two_stage_lexrank"]))
+        run_dir = run(config)
+        records = read_records(run_dir)
+        assert len(records) == 10
+        assert all(r.error == "highlighter bug" and r.error_stage == "stage1" for r in records)
+        assert all(r.error_prompt_hash is None for r in records)  # no prompt was sent
+        assert (run_dir / "manifest.json").exists()
+
+    def test_resume_retries_a_failed_pair(self, tmp_path):
+        from conftest import ScriptedBackend
+
+        data_path = tmp_path / "one.jsonl"
+        data_path.write_text('{"id":"d1","input":"Alpha beta. Gamma delta.","output":"Alpha beta."}\n')
+        config = parse_config(_config_dict(tmp_path, dataset={"path": str(data_path), "schema": "scrolls_govreport"}))
+        failing = LLMClient(ScriptedBackend([]), cache_dir=config.cache_dir)
+        run(config, client=failing)
+        [first] = read_records(config.run_dir)
+        assert not first.ok and first.error_stage == "direct"
+
+        backend = ScriptedBackend(["Summary: Alpha beta."])
+        run(config, client=LLMClient(backend, cache_dir=config.cache_dir))
+        assert len(backend.requests) == 1
+        [latest] = read_records(config.run_dir)
+        assert latest.ok and latest.summary == "Alpha beta."
+        assert len((Path(config.run_dir) / "outputs.jsonl").read_text().splitlines()) == 2
+        manifest = json.loads((Path(config.run_dir) / "manifest.json").read_text())
+        assert manifest["counts"]["direct"] == {"ok": 1, "failed": 0, "fallback": 0}
+        evaluate(config)
+        assert not any("warning" in r for r in read_metric_rows(config.run_dir))
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="concurency"):
+            parse_config(_config_dict(tmp_path, concurency=8))
+
+    def test_empty_methods_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="methods"):
+            parse_config(_config_dict(tmp_path, methods=[]))
