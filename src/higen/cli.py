@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .attribution import attribution_highlights, contextcite_attribute
 from .corpus import make_document
-from .errors import ConfigError, HigenError
+from .errors import ConfigError, DatasetError, HigenError
 from .lexrank import build_similarity_graph, dump_similarity_csv
 from .pipeline import PipelineParams, plan
 from .report import aggregate, emit
@@ -65,11 +65,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _document_from_file(path: str):
+def _document_from_file(path: str, need_sentences: bool = False):
     file_path = Path(path)
     if not file_path.exists():
         raise ConfigError(f"document file not found: {path}")
-    return make_document(file_path.stem, file_path.read_text(encoding="utf-8"))
+    document = make_document(file_path.stem, file_path.read_text(encoding="utf-8"))
+    if need_sentences and not document.sentences:
+        raise DatasetError(f"document {path} has no sentences to attribute")
+    return document
 
 
 def _cmd_run(args) -> int:
@@ -109,7 +112,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_highlight(args) -> int:
-    document = _document_from_file(args.doc)
+    document = _document_from_file(args.doc, need_sentences=args.method == "contextcite")
     config = load_config(args.config) if args.config else None
     if config is None and args.method != "lexrank":
         raise ConfigError(f"--method {args.method} needs a config with an endpoint and model")
@@ -127,7 +130,7 @@ def _cmd_attribute(args) -> int:
     if not args.config:
         raise ConfigError("attribute needs a config with an endpoint and model")
     config = load_config(args.config)
-    document = _document_from_file(args.doc)
+    document = _document_from_file(args.doc, need_sentences=True)
     response_path = Path(args.response)
     if not response_path.exists():
         raise ConfigError(f"response file not found: {args.response}")

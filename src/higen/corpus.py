@@ -123,6 +123,12 @@ class Document:
         """Token index of the sentences, built on first use."""
         return TokenIndex.build(s.text for s in self.sentences)
 
+    @cached_property
+    def labelled_sentences(self) -> list[str]:
+        """Each sentence's text with its speaker prefix (``"Speaker: text"``)
+        when it has one, rendered once on first use."""
+        return [f"{s.speaker}: {s.text}" if s.speaker else s.text for s in self.sentences]
+
 
 def normalize_text(raw: str) -> str:
     """Canonicalize newlines and strip control characters other than newline/tab."""

@@ -256,14 +256,14 @@ def run(
         with outputs_path.open("a", encoding="utf-8") as out, ThreadPoolExecutor(
             max_workers=config.concurrency
         ) as pool:
-            pending = {
-                pool.submit(run_method, client, doc, method, params): (doc.id, method)
-                for doc, method in tasks
-            }
+            pending = [pool.submit(run_method, client, doc, method, params) for doc, method in tasks]
             while pending:
-                finished, still_pending = wait(set(pending), return_when=FIRST_COMPLETED)
-                pending = {f: pending[f] for f in still_pending}
-                for future in finished:
+                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+                # Each finished set is written in submission order, so a run
+                # with one worker always writes its records in the same order.
+                done_now = [f for f in pending if f in finished]
+                pending = [f for f in pending if f not in finished]
+                for future in done_now:
                     record = future.result()
                     out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
                     out.flush()
@@ -307,8 +307,9 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
     """Compute metric rows for every completed record into metrics.jsonl.
 
     ROUGE-L and token counts always; FactScore when enabled; external scores
-    joined by doc_id. Rows are sorted by (doc_id, method, metric) so repeated
-    evaluation of the same outputs is byte-identical.
+    joined by doc_id. Records are evaluated by ``concurrency`` workers. Rows
+    are sorted by (doc_id, method, metric) so repeated evaluation of the same
+    outputs is byte-identical.
     """
     run_dir = Path(run_dir or config.run_dir)
     outputs_path = run_dir / "outputs.jsonl"
@@ -321,17 +322,15 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
     if config.metrics.enable_factscore and client is None:
         client = build_client(config)
 
-    rows: list[dict] = []
-    for record in records:
+    def rows_of(record: SummaryRecord) -> list[dict]:
         base = {"doc_id": record.doc_id, "method": record.method}
         if not record.ok:
-            rows.append({**base, "warning": f"record failed at stage {record.error_stage}; metrics skipped"})
-            continue
+            return [{**base, "warning": f"record failed at stage {record.error_stage}; metrics skipped"}]
         document = documents.get(record.doc_id)
         if document is None:
-            rows.append({**base, "warning": "document missing from dataset; metrics skipped"})
-            continue
+            return [{**base, "warning": "document missing from dataset; metrics skipped"}]
 
+        rows = []
         if document.reference_summary:
             score = metrics_mod.rouge_l(record.summary, document.reference_summary)
             rows.append({**base, "metric": "rouge_l", "value": score.f1})
@@ -350,6 +349,12 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
                 rows.append({**base, "warning": "factscore extraction failed; score absent"})
             else:
                 rows.append({**base, "metric": "factscore", "value": report.score})
+        return rows
+
+    # FactScore's judge calls dominate, so records are evaluated concurrently;
+    # map keeps the record order, and the rows are sorted below in any case.
+    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        rows = [row for per_record in pool.map(rows_of, records) for row in per_record]
 
     methods_present = sorted({r.method for r in records})
     for entry in config.metrics.external_scores:

@@ -63,7 +63,9 @@ class ScriptedBackend:
             self._index += 1
         return text, len(req.user_prompt.split()), len(text.split())
 
-    def score(self, req: ScoreRequest) -> tuple[float, int]:
+    def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
         with self._lock:
-            self.requests.append(req)
-        return self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)
+            self.requests.extend(reqs)
+        return [
+            (self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)) for req in reqs
+        ]

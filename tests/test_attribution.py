@@ -351,6 +351,44 @@ class TestContextciteAttribute:
         with pytest.raises(AttributionError, match="mask 0"):
             contextcite_attribute(client, doc, "resp", "m", AttributionParams(m=8), seed=0)
 
+    def test_batched_scoring_matches_one_context_at_a_time(self, tmp_path, monkeypatch):
+        from higen import attribution
+        from higen.llm_client import overlap_scorer
+
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        response = "Bridge banana builds. Garnet guava glints."
+        m = 3 * attribution.SCORE_BATCH + 2  # not a multiple of the batch size
+        params = AttributionParams(m=m)
+        batched_backend = MockBackend(score_fn=overlap_scorer)
+        batched = contextcite_attribute(
+            LLMClient(batched_backend, cache_dir=tmp_path / "b"), doc, response, "m", params, seed=4
+        )
+        monkeypatch.setattr(attribution, "SCORE_BATCH", 1)
+        single_backend = MockBackend(score_fn=overlap_scorer)
+        single = contextcite_attribute(
+            LLMClient(single_backend, cache_dir=tmp_path / "s"), doc, response, "m", params, seed=4
+        )
+        assert batched == single
+        assert batched_backend.score_calls == 4  # one request per batch, the last one short
+        assert single_backend.score_calls == m
+        assert batched_backend.requests == single_backend.requests
+
+    def test_scoring_error_names_the_first_mask_of_the_failed_batch(self, tmp_path):
+        from higen.attribution import SCORE_BATCH
+        from higen.errors import EndpointError
+
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+
+        def fail_on_third_batch(ctx, cont):
+            if backend.score_calls == 3:
+                raise EndpointError(500, "down")
+            return -1.0
+
+        backend = MockBackend(score_fn=fail_on_third_batch)
+        client = LLMClient(backend, cache_dir=tmp_path / "c")
+        with pytest.raises(AttributionError, match=f"mask {2 * SCORE_BATCH}:"):
+            contextcite_attribute(client, doc, "resp", "m", AttributionParams(m=4 * SCORE_BATCH), seed=0)
+
     def test_empty_response_rejected(self, tmp_path):
         doc = doc_from_sentences(_SYNTH_SENTENCES[:3])
         client = _client_with_scorer(tmp_path, lambda c, k: -1.0)

@@ -126,6 +126,16 @@ class TestHighlightCommand:
         assert backend.gen_calls == 1
         assert len(capsys.readouterr().out.strip().splitlines()) <= 2
 
+    def test_contextcite_on_an_empty_document_is_an_error_line_and_3(self, tmp_path, capsys):
+        doc_path = tmp_path / "empty.txt"
+        doc_path.write_text("")
+        config = _write_config(tmp_path)
+        rc = main(["highlight", "--method", "contextcite", "--doc", str(doc_path), "-c", str(config)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no sentences" in err
+        assert "Traceback" not in err
+
     def test_missing_doc_file_is_2(self, tmp_path):
         assert main(["highlight", "--method", "lexrank", "--doc", str(tmp_path / "nope.txt")]) == 2
 
@@ -155,6 +165,18 @@ class TestAttributeCommand:
         assert all(len(p["mask"]) == 3 for p in pairs)
         assert all(type(bit) is int and bit in (0, 1) for p in pairs for bit in p["mask"])
         assert all(math.isfinite(p["logit"]) for p in pairs)
+
+    def test_attribute_on_an_empty_document_is_an_error_line_and_3(self, tmp_path, capsys):
+        doc_path = tmp_path / "empty.txt"
+        doc_path.write_text("  \n")
+        response_path = tmp_path / "resp.txt"
+        response_path.write_text("Alpha.")
+        config = _write_config(tmp_path)
+        rc = main(["attribute", "--doc", str(doc_path), "--response", str(response_path), "-c", str(config)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "no sentences" in captured.err
 
     def test_attribute_needs_config(self, tmp_path):
         doc_path = tmp_path / "doc.txt"

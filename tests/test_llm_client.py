@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -242,8 +243,8 @@ class _FakeResponse:
         self._payload = payload or {}
         self.text = text or "body"
 
-    def json(self):
-        return self._payload
+    def json(self, **kwargs):
+        return json.loads(json.dumps(self._payload), **kwargs)
 
 
 class _FakeSession:
@@ -375,3 +376,153 @@ class TestBackendFromUrl:
         for url in ("http://localhost:8000", "https://example.org"):
             adapter = backend.session.get_adapter(url)
             assert adapter.poolmanager.connection_pool_kw["maxsize"] == 32
+
+
+def _choice(index, tokens, logprobs):
+    offsets = [sum(len(t) for t in tokens[:i]) for i in range(len(tokens))]
+    return {
+        "index": index,
+        "text": "".join(tokens),
+        "logprobs": {"tokens": tokens, "token_logprobs": logprobs, "text_offset": offsets},
+    }
+
+
+class _BatchRecorder:
+    """Scoring backend that records each batch it is sent."""
+
+    def __init__(self):
+        self.batches: list[list[ScoreRequest]] = []
+
+    def score_many(self, reqs):
+        self.batches.append(list(reqs))
+        return [(-float(len(req.context)) - 1.0, 1) for req in reqs]
+
+
+class TestBatchedScoring:
+    def test_batch_is_one_request_with_an_array_prompt(self):
+        payload = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["xy", " cd"], [None, -2.0])]}
+        session = _FakeSession([_FakeResponse(200, payload)])
+        backend = HTTPBackend("http://host", session=session)
+        reqs = [ScoreRequest("m", "ab", " cd"), ScoreRequest("m", "xy", " cd")]
+        assert backend.score_many(reqs) == [(-1.0, 1), (-2.0, 1)]
+        [(url, sent)] = session.posts
+        assert url == "http://host/v1/completions"
+        assert sent["prompt"] == ["ab cd", "xy cd"]
+        assert sent["echo"] is True and sent["max_tokens"] == 0
+
+    def test_choices_are_mapped_by_index_not_position(self):
+        payload = {
+            "choices": [
+                _choice(2, ["c", " z"], [None, -3.0]),
+                _choice(0, ["a", " z"], [None, -1.0]),
+                _choice(1, ["b", " z", " z"], [None, -2.0, -0.5]),
+            ]
+        }
+        backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
+        reqs = [ScoreRequest("m", "a", " z"), ScoreRequest("m", "b", " z z"), ScoreRequest("m", "c", " z")]
+        assert backend.score_many(reqs) == [(-1.0, 1), (-2.5, 2), (-3.0, 1)]
+
+    @pytest.mark.parametrize("indices", [[0], [0, 1, 2], [0, 0]])
+    def test_wrong_choices_are_endpoint_errors(self, indices):
+        payload = {"choices": [_choice(i, ["a", " z"], [None, -1.0]) for i in indices]}
+        backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
+        with pytest.raises(EndpointError) as err:
+            backend.score_many([ScoreRequest("m", "a", " z"), ScoreRequest("m", "b", " z")])
+        assert err.value.status == 200
+
+    def test_only_the_misaligned_item_takes_the_seam_space_retry(self):
+        # "ab" + " cd" aligns at offset 2; "ab" + "cd" echoes one token "abcd",
+        # so only the second item is sent again, as "ab " + "cd".
+        first = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["abcd"], [None])]}
+        second = {"choices": [_choice(0, ["ab ", "cd"], [None, -0.5])]}
+        session = _FakeSession([_FakeResponse(200, first), _FakeResponse(200, second)])
+        backend = HTTPBackend("http://host", session=session)
+        scored = backend.score_many([ScoreRequest("m", "ab", " cd"), ScoreRequest("m", "ab", "cd")])
+        assert scored == [(-1.0, 1), (-0.5, 1)]
+        assert [sent["prompt"] for _, sent in session.posts] == [["ab cd", "abcd"], "ab cd"]
+
+    def test_partial_cache_hit_sends_only_the_misses(self, tmp_path):
+        backend = _BatchRecorder()
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        reqs = [ScoreRequest("m", context, " z") for context in ("a", "bb", "ccc", "a")]
+        client.score_continuation(reqs[1])
+        scored = client.score_many(reqs)
+        assert [r.total_logprob for r in scored] == [-2.0, -3.0, -4.0, -2.0]
+        assert backend.batches == [[reqs[1]], [reqs[0], reqs[2]]]  # a repeated miss is sent once
+        assert client.cache_hits == 1
+        assert client.score_many(reqs) == scored
+        assert len(backend.batches) == 2
+
+    def test_backend_calls_count_requests_not_items(self, tmp_path):
+        payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(8)]}
+        session = _FakeSession([_FakeResponse(200, payload)])
+        client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
+        scored = client.score_many([ScoreRequest("m", str(i), " z") for i in range(8)])
+        assert [s.total_logprob for s in scored] == [-1.0] * 8
+        assert len(session.posts) == 1
+        assert client.backend_calls == 1
+
+    def test_transient_failure_retries_the_whole_batch_once_counted_per_request(self, tmp_path):
+        payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(2)]}
+        session = _FakeSession([_FakeResponse(429), _FakeResponse(200, payload)])
+        client = LLMClient(HTTPBackend("http://host", session=session), sleep=lambda _: None)
+        client.score_many([ScoreRequest("m", "0", " z"), ScoreRequest("m", "1", " z")])
+        assert len(session.posts) == 2
+        assert session.posts[0][1] == session.posts[1][1]
+        assert client.backend_calls == 2
+
+
+class TestGenerateCoalescing:
+    def test_concurrent_identical_requests_make_one_backend_call(self, tmp_path):
+        entered, release = threading.Event(), threading.Event()
+
+        class _SlowBackend:
+            calls = 0
+
+            def complete(self, req):
+                _SlowBackend.calls += 1
+                entered.set()
+                release.wait(5)
+                return "Summary: ok", 1, 1
+
+        client = LLMClient(_SlowBackend(), cache_dir=tmp_path / "cache")
+        req = GenRequest(model="m", user_prompt="p")
+        responses = []
+        threads = [threading.Thread(target=lambda: responses.append(client.generate(req))) for _ in range(2)]
+        threads[0].start()
+        assert entered.wait(5)
+        threads[1].start()
+        time.sleep(0.05)  # without the per-key lock the second call reaches the backend here
+        release.set()
+        for t in threads:
+            t.join(5)
+            assert not t.is_alive()
+        assert _SlowBackend.calls == 1
+        assert sorted(r.cached for r in responses) == [False, True]
+        assert client.cache_hits == 1
+
+    def test_many_threads_over_few_prompts_make_one_call_per_prompt(self, tmp_path):
+        import sys
+
+        client, backend = make_mock_client(tmp_path, concurrency=8)
+        prompts = [GenRequest(model="m", user_prompt=f"Write a summary.\n\nReport:\nDoc {i}.") for i in range(4)]
+        texts: list[str] = []
+
+        def worker(offset: int) -> None:
+            for i in range(len(prompts)):
+                texts.append(client.generate(prompts[(i + offset) % len(prompts)]).text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(texts) == 64
+        assert backend.gen_calls == client.backend_calls == 4
+        assert client.cache_hits == 60

@@ -202,6 +202,32 @@ class TestRun:
         rows = read_metric_rows(run_dir)
         assert any(r.get("metric") == "rouge_l" for r in rows)
 
+    def test_one_worker_writes_records_in_a_fixed_order(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        # Hand the writer every record as one finished set, the case where
+        # set iteration order would show.
+        monkeypatch.setattr("higen.runner.wait", lambda fs, return_when: concurrent.futures.wait(fs))
+        methods = ["direct", "e2e", "two_stage_gen", "two_stage_lexrank", "two_stage_cc"]
+
+        def outputs(name: str) -> list[dict]:
+            config = parse_config(
+                _config_dict(
+                    tmp_path,
+                    methods=methods,
+                    run_dir=str(tmp_path / name),
+                    cache_dir=str(tmp_path / f"{name}_cache"),
+                    concurrency=1,
+                )
+            )
+            lines = (run(config) / "outputs.jsonl").read_text(encoding="utf-8").splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"} for line in lines]
+
+        first, second = outputs("a"), outputs("b")
+        assert first == second
+        doc_ids = sorted({r["doc_id"] for r in first})
+        assert [(r["doc_id"], r["method"]) for r in first] == [(d, m) for d in doc_ids for m in methods]
+
     def test_cache_dir_monotone_growth(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
         cache = Path(config.cache_dir)
@@ -273,6 +299,30 @@ class TestEvaluate:
         rows = read_metric_rows(config.run_dir)
         [fact_row] = [r for r in rows if r.get("metric") == "factscore"]
         assert fact_row["value"] == pytest.approx(0.5)
+
+    def test_factscore_fan_out_writes_the_same_bytes_as_one_worker(self, tmp_path):
+        def judge(req):
+            head, _, tail = req.user_prompt.rpartition("\n\n")
+            if req.user_prompt.startswith("You are given a summary."):
+                facts = [f for f in tail.split(". ") if f.strip()][:4]
+                return "\n".join(f"{i}. {fact.strip('.')}." for i, fact in enumerate(facts, start=1))
+            document = head.lower()
+            words = tail.lower().strip(".").split()
+            return "Answer: yes" if sum(w in document for w in words) > len(words) / 2 else "Answer: no"
+
+        base = _config_dict(
+            tmp_path, methods=["direct", "e2e", "two_stage_lexrank"], metrics={"enable_factscore": True}
+        )
+        run(parse_config(base))
+        written = []
+        for workers in (1, 4):
+            config = parse_config({**base, "concurrency": workers})
+            backend = MockBackend(generate_fn=judge)
+            evaluate(config, client=LLMClient(backend, cache_dir=tmp_path / f"judge{workers}", concurrency=workers))
+            assert backend.gen_calls > 30
+            written.append((Path(config.run_dir) / "metrics.jsonl").read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b'"metric": "factscore"') == 30
 
     def test_evaluate_without_outputs_errors(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
