@@ -3,13 +3,15 @@
 Source sentences are ablated under random Bernoulli masks (an m x n boolean
 array, one row per ablated context), a fixed response is re-scored under each
 ablated context, ``SCORE_BATCH`` contexts per scoring request, and the
-resulting log-probabilities are mapped to logits. A sparse linear surrogate
-is fit to the logits by LASSO, solved with FISTA (Beck & Teboulle 2009) with
-gradient-based adaptive restart (O'Donoghue & Candes 2015) on the centered
-mask matrix, in matrix-vector form. The solver
-stops once the KKT residual is at most ``tol`` and reports its iterations,
-whether it converged and the final residual. Strictly positive weights rank
-the sentences that form the content plan.
+resulting log-probabilities are mapped to logits. Each context's cache key is
+built from the document's sentences, JSON-escaped once per document, so a warm
+rerun does not re-encode every ablated context to look it up; the keys equal
+those of plain requests. A sparse linear surrogate is fit to the logits by
+LASSO, solved with FISTA (Beck & Teboulle 2009) with gradient-based adaptive
+restart (O'Donoghue & Candes 2015) on the centered mask matrix, in
+matrix-vector form. The solver stops once the KKT residual is at most ``tol``
+and reports its iterations, whether it converged and the final residual.
+Strictly positive weights rank the sentences that form the content plan.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError
-from .llm_client import LLMClient, ScoreRequest
+from .llm_client import LLMClient, ScoreRequest, score_key
 from .prompts import Highlight, HighlightSet
 
 
@@ -103,8 +105,11 @@ def logit_scale(total_logprob: float) -> float:
 
     For L = log p the result is L - log1mexp(L) where log1mexp uses the
     expm1 branch above -ln 2 and the log1p branch below it. L = 0 (a
-    probability-1 continuation) has no finite logit and is rejected.
+    probability-1 continuation) and a non-finite L have no finite logit and
+    are rejected.
     """
+    if not math.isfinite(total_logprob):
+        raise DomainError(f"total_logprob must be finite, got {total_logprob}")
     if not total_logprob <= 0.0:
         raise DomainError(f"total_logprob must be <= 0, got {total_logprob}")
     if total_logprob == 0.0:
@@ -243,23 +248,30 @@ def contextcite_attribute(
     The ablated contexts are scored by the client SCORE_BATCH at a time, one
     request per batch, each context cached on its own; logit-scaled totals
     are regressed on the mask bits with lambda = lambda_frac * lambda_max.
-    Probability-1 samples are dropped; the fit requires more than n/2 + 2
-    surviving samples. The solver's iterations, convergence and KKT residual
-    are reported on the result; a fit that does not converge is returned, not
-    raised. With dump_path set, the (mask, logit) pairs are written as JSONL
-    (masks as lists of 0/1) for offline refits.
+    Samples without a finite logit (probability 1, or a non-finite logprob)
+    are dropped; the fit requires more than n/2 + 2 surviving samples. The
+    solver's iterations, convergence and KKT residual are reported on the
+    result; a fit that does not converge is returned, not raised. With
+    dump_path set, the (mask, logit) pairs are written as JSONL (masks as
+    lists of 0/1) for offline refits.
     """
     if not response:
-        raise ValueError("response must be non-empty")
+        raise AttributionError("response must be non-empty")
     n = len(document.sentences)
     if n < 1:
-        raise ValueError("document has no sentences")
+        raise AttributionError("document has no sentences")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
+    escaped = document.escaped_sentences
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
     for first in range(0, len(masks), SCORE_BATCH):
         batch = [
-            ScoreRequest(model=model, context=ablate(document, mask), continuation=response)
+            ScoreRequest(
+                model=model,
+                context=ablate(document, mask),
+                continuation=response,
+                key=score_key(model, response, b" ".join(compress(escaped, mask.tolist()))),
+            )
             for mask in masks[first : first + SCORE_BATCH]
         ]
         try:

@@ -2,8 +2,9 @@
 
 Documents are normalized once; every sentence records a character span into
 the normalized text so downstream consumers (ranking, ablation, prompting)
-can address source sentences by index. Each document is tokenized at most
-once, on first use, into a token index shared by the lexical kernels.
+can address source sentences by index. Each document is segmented, and
+tokenized into a token index shared by the lexical kernels, at most once and
+only on first use.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ _TERMINALS = ".!?"
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 SCHEMAS = ("scrolls_govreport", "scrolls_qmsum", "generic_jsonl")
+
+KINDS = ("prose", "transcript")
 
 
 def _load_word_list(name: str) -> frozenset[str]:
@@ -105,18 +108,31 @@ class TokenIndex:
 
 @dataclass
 class Document:
+    """A normalized document. Its sentences, and every artifact derived from
+    them, are computed on first use, so a reader of the text alone (evaluation,
+    FactScore chunking) never segments it."""
+
     id: str
     raw_text: str
     normalized_text: str
-    sentences: list[Sentence]
     query: str | None = None
     reference_summary: str | None = None
     kind: str = "prose"
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.id:
             raise DatasetError("document id must be non-empty")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown document kind: {self.kind!r}")
+
+    @cached_property
+    def sentences(self) -> list[Sentence]:
+        """The sentences of the normalized text, segmented on first use."""
+        return segment_sentences(self.normalized_text, self.kind)
+
+    @cached_property
+    def flags(self) -> tuple[str, ...]:
+        return ("short_document",) if len(self.sentences) < 2 else ()
 
     @cached_property
     def token_index(self) -> TokenIndex:
@@ -128,6 +144,21 @@ class Document:
         """Each sentence's text with its speaker prefix (``"Speaker: text"``)
         when it has one, rendered once on first use."""
         return [f"{s.speaker}: {s.text}" if s.speaker else s.text for s in self.sentences]
+
+    @cached_property
+    def escaped_sentences(self) -> list[bytes]:
+        """``labelled_sentences`` JSON-escaped (see ``json_escaped``), escaped
+        once on first use: joined by spaces they give the escaped form of any
+        ablated context, from which its cache key is built."""
+        return [json_escaped(text) for text in self.labelled_sentences]
+
+
+def json_escaped(text: str) -> bytes:
+    """The UTF-8 bytes of ``text`` as the inside of a JSON string literal,
+    escaped as ``json.dumps(..., ensure_ascii=False)`` escapes it. Escaping
+    works character by character and leaves a space as it is, so the escaped
+    form of a space-joined text is the space-joined escaped forms."""
+    return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
 
 
 def normalize_text(raw: str) -> str:
@@ -228,7 +259,7 @@ def segment_sentences(text: str, kind: str = "prose") -> list[Sentence]:
     abbreviation list; transcript mode first splits on speaker turns and then
     applies the prose rule within each utterance.
     """
-    if kind not in ("prose", "transcript"):
+    if kind not in KINDS:
         raise ValueError(f"unknown document kind: {kind!r}")
     sentences: list[Sentence] = []
     if kind == "prose":
@@ -248,19 +279,14 @@ def make_document(
     query: str | None = None,
     reference_summary: str | None = None,
 ) -> Document:
-    """Normalize, segment, and flag a document in one step."""
-    normalized = normalize_text(raw_text)
-    sentences = segment_sentences(normalized, kind)
-    flags = ("short_document",) if len(sentences) < 2 else ()
+    """Normalize a document; it is segmented and flagged on first use."""
     return Document(
         id=doc_id,
         raw_text=raw_text,
-        normalized_text=normalized,
-        sentences=sentences,
+        normalized_text=normalize_text(raw_text),
         query=query,
         reference_summary=reference_summary,
         kind=kind,
-        flags=flags,
     )
 
 

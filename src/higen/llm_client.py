@@ -7,8 +7,12 @@ sends every uncached context of a batch in one request with an array
 ``prompt`` and maps the choices back by ``index``. Requests are cached on
 disk by a content hash, one entry per generation or scored context, so
 interrupted experiments replay offline; with a cache, concurrent identical
-generations share one backend call. A deterministic mock backend makes the
-whole pipeline reproducible in tests.
+generations share one backend call. A missing or damaged entry is a miss.
+A scored context's key is ``score_key``, the sha256 of the canonical JSON of
+the request; a caller that holds the context's JSON-escaped sentences (as
+attribution does) builds it from them without re-encoding the context, and
+gets the same key, so caches written before keep hitting. A deterministic
+mock backend makes the whole pipeline reproducible in tests.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -72,9 +76,13 @@ class GenResponse:
 
 @dataclass(frozen=True)
 class ScoreRequest:
+    """A continuation to score after a context. ``key``, when given, is the
+    request's ``score_key``, computed by the caller; it is not compared."""
+
     model: str
     context: str
     continuation: str
+    key: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.continuation:
@@ -117,27 +125,34 @@ def _canonical_gen_key(req: GenRequest) -> str:
         "max_tokens": req.max_tokens,
         "seed": req.seed,
     }
-    return _hash_payload(payload)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+def score_key(model: str, continuation: str, escaped_context: bytes) -> str:
+    """The cache key of scoring ``continuation`` after a context, given the
+    context as ``corpus.json_escaped`` bytes: the sha256 of
+    ``json.dumps({"kind": "score", "model", "context", "continuation"},
+    sort_keys=True, ensure_ascii=False)``, whose first member is the context."""
+    rest = {"continuation": continuation, "kind": "score", "model": model}
+    digest = hashlib.sha256(b'{"context": "')
+    digest.update(escaped_context)
+    digest.update(b'", ' + json.dumps(rest, sort_keys=True, ensure_ascii=False)[1:].encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _canonical_score_key(req: ScoreRequest) -> str:
-    payload = {
-        "kind": "score",
-        "model": req.model,
-        "context": req.context,
-        "continuation": req.continuation,
-    }
-    return _hash_payload(payload)
-
-
-def _hash_payload(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return score_key(req.model, req.continuation, corpus.json_escaped(req.context))
 
 
 def prompt_hash(prompt: str) -> str:
     """Short stable identifier for a prompt, safe to log (never the prompt itself)."""
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+
+
+# The fields of a cached response, in the order of the response's fields,
+# with the types a usable entry holds.
+_GEN_FIELDS = {"text": str, "prompt_tokens": int, "completion_tokens": int}
+_SCORE_FIELDS = {"total_logprob": (int, float), "token_count": int}
 
 
 class LLMClient:
@@ -167,30 +182,34 @@ class LLMClient:
 
     # -- cache ------------------------------------------------------------
 
-    def _cache_path(self, key: str) -> Path | None:
-        return self.cache_dir / f"{key}.json" if self.cache_dir else None
+    def _cache_path(self, key: str) -> str:
+        return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _cache_read(self, key: str) -> dict | None:
-        path = self._cache_path(key)
-        if path is None or not path.exists():
+    def _cache_read(self, key: str, fields: dict[str, type | tuple[type, ...]]) -> list | None:
+        """The values of ``fields`` (name: type) in the cached response under
+        ``key``, or None on a miss: no cache, no entry, or a damaged one (not
+        UTF-8 JSON, or a field missing or of another type). A damaged entry
+        is computed and written again."""
+        if self.cache_dir is None:
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))["response"]
-        except (json.JSONDecodeError, KeyError):
+            with open(self._cache_path(key), "rb") as handle:
+                response = json.loads(handle.read().decode("utf-8"))["response"]
+            values = [response[name] for name in fields]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
+        return values if all(map(isinstance, values, fields.values())) else None
 
     def _cache_write(self, key: str, request: dict, response: dict) -> None:
-        path = self._cache_path(key)
-        if path is None:
+        if self.cache_dir is None:
             return
+        path = self._cache_path(key)
         # Unique temp name per writer: concurrent writers of the same entry
         # hold identical content, so whichever rename lands last wins.
-        tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(
-            json.dumps({"request": request, "response": response}, ensure_ascii=False),
-            encoding="utf-8",
-        )
-        tmp.replace(path)
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({"request": request, "response": response}, ensure_ascii=False))
+        os.replace(tmp, path)
 
     # -- retry ------------------------------------------------------------
 
@@ -230,16 +249,10 @@ class LLMClient:
             return self._generate(key, req, doc_id)
 
     def _generate(self, key: str, req: GenRequest, doc_id: str | None) -> GenResponse:
-        hit = self._cache_read(key)
+        hit = self._cache_read(key, _GEN_FIELDS)
         if hit is not None:
             self._count_cache_hit()
-            return GenResponse(
-                text=hit["text"],
-                prompt_tokens=hit["prompt_tokens"],
-                completion_tokens=hit["completion_tokens"],
-                latency_ms=0,
-                cached=True,
-            )
+            return GenResponse(*hit, latency_ms=0, cached=True)
 
         def call() -> tuple[str, int, int]:
             self._count_backend_call()
@@ -263,19 +276,20 @@ class LLMClient:
         return self.score_many([req], doc_id)[0]
 
     def score_many(self, reqs: list[ScoreRequest], doc_id: str | None = None) -> list[ScoreResponse]:
-        """Score each request, in order. Each one is cached under its own key;
-        the distinct misses go to the backend in one call (one request),
-        retried as a whole on a transient failure."""
-        keys = [_canonical_score_key(req) for req in reqs]
+        """Score each request, in order. Each one is cached under its own key
+        (``req.key``, or ``score_key`` of the request when it has none); the
+        distinct misses go to the backend in one call (one request), retried
+        as a whole on a transient failure."""
+        keys = [req.key or _canonical_score_key(req) for req in reqs]
         results: dict[str, ScoreResponse] = {}
         misses: dict[str, ScoreRequest] = {}
         for key, req in zip(keys, reqs):
-            hit = self._cache_read(key)
+            hit = self._cache_read(key, _SCORE_FIELDS)
             if hit is None:
                 misses[key] = req
             else:
                 self._count_cache_hit()
-                results[key] = ScoreResponse(hit["total_logprob"], hit["token_count"])
+                results[key] = ScoreResponse(*hit)
         if misses:
             batch = list(misses.values())
 
@@ -530,8 +544,9 @@ class MockBackend:
 
     ``generate_fn`` maps a GenRequest to the completion text; ``score_fn``
     maps (context, continuation) to a total logprob. Both accept the names
-    registered above. Records every request and counts calls, one per
-    scoring batch.
+    registered above. Records every request, a scored one with its context
+    replaced by the context's ``prompt_hash`` (so a long run does not keep
+    every ablated context alive), and counts calls, one per scoring batch.
     """
 
     def __init__(
@@ -562,9 +577,10 @@ class MockBackend:
 
     def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
         """One score call per batch, however many requests it holds."""
+        recorded = [replace(req, context=prompt_hash(req.context)) for req in reqs]
         with self._lock:
             self.score_calls += 1
-            self.requests.extend(reqs)
+            self.requests.extend(recorded)
         return [
             (self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)) for req in reqs
         ]

@@ -18,7 +18,7 @@ from higen.attribution import (
 )
 from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
-from higen.llm_client import LLMClient, MockBackend
+from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, prompt_hash
 
 from conftest import doc_from_sentences
 
@@ -147,6 +147,11 @@ class TestLogitScale:
     def test_positive_rejected(self):
         with pytest.raises(DomainError):
             logit_scale(0.5)
+
+    @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DomainError):
+            logit_scale(value)
 
     def test_thousand_random_values_match_high_precision_oracle(self):
         rng = np.random.default_rng(2718)
@@ -372,6 +377,8 @@ class TestContextciteAttribute:
         assert batched_backend.score_calls == 4  # one request per batch, the last one short
         assert single_backend.score_calls == m
         assert batched_backend.requests == single_backend.requests
+        masks = sample_masks(len(doc.sentences), m, params.keep_prob, 4)
+        assert [r.context for r in batched_backend.requests] == [prompt_hash(ablate(doc, mask)) for mask in masks]
 
     def test_scoring_error_names_the_first_mask_of_the_failed_batch(self, tmp_path):
         from higen.attribution import SCORE_BATCH
@@ -389,10 +396,63 @@ class TestContextciteAttribute:
         with pytest.raises(AttributionError, match=f"mask {2 * SCORE_BATCH}:"):
             contextcite_attribute(client, doc, "resp", "m", AttributionParams(m=4 * SCORE_BATCH), seed=0)
 
+    def test_empty_document_rejected(self, tmp_path):
+        client = _client_with_scorer(tmp_path, lambda c, k: -1.0)
+        with pytest.raises(AttributionError, match="document has no sentences"):
+            contextcite_attribute(client, make_document("empty", ""), "resp", "m")
+
+    def test_non_finite_logprob_drops_its_sample_like_probability_one(self, tmp_path):
+        doc = doc_from_sentences(_SYNTH_SENTENCES[:6])
+        presence = _presence_scorer(doc, lambda bits: 2.0 * bits[1] - bits[4] + 0.5 * bits[5])
+
+        def dropping(value):
+            return lambda ctx, cont: value if _SYNTH_SENTENCES[2] not in ctx else presence(ctx, cont)
+
+        params = AttributionParams(m=32)
+        masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, 5)
+        kept = int(masks[:, 2].sum())
+        assert 6 / 2 + 2 < kept < params.m
+        results = [
+            contextcite_attribute(_client_with_scorer(tmp_path / str(i), dropping(value)), doc, "resp", "m", params, 5)
+            for i, value in enumerate((-math.inf, 0.0))
+        ]
+        assert results[0] == results[1]
+        assert results[0].num_ablations == kept
+
+    def test_a_cache_filled_by_plain_requests_is_fully_hit(self, tmp_path):
+        # Transcript sentences with speaker labels, quotes, backslashes, tabs,
+        # a line break inside an utterance and non-ASCII text.
+        text = (
+            'Ann: She said "stop" \\ then\tleft. Fine.\n'
+            "Bo\u00e9: Caf\u00e9 \u2028 \u4e2d\u6587 and \U0001f642 done. Next one.\n"
+            "Ann: A line\nthat goes on. Backslash \\n is literal.\n"
+            'Cy: "Quoted" start. End here!\n'
+        )
+        doc = make_document("t", text, kind="transcript")
+        assert len(doc.sentences) >= 6
+        assert any("\t" in s for s in doc.labelled_sentences) and any("\n" in s for s in doc.labelled_sentences)
+        response = 'Ann said "stop" \\ Caf\u00e9.'
+        params = AttributionParams(m=16)
+        masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, 3)
+        filler = MockBackend(score_fn=overlap_scorer)
+        LLMClient(filler, cache_dir=tmp_path / "c").score_many(
+            [ScoreRequest(model="m", context=ablate(doc, mask), continuation=response) for mask in masks]
+        )
+        assert filler.calls == 1
+        cold = contextcite_attribute(
+            LLMClient(MockBackend(score_fn=overlap_scorer), cache_dir=tmp_path / "cold"), doc, response, "m", params, 3
+        )
+        backend = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(backend, cache_dir=tmp_path / "c")
+        warm = contextcite_attribute(client, doc, response, "m", params, seed=3)
+        assert backend.calls == 0 and client.backend_calls == 0
+        assert client.cache_hits == params.m
+        assert warm == cold
+
     def test_empty_response_rejected(self, tmp_path):
         doc = doc_from_sentences(_SYNTH_SENTENCES[:3])
         client = _client_with_scorer(tmp_path, lambda c, k: -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(AttributionError, match="response must be non-empty"):
             contextcite_attribute(client, doc, "", "m")
 
 

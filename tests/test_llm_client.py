@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
+from itertools import compress
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from higen.corpus import make_document
+from higen.corpus import json_escaped, make_document
 from higen.errors import CapabilityError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
     GenRequest,
@@ -17,10 +21,13 @@ from higen.llm_client import (
     RetryPolicy,
     ScoreRequest,
     _canonical_gen_key,
+    _canonical_score_key,
     _Retryable,
     backend_from_url,
     echo_first_k,
     per_token_scorer,
+    prompt_hash,
+    score_key,
 )
 
 from conftest import make_mock_client
@@ -143,6 +150,87 @@ class TestCache:
         replayed = replay_client.generate(req)
         assert replayed.cached
         assert replayed.text == recorded.text
+
+
+def _plain_score_key(model: str, context: str, continuation: str) -> str:
+    """The score-cache key as it was first defined, the oracle for score_key."""
+    payload = {"kind": "score", "model": model, "context": context, "continuation": continuation}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+# Characters JSON escapes (quote, backslash, every control character below
+# U+0020), ones it leaves alone although they are special elsewhere (DEL,
+# U+0085, U+2028, U+2029, a BOM), and non-ASCII text up to the astral planes.
+_KEY_ALPHABET = [chr(c) for c in range(0x20)] + list('"\\/ .:aZ9\x7f\x85\u2028\u2029\ufeffé中\u0301🙂')
+_KEY_TEXT = st.text(alphabet=st.sampled_from(_KEY_ALPHABET), max_size=24)
+_KEY_SENTENCE = st.one_of(_KEY_TEXT, st.builds(lambda speaker, text: f"{speaker}: {text}", _KEY_TEXT, _KEY_TEXT))
+
+
+class TestScoreKey:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sentences=st.lists(_KEY_SENTENCE, min_size=1, max_size=12),
+        bits=st.lists(st.booleans(), min_size=12, max_size=12),
+        model=_KEY_TEXT,
+        continuation=_KEY_TEXT.filter(bool),
+    )
+    def test_pre_escaped_join_equals_the_plain_formula(self, sentences, bits, model, continuation):
+        mask = bits[: len(sentences)]
+        context = " ".join(compress(sentences, mask))
+        escaped = b" ".join(compress([json_escaped(text) for text in sentences], mask))
+        expected = _plain_score_key(model, context, continuation)
+        assert score_key(model, continuation, escaped) == expected
+        assert _canonical_score_key(ScoreRequest(model, context, continuation)) == expected
+
+    def test_a_given_key_is_used_and_not_compared(self, tmp_path):
+        client, backend = make_mock_client(tmp_path)
+        plain = ScoreRequest(model="m", context="c", continuation="a b")
+        keyed = ScoreRequest(model="m", context="c", continuation="a b", key="0" * 64)
+        assert keyed == plain
+        client.score_many([plain, keyed])
+        assert sorted(path.stem for path in (tmp_path / "cache").glob("*.json")) == sorted(
+            ["0" * 64, _canonical_score_key(plain)]
+        )
+
+    def test_mock_backend_records_a_scored_context_by_its_hash(self, tmp_path):
+        client, backend = make_mock_client(tmp_path)
+        context = "A long ablated context. " * 50
+        client.score_many([ScoreRequest(model="m", context=context, continuation="a b")])
+        [recorded] = backend.requests
+        assert recorded == ScoreRequest(model="m", context=prompt_hash(context), continuation="a b")
+
+
+_DAMAGED_BODIES = {
+    "not_an_object": b"[1, 2]",
+    "not_utf8": b"\xff\xfe{\xfa",
+    "missing_field": b'{"request": {}, "response": {"total_logprob": 1}}',
+    "wrong_type": (
+        b'{"request": {}, "response": {"total_logprob": "-1", "token_count": 1,'
+        b' "text": 7, "prompt_tokens": 1, "completion_tokens": 1}}'
+    ),
+    "truncated": b'{"request": {"kind": "score"}, "response": {"total_lo',
+}
+
+
+class TestDamagedCacheEntry:
+    @pytest.mark.parametrize("body", list(_DAMAGED_BODIES.values()), ids=list(_DAMAGED_BODIES))
+    @pytest.mark.parametrize("kind", ["score", "gen"])
+    def test_is_a_miss_that_is_written_again(self, tmp_path, kind, body):
+        if kind == "score":
+            req = ScoreRequest(model="m", context="c", continuation="a b")
+            call = lambda client: client.score_many([req])[0]  # noqa: E731
+        else:
+            req = GenRequest(model="m", user_prompt="Summary please.\n\nReport:\nA. B.")
+            call = lambda client: client.generate(req).text  # noqa: E731
+        first, _ = make_mock_client(tmp_path)
+        expected = call(first)
+        [entry] = (tmp_path / "cache").glob("*.json")
+        entry.write_bytes(body)
+        client, backend = make_mock_client(tmp_path)
+        assert call(client) == expected
+        assert backend.calls == 1 and client.cache_hits == 0
+        assert call(client) == expected
+        assert backend.calls == 1 and client.cache_hits == 1
 
 
 class _CountingBackend:

@@ -324,6 +324,26 @@ class TestEvaluate:
         assert written[0] == written[1]
         assert written[0].count(b'"metric": "factscore"') == 30
 
+    def test_evaluate_never_segments_a_document(self, tmp_path, monkeypatch):
+        from higen.corpus import Document
+
+        config = parse_config(
+            _config_dict(tmp_path, methods=["direct", "two_stage_lexrank"], metrics={"enable_factscore": True})
+        )
+        run(config)
+
+        def segmented(document):
+            raise AssertionError(f"evaluate segmented {document.id}")
+
+        def judge(req):
+            return "1. A fact." if req.user_prompt.startswith("You are given a summary.") else "Answer: yes"
+
+        monkeypatch.setattr(Document, "sentences", property(segmented))
+        evaluate(config, client=LLMClient(MockBackend(generate_fn=judge), cache_dir=tmp_path / "judge"))
+        rows = read_metric_rows(config.run_dir)
+        assert sum(r.get("metric") == "rouge_l" for r in rows) == 20
+        assert sum(r.get("metric") == "factscore" for r in rows) == 20
+
     def test_evaluate_without_outputs_errors(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
         with pytest.raises(ConfigError, match="outputs.jsonl"):
