@@ -1,10 +1,14 @@
 """Document ingestion, normalization, sentence segmentation and tokenization.
 
-Documents are normalized once; every sentence records a character span into
-the normalized text so downstream consumers (ranking, ablation, prompting)
-can address source sentences by index. Each document is segmented, and
-tokenized into a token index shared by the lexical kernels, at most once and
-only on first use.
+Every dataset schema is read by one loader: each line is checked for the same
+required fields and becomes a Document through ``make_document``. Documents
+are normalized once; every sentence records a character span into the
+normalized text so downstream consumers (ranking, ablation, prompting) can
+address source sentences by index. Prose is segmented by one regex over
+terminal runs, with an abbreviation list protecting a lone period;
+transcripts are first split into speaker turns. Each document is segmented,
+and tokenized into a token index shared by the lexical kernels, at most once
+and only on first use.
 """
 
 from __future__ import annotations
@@ -31,9 +35,18 @@ _SPEAKER_RE = re.compile(r"^([A-Za-z][\w .'\-]{0,63}?)\s*:\s?(.*)$")
 # Fence line separating the query prefix from the transcript body.
 _DELIMITER_RE = re.compile(r"^={4,}\s*$")
 
-_TERMINALS = ".!?"
+# A terminal run and the whitespace after it, where non-whitespace follows:
+# a candidate sentence boundary. ``\s`` matches exactly what ``str.isspace``
+# accepts.
+_SPLIT_RE = re.compile(r"([.!?]+)\s+(?=\S)")
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# The fields every dataset line must carry, in the order they are checked.
+_REQUIRED_FIELDS = ("id_field", "input_field", "output_field")
+
+# The fixed field map of both SCROLLS schemas; generic_jsonl takes the caller's.
+_SCROLLS_FIELDS = {"id_field": "id", "input_field": "input", "output_field": "output"}
 
 SCHEMAS = ("scrolls_govreport", "scrolls_qmsum", "generic_jsonl")
 
@@ -113,7 +126,6 @@ class Document:
     FactScore chunking) never segments it."""
 
     id: str
-    raw_text: str
     normalized_text: str
     query: str | None = None
     reference_summary: str | None = None
@@ -129,10 +141,6 @@ class Document:
     def sentences(self) -> list[Sentence]:
         """The sentences of the normalized text, segmented on first use."""
         return segment_sentences(self.normalized_text, self.kind)
-
-    @cached_property
-    def flags(self) -> tuple[str, ...]:
-        return ("short_document",) if len(self.sentences) < 2 else ()
 
     @cached_property
     def token_index(self) -> TokenIndex:
@@ -178,46 +186,23 @@ def _is_protected(text: str, dot_pos: int) -> bool:
 
 def _prose_spans(text: str, offset: int = 0) -> list[tuple[int, int]]:
     """Sentence spans for prose: split after a terminal run followed by
-    whitespace and an uppercase/digit start, unless an abbreviation protects it."""
+    whitespace and an uppercase/digit start, unless an abbreviation protects
+    a lone period. A split leaves both sides trimmed, so only the text's own
+    leading and trailing whitespace is stripped."""
     spans: list[tuple[int, int]] = []
-    n = len(text)
-    start = 0
-    i = 0
-    while i < n:
-        if text[i] in _TERMINALS:
-            j = i
-            while j + 1 < n and text[j + 1] in _TERMINALS:
-                j += 1
-            k = j + 1
-            if k < n and text[k].isspace():
-                t = k
-                while t < n and text[t].isspace():
-                    t += 1
-                next_starts = t < n and (text[t].isupper() or text[t].isdigit())
-                protected = i == j and text[i] == "." and _is_protected(text, i)
-                if next_starts and not protected:
-                    spans.append((start, j + 1))
-                    start = t
-                    i = t
-                    continue
-            i = j + 1
-        else:
-            i += 1
-    if start < n:
-        spans.append((start, n))
-    return [(s + offset, e + offset) for s, e in _trim_spans(text, spans)]
-
-
-def _trim_spans(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    for s, e in spans:
-        while s < e and text[s].isspace():
-            s += 1
-        while e > s and text[e - 1].isspace():
-            e -= 1
-        if e > s:
-            out.append((s, e))
-    return out
+    start = len(text) - len(text.lstrip())
+    for match in _SPLIT_RE.finditer(text):
+        head = text[match.end()]
+        if not (head.isupper() or head.isdigit()):
+            continue
+        if match.group(1) == "." and _is_protected(text, match.start()):
+            continue
+        spans.append((start + offset, match.end(1) + offset))
+        start = match.end()
+    end = len(text.rstrip())
+    if start < end:
+        spans.append((start + offset, end + offset))
+    return spans
 
 
 def _transcript_turns(text: str) -> list[tuple[str, int, int]]:
@@ -261,14 +246,11 @@ def segment_sentences(text: str, kind: str = "prose") -> list[Sentence]:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown document kind: {kind!r}")
+    regions = [(None, 0, len(text))] if kind == "prose" else _transcript_turns(text)
     sentences: list[Sentence] = []
-    if kind == "prose":
-        for s, e in _prose_spans(text):
-            sentences.append(Sentence(len(sentences), text[s:e], (s, e)))
-    else:
-        for speaker, start, end in _transcript_turns(text):
-            for s, e in _prose_spans(text[start:end], offset=start):
-                sentences.append(Sentence(len(sentences), text[s:e], (s, e), speaker=speaker))
+    for speaker, start, end in regions:
+        for s, e in _prose_spans(text[start:end], offset=start):
+            sentences.append(Sentence(len(sentences), text[s:e], (s, e), speaker=speaker))
     return sentences
 
 
@@ -279,10 +261,9 @@ def make_document(
     query: str | None = None,
     reference_summary: str | None = None,
 ) -> Document:
-    """Normalize a document; it is segmented and flagged on first use."""
+    """Normalize a document; it is segmented on first use."""
     return Document(
         id=doc_id,
-        raw_text=raw_text,
         normalized_text=normalize_text(raw_text),
         query=query,
         reference_summary=reference_summary,
@@ -301,12 +282,6 @@ def _split_query_prefix(text: str) -> tuple[str | None, str]:
     return None, text
 
 
-def _require(obj: dict, name: str, path: str, lineno: int) -> object:
-    if name not in obj:
-        raise DatasetError(f"{path}:{lineno}: missing required field {name!r}")
-    return obj[name]
-
-
 def load_dataset(
     path: str | Path,
     schema: str,
@@ -315,21 +290,25 @@ def load_dataset(
 ) -> list[Document]:
     """Load a JSONL dataset file into Documents.
 
-    ``scrolls_govreport`` maps {id, input, output} to prose documents;
-    ``scrolls_qmsum`` additionally splits the query prefix and marks the
-    document as a transcript; ``generic_jsonl`` uses a caller-supplied
-    field map {id_field, input_field, output_field, query_field?}.
+    ``scrolls_govreport`` and ``scrolls_qmsum`` read the fields {id, input,
+    output}; ``generic_jsonl`` reads a caller-supplied field map {id_field,
+    input_field, output_field, query_field?} into prose documents.
+    ``scrolls_qmsum`` additionally splits the query prefix off the input and
+    marks the document as a transcript.
     """
     if schema not in SCHEMAS:
         raise ConfigError(f"unknown dataset schema: {schema!r}")
     if limit is not None and limit < 0:
         raise ConfigError("dataset limit must be >= 0")
+    fields = _SCROLLS_FIELDS
     if schema == "generic_jsonl":
         if not field_map:
             raise ConfigError("generic_jsonl requires a field_map")
-        for key in ("id_field", "input_field", "output_field"):
+        for key in _REQUIRED_FIELDS:
             if key not in field_map:
                 raise ConfigError(f"generic_jsonl field_map missing {key!r}")
+        fields = field_map
+    query_field = fields.get("query_field")
 
     path = Path(path)
     docs: list[Document] = []
@@ -346,38 +325,17 @@ def load_dataset(
                 raise DatasetError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
             if not isinstance(obj, dict):
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object")
+            for key in _REQUIRED_FIELDS:
+                if fields[key] not in obj:
+                    raise DatasetError(f"{path}:{lineno}: missing required field {fields[key]!r}")
 
-            if schema == "scrolls_govreport":
-                doc_id = str(_require(obj, "id", str(path), lineno))
-                doc = make_document(
-                    doc_id,
-                    str(_require(obj, "input", str(path), lineno)),
-                    kind="prose",
-                    reference_summary=str(_require(obj, "output", str(path), lineno)),
-                )
-            elif schema == "scrolls_qmsum":
-                doc_id = str(_require(obj, "id", str(path), lineno))
-                raw = str(_require(obj, "input", str(path), lineno))
-                query, body = _split_query_prefix(raw)
-                doc = make_document(
-                    doc_id,
-                    body,
-                    kind="transcript",
-                    query=query,
-                    reference_summary=str(_require(obj, "output", str(path), lineno)),
-                )
-                doc.raw_text = raw
-            else:
-                assert field_map is not None
-                doc_id = str(_require(obj, field_map["id_field"], str(path), lineno))
-                query_field = field_map.get("query_field")
-                doc = make_document(
-                    doc_id,
-                    str(_require(obj, field_map["input_field"], str(path), lineno)),
-                    kind="prose",
-                    query=str(obj[query_field]) if query_field and obj.get(query_field) else None,
-                    reference_summary=str(_require(obj, field_map["output_field"], str(path), lineno)),
-                )
+            doc_id, text, reference = (str(obj[fields[key]]) for key in _REQUIRED_FIELDS)
+            query = str(obj[query_field]) if query_field and obj.get(query_field) else None
+            kind = "prose"
+            if schema == "scrolls_qmsum":
+                query, text = _split_query_prefix(text)
+                kind = "transcript"
+            doc = make_document(doc_id, text, kind, query, reference)
 
             if doc.id in seen_ids:
                 raise DatasetError(f"{path}:{lineno}: duplicate document id {doc.id!r}")

@@ -53,14 +53,10 @@ _OVERSIZE_RE = re.compile(r"context(\s|_)?(length|window)|maximum.*(length|token
 class GenRequest:
     model: str
     user_prompt: str
-    system_prompt: str | None = None
-    temperature: float = 0.0
     max_tokens: int = 1024
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
 
@@ -116,12 +112,14 @@ class Backend(Protocol):
 
 
 def _canonical_gen_key(req: GenRequest) -> str:
+    # Requests carry no system prompt and always sample at temperature 0; the
+    # payload keeps both as constants so existing gen caches still hit.
     payload = {
         "kind": "gen",
         "model": req.model,
-        "system_prompt": req.system_prompt,
+        "system_prompt": None,
         "user_prompt": req.user_prompt,
-        "temperature": req.temperature,
+        "temperature": 0.0,
         "max_tokens": req.max_tokens,
         "seed": req.seed,
     }
@@ -351,14 +349,10 @@ class HTTPBackend:
             raise EndpointError(resp.status_code, f"malformed JSON body: {resp.text[:200]}") from exc
 
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
-        messages = []
-        if req.system_prompt:
-            messages.append({"role": "system", "content": req.system_prompt})
-        messages.append({"role": "user", "content": req.user_prompt})
         payload: dict = {
             "model": req.model,
-            "messages": messages,
-            "temperature": req.temperature,
+            "messages": [{"role": "user", "content": req.user_prompt}],
+            "temperature": 0.0,
             "max_tokens": req.max_tokens,
         }
         if req.seed is not None:

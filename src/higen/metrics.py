@@ -110,30 +110,32 @@ def extract_facts(summary: str, client: LLMClient, judge_model: str, max_tokens:
     return facts
 
 
-def _chunk_text(text: str, chunk_tokens: int = VERIFY_CHUNK_TOKENS, overlap: int = VERIFY_CHUNK_OVERLAP) -> list[str]:
+def _chunk_text(text: str) -> list[str]:
+    """Overlapping judge windows of ``text``, sized by the module constants as
+    they are at call time."""
     spans = [m.span() for m in TOKEN_RE.finditer(text.lower())]
-    if len(spans) <= chunk_tokens:
+    if len(spans) <= VERIFY_CHUNK_TOKENS:
         return [text]
-    chunks = []
-    step = chunk_tokens - overlap
-    start_tok = 0
-    while start_tok < len(spans):
-        end_tok = min(start_tok + chunk_tokens, len(spans))
-        chunks.append(text[spans[start_tok][0] : spans[end_tok - 1][1]])
-        if end_tok == len(spans):
-            break
-        start_tok += step
-    return chunks
+    # Windows start every (tokens - overlap) tokens; the last is the first
+    # that reaches the final token.
+    return [
+        text[spans[start][0] : spans[min(start + VERIFY_CHUNK_TOKENS, len(spans)) - 1][1]]
+        for start in range(0, len(spans) - VERIFY_CHUNK_OVERLAP, VERIFY_CHUNK_TOKENS - VERIFY_CHUNK_OVERLAP)
+    ]
 
 
 def verify_fact(statement: str, document: Document, client: LLMClient, judge_model: str) -> str:
     """Verdict for one statement: supported once any document chunk supports it."""
+    return _verify_in_chunks(statement, _chunk_text(document.normalized_text), document.id, client, judge_model)
+
+
+def _verify_in_chunks(statement: str, chunks: list[str], doc_id: str, client: LLMClient, judge_model: str) -> str:
     template = _load_judge_prompt("judge_verify_fact.txt")
     saw_no = False
-    for chunk in _chunk_text(document.normalized_text, VERIFY_CHUNK_TOKENS, VERIFY_CHUNK_OVERLAP):
+    for chunk in chunks:
         prompt = fill(template, {"document": chunk, "statement": statement})
         response = client.generate(
-            GenRequest(model=judge_model, user_prompt=prompt, max_tokens=16), doc_id=document.id
+            GenRequest(model=judge_model, user_prompt=prompt, max_tokens=16), doc_id=doc_id
         )
         matches = list(_ANSWER_RE.finditer(response.text))
         if not matches:
@@ -151,9 +153,11 @@ def factscore(summary: str, document: Document, client: LLMClient, judge_model: 
         statements = extract_facts(summary, client, judge_model)
     except HigenError:
         return FactReport(facts=(), score=None)
-    facts = []
-    for statement in statements:
-        facts.append((statement, verify_fact(statement, document, client, judge_model)))
+    chunks = _chunk_text(document.normalized_text)
+    facts = [
+        (statement, _verify_in_chunks(statement, chunks, document.id, client, judge_model))
+        for statement in statements
+    ]
     supported = sum(1 for _, v in facts if v == SUPPORTED)
     unsupported = sum(1 for _, v in facts if v == UNSUPPORTED)
     denominator = supported + unsupported

@@ -109,7 +109,6 @@ def _generate(client: LLMClient, log: _CallLog, prompt: str, params: PipelinePar
     request = GenRequest(
         model=params.model,
         user_prompt=prompt,
-        temperature=0.0,
         max_tokens=params.max_tokens,
         seed=params.seed,
     )

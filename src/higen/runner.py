@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import os
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -22,7 +23,7 @@ import yaml
 
 from . import metrics as metrics_mod
 from .attribution import AttributionParams
-from .corpus import Document, load_dataset
+from .corpus import SCHEMAS, Document, load_dataset
 from .errors import ConfigError
 from .lexrank import LexRankParams
 from .llm_client import LLMClient, RetryPolicy, backend_from_url, resolve_endpoint
@@ -146,7 +147,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("k must be >= 1")
     if config.concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
-    if config.dataset.schema not in ("scrolls_govreport", "scrolls_qmsum", "generic_jsonl"):
+    if config.dataset.schema not in SCHEMAS:
         raise ConfigError(f"unknown dataset schema {config.dataset.schema!r}")
     if config.prompt_family not in (None, "gov", "qmsum"):
         raise ConfigError(f"unknown prompt_family {config.prompt_family!r}")
@@ -185,18 +186,13 @@ def build_client(config: ExperimentConfig) -> LLMClient:
 def _load_documents(config: ExperimentConfig) -> list[Document]:
     """Dataset documents; with a shuffle seed the sample is drawn after a
     seeded shuffle instead of taking the file-order prefix."""
-    if config.dataset.shuffle_seed is None:
-        return load_dataset(
-            config.dataset.path,
-            config.dataset.schema,
-            limit=config.dataset.limit,
-            field_map=config.dataset.field_map,
-        )
-    docs = load_dataset(config.dataset.path, config.dataset.schema, field_map=config.dataset.field_map)
-    random.Random(config.dataset.shuffle_seed).shuffle(docs)
-    if config.dataset.limit is not None:
-        docs = docs[: config.dataset.limit]
-    return docs
+    dataset = config.dataset
+    shuffled = dataset.shuffle_seed is not None
+    limit = None if shuffled else dataset.limit
+    docs = load_dataset(dataset.path, dataset.schema, limit=limit, field_map=dataset.field_map)
+    if shuffled:
+        random.Random(dataset.shuffle_seed).shuffle(docs)
+    return docs[: dataset.limit]
 
 
 def read_records(run_dir: str | Path) -> list[SummaryRecord]:
@@ -219,11 +215,7 @@ def read_records(run_dir: str | Path) -> list[SummaryRecord]:
     return list(latest.values())
 
 
-def run(
-    config: ExperimentConfig,
-    client: LLMClient | None = None,
-    stop_after_records: int | None = None,
-) -> Path:
+def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     """Produce a SummaryRecord for every (document, method) pair without an ok
     one: a pair whose latest record failed is tried again.
 
@@ -250,12 +242,17 @@ def run(
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     wall_start = time.monotonic()
 
-    written = 0
-    stopped = False
     if tasks:
         with outputs_path.open("a", encoding="utf-8") as out, ThreadPoolExecutor(
             max_workers=config.concurrency
         ) as pool:
+            # A crash can leave a half-written last line. End it, so the first
+            # new record starts a line of its own; readers skip the fragment.
+            if out.tell():
+                with outputs_path.open("rb") as tail:
+                    tail.seek(-1, os.SEEK_END)
+                    if tail.read(1) != b"\n":
+                        out.write("\n")
             pending = [pool.submit(run_method, client, doc, method, params) for doc, method in tasks]
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -267,14 +264,6 @@ def run(
                     record = future.result()
                     out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
                     out.flush()
-                    written += 1
-                    if stop_after_records is not None and written >= stop_after_records:
-                        stopped = True
-                        break
-                if stopped:
-                    for future in pending:
-                        future.cancel()
-                    break
 
     records = read_records(run_dir)
     counts: dict[str, dict[str, int]] = {}
@@ -295,7 +284,6 @@ def run(
         "counts": counts,
         "llm_calls": client.backend_calls,
         "cache_hits": client.cache_hits,
-        "stopped_early": stopped,
     }
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2), encoding="utf-8"
@@ -357,6 +345,7 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
         rows = [row for per_record in pool.map(rows_of, records) for row in per_record]
 
     methods_present = sorted({r.method for r in records})
+    ok_pairs = {(r.doc_id, r.method) for r in records if r.ok}
     for entry in config.metrics.external_scores:
         name = entry.get("name")
         path = entry.get("path")
@@ -366,7 +355,7 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
         target_methods = [entry["method"]] if entry.get("method") else methods_present
         for method in target_methods:
             for doc_id, value in sorted(scores.items()):
-                if any(r.doc_id == doc_id and r.method == method and r.ok for r in records):
+                if (doc_id, method) in ok_pairs:
                     rows.append({"doc_id": doc_id, "method": method, "metric": name, "value": value})
 
     rows.sort(key=lambda r: (r["doc_id"], r["method"], r.get("metric", ""), r.get("warning", "")))

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen.corpus import (
+    ABBREVIATIONS,
+    _is_protected,
+    _prose_spans,
+    _transcript_turns,
     load_dataset,
-    make_document,
     normalize_text,
     segment_sentences,
 )
@@ -95,6 +98,115 @@ class TestSegmentationProperties:
         assert len(second) == len(first)
 
 
+def _loop_prose_spans(text: str, offset: int = 0) -> list[tuple[int, int]]:
+    """Oracle: the character loop that segmented prose before the regex.
+
+    Scan for a terminal run; split after it when whitespace follows and the
+    next non-whitespace character is uppercase or a digit, unless the run is a
+    lone period that ends an abbreviation; then trim every span and drop the
+    empty ones."""
+    spans: list[tuple[int, int]] = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] in ".!?":
+            j = i
+            while j + 1 < n and text[j + 1] in ".!?":
+                j += 1
+            k = j + 1
+            if k < n and text[k].isspace():
+                t = k
+                while t < n and text[t].isspace():
+                    t += 1
+                next_starts = t < n and (text[t].isupper() or text[t].isdigit())
+                protected = i == j and text[i] == "." and _is_protected(text, i)
+                if next_starts and not protected:
+                    spans.append((start, j + 1))
+                    start = t
+                    i = t
+                    continue
+            i = j + 1
+        else:
+            i += 1
+    if start < n:
+        spans.append((start, n))
+    trimmed = []
+    for s, e in spans:
+        while s < e and text[s].isspace():
+            s += 1
+        while e > s and text[e - 1].isspace():
+            e -= 1
+        if e > s:
+            trimmed.append((s + offset, e + offset))
+    return trimmed
+
+
+def _oracle_sentences(text: str, kind: str) -> list[tuple[str, tuple[int, int], str | None]]:
+    """(text, span, speaker) of each sentence, segmented with the loop oracle."""
+    regions = [(None, 0, len(text))] if kind == "prose" else _transcript_turns(text)
+    return [
+        (text[s:e], (s, e), speaker)
+        for speaker, start, end in regions
+        for s, e in _loop_prose_spans(text[start:end], offset=start)
+    ]
+
+
+def _sentences(text: str, kind: str) -> list[tuple[str, tuple[int, int], str | None]]:
+    return [(s.text, s.span, s.speaker) for s in segment_sentences(text, kind)]
+
+
+# Every whitespace kind str.isspace accepts that a document may carry,
+# including the C1 next-line control, no-break space, the line and paragraph
+# separators and the ideographic space.
+_WHITESPACE = [" ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+               "\u1680", "\u2003", "\u2028", "\u2029", "\u202f", "\u3000"]
+_TERMINAL_RUNS = [".", "!", "?", "..", "...", "?!", "!!", ".?"]
+# Non-ASCII uppercase letters and digits start a sentence; lowercase,
+# superscript and fraction characters show which ones do not.
+_WORD_STARTS = ["A", "word", "Word", "É", "Ω", "Ж", "ß", "é", "1", "42", "٣", "²", "½", "x.y", "-", ")"]
+_SPEAKER_LINES = ["\nAlice: ", "\nProject Manager: ", "\nGrad A: ", "\n=====\n"]
+_ABBREVIATION_TOKENS = st.builds(
+    lambda lead, abbreviation: lead + abbreviation,
+    st.sampled_from(["", "(", "[", "{", '"', "'", '("']),
+    st.sampled_from(sorted(ABBREVIATIONS)),
+)
+_SEGMENTATION_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(_WHITESPACE + _TERMINAL_RUNS + _WORD_STARTS + _SPEAKER_LINES),
+        _ABBREVIATION_TOKENS,
+    ),
+    max_size=40,
+).map("".join)
+
+
+class TestRegexSegmenterMatchesLoopOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_SEGMENTATION_TEXTS, st.integers(min_value=1, max_value=10_000))
+    def test_prose_spans_equal_oracle(self, text, offset):
+        assert _prose_spans(text) == _loop_prose_spans(text)
+        assert _prose_spans(text, offset) == _loop_prose_spans(text, offset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SEGMENTATION_TEXTS, st.sampled_from(["prose", "transcript"]))
+    def test_sentences_equal_oracle(self, text, kind):
+        assert _sentences(text, kind) == _oracle_sentences(text, kind)
+
+    def test_fixture_cases_equal_oracle(self):
+        for case in load_jsonl("segmentation_cases.jsonl"):
+            text = normalize_text(case["text"])
+            for kind in ("prose", "transcript"):
+                assert _sentences(text, kind) == _oracle_sentences(text, kind), case["text"]
+
+    @pytest.mark.parametrize(
+        "name, schema", [("minicorpus.jsonl", "scrolls_govreport"), ("qmsum_record.jsonl", "scrolls_qmsum")]
+    )
+    def test_dataset_documents_equal_oracle(self, name, schema):
+        for doc in load_dataset(DATA_DIR / name, schema):
+            assert doc.sentences
+            assert _sentences(doc.normalized_text, doc.kind) == _oracle_sentences(doc.normalized_text, doc.kind)
+
+
 class TestTranscriptSegmentation:
     def test_speakers_assigned(self):
         text = normalize_text("Alice: The budget passed. We adjourned.\nBob: I object to that.")
@@ -120,16 +232,6 @@ class TestTranscriptSegmentation:
         text = normalize_text("Alice: The budget passed. We adjourned.\nBob: I object.")
         for s in segment_sentences(text, kind="transcript"):
             assert text[s.span[0] : s.span[1]] == s.text
-
-
-class TestMakeDocument:
-    def test_short_document_flagged(self):
-        doc = make_document("d", "Only one sentence here.")
-        assert "short_document" in doc.flags
-
-    def test_normal_document_unflagged(self):
-        doc = make_document("d", "One. Two.")
-        assert doc.flags == ()
 
 
 class TestLoadDataset:

@@ -81,8 +81,6 @@ class TestMockContract:
 
     def test_request_invariants(self):
         with pytest.raises(ValueError):
-            GenRequest(model="m", user_prompt="p", temperature=-1)
-        with pytest.raises(ValueError):
             GenRequest(model="m", user_prompt="p", max_tokens=0)
         with pytest.raises(ValueError):
             ScoreRequest(model="m", context="c", continuation="")
@@ -110,18 +108,23 @@ class TestCache:
         assert backend2.gen_calls == 0
 
     def test_field_perturbations_never_collide(self):
-        base = GenRequest(model="m", user_prompt="p", system_prompt="s", temperature=0.0, max_tokens=10, seed=1)
+        base = GenRequest(model="m", user_prompt="p", max_tokens=10, seed=1)
         variants = [
-            GenRequest(model="m2", user_prompt="p", system_prompt="s", temperature=0.0, max_tokens=10, seed=1),
-            GenRequest(model="m", user_prompt="p2", system_prompt="s", temperature=0.0, max_tokens=10, seed=1),
-            GenRequest(model="m", user_prompt="p", system_prompt=None, temperature=0.0, max_tokens=10, seed=1),
-            GenRequest(model="m", user_prompt="p", system_prompt="s", temperature=0.5, max_tokens=10, seed=1),
-            GenRequest(model="m", user_prompt="p", system_prompt="s", temperature=0.0, max_tokens=11, seed=1),
-            GenRequest(model="m", user_prompt="p", system_prompt="s", temperature=0.0, max_tokens=10, seed=2),
-            GenRequest(model="m", user_prompt="p", system_prompt="s", temperature=0.0, max_tokens=10, seed=None),
+            GenRequest(model="m2", user_prompt="p", max_tokens=10, seed=1),
+            GenRequest(model="m", user_prompt="p2", max_tokens=10, seed=1),
+            GenRequest(model="m", user_prompt="p", max_tokens=11, seed=1),
+            GenRequest(model="m", user_prompt="p", max_tokens=10, seed=2),
+            GenRequest(model="m", user_prompt="p", max_tokens=10, seed=None),
         ]
         keys = {_canonical_gen_key(r) for r in [base, *variants]}
         assert len(keys) == len(variants) + 1
+
+    def test_gen_key_is_pinned(self):
+        # The key payload still holds "system_prompt": null and
+        # "temperature": 0.0, so caches written before those request fields
+        # were removed keep hitting.
+        req = GenRequest(model="mock-model", user_prompt="Summarize the report.\n\nReport:\nA. B.", max_tokens=1200, seed=0)
+        assert _canonical_gen_key(req) == "d4a05770aa192bba8c36d7721212cc2b08003002049566657d74c65f892c074e"
 
     def test_score_requests_cached(self, tmp_path):
         client, backend = make_mock_client(tmp_path)

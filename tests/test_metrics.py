@@ -248,6 +248,25 @@ class TestFactScoring:
         verdict = metrics_mod.verify_fact("statement", long_doc, client, "judge")
         assert verdict == SUPPORTED
 
+    def test_factscore_chunks_the_document_once(self, tmp_path, monkeypatch):
+        import higen.metrics as metrics_mod
+
+        monkeypatch.setattr(metrics_mod, "VERIFY_CHUNK_TOKENS", 8)
+        monkeypatch.setattr(metrics_mod, "VERIFY_CHUNK_OVERLAP", 2)
+        long_doc = doc_from_sentences(["Word number %d fills space." % i for i in range(20)])
+        chunk_text = metrics_mod._chunk_text
+        windows = len(chunk_text(long_doc.normalized_text))
+        chunked = []
+        monkeypatch.setattr(metrics_mod, "_chunk_text", lambda text: chunked.append(text) or chunk_text(text))
+        # A is settled by the first window; B is judged in every window.
+        backend = ScriptedBackend(["1. A.\n2. B.", "Answer: yes"] + ["Answer: no"] * windows)
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        report = factscore("summary", long_doc, client, "judge")
+        assert chunked == [long_doc.normalized_text]
+        assert [v for _, v in report.facts] == [SUPPORTED, UNSUPPORTED]
+        assert len(backend.requests) == 2 + windows
+        assert windows > 1
+
 
 class TestPairedTTest:
     @staticmethod

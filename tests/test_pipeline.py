@@ -5,6 +5,7 @@ import json
 import pytest
 
 from higen.attribution import AttributionParams
+from higen.corpus import make_document
 from higen.llm_client import LLMClient, MockBackend, GenRequest
 from higen.pipeline import (
     METHODS,
@@ -210,6 +211,32 @@ class TestRunTwoStage:
         client, _ = make_mock_client(tmp_path)
         with pytest.raises(ValueError):
             plan(client, doc, "bogus", _params())
+
+
+# What each method makes of a document too short to plan from. An empty
+# document has nothing to attribute, so two_stage_cc fails there, while the
+# generative and LexRank planners return an empty plan and fall back to
+# direct. On one sentence every ablation mask keeps it, every attribution
+# weight is 0, and two_stage_cc falls back. Every other pair is ok.
+_SHORT_DOCUMENT_OUTCOMES = {
+    (0, "two_stage_cc"): "failed at attribution",
+    (0, "two_stage_gen"): "fallback",
+    (0, "two_stage_lexrank"): "fallback",
+    (1, "two_stage_cc"): "fallback",
+}
+
+
+@pytest.mark.parametrize("text", ["", "Only one sentence here."], ids=["0_sentences", "1_sentence"])
+@pytest.mark.parametrize("method", METHODS)
+def test_short_document_outcomes(tmp_path, text, method):
+    doc = make_document("short", text)
+    client, _ = make_mock_client(tmp_path)
+    record = run_method(client, doc, method, _params())
+    if not record.ok:
+        outcome = f"failed at {record.error_stage}"
+    else:
+        outcome = "fallback" if record.fallback_used else "ok"
+    assert outcome == _SHORT_DOCUMENT_OUTCOMES.get((len(doc.sentences), method), "ok")
 
 
 class TestQmsumFamily:

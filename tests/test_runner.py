@@ -156,14 +156,24 @@ class TestRun:
             assert counts["ok"] + counts["failed"] == 10, method
 
     def test_kill_and_resume(self, tmp_path):
+        # A crash leaves the records flushed so far and a half-written line.
         config = parse_config(_config_dict(tmp_path, concurrency=1))
-        run(config, stop_after_records=4)
-        assert len(read_records(config.run_dir)) == 4
         run(config)
+        outputs = Path(config.run_dir) / "outputs.jsonl"
+        lines = outputs.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 10
+        outputs.write_text("".join(lines[:4]) + lines[4][: len(lines[4]) // 2], encoding="utf-8")
+        kept = {(r.doc_id, r.method) for r in read_records(config.run_dir)}
+        assert len(kept) == 4
+
+        run(config)
+        resumed = outputs.read_text(encoding="utf-8").splitlines()[5:]
+        redone = [(r["doc_id"], r["method"]) for r in map(json.loads, resumed)]
+        all_pairs = {(json.loads(line)["doc_id"], "direct") for line in lines}
+        assert sorted(redone) == sorted(all_pairs - kept)
         records = read_records(config.run_dir)
-        assert len(records) == 10
-        pairs = {(r.doc_id, r.method) for r in records}
-        assert len(pairs) == 10
+        pairs = [(r.doc_id, r.method) for r in records]
+        assert len(pairs) == len(set(pairs)) == 10
 
     def test_no_duplicate_pairs_after_resume(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
@@ -266,6 +276,28 @@ class TestEvaluate:
         rows = read_metric_rows(config.run_dir)
         summac_rows = [r for r in rows if r.get("metric") == "summac"]
         assert len(summac_rows) == 10
+
+    def test_external_scores_join_only_ok_pairs(self, tmp_path):
+        data_path = tmp_path / "two.jsonl"
+        data_path.write_text(
+            '{"id":"d1","input":"Alpha beta. Gamma delta.","output":"Alpha."}\n{"id":"d2","input":"","output":"B."}\n'
+        )
+        scores_path = tmp_path / "external.jsonl"
+        scores_path.write_text("".join(json.dumps({"doc_id": d, "score": 0.5}) + "\n" for d in ("d1", "d2", "ghost")))
+        config = parse_config(
+            _config_dict(
+                tmp_path,
+                dataset={"path": str(data_path), "schema": "scrolls_govreport"},
+                methods=["direct", "two_stage_cc"],
+                metrics={"external_scores": [{"name": "summac", "path": str(scores_path)}]},
+            )
+        )
+        run(config)
+        evaluate(config)
+        records = read_records(config.run_dir)
+        assert ("d2", "two_stage_cc") in {(r.doc_id, r.method) for r in records if not r.ok}
+        joined = {(r["doc_id"], r["method"]) for r in read_metric_rows(config.run_dir) if r.get("metric") == "summac"}
+        assert joined == {(r.doc_id, r.method) for r in records if r.ok}
 
     def test_missing_reference_warning_row(self, tmp_path):
         data_path = tmp_path / "norefs.jsonl"
