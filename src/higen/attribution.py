@@ -4,14 +4,17 @@ Source sentences are ablated under random Bernoulli masks (an m x n boolean
 array, one row per ablated context), a fixed response is re-scored under each
 ablated context, ``SCORE_BATCH`` contexts per scoring request, and the
 resulting log-probabilities are mapped to logits. Each context's cache key is
-built from the document's sentences, JSON-escaped once per document, so a warm
-rerun does not re-encode every ablated context to look it up; the keys equal
-those of plain requests. A sparse linear surrogate is fit to the logits by
-LASSO, solved with FISTA (Beck & Teboulle 2009) with gradient-based adaptive
-restart (O'Donoghue & Candes 2015) on the centered mask matrix, in
-matrix-vector form. The solver stops once the KKT residual is at most ``tol``
-and reports its iterations, whether it converged and the final residual.
-Strictly positive weights rank the sentences that form the content plan.
+built from the document's sentences, JSON-escaped once per document, and the
+context itself only when its key misses the cache, so a warm rerun builds no
+ablated context; the keys equal those of plain requests. The fit needs at
+least n/2 + 2 usable samples, so a document that m samples could never cover
+fails before any mask is drawn or any request sent. A sparse linear surrogate
+is fit to the logits by LASSO, solved with FISTA (Beck & Teboulle 2009) with
+gradient-based adaptive restart (O'Donoghue & Candes 2015) on the centered
+mask matrix, in matrix-vector form. The solver stops once the KKT residual
+is at most ``tol`` and reports its iterations, whether it converged and the
+final residual. Strictly positive weights rank the sentences that form the
+content plan.
 """
 
 from __future__ import annotations
@@ -69,6 +72,12 @@ class LassoFit(NamedTuple):
     iterations: int
     converged: bool
     kkt_residual: float
+
+
+def _min_samples(n: int) -> int:
+    """The fewest usable samples a fit over n sentences accepts: the least
+    integer count >= n/2 + 2."""
+    return (n + 1) // 2 + 2
 
 
 def sample_masks(n: int, m: int, keep_prob: float, seed: int) -> np.ndarray:
@@ -249,7 +258,8 @@ def contextcite_attribute(
     request per batch, each context cached on its own; logit-scaled totals
     are regressed on the mask bits with lambda = lambda_frac * lambda_max.
     Samples without a finite logit (probability 1, or a non-finite logprob)
-    are dropped; the fit requires more than n/2 + 2 surviving samples. The
+    are dropped; the fit requires at least n/2 + 2 surviving samples, and
+    when params.m is below that it raises before sampling or scoring. The
     solver's iterations, convergence and KKT residual are reported on the
     result; a fit that does not converge is returned, not raised. With
     dump_path set, the (mask, logit) pairs are written as JSONL (masks as
@@ -260,22 +270,21 @@ def contextcite_attribute(
     n = len(document.sentences)
     if n < 1:
         raise AttributionError("document has no sentences")
+    need = _min_samples(n)
+    if params.m < need:
+        raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
     escaped = document.escaped_sentences
+    keys = [score_key(model, response, b" ".join(compress(escaped, mask.tolist()))) for mask in masks]
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
     for first in range(0, len(masks), SCORE_BATCH):
-        batch = [
-            ScoreRequest(
-                model=model,
-                context=ablate(document, mask),
-                continuation=response,
-                key=score_key(model, response, b" ".join(compress(escaped, mask.tolist()))),
-            )
-            for mask in masks[first : first + SCORE_BATCH]
-        ]
         try:
-            scored = client.score_many(batch, doc_id=document.id)
+            scored = client.score_many(
+                keys[first : first + SCORE_BATCH],
+                lambda i: ScoreRequest(model, ablate(document, masks[first + i]), response),
+                doc_id=document.id,
+            )
         except HigenError as exc:
             raise AttributionError(f"scoring failed on the batch from ablation mask {first}: {exc}") from exc
         for index, score in enumerate(scored, start=first):
@@ -285,10 +294,8 @@ def contextcite_attribute(
                 continue
             usable[index] = True
     rows = masks[usable]
-    if len(rows) < n / 2 + 2:
-        raise AttributionError(
-            f"only {len(rows)} of {params.m} ablation samples usable; need more than {n / 2 + 2:.0f}"
-        )
+    if len(rows) < need:
+        raise AttributionError(f"only {len(rows)} of {params.m} ablation samples usable; need at least {need}")
     if dump_path is not None:
         with Path(dump_path).open("w", encoding="utf-8") as handle:
             for bits, logit in zip(rows.astype(int).tolist(), targets):

@@ -261,11 +261,11 @@ def make_document(
     query: str | None = None,
     reference_summary: str | None = None,
 ) -> Document:
-    """Normalize a document; it is segmented on first use."""
+    """Normalize a document's text and query; it is segmented on first use."""
     return Document(
         id=doc_id,
         normalized_text=normalize_text(raw_text),
-        query=query,
+        query=None if query is None else normalize_text(query),
         reference_summary=reference_summary,
         kind=kind,
     )

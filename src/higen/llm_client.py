@@ -3,16 +3,17 @@
 Two capabilities are exposed: greedy text generation (chat-completions route)
 and teacher-forced log-probability scoring of a fixed continuation
 (completions route with echo + logprobs). Scoring is batched: ``score_many``
-sends every uncached context of a batch in one request with an array
-``prompt`` and maps the choices back by ``index``. Requests are cached on
-disk by a content hash, one entry per generation or scored context, so
-interrupted experiments replay offline; with a cache, concurrent identical
-generations share one backend call. A missing or damaged entry is a miss.
-A scored context's key is ``score_key``, the sha256 of the canonical JSON of
-the request; a caller that holds the context's JSON-escaped sentences (as
-attribution does) builds it from them without re-encoding the context, and
-gets the same key, so caches written before keep hitting. A deterministic
-mock backend makes the whole pipeline reproducible in tests.
+takes a batch's cache keys and builds the request of a key only when it
+misses, then sends every such request in one call with an array ``prompt``
+and maps the choices back by ``index``. Requests are cached on disk by a
+content hash, one entry per generation or scored context, so interrupted
+experiments replay offline; with a cache, concurrent identical generations
+share one backend call. A missing or damaged entry is a miss. A scored
+context's key is ``score_key``, the sha256 of the canonical JSON of the
+request; a caller that holds the context's JSON-escaped sentences (as
+attribution does) builds it from them without building the context, and gets
+the same key, so caches written before keep hitting. A deterministic mock
+backend makes the whole pipeline reproducible in tests.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -72,13 +73,11 @@ class GenResponse:
 
 @dataclass(frozen=True)
 class ScoreRequest:
-    """A continuation to score after a context. ``key``, when given, is the
-    request's ``score_key``, computed by the caller; it is not compared."""
+    """A continuation to score after a context."""
 
     model: str
     context: str
     continuation: str
-    key: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.continuation:
@@ -271,25 +270,27 @@ class LLMClient:
         return GenResponse(text, prompt_tokens, completion_tokens, latency_ms, cached=False)
 
     def score_continuation(self, req: ScoreRequest, doc_id: str | None = None) -> ScoreResponse:
-        return self.score_many([req], doc_id)[0]
+        return self.score_many([_canonical_score_key(req)], lambda _: req, doc_id)[0]
 
-    def score_many(self, reqs: list[ScoreRequest], doc_id: str | None = None) -> list[ScoreResponse]:
-        """Score each request, in order. Each one is cached under its own key
-        (``req.key``, or ``score_key`` of the request when it has none); the
-        distinct misses go to the backend in one call (one request), retried
-        as a whole on a transient failure."""
-        keys = [req.key or _canonical_score_key(req) for req in reqs]
+    def score_many(
+        self, keys: Sequence[str], build: Callable[[int], ScoreRequest], doc_id: str | None = None
+    ) -> list[ScoreResponse]:
+        """Score the requests under ``keys``, in order. ``build(i)`` makes the
+        request whose ``score_key`` is ``keys[i]``; it is called only for a
+        key that misses the cache, once per distinct key. The misses go to
+        the backend in one call (one request), retried as a whole on a
+        transient failure, and each is cached under its own key."""
         results: dict[str, ScoreResponse] = {}
-        misses: dict[str, ScoreRequest] = {}
-        for key, req in zip(keys, reqs):
+        misses: dict[str, int] = {}
+        for position, key in enumerate(keys):
             hit = self._cache_read(key, _SCORE_FIELDS)
             if hit is None:
-                misses[key] = req
+                misses.setdefault(key, position)
             else:
                 self._count_cache_hit()
                 results[key] = ScoreResponse(*hit)
         if misses:
-            batch = list(misses.values())
+            batch = [build(position) for position in misses.values()]
 
             def call() -> list[tuple[float, int]]:
                 self._count_backend_call()

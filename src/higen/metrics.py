@@ -43,8 +43,12 @@ class RougeScore:
 
 @dataclass(frozen=True)
 class FactReport:
+    """Verdicts and the supported fraction; ``failed_step`` names the judge
+    step ("extraction" or "verification") whose call raised, if one did."""
+
     facts: tuple[tuple[str, str], ...]
     score: float | None
+    failed_step: str | None = None
 
 
 @dataclass(frozen=True)
@@ -148,16 +152,20 @@ def _verify_in_chunks(statement: str, chunks: list[str], doc_id: str, client: LL
 
 def factscore(summary: str, document: Document, client: LLMClient, judge_model: str) -> FactReport:
     """Fraction of atomic facts supported by the document; unparseable verdicts
-    are excluded from the denominator."""
+    are excluded from the denominator. A judge call that fails (retries
+    exhausted, an endpoint error, an oversize prompt) leaves the score absent."""
     try:
         statements = extract_facts(summary, client, judge_model)
     except HigenError:
-        return FactReport(facts=(), score=None)
+        return FactReport(facts=(), score=None, failed_step="extraction")
     chunks = _chunk_text(document.normalized_text)
-    facts = [
-        (statement, _verify_in_chunks(statement, chunks, document.id, client, judge_model))
-        for statement in statements
-    ]
+    try:
+        facts = [
+            (statement, _verify_in_chunks(statement, chunks, document.id, client, judge_model))
+            for statement in statements
+        ]
+    except HigenError:
+        return FactReport(facts=(), score=None, failed_step="verification")
     supported = sum(1 for _, v in facts if v == SUPPORTED)
     unsupported = sum(1 for _, v in facts if v == UNSUPPORTED)
     denominator = supported + unsupported

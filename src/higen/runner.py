@@ -334,7 +334,8 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
         if config.metrics.enable_factscore:
             report = metrics_mod.factscore(record.summary, document, client, config.judge_model)
             if report.score is None:
-                rows.append({**base, "warning": "factscore extraction failed; score absent"})
+                failed = report.failed_step or "extraction"
+                rows.append({**base, "warning": f"factscore {failed} failed; score absent"})
             else:
                 rows.append({**base, "metric": "factscore", "value": report.score})
         return rows

@@ -9,7 +9,7 @@ import pytest
 
 from higen.corpus import Document, make_document
 from higen.errors import EndpointError
-from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, per_token_scorer
+from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, _canonical_score_key, per_token_scorer
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -36,6 +36,11 @@ def three_sentence_doc() -> Document:
 @pytest.fixture
 def mock_client(tmp_path) -> LLMClient:
     return LLMClient(MockBackend(), cache_dir=tmp_path / "cache", concurrency=4)
+
+
+def score_requests(client: LLMClient, reqs: list[ScoreRequest]):
+    """Score plain requests through ``score_many``, each under its own ``score_key``."""
+    return client.score_many([_canonical_score_key(req) for req in reqs], reqs.__getitem__)
 
 
 def make_mock_client(tmp_path, backend=None, **kwargs) -> tuple[LLMClient, MockBackend]:

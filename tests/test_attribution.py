@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from higen.attribution import (
+    SCORE_BATCH,
     AttributionParams,
     ablate,
     attribution_highlights,
@@ -20,7 +21,7 @@ from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
 from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, prompt_hash
 
-from conftest import doc_from_sentences
+from conftest import doc_from_sentences, score_requests
 
 # 12 sentences with disjoint token sets so substring presence is unambiguous.
 _SYNTH_SENTENCES = [
@@ -435,8 +436,9 @@ class TestContextciteAttribute:
         params = AttributionParams(m=16)
         masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, 3)
         filler = MockBackend(score_fn=overlap_scorer)
-        LLMClient(filler, cache_dir=tmp_path / "c").score_many(
-            [ScoreRequest(model="m", context=ablate(doc, mask), continuation=response) for mask in masks]
+        score_requests(
+            LLMClient(filler, cache_dir=tmp_path / "c"),
+            [ScoreRequest(model="m", context=ablate(doc, mask), continuation=response) for mask in masks],
         )
         assert filler.calls == 1
         cold = contextcite_attribute(
@@ -447,6 +449,73 @@ class TestContextciteAttribute:
         warm = contextcite_attribute(client, doc, response, "m", params, seed=3)
         assert backend.calls == 0 and client.backend_calls == 0
         assert client.cache_hits == params.m
+        assert warm == cold
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_too_few_masks_fail_before_any_work(self, tmp_path, monkeypatch, n):
+        from higen import attribution
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ruled-out fit did work")
+
+        monkeypatch.setattr(attribution, "sample_masks", must_not_run)
+        monkeypatch.setattr(attribution, "ablate", must_not_run)
+        monkeypatch.setattr(LLMClient, "_cache_read", must_not_run)
+        doc = doc_from_sentences(_SYNTH_SENTENCES[:n])
+        backend = MockBackend(score_fn=lambda c, k: -1.0)
+        client = LLMClient(backend, cache_dir=tmp_path / "c")
+        with pytest.raises(AttributionError, match="7 ablation samples for .* sentences; need at least 8 usable"):
+            contextcite_attribute(client, doc, "resp", "m", AttributionParams(m=7))
+        assert backend.calls == 0 and client.backend_calls == 0
+        assert list((tmp_path / "c").iterdir()) == []
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_exactly_the_floor_of_usable_samples_fits(self, tmp_path, n):
+        doc = doc_from_sentences(_SYNTH_SENTENCES[:n])
+        score = _presence_scorer(doc, lambda bits: 2.0 * bits[1] - bits[4])
+        result = contextcite_attribute(_client_with_scorer(tmp_path, score), doc, "resp", "m", AttributionParams(m=8))
+        assert result.num_ablations == 8
+        assert len(result.scores) == n
+
+    def test_dropped_samples_below_the_floor_fail_after_scoring(self, tmp_path):
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        presence = _presence_scorer(doc, lambda bits: 2.0 * bits[1] - bits[4])
+        params = AttributionParams(m=16)
+        masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, 0)
+        kept = int(masks[:, 2].sum())
+        assert kept < 8  # 12 sentences need 8 usable samples
+
+        def drop_without_third(ctx, cont):  # probability 1: DomainError in logit_scale
+            return presence(ctx, cont) if _SYNTH_SENTENCES[2] in ctx else 0.0
+
+        backend = MockBackend(score_fn=drop_without_third)
+        client = LLMClient(backend, cache_dir=tmp_path / "c")
+        with pytest.raises(AttributionError, match=f"only {kept} of 16 ablation samples usable; need at least 8"):
+            contextcite_attribute(client, doc, "resp", "m", params, seed=0)
+        assert backend.score_calls == 16 // SCORE_BATCH
+
+    def test_warm_rerun_builds_no_ablated_context(self, tmp_path, monkeypatch):
+        from higen import attribution
+
+        built = []
+        plain_ablate = attribution.ablate
+
+        def counting_ablate(document, mask):
+            built.append(1)
+            return plain_ablate(document, mask)
+
+        monkeypatch.setattr(attribution, "ablate", counting_ablate)
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        response = "Bridge banana builds. Garnet guava glints."
+        params = AttributionParams(m=16)
+        cold = contextcite_attribute(_client_with_scorer(tmp_path, overlap_scorer), doc, response, "m", params, 2)
+        assert len(built) == params.m
+        built.clear()
+        backend = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        warm = contextcite_attribute(client, doc, response, "m", params, seed=2)
+        assert built == []
+        assert backend.calls == 0 and client.cache_hits == params.m
         assert warm == cold
 
     def test_empty_response_rejected(self, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +265,14 @@ class TestLoadDataset:
         speakers = {s.speaker for s in doc.sentences}
         assert "Project Manager" in speakers
         assert "Marketing" in speakers
+
+    def test_qmsum_query_prefix_is_normalized(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        text = "What was decided?\r\nAbout the\x07 date?\r\n=====\r\nAnn: We met. Bo: Fine.\r\n"
+        path.write_text(json.dumps({"id": "q1", "input": text, "output": "Met."}) + "\n", encoding="utf-8")
+        [doc] = load_dataset(path, "scrolls_qmsum")
+        assert doc.query == "What was decided?\nAbout the date?"
+        assert doc.normalized_text == "Ann: We met. Bo: Fine.\n"
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -30,7 +30,7 @@ from higen.llm_client import (
     score_key,
 )
 
-from conftest import make_mock_client
+from conftest import make_mock_client, score_requests
 
 
 def _gov_prompt(doc_text: str, k: int | None = None) -> str:
@@ -186,11 +186,11 @@ class TestScoreKey:
         assert _canonical_score_key(ScoreRequest(model, context, continuation)) == expected
 
     def test_a_given_key_is_used_and_not_compared(self, tmp_path):
+        # score_many caches under the keys it is given; it never recomputes
+        # a key from the request that it builds.
         client, backend = make_mock_client(tmp_path)
         plain = ScoreRequest(model="m", context="c", continuation="a b")
-        keyed = ScoreRequest(model="m", context="c", continuation="a b", key="0" * 64)
-        assert keyed == plain
-        client.score_many([plain, keyed])
+        client.score_many(["0" * 64, _canonical_score_key(plain)], lambda _: plain)
         assert sorted(path.stem for path in (tmp_path / "cache").glob("*.json")) == sorted(
             ["0" * 64, _canonical_score_key(plain)]
         )
@@ -198,7 +198,7 @@ class TestScoreKey:
     def test_mock_backend_records_a_scored_context_by_its_hash(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
         context = "A long ablated context. " * 50
-        client.score_many([ScoreRequest(model="m", context=context, continuation="a b")])
+        score_requests(client, [ScoreRequest(model="m", context=context, continuation="a b")])
         [recorded] = backend.requests
         assert recorded == ScoreRequest(model="m", context=prompt_hash(context), continuation="a b")
 
@@ -221,7 +221,7 @@ class TestDamagedCacheEntry:
     def test_is_a_miss_that_is_written_again(self, tmp_path, kind, body):
         if kind == "score":
             req = ScoreRequest(model="m", context="c", continuation="a b")
-            call = lambda client: client.score_many([req])[0]  # noqa: E731
+            call = lambda client: score_requests(client, [req])[0]  # noqa: E731
         else:
             req = GenRequest(model="m", user_prompt="Summary please.\n\nReport:\nA. B.")
             call = lambda client: client.generate(req).text  # noqa: E731
@@ -537,18 +537,27 @@ class TestBatchedScoring:
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
         reqs = [ScoreRequest("m", context, " z") for context in ("a", "bb", "ccc", "a")]
         client.score_continuation(reqs[1])
-        scored = client.score_many(reqs)
+        built = []
+
+        def build(position):
+            built.append(position)
+            return reqs[position]
+
+        keys = [_canonical_score_key(req) for req in reqs]
+        scored = client.score_many(keys, build)
         assert [r.total_logprob for r in scored] == [-2.0, -3.0, -4.0, -2.0]
         assert backend.batches == [[reqs[1]], [reqs[0], reqs[2]]]  # a repeated miss is sent once
+        assert built == [0, 2]  # and built once; a hit is never built
         assert client.cache_hits == 1
-        assert client.score_many(reqs) == scored
+        assert client.score_many(keys, build) == scored
         assert len(backend.batches) == 2
+        assert built == [0, 2]
 
     def test_backend_calls_count_requests_not_items(self, tmp_path):
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(8)]}
         session = _FakeSession([_FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
-        scored = client.score_many([ScoreRequest("m", str(i), " z") for i in range(8)])
+        scored = score_requests(client, [ScoreRequest("m", str(i), " z") for i in range(8)])
         assert [s.total_logprob for s in scored] == [-1.0] * 8
         assert len(session.posts) == 1
         assert client.backend_calls == 1
@@ -557,7 +566,7 @@ class TestBatchedScoring:
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(2)]}
         session = _FakeSession([_FakeResponse(429), _FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), sleep=lambda _: None)
-        client.score_many([ScoreRequest("m", "0", " z"), ScoreRequest("m", "1", " z")])
+        score_requests(client, [ScoreRequest("m", "0", " z"), ScoreRequest("m", "1", " z")])
         assert len(session.posts) == 2
         assert session.posts[0][1] == session.posts[1][1]
         assert client.backend_calls == 2

@@ -230,6 +230,17 @@ class TestFactScoring:
         report = factscore("summary", doc, client, "judge")
         assert report.score is None
         assert report.facts == ()
+        assert report.failed_step == "extraction"
+
+    def test_factscore_verification_failure_absent_score(self, tmp_path):
+        doc = doc_from_sentences(["Facts live here."])
+        # The scripted judge runs out after the first verdict and answers the
+        # second verification with EndpointError(500).
+        client = _judge_client(["1. A.\n2. B.", "Answer: yes"], tmp_path)
+        report = factscore("summary", doc, client, "judge")
+        assert report.score is None
+        assert report.facts == ()
+        assert report.failed_step == "verification"
 
     def test_factscore_order_invariance(self, tmp_path):
         doc = doc_from_sentences(["Facts live here."])

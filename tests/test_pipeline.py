@@ -239,6 +239,19 @@ def test_short_document_outcomes(tmp_path, text, method):
     assert outcome == _SHORT_DOCUMENT_OUTCOMES.get((len(doc.sentences), method), "ok")
 
 
+def test_a_ruled_out_attribution_keeps_its_stage_and_draft(tmp_path):
+    doc = doc_from_sentences([f"Sentence number {i} stands here." for i in range(12)])
+    client, backend = make_mock_client(tmp_path)
+    direct = run_method(client, doc, "direct", _params())
+    record = run_method(client, doc, "two_stage_cc", _params(attribution=AttributionParams(m=7)))
+    assert not record.ok
+    assert record.error_stage == "attribution"
+    assert "need at least 8 usable" in record.error
+    assert record.raw_responses == direct.raw_responses  # the draft is direct's request, served by the cache
+    assert (record.prompt_tokens, record.completion_tokens) == (direct.prompt_tokens, direct.completion_tokens)
+    assert backend.gen_calls == 1 and backend.score_calls == 0
+
+
 class TestQmsumFamily:
     @pytest.fixture
     def transcript_doc(self):

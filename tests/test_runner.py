@@ -356,6 +356,27 @@ class TestEvaluate:
         assert written[0] == written[1]
         assert written[0].count(b'"metric": "factscore"') == 30
 
+    def test_a_failed_verification_leaves_only_its_factscore_absent(self, tmp_path):
+        from higen.errors import EndpointError
+
+        def judge(req):
+            if req.user_prompt.startswith("You are given a summary."):
+                return "1. A fact.\n2. Another fact."
+            raise EndpointError(500, "judge down")
+
+        config = parse_config(
+            _config_dict(tmp_path, methods=["direct", "two_stage_lexrank"], metrics={"enable_factscore": True})
+        )
+        run(config)
+        evaluate(config, client=LLMClient(MockBackend(generate_fn=judge), cache_dir=tmp_path / "judge"))
+        rows = read_metric_rows(config.run_dir)
+        ok_pairs = {(r.doc_id, r.method) for r in read_records(config.run_dir) if r.ok}
+        assert ok_pairs
+        assert {(r["doc_id"], r["method"]) for r in rows if r.get("metric") == "rouge_l"} == ok_pairs
+        assert not any(r.get("metric") == "factscore" for r in rows)
+        warning = "factscore verification failed; score absent"
+        assert {(r["doc_id"], r["method"]) for r in rows if r.get("warning") == warning} == ok_pairs
+
     def test_evaluate_never_segments_a_document(self, tmp_path, monkeypatch):
         from higen.corpus import Document
 
