@@ -31,7 +31,7 @@ import numpy as np
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError
 from .llm_client import LLMClient, ScoreRequest, score_key
-from .prompts import Highlight, HighlightSet
+from .prompts import HighlightSet, ranked_highlights
 
 
 # Ablated contexts scored per request. Each is about half the document, and the
@@ -320,12 +320,4 @@ def contextcite_attribute(
 def attribution_highlights(result: AttributionResult, document: Document, k: int) -> HighlightSet:
     """Top-k strictly positive attribution scores, re-ordered by document
     position. Zero positive scores yield an empty set."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    positives = [(i, s) for i, s in enumerate(result.scores) if s > 0]
-    positives.sort(key=lambda pair: (-pair[1], pair[0]))
-    chosen = sorted(i for i, _ in positives[: min(k, len(positives))])
-    items = tuple(
-        Highlight(text=document.sentences[i].text, source_index=i, alignment_score=1.0) for i in chosen
-    )
-    return HighlightSet(method="contextcite", items=items, k_requested=k)
+    return ranked_highlights("contextcite", document, result.scores, k)

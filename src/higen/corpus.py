@@ -1,7 +1,9 @@
 """Document ingestion, normalization, sentence segmentation and tokenization.
 
 Every dataset schema is read by one loader: each line is checked for the same
-required fields and becomes a Document through ``make_document``. Documents
+required fields and becomes a Document through ``make_document``. Every JSONL
+file the package reads strictly (datasets, metric rows, external scores) goes
+through ``read_jsonl``, which names the file and line of a damaged one. Documents
 are normalized once; every sentence records a character span into the
 normalized text so downstream consumers (ranking, ablation, prompting) can
 address source sentences by index. Prose is segmented by one regex over
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -310,13 +313,36 @@ def load_dataset(
         fields = field_map
     query_field = fields.get("query_field")
 
-    path = Path(path)
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
+    # Every non-blank line is a document or an error, so the first ``limit``
+    # objects are the sample, and the lines after it are never parsed.
+    for lineno, obj in islice(read_jsonl(path), limit):
+        for key in _REQUIRED_FIELDS:
+            if fields[key] not in obj:
+                raise DatasetError(f"{path}:{lineno}: missing required field {fields[key]!r}")
+
+        doc_id, text, reference = (str(obj[fields[key]]) for key in _REQUIRED_FIELDS)
+        query = str(obj[query_field]) if query_field and obj.get(query_field) else None
+        kind = "prose"
+        if schema == "scrolls_qmsum":
+            query, text = _split_query_prefix(text)
+            kind = "transcript"
+        doc = make_document(doc_id, text, kind, query, reference)
+
+        if doc.id in seen_ids:
+            raise DatasetError(f"{path}:{lineno}: duplicate document id {doc.id!r}")
+        seen_ids.add(doc.id)
+        docs.append(doc)
+    return docs
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The (line number, object) of each non-blank line of a JSONL file, read
+    strictly: a line that is not JSON, or not a JSON object, raises a
+    ``DatasetError`` naming ``path:line``."""
+    with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if limit is not None and len(docs) >= limit:
-                break
             if not line.strip():
                 continue
             try:
@@ -325,20 +351,4 @@ def load_dataset(
                 raise DatasetError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
             if not isinstance(obj, dict):
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object")
-            for key in _REQUIRED_FIELDS:
-                if fields[key] not in obj:
-                    raise DatasetError(f"{path}:{lineno}: missing required field {fields[key]!r}")
-
-            doc_id, text, reference = (str(obj[fields[key]]) for key in _REQUIRED_FIELDS)
-            query = str(obj[query_field]) if query_field and obj.get(query_field) else None
-            kind = "prose"
-            if schema == "scrolls_qmsum":
-                query, text = _split_query_prefix(text)
-                kind = "transcript"
-            doc = make_document(doc_id, text, kind, query, reference)
-
-            if doc.id in seen_ids:
-                raise DatasetError(f"{path}:{lineno}: duplicate document id {doc.id!r}")
-            seen_ids.add(doc.id)
-            docs.append(doc)
-    return docs
+            yield lineno, obj

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, TokenIndex
-from .prompts import Highlight, HighlightSet
+from .prompts import HighlightSet, ranked_highlights
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,9 @@ def dump_similarity_csv(graph: SimilarityGraph, path: str | Path) -> None:
 def lexrank_highlights(document: Document, k: int, params: LexRankParams = LexRankParams()) -> HighlightSet:
     """Top-k central sentences as extracted highlights, in document order.
 
-    Ties break toward the smaller sentence index.
+    Ties break toward the smaller sentence index. Every score is positive
+    (the teleport term alone is (1 - damping) / n), so every sentence ranks.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = len(document.sentences)
-    if n == 0:
-        return HighlightSet(method="lexrank", items=(), k_requested=k)
     graph = build_similarity_graph(document.token_index, threshold=params.threshold)
     result = centrality(graph, damping=params.damping, tol=params.tol, max_iter=params.max_iter)
-    order = sorted(range(n), key=lambda i: (-result.scores[i], i))
-    chosen = sorted(order[: min(k, n)])
-    items = tuple(
-        Highlight(text=document.sentences[i].text, source_index=i, alignment_score=1.0) for i in chosen
-    )
-    return HighlightSet(method="lexrank", items=items, k_requested=k)
+    return ranked_highlights("lexrank", document, result.scores, k)

@@ -2,13 +2,17 @@
 
 Two capabilities are exposed: greedy text generation (chat-completions route)
 and teacher-forced log-probability scoring of a fixed continuation
-(completions route with echo + logprobs). Scoring is batched: ``score_many``
-takes a batch's cache keys and builds the request of a key only when it
-misses, then sends every such request in one call with an array ``prompt``
-and maps the choices back by ``index``. Requests are cached on disk by a
-content hash, one entry per generation or scored context, so interrupted
-experiments replay offline; with a cache, concurrent identical generations
-share one backend call. A missing or damaged entry is a miss. A scored
+(completions route with echo + logprobs). Both go through one call path,
+``LLMClient._cached``: it reads each request's cache entry by a content hash,
+builds the requests of the distinct misses only, sends them to the backend in
+one call under the in-flight bound, retried on a transient failure (after the
+backoff, or the server's ``Retry-After`` delay when that is longer), counts
+every attempt and every hit, and caches each answer under its own key, so
+interrupted experiments replay offline. ``generate`` is one key, under a
+per-key lock so concurrent identical generations share one backend call;
+``score_many`` is a batch, sent with an array ``prompt`` whose choices are
+mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS`` describe each
+route's cached response; a missing or damaged entry is a miss. A scored
 context's key is ``score_key``, the sha256 of the canonical JSON of the
 request; a caller that holds the context's JSON-escaped sentences (as
 attribution does) builds it from them without building the context, and gets
@@ -46,6 +50,8 @@ from .errors import (
 from .prompts import numbered_items
 
 DEFAULT_TIMEOUT = 120.0
+# The longest wait a Retry-After header can impose before the next attempt.
+MAX_RETRY_AFTER = 60.0
 
 _OVERSIZE_RE = re.compile(r"context(\s|_)?(length|window)|maximum.*(length|tokens)|too (long|many tokens)", re.IGNORECASE)
 
@@ -99,7 +105,12 @@ class RetryPolicy:
 
 
 class _Retryable(Exception):
-    """Internal signal: transient failure worth another attempt."""
+    """Internal signal: transient failure worth another attempt, no sooner
+    than ``retry_after`` seconds from now."""
+
+    def __init__(self, message: str, retry_after: float = 0.0):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class Backend(Protocol):
@@ -208,29 +219,63 @@ class LLMClient:
             handle.write(json.dumps({"request": request, "response": response}, ensure_ascii=False))
         os.replace(tmp, path)
 
-    # -- retry ------------------------------------------------------------
+    # -- the one call path --------------------------------------------------
 
-    def _with_retry(self, call: Callable[[], object]) -> object:
-        last: Exception | None = None
+    def _cached(
+        self,
+        kind: str,
+        keys: Sequence[str],
+        fields: dict[str, type | tuple[type, ...]],
+        build: Callable[[int], object],
+        send: Callable[[list], list],
+        doc_id: str | None,
+    ) -> tuple[list[Sequence], int | None]:
+        """The response values (``fields``, in order) under each of ``keys``,
+        in key order, and the ms the backend call took (None when every key
+        hit the cache). ``build(i)`` makes the request of ``keys[i]``; it is
+        called only for a key that misses, once per distinct key. The misses
+        go to ``send`` as one batch under the in-flight bound, one backend
+        call per attempt; after a transient failure the next attempt waits
+        the jittered exponential backoff, or the failure's ``Retry-After``
+        (at most ``MAX_RETRY_AFTER``) when that is longer. Each answer is
+        cached under its own key."""
+        found: dict[str, Sequence] = {}
+        misses: dict[str, int] = {}
+        for position, key in enumerate(keys):
+            hit = self._cache_read(key, fields)
+            if hit is None:
+                misses.setdefault(key, position)
+            else:
+                found[key] = hit
+        with self._stats_lock:
+            self.cache_hits += sum(key in found for key in keys)
+        if not misses:
+            return [found[key] for key in keys], None
+        batch = [build(position) for position in misses.values()]
+        started = time.monotonic()
+        last: _Retryable | None = None
         for attempt in range(self.retry.attempts):
             try:
                 with self._semaphore:
-                    return call()
+                    with self._stats_lock:
+                        self.backend_calls += 1
+                    answers = send(batch)
+                break
             except _Retryable as exc:
                 last = exc
                 if attempt + 1 < self.retry.attempts:
                     delay = self.retry.base_delay * self.retry.factor**attempt
                     delay *= 1.0 + random.uniform(-self.retry.jitter, self.retry.jitter)
-                    self._sleep(max(delay, 0.0))
-        raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
-
-    def _count_backend_call(self) -> None:
-        with self._stats_lock:
-            self.backend_calls += 1
-
-    def _count_cache_hit(self) -> None:
-        with self._stats_lock:
-            self.cache_hits += 1
+                    self._sleep(max(delay, min(exc.retry_after, MAX_RETRY_AFTER), 0.0))
+            except OversizeError as exc:
+                raise OversizeError(str(exc), doc_id=doc_id) if doc_id and not exc.doc_id else exc
+        else:
+            raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
+        latency_ms = int((time.monotonic() - started) * 1000)
+        for key, answer in zip(misses, answers):
+            found[key] = answer
+            self._cache_write(key, {"kind": kind, "key": key}, dict(zip(fields, answer)))
+        return [found[key] for key in keys], latency_ms
 
     def _key_lock(self, key: str) -> threading.Lock:
         with self._stats_lock:
@@ -243,31 +288,10 @@ class LLMClient:
         request wait on its key, so the later ones read the first one's entry."""
         key = _canonical_gen_key(req)
         with self._key_lock(key):
-            return self._generate(key, req, doc_id)
-
-    def _generate(self, key: str, req: GenRequest, doc_id: str | None) -> GenResponse:
-        hit = self._cache_read(key, _GEN_FIELDS)
-        if hit is not None:
-            self._count_cache_hit()
-            return GenResponse(*hit, latency_ms=0, cached=True)
-
-        def call() -> tuple[str, int, int]:
-            self._count_backend_call()
-            return self.backend.complete(req)
-
-        started = time.monotonic()
-        try:
-            text, prompt_tokens, completion_tokens = self._with_retry(call)
-        except OversizeError as exc:
-            raise OversizeError(str(exc), doc_id=doc_id) if doc_id and not exc.doc_id else exc
-        latency_ms = int((time.monotonic() - started) * 1000)
-        response = {
-            "text": text,
-            "prompt_tokens": prompt_tokens,
-            "completion_tokens": completion_tokens,
-        }
-        self._cache_write(key, {"kind": "gen", "key": key}, response)
-        return GenResponse(text, prompt_tokens, completion_tokens, latency_ms, cached=False)
+            rows, latency_ms = self._cached(
+                "gen", [key], _GEN_FIELDS, lambda _: req, lambda batch: [self.backend.complete(*batch)], doc_id
+            )
+        return GenResponse(*rows[0], latency_ms=latency_ms or 0, cached=latency_ms is None)
 
     def score_continuation(self, req: ScoreRequest, doc_id: str | None = None) -> ScoreResponse:
         return self.score_many([_canonical_score_key(req)], lambda _: req, doc_id)[0]
@@ -276,38 +300,10 @@ class LLMClient:
         self, keys: Sequence[str], build: Callable[[int], ScoreRequest], doc_id: str | None = None
     ) -> list[ScoreResponse]:
         """Score the requests under ``keys``, in order. ``build(i)`` makes the
-        request whose ``score_key`` is ``keys[i]``; it is called only for a
-        key that misses the cache, once per distinct key. The misses go to
-        the backend in one call (one request), retried as a whole on a
-        transient failure, and each is cached under its own key."""
-        results: dict[str, ScoreResponse] = {}
-        misses: dict[str, int] = {}
-        for position, key in enumerate(keys):
-            hit = self._cache_read(key, _SCORE_FIELDS)
-            if hit is None:
-                misses.setdefault(key, position)
-            else:
-                self._count_cache_hit()
-                results[key] = ScoreResponse(*hit)
-        if misses:
-            batch = [build(position) for position in misses.values()]
-
-            def call() -> list[tuple[float, int]]:
-                self._count_backend_call()
-                return self.backend.score_many(batch)
-
-            try:
-                scored = self._with_retry(call)
-            except OversizeError as exc:
-                raise OversizeError(str(exc), doc_id=doc_id) if doc_id and not exc.doc_id else exc
-            for key, (total_logprob, token_count) in zip(misses, scored):
-                self._cache_write(
-                    key,
-                    {"kind": "score", "key": key},
-                    {"total_logprob": total_logprob, "token_count": token_count},
-                )
-                results[key] = ScoreResponse(total_logprob, token_count)
-        return [results[key] for key in keys]
+        request whose ``score_key`` is ``keys[i]``; the misses go to the
+        backend in one request."""
+        rows, _ = self._cached("score", keys, _SCORE_FIELDS, build, self.backend.score_many, doc_id)
+        return [ScoreResponse(*row) for row in rows]
 
 
 class HTTPBackend:
@@ -338,7 +334,8 @@ class HTTPBackend:
         except (requests.Timeout, requests.ConnectionError) as exc:
             raise _Retryable(f"transport failure: {exc}") from exc
         if resp.status_code in (429, 500, 502, 503, 504):
-            raise _Retryable(f"HTTP {resp.status_code}")
+            wait = _retry_after(resp) if resp.status_code in (429, 503) else 0.0
+            raise _Retryable(f"HTTP {resp.status_code}", wait)
         if resp.status_code >= 400:
             excerpt = resp.text[:200]
             if resp.status_code == 400 and _OVERSIZE_RE.search(excerpt):
@@ -434,6 +431,16 @@ class HTTPBackend:
         return float(math.fsum(tail)), len(tail)
 
 
+def _retry_after(resp: requests.Response) -> float:
+    """The delta-seconds of a response's ``Retry-After`` header; 0 when it is
+    missing or not a number (an HTTP-date is not honoured)."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0
+    return seconds if 0.0 <= seconds < math.inf else 0.0
+
+
 def _compact_logprobs(obj: dict) -> dict:
     """JSON object hook for completions bodies: each ``logprobs`` object keeps
     only its token logprobs (float array, NaN for a missing one) and text
@@ -454,6 +461,11 @@ def _compact_logprobs(obj: dict) -> dict:
 _KEY_SENTENCES_RE = re.compile(r"list of (\d+) key sentences", re.IGNORECASE)
 _FENCE_RE = re.compile(r"^={4,}\s*$", re.MULTILINE)
 _KEY_POINTS_MARKER = "key points:"
+# The opening sentences of the two FactScore judge prompts
+# (resources/judge_extract_facts.txt and resources/judge_verify_fact.txt).
+_JUDGE_EXTRACT_OPENING = "You are given a summary. Decompose it into atomic facts."
+_JUDGE_VERIFY_OPENING = "You are given a document and a statement."
+_MOCK_SUPPORT_SHARE = 0.8
 
 
 def _mock_document_body(prompt: str) -> str:
@@ -479,15 +491,36 @@ def _mock_key_points(prompt: str) -> list[str]:
     return numbered_items(prompt[idx + len(_KEY_POINTS_MARKER) :])
 
 
+def _mock_judge(prompt: str) -> str | None:
+    """The answer to a FactScore judge prompt, or None for any other prompt:
+    the summary's sentences as numbered facts, and "Answer: yes" for a
+    statement of which the document holds at least ``_MOCK_SUPPORT_SHARE``
+    of the words ("Answer: no" otherwise)."""
+    if prompt.startswith(_JUDGE_EXTRACT_OPENING):
+        sentences = corpus.segment_sentences(corpus.normalize_text(prompt.rpartition("Summary:\n")[2]))
+        return "\n".join(f"{i}. {sentence.text}" for i, sentence in enumerate(sentences, start=1))
+    if prompt.startswith(_JUDGE_VERIFY_OPENING):
+        document, _, statement = prompt.rpartition("\n\nStatement:\n")
+        known = set(corpus.tokenize(document))
+        words = corpus.tokenize(statement)
+        supported = words and sum(word in known for word in words) >= _MOCK_SUPPORT_SHARE * len(words)
+        return "Answer: yes" if supported else "Answer: no"
+    return None
+
+
 def echo_first_k(req: GenRequest) -> str:
     """Deterministic generation double.
 
     For highlight-extraction prompts it returns the first k document sentences
     as the numbered scaffold plus their concatenation as the summary; for
     stage-two prompts it summarizes by echoing the key points; for direct
-    prompts it echoes the first two document sentences.
+    prompts it echoes the first two document sentences. FactScore judge
+    prompts get the answers of ``_mock_judge``.
     """
     prompt = req.user_prompt
+    judged = _mock_judge(prompt)
+    if judged is not None:
+        return judged
     body = _mock_document_body(prompt)
     sentences = [s.text for s in corpus.segment_sentences(corpus.normalize_text(body))]
     k_match = _KEY_SENTENCES_RE.search(prompt)

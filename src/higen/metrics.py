@@ -9,14 +9,13 @@ adapter.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-from .corpus import TOKEN_RE, Document, tokenize
+from .corpus import TOKEN_RE, Document, read_jsonl, tokenize
 from .errors import DatasetError, HigenError, ParseError
 from .llm_client import GenRequest, LLMClient
 from .prompts import fill, numbered_items
@@ -267,20 +266,15 @@ def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
 
 def load_external_scores(path: str | Path, metric_name: str) -> dict[str, float]:
     """Read {"doc_id": ..., "score": ...} JSONL rows into a doc_id -> score map."""
-    path = Path(path)
     scores: dict[str, float] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed JSON line in {metric_name} scores: {exc}") from exc
-            if "doc_id" not in obj or "score" not in obj:
-                raise DatasetError(f"{path}:{lineno}: external score rows need doc_id and score")
-            doc_id = str(obj["doc_id"])
-            if doc_id in scores:
-                raise DatasetError(f"{path}:{lineno}: duplicate doc_id {doc_id!r} in {metric_name} scores")
+    for lineno, obj in read_jsonl(path):
+        if "doc_id" not in obj or "score" not in obj:
+            raise DatasetError(f"{path}:{lineno}: external score rows need doc_id and score")
+        doc_id = str(obj["doc_id"])
+        if doc_id in scores:
+            raise DatasetError(f"{path}:{lineno}: duplicate doc_id {doc_id!r} in {metric_name} scores")
+        try:
             scores[doc_id] = float(obj["score"])
+        except (TypeError, ValueError):
+            raise DatasetError(f"{path}:{lineno}: {metric_name} score {obj['score']!r} is not a number") from None
     return scores

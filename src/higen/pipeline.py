@@ -9,19 +9,23 @@ two_stage_cc      attribution over a draft summary selects the plan, then summar
 ``run_method`` is the only entry point and the one failure boundary: any
 exception raised inside a method becomes a failed record that names the
 stage it was raised in, keeps the plan reached so far and the hash of the
-last prompt sent. The stages are ``direct`` and ``e2e`` for the one-call
-methods; ``stage1`` (generative, lexrank) or ``draft`` then ``attribution``
-(contextcite) while ``plan`` builds the content plan; then ``stage2``, or
-``fallback_direct`` when the plan came back empty.
+last prompt sent. An exception that is not a ``HigenError`` is a bug, not an
+expected failure: its traceback is also logged at WARNING on the
+``higen.pipeline`` logger, with the prompt's hash only. The stages are
+``direct`` and ``e2e`` for the one-call methods; ``stage1`` (generative,
+lexrank) or ``draft`` then ``attribution`` (contextcite) while ``plan``
+builds the content plan; then ``stage2``, or ``fallback_direct`` when the
+plan came back empty.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass, field
 
 from .attribution import AttributionParams, attribution_highlights, contextcite_attribute
 from .corpus import Document
-from .errors import ParseError
+from .errors import HigenError, ParseError
 from .lexrank import LexRankParams, lexrank_highlights
 from .llm_client import GenRequest, GenResponse, LLMClient, prompt_hash
 from .prompts import (
@@ -34,6 +38,8 @@ from .prompts import (
     parse_planned,
     render,
 )
+
+_logger = logging.getLogger(__name__)
 
 METHODS = ("direct", "e2e", "two_stage_gen", "two_stage_lexrank", "two_stage_cc")
 
@@ -202,11 +208,17 @@ def run_method(client: LLMClient, document: Document, method: str, params: Pipel
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     log = _CallLog(method)
-    summary, error = "", None
+    summary, error, error_prompt_hash = "", None, None
     try:
         summary = _summarize(client, document, method, params, log)
     except Exception as exc:
         error = str(exc) or type(exc).__name__
+        error_prompt_hash = prompt_hash(log.last_prompt) if log.last_prompt else None
+        if not isinstance(exc, HigenError):
+            _logger.warning(
+                "unexpected %s in %s on document %s at stage %s (last prompt %s)",
+                type(exc).__name__, method, document.id, log.stage, error_prompt_hash, exc_info=True,
+            )
     return SummaryRecord(
         doc_id=document.id,
         method=method,
@@ -220,5 +232,5 @@ def run_method(client: LLMClient, document: Document, method: str, params: Pipel
         wall_ms=log.wall_ms,
         error=error,
         error_stage=log.stage if error is not None else None,
-        error_prompt_hash=prompt_hash(log.last_prompt) if error is not None and log.last_prompt else None,
+        error_prompt_hash=error_prompt_hash,
     )

@@ -73,15 +73,22 @@ class HighlightSet:
     items: tuple[Highlight, ...]
     k_requested: int
 
-    def texts(self) -> list[str]:
-        return [h.text for h in self.items]
-
 
 @dataclass(frozen=True)
 class PlannedOutput:
     highlights: tuple[str, ...]
     summary: str
-    raw: str
+
+
+def ranked_highlights(method: str, document: Document, scores: np.ndarray | list[float], k: int) -> HighlightSet:
+    """The k sentences of highest strictly positive score (ties to the smaller
+    index), in document order, as extracted highlights."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    positives = [i for i, score in enumerate(scores) if score > 0]
+    chosen = sorted(sorted(positives, key=lambda i: (-scores[i], i))[:k])
+    items = tuple(Highlight(text=document.sentences[i].text, source_index=i, alignment_score=1.0) for i in chosen)
+    return HighlightSet(method=method, items=items, k_requested=k)
 
 
 @cache
@@ -173,7 +180,7 @@ def parse_planned(raw: str) -> PlannedOutput:
     key = _KEY_MARKER_RE.search(text)
     if key and key.start() < marker.start():
         highlights = numbered_items(text[key.end() : marker.start()])
-    return PlannedOutput(highlights=tuple(highlights), summary=summary, raw=raw)
+    return PlannedOutput(highlights=tuple(highlights), summary=summary)
 
 
 def align(document: Document, texts: list[str], threshold: float = 0.6) -> list[Highlight]:

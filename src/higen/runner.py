@@ -23,7 +23,7 @@ import yaml
 
 from . import metrics as metrics_mod
 from .attribution import AttributionParams
-from .corpus import SCHEMAS, Document, load_dataset
+from .corpus import SCHEMAS, Document, load_dataset, read_jsonl
 from .errors import ConfigError
 from .lexrank import LexRankParams
 from .llm_client import LLMClient, RetryPolicy, backend_from_url, resolve_endpoint
@@ -371,9 +371,4 @@ def read_metric_rows(run_dir: str | Path) -> list[dict]:
     path = Path(run_dir) / "metrics.jsonl"
     if not path.exists():
         raise ConfigError(f"no metrics.jsonl under {run_dir}; evaluate first")
-    rows = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+    return [row for _, row in read_jsonl(path)]

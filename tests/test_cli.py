@@ -200,3 +200,39 @@ class TestEvaluateAndReportCommands:
             for line in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         ]
         assert any(r.get("metric") == "tokens_alnum" for r in metrics_rows)
+
+    def test_report_on_a_truncated_metrics_line_is_an_error_line_and_3(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        assert main(["run", "-c", str(config)]) == 0
+        assert main(["evaluate", "-c", str(config)]) == 0
+        metrics_path = tmp_path / "run" / "metrics.jsonl"
+        lines = metrics_path.read_text().splitlines()
+        metrics_path.write_text("\n".join(lines[:-1] + [lines[-1][:10]]))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"metrics.jsonl:{len(lines)}: malformed JSON line" in err
+
+    def test_evaluate_with_a_non_object_external_score_line_is_an_error_line_and_3(self, tmp_path, capsys):
+        scores_path = tmp_path / "scores.jsonl"
+        scores_path.write_text('{"doc_id": "gov_a", "score": 0.5}\n5\n')
+        config = _write_config(tmp_path, metrics={"external_scores": [{"name": "bertscore", "path": str(scores_path)}]})
+        assert main(["run", "-c", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "-c", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scores.jsonl:2: expected a JSON object" in err
+
+    def test_factscore_on_the_mock_backend_writes_a_row_per_record(self, tmp_path):
+        config = _write_config(
+            tmp_path,
+            dataset={"path": str(DATA_DIR / "minicorpus.jsonl"), "schema": "scrolls_govreport", "limit": 2},
+            metrics={"enable_factscore": True},
+        )
+        assert main(["run", "-c", str(config)]) == 0
+        assert main(["evaluate", "-c", str(config)]) == 0
+        rows = [json.loads(line) for line in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+        assert not [row for row in rows if "warning" in row]
+        factscores = [row for row in rows if row.get("metric") == "factscore"]
+        assert [row["doc_id"] for row in factscores] == ["doc00", "doc01"]
+        assert all(0.0 <= row["value"] <= 1.0 for row in factscores)

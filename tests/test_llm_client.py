@@ -17,6 +17,7 @@ from higen.llm_client import (
     GenRequest,
     HTTPBackend,
     LLMClient,
+    MAX_RETRY_AFTER,
     MockBackend,
     RetryPolicy,
     ScoreRequest,
@@ -125,6 +126,23 @@ class TestCache:
         # were removed keep hitting.
         req = GenRequest(model="mock-model", user_prompt="Summarize the report.\n\nReport:\nA. B.", max_tokens=1200, seed=0)
         assert _canonical_gen_key(req) == "d4a05770aa192bba8c36d7721212cc2b08003002049566657d74c65f892c074e"
+
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        # One entry per request: {"request": {kind, key}, "response": the
+        # route's fields in order}, so caches written before keep hitting.
+        client, _ = make_mock_client(tmp_path)
+        gen = client.generate(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
+        [score] = client.score_many(["k1"], lambda _: ScoreRequest(model="m", context="c", continuation="a b"))
+        gen_key = _canonical_gen_key(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
+        assert (tmp_path / "cache" / f"{gen_key}.json").read_text(encoding="utf-8") == (
+            f'{{"request": {{"kind": "gen", "key": "{gen_key}"}}, "response": '
+            '{"text": "Summary: Alpha one. Beta two.", "prompt_tokens": 5, "completion_tokens": 5}}'
+        )
+        assert not gen.cached
+        assert (tmp_path / "cache" / "k1.json").read_text(encoding="utf-8") == (
+            '{"request": {"kind": "score", "key": "k1"}, "response": {"total_logprob": -1.0, "token_count": 2}}'
+        )
+        assert score.total_logprob == -1.0 and score.token_count == 2
 
     def test_score_requests_cached(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
@@ -329,10 +347,11 @@ class TestRetry:
 
 
 class _FakeResponse:
-    def __init__(self, status_code: int, payload: dict | None = None, text: str = ""):
+    def __init__(self, status_code: int, payload: dict | None = None, text: str = "", headers: dict | None = None):
         self.status_code = status_code
         self._payload = payload or {}
         self.text = text or "body"
+        self.headers = headers or {}
 
     def json(self, **kwargs):
         return json.loads(json.dumps(self._payload), **kwargs)
@@ -357,6 +376,49 @@ def _completions_payload(tokens, logprobs, offsets):
             }
         ]
     }
+
+
+_CHAT_OK = {
+    "choices": [{"message": {"content": "Summary: fine"}}],
+    "usage": {"prompt_tokens": 7, "completion_tokens": 3},
+}
+
+
+class TestRetryAfter:
+    """The wait after a 429 or 503 is the larger of the backoff and the
+    Retry-After delta-seconds, the header's part capped at MAX_RETRY_AFTER."""
+
+    @staticmethod
+    def _first_wait(status: int, retry_after: str | None, base_delay: float = 1.0) -> float:
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        session = _FakeSession([_FakeResponse(status, headers=headers), _FakeResponse(200, _CHAT_OK)])
+        delays: list[float] = []
+        client = LLMClient(
+            HTTPBackend("http://host", session=session),
+            retry=RetryPolicy(attempts=3, base_delay=base_delay, factor=2.0, jitter=0.0),
+            sleep=delays.append,
+        )
+        assert client.generate(GenRequest(model="m", user_prompt="p")).text == "Summary: fine"
+        assert client.backend_calls == 2 and len(session.posts) == 2
+        [delay] = delays
+        return delay
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_a_longer_retry_after_is_waited(self, status):
+        assert self._first_wait(status, "7") == 7.0
+
+    def test_a_shorter_retry_after_keeps_the_backoff(self):
+        assert self._first_wait(429, "2", base_delay=10.0) == 10.0
+
+    def test_the_header_is_capped(self):
+        assert self._first_wait(503, "86400") == MAX_RETRY_AFTER
+
+    @pytest.mark.parametrize("value", [None, "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-5", "nan", ""])
+    def test_a_missing_header_or_one_that_is_not_a_number_keeps_the_backoff(self, value):
+        assert self._first_wait(429, value) == 1.0
+
+    def test_other_transient_statuses_ignore_the_header(self):
+        assert self._first_wait(502, "7") == 1.0
 
 
 class TestHTTPBackend:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen.errors import DatasetError
-from higen.llm_client import LLMClient
+from higen.llm_client import LLMClient, MockBackend
 from higen.metrics import (
     SUPPORTED,
     UNPARSEABLE,
@@ -242,6 +242,17 @@ class TestFactScoring:
         assert report.facts == ()
         assert report.failed_step == "verification"
 
+    def test_the_mock_judge_answers_both_judge_prompts(self, tmp_path):
+        doc = doc_from_sentences(["The harbor commission approved a dredging contract.", "Pilots praised it."])
+        backend = MockBackend("echo_first_k")
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        summary = "The commission approved a dredging contract. Pilots praised it. The mayor resigned in March."
+        report = factscore(summary, doc, client, "judge")
+        assert [verdict for _, verdict in report.facts] == [SUPPORTED, SUPPORTED, UNSUPPORTED]
+        assert report.facts[2][0] == "The mayor resigned in March."
+        assert report.score == pytest.approx(2.0 / 3.0)
+        assert backend.gen_calls == 4
+
     def test_factscore_order_invariance(self, tmp_path):
         doc = doc_from_sentences(["Facts live here."])
         a = factscore("s", doc, _judge_client(["1. A.\n2. B.", "Answer: yes", "Answer: no"], tmp_path / "a"), "judge")
@@ -372,3 +383,10 @@ class TestExternalScores:
         path.write_text("junk\n")
         with pytest.raises(DatasetError, match=":1:"):
             load_external_scores(path, "summac")
+
+    @pytest.mark.parametrize("score", ["null", '"high"'])
+    def test_a_score_that_is_not_a_number(self, tmp_path, score):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"doc_id": "a", "score": 0.5}\n{"doc_id": "b", "score": %s}\n' % score)
+        with pytest.raises(DatasetError, match=":2: bert score .* is not a number"):
+            load_external_scores(path, "bert")

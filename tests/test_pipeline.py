@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -250,6 +251,33 @@ def test_a_ruled_out_attribution_keeps_its_stage_and_draft(tmp_path):
     assert record.raw_responses == direct.raw_responses  # the draft is direct's request, served by the cache
     assert (record.prompt_tokens, record.completion_tokens) == (direct.prompt_tokens, direct.completion_tokens)
     assert backend.gen_calls == 1 and backend.score_calls == 0
+
+
+class TestFailureLogging:
+    def test_a_bug_logs_its_traceback_with_the_prompt_hash_only(self, tmp_path, doc, monkeypatch, caplog):
+        def broken_parser(text):
+            raise RuntimeError("parser bug")
+
+        monkeypatch.setattr("higen.pipeline.parse_highlights", broken_parser)
+        client, backend = make_mock_client(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="higen"):
+            record = run_method(client, doc, "two_stage_gen", _params())
+        assert record.error == "parser bug" and record.error_stage == "stage1"
+        [logged] = caplog.records
+        assert logged.levelno == logging.WARNING and logged.name.startswith("higen")
+        assert logged.exc_info[0] is RuntimeError
+        message = logged.getMessage()
+        assert all(part in message for part in ("two_stage_gen", doc.id, "stage1", record.error_prompt_hash))
+        prompt = backend.requests[0].user_prompt
+        assert prompt not in message and prompt not in caplog.text
+
+    def test_an_expected_failure_logs_nothing_at_warning(self, tmp_path, caplog):
+        doc = doc_from_sentences([f"Sentence number {i} stands here." for i in range(12)])
+        client, _ = make_mock_client(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="higen"):
+            record = run_method(client, doc, "two_stage_cc", _params(attribution=AttributionParams(m=7)))
+        assert record.error_stage == "attribution"
+        assert caplog.records == []
 
 
 class TestQmsumFamily:
