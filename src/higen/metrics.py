@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .corpus import TOKEN_RE, Document, read_jsonl, tokenize
 from .errors import DatasetError, HigenError, ParseError
@@ -150,20 +152,63 @@ def _verify_in_chunks(statement: str, chunks: list[str], doc_id: str, client: LL
 
 
 def factscore(summary: str, document: Document, client: LLMClient, judge_model: str) -> FactReport:
-    """Fraction of atomic facts supported by the document; unparseable verdicts
-    are excluded from the denominator. A judge call that fails (retries
-    exhausted, an endpoint error, an oversize prompt) leaves the score absent."""
+    """The report of one summary: ``factscores`` of one item on one worker, so
+    its judge calls go out one at a time, in order."""
+    return factscores([(summary, document)], client, judge_model, workers=1)[0]
+
+
+def factscores(
+    items: Sequence[tuple[str, Document]], client: LLMClient, judge_model: str, workers: int
+) -> list[FactReport]:
+    """The report of each (summary, document) item, in order: the fraction of
+    the summary's atomic facts that the document supports; unparseable
+    verdicts are excluded from the denominator.
+
+    The judge calls run on ``workers`` threads in two flat phases: the facts
+    of every distinct summary, then the verdict of every distinct (document
+    id, statement) pair, window by window until one supports it. A summary or
+    a fact that several items share is judged once. A judge call that fails
+    (retries exhausted, an endpoint error, an oversize prompt) leaves the
+    score of every item that needs it absent and names the failed step; any
+    other exception propagates."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        summaries = list(dict.fromkeys(summary for summary, _ in items))
+        facts_of = dict(
+            zip(summaries, pool.map(lambda summary: _judged(extract_facts, summary, client, judge_model), summaries))
+        )
+        chunks: dict[str, list[str]] = {}
+        pairs: dict[tuple[str, str], None] = {}
+        for summary, document in items:
+            statements = facts_of[summary]
+            if isinstance(statements, HigenError):
+                continue
+            if document.id not in chunks:
+                chunks[document.id] = _chunk_text(document.normalized_text)
+            pairs.update(dict.fromkeys((document.id, statement) for statement in statements))
+
+        def verify(pair: tuple[str, str]) -> str | HigenError:
+            doc_id, statement = pair
+            return _judged(_verify_in_chunks, statement, chunks[doc_id], doc_id, client, judge_model)
+
+        verdicts = dict(zip(pairs, pool.map(verify, pairs)))
+    return [_report(facts_of[summary], document.id, verdicts) for summary, document in items]
+
+
+def _judged(call: Callable, *args):
+    """``call(*args)``, or the HigenError it raised."""
     try:
-        statements = extract_facts(summary, client, judge_model)
-    except HigenError:
+        return call(*args)
+    except HigenError as exc:
+        return exc
+
+
+def _report(
+    statements: list[str] | HigenError, doc_id: str, verdicts: dict[tuple[str, str], str | HigenError]
+) -> FactReport:
+    if isinstance(statements, HigenError):
         return FactReport(facts=(), score=None, failed_step="extraction")
-    chunks = _chunk_text(document.normalized_text)
-    try:
-        facts = [
-            (statement, _verify_in_chunks(statement, chunks, document.id, client, judge_model))
-            for statement in statements
-        ]
-    except HigenError:
+    facts = [(statement, verdicts[doc_id, statement]) for statement in statements]
+    if any(isinstance(verdict, HigenError) for _, verdict in facts):
         return FactReport(facts=(), score=None, failed_step="verification")
     supported = sum(1 for _, v in facts if v == SUPPORTED)
     unsupported = sum(1 for _, v in facts if v == UNSUPPORTED)

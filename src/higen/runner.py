@@ -294,10 +294,12 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
 def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client: LLMClient | None = None) -> Path:
     """Compute metric rows for every completed record into metrics.jsonl.
 
-    ROUGE-L and token counts always; FactScore when enabled; external scores
-    joined by doc_id. Records are evaluated by ``concurrency`` workers. Rows
+    ROUGE-L and token counts always, on the calling thread; FactScore when
+    enabled, for every ok record whose document is present, in one
+    ``metrics.factscores`` call whose ``concurrency`` workers judge each
+    distinct summary and fact once; external scores joined by doc_id. Rows
     are sorted by (doc_id, method, metric) so repeated evaluation of the same
-    outputs is byte-identical.
+    outputs is byte-identical, whatever the worker count.
     """
     run_dir = Path(run_dir or config.run_dir)
     outputs_path = run_dir / "outputs.jsonl"
@@ -310,15 +312,19 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
     if config.metrics.enable_factscore and client is None:
         client = build_client(config)
 
-    def rows_of(record: SummaryRecord) -> list[dict]:
+    rows: list[dict] = []
+    judged: list[dict] = []  # the row base of each item FactScore judges
+    items: list[tuple[str, Document]] = []
+    for record in records:
         base = {"doc_id": record.doc_id, "method": record.method}
         if not record.ok:
-            return [{**base, "warning": f"record failed at stage {record.error_stage}; metrics skipped"}]
+            rows.append({**base, "warning": f"record failed at stage {record.error_stage}; metrics skipped"})
+            continue
         document = documents.get(record.doc_id)
         if document is None:
-            return [{**base, "warning": "document missing from dataset; metrics skipped"}]
+            rows.append({**base, "warning": "document missing from dataset; metrics skipped"})
+            continue
 
-        rows = []
         if document.reference_summary:
             score = metrics_mod.rouge_l(record.summary, document.reference_summary)
             rows.append({**base, "metric": "rouge_l", "value": score.f1})
@@ -332,18 +338,18 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
         rows.append({**base, "metric": "tokens_alnum", "value": float(alnum_count)})
 
         if config.metrics.enable_factscore:
-            report = metrics_mod.factscore(record.summary, document, client, config.judge_model)
-            if report.score is None:
-                failed = report.failed_step or "extraction"
-                rows.append({**base, "warning": f"factscore {failed} failed; score absent"})
-            else:
-                rows.append({**base, "metric": "factscore", "value": report.score})
-        return rows
+            judged.append(base)
+            items.append((record.summary, document))
 
-    # FactScore's judge calls dominate, so records are evaluated concurrently;
-    # map keeps the record order, and the rows are sorted below in any case.
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        rows = [row for per_record in pool.map(rows_of, records) for row in per_record]
+    if items:
+        reports = metrics_mod.factscores(items, client, config.judge_model, config.concurrency)
+        for base, report in zip(judged, reports):
+            if report.score is not None:
+                rows.append({**base, "metric": "factscore", "value": report.score})
+            elif report.failed_step:
+                rows.append({**base, "warning": f"factscore {report.failed_step} failed; score absent"})
+            else:
+                rows.append({**base, "warning": "factscore has no parseable verdict; score absent"})
 
     methods_present = sorted({r.method for r in records})
     ok_pairs = {(r.doc_id, r.method) for r in records if r.ok}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -376,6 +378,101 @@ class TestEvaluate:
         assert not any(r.get("metric") == "factscore" for r in rows)
         warning = "factscore verification failed; score absent"
         assert {(r["doc_id"], r["method"]) for r in rows if r.get("warning") == warning} == ok_pairs
+
+    def test_a_factscore_without_a_parseable_verdict_says_so(self, tmp_path):
+        def judge(req):
+            return "1. A fact." if req.user_prompt.startswith("You are given a summary.") else "I cannot tell"
+
+        config = parse_config(_config_dict(tmp_path, methods=["direct"], metrics={"enable_factscore": True}))
+        run(config)
+        evaluate(config, client=LLMClient(MockBackend(generate_fn=judge), cache_dir=tmp_path / "judge"))
+        rows = read_metric_rows(config.run_dir)
+        warnings = {r["warning"] for r in rows if "warning" in r}
+        assert warnings == {"factscore has no parseable verdict; score absent"}
+        assert sum(r.get("metric") == "rouge_l" for r in rows) == 10
+
+    def test_a_judge_bug_propagates_out_of_evaluate(self, tmp_path):
+        def judge(req):
+            raise RuntimeError("judge bug")
+
+        config = parse_config(_config_dict(tmp_path, methods=["direct"], metrics={"enable_factscore": True}))
+        run(config)
+        with pytest.raises(RuntimeError, match="judge bug"):
+            evaluate(config, client=LLMClient(MockBackend(generate_fn=judge)))
+
+    def test_one_record_fills_the_in_flight_bound(self, tmp_path):
+        lock = threading.Lock()
+        in_flight = [0]
+        peaks = []
+        threads = set()
+
+        def judge(req):
+            with lock:
+                in_flight[0] += 1
+                peaks.append(in_flight[0])
+                threads.add(threading.get_ident())
+            try:
+                time.sleep(0.02)
+                if req.user_prompt.startswith("You are given a summary."):
+                    return "\n".join(f"{i}. Fact number {i}." for i in range(1, 7))
+                return "Answer: yes"
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        data_path = tmp_path / "one.jsonl"
+        data_path.write_text('{"id":"d1","input":"Alpha beta. Gamma delta.","output":"Alpha beta."}\n')
+        config = parse_config(
+            _config_dict(
+                tmp_path,
+                dataset={"path": str(data_path), "schema": "scrolls_govreport"},
+                concurrency=3,
+                metrics={"enable_factscore": True},
+            )
+        )
+        run(config)
+        backend = MockBackend(generate_fn=judge)
+        evaluate(config, client=LLMClient(backend, concurrency=3))
+        assert backend.gen_calls == 7
+        assert max(peaks) == 3
+        assert len(threads) <= 3
+        [fact_row] = [r for r in read_metric_rows(config.run_dir) if r.get("metric") == "factscore"]
+        assert fact_row["value"] == 1.0
+
+    def test_without_a_cache_each_judge_request_is_sent_once(self, tmp_path, monkeypatch):
+        import higen.metrics as metrics_mod
+
+        # Small windows, so a statement may need several of them.
+        monkeypatch.setattr(metrics_mod, "VERIFY_CHUNK_TOKENS", 12)
+        monkeypatch.setattr(metrics_mod, "VERIFY_CHUNK_OVERLAP", 2)
+        config = parse_config(
+            _config_dict(
+                tmp_path,
+                methods=["direct", "e2e", "two_stage_lexrank"],
+                concurrency=4,
+                metrics={"enable_factscore": True},
+            )
+        )
+        run(config)
+        backend = MockBackend("echo_first_k")
+        evaluate(config, client=LLMClient(backend, concurrency=4))
+
+        prompts = [req.user_prompt for req in backend.requests]
+        assert len(prompts) == len(set(prompts))
+        extractions = [p for p in prompts if p.startswith("You are given a summary.")]
+        summaries = {r.summary for r in read_records(config.run_dir) if r.ok}
+        assert len(extractions) == len(summaries)
+        # The records share facts, and some facts need more than one window,
+        # so a record-by-record judge without a cache sends some requests again.
+        statements = [
+            (r.doc_id, statement)
+            for r in read_records(config.run_dir)
+            if r.ok
+            for statement in metrics_mod.extract_facts(r.summary, LLMClient(MockBackend("echo_first_k")), "j")
+        ]
+        assert len(statements) > len(set(statements))
+        assert len(prompts) - len(extractions) > len(set(statements))
+        assert sum(r.get("metric") == "factscore" for r in read_metric_rows(config.run_dir)) == 30
 
     def test_evaluate_never_segments_a_document(self, tmp_path, monkeypatch):
         from higen.corpus import Document
