@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Document
-from .errors import AttributionError, DomainError, HigenError
+from .errors import AttributionError, DomainError, HigenError, require
 from .llm_client import LLMClient, ScoreRequest, score_key
 from .prompts import HighlightSet, ranked_highlights
 
@@ -47,6 +47,11 @@ class AttributionParams:
     m: int = 64
     keep_prob: float = 0.5
     lambda_frac: float = 0.01
+
+    def __post_init__(self) -> None:
+        require("m", self.m, lambda m: isinstance(m, int) and m >= 2, "an integer >= 2")
+        require("keep_prob", self.keep_prob, lambda p: 0 < p < 1, "in (0, 1)")
+        require("lambda_frac", self.lambda_frac, lambda f: f >= 0, ">= 0")
 
 
 @dataclass

@@ -85,14 +85,13 @@ class Sentence:
 class TokenIndex:
     """The tokens of every sentence as int32 ids into one vocabulary.
 
-    Sentence i holds ``ids[offsets[i]:offsets[i + 1]]`` (CSR rows) and
-    ``lengths[i]`` tokens; ``stop`` marks the vocabulary ids of stopwords.
-    The size is O(tokens), never O(sentences x vocabulary).
+    Sentence i holds the next ``lengths[i]`` ids of ``ids``, in sentence
+    order; ``stop`` marks the vocabulary ids of stopwords. The size is
+    O(tokens), never O(sentences x vocabulary).
     """
 
     vocab: dict[str, int]
     ids: np.ndarray
-    offsets: np.ndarray
     lengths: np.ndarray
     stop: np.ndarray
 
@@ -100,15 +99,15 @@ class TokenIndex:
     def build(cls, texts: Iterable[str]) -> TokenIndex:
         vocab: dict[str, int] = {}
         ids: list[int] = []
-        offsets = [0]
+        lengths: list[int] = []
         for text in texts:
-            ids.extend(vocab.setdefault(token, len(vocab)) for token in tokenize(text))
-            offsets.append(len(ids))
+            tokens = tokenize(text)
+            ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
+            lengths.append(len(tokens))
         return cls(
             vocab=vocab,
             ids=np.array(ids, dtype=np.int32),
-            offsets=np.array(offsets, dtype=np.int64),
-            lengths=np.diff(offsets),
+            lengths=np.array(lengths, dtype=np.int64),
             stop=np.array([token in STOPWORDS for token in vocab], dtype=bool),
         )
 

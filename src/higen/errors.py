@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
+
+def require(name: str, value: Any, ok: Callable[[Any], bool], rule: str) -> None:
+    """Raise ValueError("<name> must be <rule>, got <value>") unless ok(value)
+    holds. A value of the wrong type, such as the string "30" for a count,
+    fails the check instead of raising a TypeError of its own."""
+    try:
+        if ok(value):
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
 
 class HigenError(Exception):
     """Base class for every error raised by this package."""

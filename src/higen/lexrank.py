@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, TokenIndex
+from .errors import require
 from .prompts import HighlightSet, ranked_highlights
 
 
@@ -25,6 +26,12 @@ class LexRankParams:
     damping: float = 0.85
     tol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self) -> None:
+        require("threshold", self.threshold, lambda t: 0 <= t <= 1, "in [0, 1]")
+        require("damping", self.damping, lambda d: 0 < d < 1, "in (0, 1)")
+        require("tol", self.tol, lambda t: t > 0, "> 0")
+        require("max_iter", self.max_iter, lambda n: isinstance(n, int) and n >= 1, "an integer >= 1")
 
 
 @dataclass

@@ -46,6 +46,7 @@ from .errors import (
     OversizeError,
     SeamAlignmentError,
     TransportError,
+    require,
 )
 from .prompts import numbered_items
 
@@ -102,6 +103,10 @@ class RetryPolicy:
     base_delay: float = 1.0
     factor: float = 2.0
     jitter: float = 0.2
+
+    def __post_init__(self) -> None:
+        require("attempts", self.attempts, lambda n: isinstance(n, int) and n >= 1, "an integer >= 1")
+        require("base_delay", self.base_delay, lambda d: d >= 0, ">= 0")
 
 
 class _Retryable(Exception):
@@ -462,7 +467,7 @@ _KEY_SENTENCES_RE = re.compile(r"list of (\d+) key sentences", re.IGNORECASE)
 _FENCE_RE = re.compile(r"^={4,}\s*$", re.MULTILINE)
 _KEY_POINTS_MARKER = "key points:"
 # The opening sentences of the two FactScore judge prompts
-# (resources/judge_extract_facts.txt and resources/judge_verify_fact.txt).
+# (resources/templates/judge_extract_facts.txt and judge_verify_fact.txt).
 _JUDGE_EXTRACT_OPENING = "You are given a summary. Decompose it into atomic facts."
 _JUDGE_VERIFY_OPENING = "You are given a document and a statement."
 _MOCK_SUPPORT_SHARE = 0.8

@@ -13,16 +13,13 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import TOKEN_RE, Document, read_jsonl, tokenize
 from .errors import DatasetError, HigenError, ParseError
 from .llm_client import GenRequest, LLMClient
-from .prompts import fill, numbered_items
-
-_RESOURCE_DIR = Path(__file__).parent / "resources"
+from .prompts import fill, load_template, numbered_items
 
 _ANSWER_RE = re.compile(r"^\s*answer\s*:\s*(yes|no)\b", re.IGNORECASE | re.MULTILINE)
 
@@ -98,16 +95,11 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 # -- factual consistency -----------------------------------------------------
 
 
-@cache
-def _load_judge_prompt(name: str) -> str:
-    return (_RESOURCE_DIR / name).read_text(encoding="utf-8")
-
-
 def extract_facts(summary: str, client: LLMClient, judge_model: str, max_tokens: int = 1024) -> list[str]:
     """Ask the judge to decompose a summary into atomic facts (numbered list)."""
     if not summary.strip():
         return []
-    prompt = fill(_load_judge_prompt("judge_extract_facts.txt"), {"summary": summary})
+    prompt = fill(load_template("judge_extract_facts"), {"summary": summary})
     response = client.generate(GenRequest(model=judge_model, user_prompt=prompt, max_tokens=max_tokens))
     facts = numbered_items(response.text)
     if not facts:
@@ -135,7 +127,7 @@ def verify_fact(statement: str, document: Document, client: LLMClient, judge_mod
 
 
 def _verify_in_chunks(statement: str, chunks: list[str], doc_id: str, client: LLMClient, judge_model: str) -> str:
-    template = _load_judge_prompt("judge_verify_fact.txt")
+    template = load_template("judge_verify_fact")
     saw_no = False
     for chunk in chunks:
         prompt = fill(template, {"document": chunk, "statement": statement})

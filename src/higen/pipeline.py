@@ -6,10 +6,13 @@ two_stage_gen     call 1 extracts highlights, call 2 summarizes with doc + plan
 two_stage_lexrank centrality-ranked extractive plan, then one summarize call
 two_stage_cc      attribution over a draft summary selects the plan, then summarize
 
-``run_method`` is the only entry point and the one failure boundary: any
-exception raised inside a method becomes a failed record that names the
-stage it was raised in, keeps the plan reached so far and the hash of the
-last prompt sent. An exception that is not a ``HigenError`` is a bug, not an
+``run_method`` is the only entry point and the one failure boundary. It
+builds the ``SummaryRecord`` first, and the method fills it in as it runs:
+each call's raw response, tokens and latency, then the plan and the fallback
+flag. Meanwhile ``error_stage`` holds the current stage and
+``error_prompt_hash`` the hash of the last prompt sent; an ok record clears
+both, and any exception leaves them, with the plan reached so far, on a
+failed record. An exception that is not a ``HigenError`` is a bug, not an
 expected failure: its traceback is also logged at WARNING on the
 ``higen.pipeline`` logger, with the prompt's hash only. The stages are
 ``direct`` and ``e2e`` for the one-call methods; ``stage1`` (generative,
@@ -68,8 +71,8 @@ class SummaryRecord:
     method: str
     model: str
     highlights: HighlightSet
-    summary: str
-    raw_responses: list[str]
+    summary: str = ""
+    raw_responses: list[str] = field(default_factory=list)
     fallback_used: bool = False
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -83,66 +86,45 @@ class SummaryRecord:
         return self.error is None
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        hs = data["highlights"]
-        data["highlights"] = {"method": hs["method"], "k_requested": hs["k_requested"], "items": list(hs["items"])}
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SummaryRecord":
         hs = data["highlights"]
         items = tuple(Highlight(**item) for item in hs["items"])
-        highlights = HighlightSet(method=hs["method"], items=items, k_requested=hs["k_requested"])
-        return cls(**{**data, "highlights": highlights})
+        return cls(**{**data, "highlights": HighlightSet(**{**hs, "items": items})})
 
 
-class _CallLog:
-    """What one record has reached so far: its LLM generate calls, the stage
-    it is in, the content plan and whether the direct fallback answered."""
-
-    def __init__(self, method: str = "") -> None:
-        self.raw: list[str] = []
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
-        self.wall_ms = 0
-        self.last_prompt = ""
-        self.stage = ""
-        self.highlights = HighlightSet(method=method, items=(), k_requested=0)
-        self.fallback_used = False
-
-
-def _generate(client: LLMClient, log: _CallLog, prompt: str, params: PipelineParams, doc_id: str) -> GenResponse:
-    request = GenRequest(
-        model=params.model,
-        user_prompt=prompt,
-        max_tokens=params.max_tokens,
-        seed=params.seed,
-    )
-    log.last_prompt = prompt
-    response = client.generate(request, doc_id=doc_id)
-    log.raw.append(response.text)
-    log.prompt_tokens += response.prompt_tokens
-    log.completion_tokens += response.completion_tokens
-    log.wall_ms += response.latency_ms
+def _generate(client: LLMClient, record: SummaryRecord, prompt: str, params: PipelineParams) -> GenResponse:
+    request = GenRequest(model=params.model, user_prompt=prompt, max_tokens=params.max_tokens, seed=params.seed)
+    record.error_prompt_hash = prompt_hash(prompt)
+    response = client.generate(request, doc_id=record.doc_id)
+    record.raw_responses.append(response.text)
+    record.prompt_tokens += response.prompt_tokens
+    record.completion_tokens += response.completion_tokens
+    record.wall_ms += response.latency_ms
     return response
 
 
-def _generate_planned(
-    client: LLMClient, log: _CallLog, prompt: str, params: PipelineParams, doc_id: str
-) -> PlannedOutput:
+def _generate_planned(client: LLMClient, record: SummaryRecord, prompt: str, params: PipelineParams) -> PlannedOutput:
     """Generate and parse, retrying once with a format reminder on parse failure."""
-    response = _generate(client, log, prompt, params, doc_id)
+    response = _generate(client, record, prompt, params)
     try:
         return parse_planned(response.text)
     except ParseError:
-        retry_prompt = prompt + "\n" + FORMAT_REMINDER
-        response = _generate(client, log, retry_prompt, params, doc_id)
+        response = _generate(client, record, prompt + "\n" + FORMAT_REMINDER, params)
         return parse_planned(response.text)
 
 
-def _direct_summary(client: LLMClient, document: Document, params: PipelineParams, log: _CallLog) -> str:
+def _direct_summary(client: LLMClient, document: Document, params: PipelineParams, record: SummaryRecord) -> str:
     prompt = render(f"direct_{params.template_family}", document)
-    return _generate_planned(client, log, prompt, params, document.id).summary
+    return _generate_planned(client, record, prompt, params).summary
+
+
+def _aligned(method: str, document: Document, texts: list[str], params: PipelineParams) -> HighlightSet:
+    """The first k generated highlight texts, aligned to the source sentences."""
+    items = tuple(align(document, texts[: params.k], params.align_threshold))
+    return HighlightSet(method=method, k_requested=params.k, items=items)
 
 
 def plan(
@@ -150,56 +132,53 @@ def plan(
     document: Document,
     highlighter: str,
     params: PipelineParams,
-    log: _CallLog | None = None,
+    record: SummaryRecord | None = None,
 ) -> HighlightSet:
     """Stage 1: the content plan of one document from the chosen highlighter.
 
     generative asks the model for up to k sentences and aligns them to the
     source; lexrank ranks sentences by centrality and needs no client;
     contextcite drafts a direct summary and keeps the sentences whose ablation
-    moves the draft's likelihood."""
-    log = log or _CallLog()
-    log.stage = "stage1"
+    moves the draft's likelihood. The calls it makes are logged on ``record``."""
+    record = record or SummaryRecord(document.id, highlighter, params.model, HighlightSet(highlighter, 0, ()))
+    record.error_stage = "stage1"
     if highlighter == "generative":
         prompt = render(f"stage1_highlights_{params.template_family}", document, k=params.k)
-        response = _generate(client, log, prompt, params, document.id)
-        texts = parse_highlights(response.text)[: params.k]
-        items = tuple(align(document, texts, params.align_threshold))
-        return HighlightSet(method="generative", items=items, k_requested=params.k)
+        response = _generate(client, record, prompt, params)
+        return _aligned("generative", document, parse_highlights(response.text), params)
     if highlighter == "lexrank":
         return lexrank_highlights(document, params.k, params.lexrank)
     if highlighter == "contextcite":
-        log.stage = "draft"
-        draft = _direct_summary(client, document, params, log)
-        log.stage = "attribution"
+        record.error_stage = "draft"
+        draft = _direct_summary(client, document, params, record)
+        record.error_stage = "attribution"
         result = contextcite_attribute(client, document, draft, params.model, params.attribution, seed=params.seed or 0)
         return attribution_highlights(result, document, params.k)
     raise ValueError(f"unknown highlighter: {highlighter!r}")
 
 
-def _summarize(client: LLMClient, document: Document, method: str, params: PipelineParams, log: _CallLog) -> str:
+def _summarize(client: LLMClient, document: Document, params: PipelineParams, record: SummaryRecord) -> str:
     """The body of one method: returns the summary and leaves the plan, the
-    stage reached and the fallback flag on ``log``."""
+    stage reached and the fallback flag on ``record``."""
+    method = record.method
     if method == "direct":
-        log.stage = "direct"
-        return _direct_summary(client, document, params, log)
+        record.error_stage = "direct"
+        return _direct_summary(client, document, params, record)
     if method == "e2e":
-        log.stage = "e2e"
+        record.error_stage = "e2e"
         prompt = render(f"e2e_{params.template_family}", document, k=params.k)
-        planned = _generate_planned(client, log, prompt, params, document.id)
-        texts = list(planned.highlights)[: params.k]
-        items = tuple(align(document, texts, params.align_threshold))
-        log.highlights = HighlightSet(method="e2e", items=items, k_requested=params.k)
+        planned = _generate_planned(client, record, prompt, params)
+        record.highlights = _aligned("e2e", document, list(planned.highlights), params)
         return planned.summary
-    log.highlights = plan(client, document, _HIGHLIGHTER_FOR_METHOD[method], params, log)
-    if not log.highlights.items:
-        log.stage = "fallback_direct"
-        summary = _direct_summary(client, document, params, log)
-        log.fallback_used = True
+    record.highlights = plan(client, document, _HIGHLIGHTER_FOR_METHOD[method], params, record)
+    if not record.highlights.items:
+        record.error_stage = "fallback_direct"
+        summary = _direct_summary(client, document, params, record)
+        record.fallback_used = True  # only once the fallback has answered
         return summary
-    log.stage = "stage2"
-    prompt = render(f"stage2_summary_{params.template_family}", document, highlights=log.highlights.items)
-    return _generate_planned(client, log, prompt, params, document.id).summary
+    record.error_stage = "stage2"
+    prompt = render(f"stage2_summary_{params.template_family}", document, highlights=record.highlights.items)
+    return _generate_planned(client, record, prompt, params).summary
 
 
 def run_method(client: LLMClient, document: Document, method: str, params: PipelineParams) -> SummaryRecord:
@@ -207,30 +186,16 @@ def run_method(client: LLMClient, document: Document, method: str, params: Pipel
     method becomes a failed record at the stage it was raised in."""
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    log = _CallLog(method)
-    summary, error, error_prompt_hash = "", None, None
+    record = SummaryRecord(document.id, method, params.model, HighlightSet(method, 0, ()))
     try:
-        summary = _summarize(client, document, method, params, log)
+        record.summary = _summarize(client, document, params, record)
     except Exception as exc:
-        error = str(exc) or type(exc).__name__
-        error_prompt_hash = prompt_hash(log.last_prompt) if log.last_prompt else None
+        record.error = str(exc) or type(exc).__name__
         if not isinstance(exc, HigenError):
             _logger.warning(
                 "unexpected %s in %s on document %s at stage %s (last prompt %s)",
-                type(exc).__name__, method, document.id, log.stage, error_prompt_hash, exc_info=True,
+                type(exc).__name__, method, document.id, record.error_stage, record.error_prompt_hash, exc_info=True,
             )
-    return SummaryRecord(
-        doc_id=document.id,
-        method=method,
-        model=params.model,
-        highlights=log.highlights,
-        summary=summary,
-        raw_responses=log.raw,
-        fallback_used=log.fallback_used,
-        prompt_tokens=log.prompt_tokens,
-        completion_tokens=log.completion_tokens,
-        wall_ms=log.wall_ms,
-        error=error,
-        error_stage=log.stage if error is not None else None,
-        error_prompt_hash=error_prompt_hash,
-    )
+    else:
+        record.error_stage = record.error_prompt_hash = None
+    return record

@@ -32,13 +32,15 @@ TEMPLATE_IDS = (
     "direct_qmsum",
     "e2e_gov",
     "e2e_qmsum",
+    "judge_extract_facts",
+    "judge_verify_fact",
     "stage1_highlights_gov",
     "stage1_highlights_qmsum",
     "stage2_summary_gov",
     "stage2_summary_qmsum",
 )
 
-# Only these names are placeholders, in the templates and in the judge prompts;
+# Only these names are placeholders, in the summarization and judge templates;
 # any other {...} in a body is literal text shown to the model (e.g. the
 # "{Sentence Text}" slots of the scaffold).
 _PLACEHOLDER_NAMES = ("document", "k", "query", "highlights", "summary", "statement")
@@ -70,8 +72,8 @@ class HighlightSet:
     """An ordered content plan of at most k_requested highlights."""
 
     method: str
-    items: tuple[Highlight, ...]
     k_requested: int
+    items: tuple[Highlight, ...]
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def ranked_highlights(method: str, document: Document, scores: np.ndarray | list
     positives = [i for i, score in enumerate(scores) if score > 0]
     chosen = sorted(sorted(positives, key=lambda i: (-scores[i], i))[:k])
     items = tuple(Highlight(text=document.sentences[i].text, source_index=i, alignment_score=1.0) for i in chosen)
-    return HighlightSet(method=method, items=items, k_requested=k)
+    return HighlightSet(method=method, k_requested=k, items=items)
 
 
 @cache

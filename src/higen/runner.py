@@ -24,7 +24,7 @@ import yaml
 from . import metrics as metrics_mod
 from .attribution import AttributionParams
 from .corpus import SCHEMAS, Document, load_dataset, read_jsonl
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .lexrank import LexRankParams
 from .llm_client import LLMClient, RetryPolicy, backend_from_url, resolve_endpoint
 from .pipeline import METHODS, PipelineParams, SummaryRecord, run_method
@@ -43,6 +43,10 @@ class DatasetConfig:
     field_map: dict[str, str] | None = None
     shuffle_seed: int | None = None
 
+    def __post_init__(self) -> None:
+        require("schema", self.schema, SCHEMAS.__contains__, f"one of {', '.join(SCHEMAS)}")
+        require("limit", self.limit, lambda n: n is None or isinstance(n, int) and n >= 0, "an integer >= 0")
+
 
 @dataclass
 class EndpointConfig:
@@ -55,6 +59,11 @@ class EndpointConfig:
 class MetricsConfig:
     enable_factscore: bool = False
     external_scores: list[dict] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for entry in self.external_scores:
+            if not isinstance(entry, dict) or not entry.get("name") or not entry.get("path"):
+                raise ValueError(f"external score entries need name and path, got {entry!r}")
 
 
 @dataclass
@@ -76,6 +85,17 @@ class ExperimentConfig:
     lexrank: LexRankParams = field(default_factory=LexRankParams)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
+
+    def __post_init__(self) -> None:
+        require("methods", self.methods, lambda ms: len(set(ms)) == len(ms) > 0, "a non-empty list of distinct methods")
+        for method in self.methods:
+            require("each method", method, METHODS.__contains__, f"one of {', '.join(METHODS)}")
+        require("k", self.k, lambda k: isinstance(k, int) and k >= 1, "an integer >= 1")
+        require("concurrency", self.concurrency, lambda c: isinstance(c, int) and c >= 1, "an integer >= 1")
+        require("max_tokens", self.max_tokens, lambda t: t is None or isinstance(t, int) and t >= 1, "an integer >= 1")
+        require("seed", self.seed, lambda s: isinstance(s, int), "an integer")
+        require("align_threshold", self.align_threshold, lambda t: 0 < t <= 1, "in (0, 1]")
+        require("prompt_family", self.prompt_family, lambda f: f in (None, "gov", "qmsum"), "gov or qmsum when set")
 
     def family(self) -> str:
         if self.prompt_family:
@@ -104,13 +124,18 @@ class ExperimentConfig:
 
 
 def _build(section: dict | None, cls, name: str):
+    """One config dataclass from its section. A key set to null takes the
+    field's default; a value the dataclass rejects is a ConfigError."""
     section = section or {}
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
     unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
-    return cls(**section)
+    try:
+        return cls(**{key: value for key, value in section.items() if value is not None})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value in {name!r}: {exc}") from None
 
 
 _SECTIONS = {
@@ -134,28 +159,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         if key not in data:
             raise ConfigError(f"config is missing {key}")
 
-    top = {key: value for key, value in data.items() if value is not None}
-    top.update({name: _build(data.get(name), cls, name) for name, cls in _SECTIONS.items()})
-    config = _build(top, ExperimentConfig, "config")
-
-    if not config.methods:
-        raise ConfigError("methods must name at least one method")
-    for method in config.methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
-    if config.k < 1:
-        raise ConfigError("k must be >= 1")
-    if config.concurrency < 1:
-        raise ConfigError("concurrency must be >= 1")
-    if config.dataset.schema not in SCHEMAS:
-        raise ConfigError(f"unknown dataset schema {config.dataset.schema!r}")
-    if config.prompt_family not in (None, "gov", "qmsum"):
-        raise ConfigError(f"unknown prompt_family {config.prompt_family!r}")
-    if config.dataset.limit is not None and config.dataset.limit < 0:
-        raise ConfigError("dataset.limit must be >= 0")
-    if not 0 < config.align_threshold <= 1:
-        raise ConfigError("align_threshold must be in (0, 1]")
-    return config
+    sections = {name: _build(data.get(name), cls, name) for name, cls in _SECTIONS.items()}
+    return _build({**data, **sections}, ExperimentConfig, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -354,11 +359,8 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
     methods_present = sorted({r.method for r in records})
     ok_pairs = {(r.doc_id, r.method) for r in records if r.ok}
     for entry in config.metrics.external_scores:
-        name = entry.get("name")
-        path = entry.get("path")
-        if not name or not path:
-            raise ConfigError("external score entries need name and path")
-        scores = metrics_mod.load_external_scores(path, name)
+        name = entry["name"]
+        scores = metrics_mod.load_external_scores(entry["path"], name)
         target_methods = [entry["method"]] if entry.get("method") else methods_present
         for method in target_methods:
             for doc_id, value in sorted(scores.items()):

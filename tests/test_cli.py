@@ -38,6 +38,10 @@ class TestExitCodes:
         missing = tmp_path / "nope.yaml"
         assert main(["run", "-c", str(missing)]) == 2
 
+    def test_a_value_of_the_wrong_type_is_2(self, tmp_path, capsys):
+        assert main(["run", "-c", str(_write_config(tmp_path, k="30"))]) == 2
+        assert "config error: invalid value in 'config': k must be an integer >= 1, got '30'" in capsys.readouterr().err
+
     def test_partial_failures_are_3(self, tmp_path):
         path = _write_config(tmp_path, endpoint={"base_url": "mock://no_summary"})
         assert main(["run", "-c", str(path)]) == 3

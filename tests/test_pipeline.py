@@ -7,7 +7,7 @@ import pytest
 
 from higen.attribution import AttributionParams
 from higen.corpus import make_document
-from higen.llm_client import LLMClient, MockBackend, GenRequest
+from higen.llm_client import LLMClient, MockBackend, GenRequest, prompt_hash
 from higen.pipeline import (
     METHODS,
     PipelineParams,
@@ -15,6 +15,7 @@ from higen.pipeline import (
     plan,
     run_method,
 )
+from higen.prompts import HighlightSet, render
 
 from conftest import ScriptedBackend, doc_from_sentences, make_mock_client
 
@@ -198,6 +199,18 @@ class TestRunTwoStage:
             isinstance(r, GenRequest) and "key points:" in r.user_prompt for r in backend.requests
         )
 
+    def test_a_failed_fallback_keeps_its_stage_and_prompt_and_no_fallback_flag(self, doc, monkeypatch):
+        empty = HighlightSet(method="lexrank", k_requested=2, items=())
+        monkeypatch.setattr("higen.pipeline.lexrank_highlights", lambda *args: empty)
+        backend = ScriptedBackend([])  # the fallback's direct call finds the script exhausted
+        record = run_method(LLMClient(backend), doc, "two_stage_lexrank", _params())
+        assert not record.ok
+        assert record.error_stage == "fallback_direct"
+        assert record.fallback_used is False
+        [request] = backend.requests
+        assert request.user_prompt == render("direct_gov", doc)
+        assert record.error_prompt_hash == prompt_hash(request.user_prompt)
+
     def test_stage_tagged_failure(self, tmp_path, doc):
         # stage-2 parse failure after a healthy lexrank stage 1
         responses = ["broken output", "still broken"]
@@ -343,3 +356,16 @@ class TestSerialization:
         record = run_method(client, doc, "e2e", _params(k=2))
         clone = SummaryRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert clone == record
+
+    # The outputs.jsonl lines of one ok and one failed record, byte for byte.
+    _OK_LINE = '{"doc_id": "doc", "method": "e2e", "model": "mock-model", "highlights": {"method": "e2e", "k_requested": 2, "items": [{"text": "Alpha opens the report.", "source_index": 0, "alignment_score": 1.0}, {"text": "Bravo covers the middle.", "source_index": 1, "alignment_score": 1.0}]}, "summary": "Alpha opens the report. Bravo covers the middle.", "raw_responses": ["Key Sentences:\\n1. Alpha opens the report.\\n2. Bravo covers the middle.\\nSummary: Alpha opens the report. Bravo covers the middle."], "fallback_used": false, "prompt_tokens": 76, "completion_tokens": 21, "wall_ms": 7, "error": null, "error_stage": null, "error_prompt_hash": null}'
+    _FAILED_LINE = '{"doc_id": "doc", "method": "two_stage_lexrank", "model": "mock-model", "highlights": {"method": "lexrank", "k_requested": 2, "items": [{"text": "Alpha opens the report.", "source_index": 0, "alignment_score": 1.0}, {"text": "Bravo covers the middle.", "source_index": 1, "alignment_score": 1.0}]}, "summary": "", "raw_responses": ["broken output", "still broken"], "fallback_used": false, "prompt_tokens": 164, "completion_tokens": 4, "wall_ms": 7, "error": "no \\"Summary:\\" marker found in model output", "error_stage": "stage2", "error_prompt_hash": "04ee3b04f8d1f074"}'
+
+    def test_record_lines_are_pinned(self, tmp_path, doc):
+        client, _ = make_mock_client(tmp_path)
+        ok = run_method(client, doc, "e2e", _params())
+        failed_client = LLMClient(ScriptedBackend(["broken output", "still broken"]), cache_dir=tmp_path / "b")
+        failed = run_method(failed_client, doc, "two_stage_lexrank", _params())
+        ok.wall_ms = failed.wall_ms = 7  # a measured duration, fixed here
+        assert json.dumps(ok.to_dict()) == self._OK_LINE
+        assert json.dumps(failed.to_dict()) == self._FAILED_LINE

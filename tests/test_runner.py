@@ -103,6 +103,36 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ({"k": "30"}, r"in 'config': k must be an integer >= 1, got '30'"),
+            ({"concurrency": "2"}, r"in 'config': concurrency must be an integer >= 1, got '2'"),
+            ({"retry": {"attempts": 0}}, r"in 'retry': attempts must be an integer >= 1, got 0"),
+            ({"attribution": {"keep_prob": 0}}, r"in 'attribution': keep_prob must be in \(0, 1\), got 0"),
+            ({"metrics": {"external_scores": ["x"]}}, r"in 'metrics': external score entries need name and path"),
+            ({"methods": ["direct", "direct"]}, r"in 'config': methods must be a non-empty list of distinct methods"),
+            ({"attribution": {"m": 1}}, r"in 'attribution': m must be an integer >= 2"),
+            ({"attribution": {"lambda_frac": -0.1}}, r"in 'attribution': lambda_frac must be >= 0"),
+            ({"lexrank": {"damping": 1}}, r"in 'lexrank': damping must be in \(0, 1\)"),
+            ({"retry": {"base_delay": -1}}, r"in 'retry': base_delay must be >= 0"),
+            ({"max_tokens": 0}, r"in 'config': max_tokens must be an integer >= 1"),
+            ({"k": 2.5}, r"in 'config': k must be an integer >= 1, got 2.5"),
+            ({"seed": "7"}, r"in 'config': seed must be an integer, got '7'"),
+            ({"lexrank": {"threshold": "0.1"}}, r"in 'lexrank': threshold must be in \[0, 1\]"),
+            ({"lexrank": {"max_iter": "200"}}, r"in 'lexrank': max_iter must be an integer >= 1"),
+        ],
+        ids=lambda case: json.dumps(case[0]),
+    )
+    def test_a_bad_value_is_a_config_error_naming_its_section(self, tmp_path, case):
+        overrides, message = case
+        with pytest.raises(ConfigError, match=message):
+            load_config(_write_config(tmp_path, **overrides))
+
+    def test_a_null_nested_key_takes_its_default(self, tmp_path):
+        config = load_config(_write_config(tmp_path, attribution={"m": None}, metrics={"external_scores": None}))
+        assert config.attribution.m == 64 and config.metrics.external_scores == []
+
     def test_shuffle_seed_draws_deterministic_sample(self, tmp_path):
         from higen.runner import _load_documents
 
