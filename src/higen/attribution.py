@@ -3,15 +3,16 @@
 Source sentences are ablated under random Bernoulli masks (an m x n boolean
 array, one row per ablated context), a fixed response is re-scored under each
 ablated context, ``SCORE_BATCH`` contexts per scoring request, and the
-resulting log-probabilities are mapped to logits. Each context's cache key is
-built from the document's sentences, JSON-escaped once per document, and the
-context itself only when its key misses the cache, so a warm rerun builds no
-ablated context; the keys equal those of plain requests. The fit needs at
-least n/2 + 2 usable samples, so a document that m samples could never cover
-fails before any mask is drawn or any request sent. A sparse linear surrogate
-is fit to the logits by LASSO, solved with FISTA (Beck & Teboulle 2009) with
-gradient-based adaptive restart (O'Donoghue & Candes 2015) on the centered
-mask matrix, in matrix-vector form. The solver stops once the KKT residual
+resulting log-probabilities are mapped to logits. The masks are drawn in
+one call, and every context's cache key is built from the document's
+sentences, JSON-escaped once per document, in one pass over the masks; the
+context itself is built only when its key misses the cache, so a warm rerun
+builds no ablated context. The keys equal those of plain requests. The fit
+needs at least n/2 + 2 usable samples, so a document that m samples could
+never cover fails before any mask is drawn or any request sent. A sparse
+linear surrogate is fit to the logits by LASSO, solved with FISTA (Beck &
+Teboulle 2009) with gradient-based adaptive restart (O'Donoghue & Candes 2015)
+on the centered mask matrix, in matrix-vector form. The solver stops once the KKT residual
 is at most ``tol`` and reports its iterations, whether it converged and the
 final residual. Strictly positive weights rank the sentences that form the
 content plan.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError, require
-from .llm_client import LLMClient, ScoreRequest, score_key
+from .llm_client import LLMClient, ScoreRequest, score_keys
 from .prompts import HighlightSet, ranked_highlights
 
 
@@ -97,7 +98,14 @@ def sample_masks(n: int, m: int, keep_prob: float, seed: int) -> np.ndarray:
         raise ValueError("keep_prob must be in (0, 1)")
     rng = np.random.default_rng(seed)
     masks = np.ones((m, n), dtype=bool)
-    row = 1
+    # The m - 1 draws of one call are the draws of m - 1 calls of one row
+    # each, so the non-zero rows of a bulk draw are the rows a loop of
+    # single-row draws keeps; only the draws that replace all-zero ones are
+    # made row by row.
+    drawn = rng.random((m - 1, n)) < keep_prob
+    kept = drawn[drawn.any(axis=1)]
+    masks[1 : 1 + len(kept)] = kept
+    row = 1 + len(kept)
     while row < m:
         bits = rng.random(n) < keep_prob
         if bits.any():
@@ -280,7 +288,7 @@ def contextcite_attribute(
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
     escaped = document.escaped_sentences
-    keys = [score_key(model, response, b" ".join(compress(escaped, mask.tolist()))) for mask in masks]
+    keys = score_keys(model, response, (b" ".join(compress(escaped, bits)) for bits in masks.tolist()))
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
     for first in range(0, len(masks), SCORE_BATCH):

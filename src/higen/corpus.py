@@ -120,6 +120,16 @@ class TokenIndex:
         sentence, term = np.divmod(keys, size)
         return sentence, term, counts
 
+    @cached_property
+    def postings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sentence, count, bounds): the ``term_counts`` entries ordered by
+        term, those of term t at ``bounds[t]:bounds[t + 1]``. Built on first
+        use, so every alignment against one document shares them."""
+        sentence, term, count = self.term_counts()
+        by_term = np.argsort(term, kind="stable")
+        bounds = np.searchsorted(term[by_term], np.arange(len(self.vocab) + 1))
+        return sentence[by_term], count[by_term], bounds
+
 
 @dataclass
 class Document:

@@ -12,16 +12,18 @@ interrupted experiments replay offline. ``generate`` is one key, under a
 per-key lock so concurrent identical generations share one backend call;
 ``score_many`` is a batch, sent with an array ``prompt`` whose choices are
 mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS`` describe each
-route's cached response; a missing or damaged entry is a miss. A scored
-context's key is ``score_key``, the sha256 of the canonical JSON of the
-request; a caller that holds the context's JSON-escaped sentences (as
-attribution does) builds it from them without building the context, and gets
-the same key, so caches written before keep hitting. A deterministic mock
-backend makes the whole pipeline reproducible in tests.
+route's cached response; a missing or damaged entry is a miss, and a hit
+is read in one open, read and close. A scored context's key is
+``score_key``, the sha256 of the canonical JSON of the request; a caller that
+holds the contexts' JSON-escaped sentences (as attribution does) keys them all
+through ``score_keys`` without building a context, and gets the same keys, so
+caches written before keep hitting. A deterministic mock backend makes the
+whole pipeline reproducible in tests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -32,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -141,16 +143,28 @@ def _canonical_gen_key(req: GenRequest) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
-def score_key(model: str, continuation: str, escaped_context: bytes) -> str:
-    """The cache key of scoring ``continuation`` after a context, given the
-    context as ``corpus.json_escaped`` bytes: the sha256 of
+def score_keys(model: str, continuation: str, escaped_contexts: Iterable[bytes]) -> list[str]:
+    """The cache keys of scoring ``continuation`` after each context, given
+    the contexts as ``corpus.json_escaped`` bytes: each the sha256 of
     ``json.dumps({"kind": "score", "model", "context", "continuation"},
-    sort_keys=True, ensure_ascii=False)``, whose first member is the context."""
+    sort_keys=True, ensure_ascii=False)``, whose first member is the context.
+    The JSON after the context and the hash of the JSON before it are built
+    once for all the contexts."""
     rest = {"continuation": continuation, "kind": "score", "model": model}
-    digest = hashlib.sha256(b'{"context": "')
-    digest.update(escaped_context)
-    digest.update(b'", ' + json.dumps(rest, sort_keys=True, ensure_ascii=False)[1:].encode("utf-8"))
-    return digest.hexdigest()
+    tail = b'", ' + json.dumps(rest, sort_keys=True, ensure_ascii=False)[1:].encode("utf-8")
+    head = hashlib.sha256(b'{"context": "')
+    keys = []
+    for escaped in escaped_contexts:
+        digest = head.copy()
+        digest.update(escaped)
+        digest.update(tail)
+        keys.append(digest.hexdigest())
+    return keys
+
+
+def score_key(model: str, continuation: str, escaped_context: bytes) -> str:
+    """The cache key of one context, as ``score_keys`` builds it."""
+    return score_keys(model, continuation, [escaped_context])[0]
 
 
 def _canonical_score_key(req: ScoreRequest) -> str:
@@ -160,6 +174,21 @@ def _canonical_score_key(req: ScoreRequest) -> str:
 def prompt_hash(prompt: str) -> str:
     """Short stable identifier for a prompt, safe to log (never the prompt itself)."""
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+
+
+# The first read of a cache entry; a score entry is about 150 bytes.
+_READ_SIZE = 16384
+
+
+def _read_to_end(descriptor: int) -> bytes:
+    """The rest of a regular file: reads of doubling size until one comes back
+    short, which on a regular file means its end."""
+    size = _READ_SIZE
+    parts = [os.read(descriptor, size)]
+    while len(parts[-1]) == size:
+        size *= 2
+        parts.append(os.read(descriptor, size))
+    return b"".join(parts)
 
 
 # The fields of a cached response, in the order of the response's fields,
@@ -202,14 +231,23 @@ class LLMClient:
         """The values of ``fields`` (name: type) in the cached response under
         ``key``, or None on a miss: no cache, no entry, or a damaged one (not
         UTF-8 JSON, or a field missing or of another type). A damaged entry
-        is computed and written again."""
+        is computed and written again. The entry is read through the bare
+        descriptor, with no file object: an entry that fits the first read
+        costs one open, one read and one close."""
         if self.cache_dir is None:
             return None
         try:
-            with open(self._cache_path(key), "rb") as handle:
-                response = json.loads(handle.read().decode("utf-8"))["response"]
+            descriptor = os.open(self._cache_path(key), os.O_RDONLY)
+        except FileNotFoundError:
+            return None
+        try:
+            data = _read_to_end(descriptor)
+        finally:
+            os.close(descriptor)
+        try:
+            response = json.loads(data.decode("utf-8"))["response"]
             values = [response[name] for name in fields]
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             return None
         return values if all(map(isinstance, values, fields.values())) else None
 
@@ -220,9 +258,14 @@ class LLMClient:
         # Unique temp name per writer: concurrent writers of the same entry
         # hold identical content, so whichever rename lands last wins.
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"request": request, "response": response}, ensure_ascii=False))
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps({"request": request, "response": response}, ensure_ascii=False))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     # -- the one call path --------------------------------------------------
 

@@ -8,8 +8,9 @@ disk once per process.
 Generated highlight texts are aligned to source sentences by token-level F1
 over the document's token index. For one text, the clipped overlap with every
 sentence, c[s] = sum over terms t of min(count_text(t), count_s(t)), is one
-bincount over the postings of the text's terms; then p = c / len(text),
-r = c / len(s) and F1 = 2pr / (p + r), vectorized over the sentences.
+bincount over the postings of the text's terms (built once per document, by
+its token index); then p = c / len(text), r = c / len(s) and
+F1 = 2pr / (p + r), vectorized over the sentences.
 """
 
 from __future__ import annotations
@@ -194,11 +195,7 @@ def align(document: Document, texts: list[str], threshold: float = 0.6) -> list[
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     index = document.token_index
-    sentence, term, count = index.term_counts()
-    # the (sentence, count) entries of term t are postings[t]:postings[t + 1]
-    by_term = np.argsort(term, kind="stable")
-    sentence, term, count = sentence[by_term], term[by_term], count[by_term]
-    postings = np.searchsorted(term, np.arange(len(index.vocab) + 1))
+    sentence, count, postings = index.postings
     out: list[Highlight] = []
     for text in texts:
         tokens = tokenize(text)

@@ -101,13 +101,30 @@ def _row_loop_masks(n, m, keep_prob, seed):
 
 @pytest.mark.parametrize(
     "n, m, keep_prob, seed",
-    [(1, 2, 0.5, 0), (2, 200, 0.2, 3), (12, 96, 0.5, 1234), (195, 256, 0.5, 7), (369, 64, 0.3, 11)],
+    [
+        (1, 2, 0.5, 0),
+        (4, 2, 0.3, 3),
+        (3, 2, 0.3, 4),
+        (3, 12, 0.3, 3),
+        (2, 200, 0.2, 3),
+        (12, 96, 0.5, 1234),
+        (195, 256, 0.5, 7),
+        (369, 64, 0.3, 11),
+    ],
 )
 def test_sample_masks_match_the_row_loop_oracle(n, m, keep_prob, seed):
     masks = sample_masks(n, m, keep_prob, seed)
     assert masks.dtype == bool
     assert masks.shape == (m, n)
     assert [tuple(row) for row in masks.astype(int).tolist()] == _row_loop_masks(n, m, keep_prob, seed)
+
+
+@pytest.mark.parametrize("n, m, keep_prob, seed, first_zero", [(3, 2, 0.3, 4, 1), (3, 12, 0.3, 3, 5)])
+def test_the_oracle_cases_meet_all_zero_draws(n, m, keep_prob, seed, first_zero):
+    # The row that the first all-zero draw would have filled: row 1 at m=2,
+    # and a row after row 1 among the first m - 1 draws.
+    draws = np.random.default_rng(seed).random((m - 1, n)) < keep_prob
+    assert 1 + int(np.flatnonzero(~draws.any(axis=1))[0]) == first_zero
 
 
 class TestAblate:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from itertools import compress
@@ -23,12 +24,14 @@ from higen.llm_client import (
     ScoreRequest,
     _canonical_gen_key,
     _canonical_score_key,
+    _GEN_FIELDS,
     _Retryable,
     backend_from_url,
     echo_first_k,
     per_token_scorer,
     prompt_hash,
     score_key,
+    score_keys,
 )
 
 from conftest import make_mock_client, score_requests
@@ -144,6 +147,26 @@ class TestCache:
         )
         assert score.total_logprob == -1.0 and score.token_count == 2
 
+    def test_a_large_generation_entry_round_trips(self, tmp_path):
+        # 200 KB takes several reads of the entry; every byte must come back.
+        text = "".join(f"Sentence {i} says \u00e9\u4e2d\U0001f642 \"quoted\" \\ text.\n" for i in range(5000))
+        assert len(text.encode("utf-8")) > 200_000
+        client, _ = make_mock_client(tmp_path)
+        client._cache_write("big", {"kind": "gen", "key": "big"}, {"text": text, "prompt_tokens": 7, "completion_tokens": 9})
+        assert client._cache_read("big", _GEN_FIELDS) == [text, 7, 9]
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        client, backend = make_mock_client(tmp_path)
+
+        def refuse(source, target):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="No space left"):
+            client.generate(GenRequest(model="m", user_prompt="Summary please.\n\nReport:\nA. B."))
+        assert backend.gen_calls == 1
+        assert list((tmp_path / "cache").iterdir()) == []
+
     def test_score_requests_cached(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
         req = ScoreRequest(model="m", context="c", continuation="a b")
@@ -202,6 +225,24 @@ class TestScoreKey:
         expected = _plain_score_key(model, context, continuation)
         assert score_key(model, continuation, escaped) == expected
         assert _canonical_score_key(ScoreRequest(model, context, continuation)) == expected
+
+    def test_the_batch_builder_keys_each_context_as_the_plain_formula(self):
+        sentences = [
+            "Plain text.",
+            "Caf\u00e9 \u4e2d\u6587 \U0001f642 na\u0308ive.",
+            'She said "no" twice.',
+            "A back\\slash and a slash / here.",
+            "Line one\nline two\ttabbed\r\x00end.",
+            "Speaker A: \u2028separator\u2029 and \x7f\x85.",
+        ]
+        contexts = [""] + [
+            " ".join(compress(sentences, [(row >> bit) & 1 for bit in range(len(sentences))])) for row in range(1, 24)
+        ]
+        model, continuation = "m\u00f6del \"x\"", 'The "draft" \\ says\nso \u4e2d.'
+        for ordered in (contexts, contexts[::-1]):
+            expected = [_plain_score_key(model, context, continuation) for context in ordered]
+            assert score_keys(model, continuation, [json_escaped(context) for context in ordered]) == expected
+        assert len(set(expected)) == len(contexts) >= 20
 
     def test_a_given_key_is_used_and_not_compared(self, tmp_path):
         # score_many caches under the keys it is given; it never recomputes
