@@ -35,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _k_option(text: str) -> int:
+    """The value of ``highlight -k``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"k must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="higen", description="Highlight-guided summarization pipeline and evaluation harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,7 +64,7 @@ def _build_parser() -> _Parser:
     p_hl = sub.add_parser("highlight", help="extract highlights from a document file")
     p_hl.add_argument("--method", choices=["lexrank", "contextcite", "generative"], required=True)
     p_hl.add_argument("--doc", required=True)
-    p_hl.add_argument("-k", type=int, default=30)
+    p_hl.add_argument("-k", type=_k_option, help="highlights to extract (default: the config's k, or 30)")
     p_hl.add_argument("-c", "--config", default=None)
     p_hl.add_argument("--dump-similarity", default=None, help="write the LexRank similarity matrix as CSV")
 
@@ -116,7 +127,9 @@ def _cmd_highlight(args) -> int:
     config = load_config(args.config) if args.config else None
     if config is None and args.method != "lexrank":
         raise ConfigError(f"--method {args.method} needs a config with an endpoint and model")
-    params = replace(config.pipeline_params() if config else PipelineParams(model=""), k=args.k)
+    params = config.pipeline_params() if config else PipelineParams(model="")
+    if args.k is not None:
+        params = replace(params, k=args.k)
     if args.dump_similarity:
         graph = build_similarity_graph(document.token_index, threshold=params.lexrank.threshold)
         dump_similarity_csv(graph, args.dump_similarity)

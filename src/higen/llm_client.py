@@ -18,7 +18,7 @@ is read in one open, read and close. A scored context's key is
 holds the contexts' JSON-escaped sentences (as attribution does) keys them all
 through ``score_keys`` without building a context, and gets the same keys, so
 caches written before keep hitting. A deterministic mock backend makes the
-whole pipeline reproducible in tests.
+whole pipeline reproducible in tests and offline runs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -584,55 +584,26 @@ def echo_first_k(req: GenRequest) -> str:
     return "Summary: " + " ".join(chosen)
 
 
-def per_token_scorer(context: str, continuation: str) -> float:
-    """Mock scoring contract: total logprob is -0.5 per whitespace token."""
-    return -0.5 * len(continuation.split())
-
-
 def overlap_scorer(context: str, continuation: str) -> float:
     """Mock scorer sensitive to ablations: the more continuation tokens are
     missing from the context, the lower the logprob."""
-    cont_tokens = re.findall(r"[a-z0-9]+", continuation.lower())
-    if not cont_tokens:
-        return -1.0
-    ctx_tokens = set(re.findall(r"[a-z0-9]+", context.lower()))
-    missing = sum(1 for tok in cont_tokens if tok not in ctx_tokens)
-    return -1.0 - missing / len(cont_tokens)
-
-
-def no_summary(req: GenRequest) -> str:
-    """Pathological double: never emits the "Summary:" marker (parse failures)."""
-    return "The assistant rambles without following the requested structure."
-
-
-_NAMED_GENERATORS: dict[str, Callable[[GenRequest], str]] = {
-    "echo_first_k": echo_first_k,
-    "no_summary": no_summary,
-}
-_NAMED_SCORERS: dict[str, Callable[[str, str], float]] = {
-    "per_token": per_token_scorer,
-    "overlap": overlap_scorer,
-}
+    words, known = corpus.tokenize(continuation), set(corpus.tokenize(context))
+    return -1.0 - sum(word not in known for word in words) / len(words) if words else -1.0
 
 
 class MockBackend:
-    """In-process backend for tests and deterministic runs.
-
+    """The in-process backend of ``mock://`` (``MockBackend()``) and the tests.
     ``generate_fn`` maps a GenRequest to the completion text; ``score_fn``
-    maps (context, continuation) to a total logprob. Both accept the names
-    registered above. Records every request, a scored one with its context
-    replaced by the context's ``prompt_hash`` (so a long run does not keep
-    every ablated context alive), and counts calls, one per scoring batch.
-    """
+    maps (context, continuation) to a total logprob. It keeps no requests,
+    only call counts, one per scoring batch."""
 
     def __init__(
         self,
-        generate_fn: str | Callable[[GenRequest], str] = "echo_first_k",
-        score_fn: str | Callable[[str, str], float] = "per_token",
+        generate_fn: Callable[[GenRequest], str] = echo_first_k,
+        score_fn: Callable[[str, str], float] = overlap_scorer,
     ):
-        self.generate_fn = _NAMED_GENERATORS[generate_fn] if isinstance(generate_fn, str) else generate_fn
-        self.score_fn = _NAMED_SCORERS[score_fn] if isinstance(score_fn, str) else score_fn
-        self.requests: list[GenRequest | ScoreRequest] = []
+        self.generate_fn = generate_fn
+        self.score_fn = score_fn
         self.gen_calls = 0
         self.score_calls = 0
         self._lock = threading.Lock()
@@ -644,7 +615,6 @@ class MockBackend:
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
         with self._lock:
             self.gen_calls += 1
-            self.requests.append(req)
         text = self.generate_fn(req)
         return text, len(req.user_prompt.split()), len(text.split())
 
@@ -653,10 +623,8 @@ class MockBackend:
 
     def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
         """One score call per batch, however many requests it holds."""
-        recorded = [replace(req, context=prompt_hash(req.context)) for req in reqs]
         with self._lock:
             self.score_calls += 1
-            self.requests.extend(recorded)
         return [
             (self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)) for req in reqs
         ]
@@ -665,16 +633,14 @@ class MockBackend:
 def backend_from_url(
     base_url: str, api_key: str | None = None, timeout: float = DEFAULT_TIMEOUT, concurrency: int = 4
 ):
-    """Build a backend from a base URL; ``mock://<generator>?scorer=<name>``
-    selects the in-process mock. An HTTP backend keeps up to ``concurrency``
-    connections open, one per client worker."""
+    """Build a backend from a base URL; ``mock://[echo_first_k][?scorer=overlap]``
+    is ``MockBackend()``, any other ``mock://`` URL a ConfigError. An HTTP
+    backend keeps up to ``concurrency`` connections open, one per client worker."""
     if base_url.startswith("mock://"):
-        rest = base_url[len("mock://") :]
-        name, _, query = rest.partition("?")
-        scorer = "overlap"
-        if query.startswith("scorer="):
-            scorer = query[len("scorer=") :]
-        return MockBackend(generate_fn=name or "echo_first_k", score_fn=scorer)
+        generator, _, query = base_url[len("mock://") :].partition("?")
+        if generator not in ("", "echo_first_k") or query not in ("", "scorer=overlap"):
+            raise ConfigError(f"unknown mock endpoint {base_url!r}; the mock is 'mock://echo_first_k?scorer=overlap'")
+        return MockBackend()
     session = requests.Session()
     adapter = HTTPAdapter(pool_maxsize=concurrency)
     session.mount("http://", adapter)

@@ -28,19 +28,6 @@ from .errors import ParseError, RenderError
 
 _TEMPLATE_DIR = Path(__file__).parent / "resources" / "templates"
 
-TEMPLATE_IDS = (
-    "direct_gov",
-    "direct_qmsum",
-    "e2e_gov",
-    "e2e_qmsum",
-    "judge_extract_facts",
-    "judge_verify_fact",
-    "stage1_highlights_gov",
-    "stage1_highlights_qmsum",
-    "stage2_summary_gov",
-    "stage2_summary_qmsum",
-)
-
 # Only these names are placeholders, in the summarization and judge templates;
 # any other {...} in a body is literal text shown to the model (e.g. the
 # "{Sentence Text}" slots of the scaffold).
@@ -96,9 +83,12 @@ def ranked_highlights(method: str, document: Document, scores: np.ndarray | list
 
 @cache
 def load_template(template_id: str) -> str:
-    if template_id not in TEMPLATE_IDS:
+    """The body of ``resources/templates/<template_id>.txt``; the id must be
+    a Python identifier, so it names a file in that directory only."""
+    path = _TEMPLATE_DIR / f"{template_id}.txt"
+    if not template_id.isidentifier() or not path.is_file():
         raise RenderError(f"unknown template id: {template_id!r}")
-    return (_TEMPLATE_DIR / f"{template_id}.txt").read_text(encoding="utf-8")
+    return path.read_text(encoding="utf-8")
 
 
 def format_highlights(highlights: list[Highlight] | tuple[Highlight, ...]) -> str:

@@ -48,14 +48,9 @@ class ResultTable:
 
 def _metric_order(names: set[str]) -> list[str]:
     """R-L first, FactScore second, external metrics alphabetically, length last."""
-    names = names - UNTABLED_METRICS
-    ordered = []
-    for fixed in ("rouge_l", "factscore"):
-        if fixed in names:
-            ordered.append(fixed)
-    ordered.extend(sorted(n for n in names if n not in ("rouge_l", "factscore") and n not in LENGTH_METRICS))
-    ordered.extend(sorted(n for n in names if n in LENGTH_METRICS))
-    return ordered
+    return sorted(
+        names - UNTABLED_METRICS, key=lambda name: (name != "rouge_l", name != "factscore", name in LENGTH_METRICS, name)
+    )
 
 
 def aggregate(

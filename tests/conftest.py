@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -9,7 +10,7 @@ import pytest
 
 from higen.corpus import Document, make_document
 from higen.errors import EndpointError
-from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, _canonical_score_key, per_token_scorer
+from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, _canonical_score_key, prompt_hash
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -33,18 +34,38 @@ def three_sentence_doc() -> Document:
     )
 
 
-@pytest.fixture
-def mock_client(tmp_path) -> LLMClient:
-    return LLMClient(MockBackend(), cache_dir=tmp_path / "cache", concurrency=4)
-
-
 def score_requests(client: LLMClient, reqs: list[ScoreRequest]):
     """Score plain requests through ``score_many``, each under its own ``score_key``."""
     return client.score_many([_canonical_score_key(req) for req in reqs], reqs.__getitem__)
 
 
-def make_mock_client(tmp_path, backend=None, **kwargs) -> tuple[LLMClient, MockBackend]:
-    backend = backend or MockBackend()
+def per_token_scorer(context: str, continuation: str) -> float:
+    """Scoring contract of the test doubles: total logprob is -0.5 per whitespace token."""
+    return -0.5 * len(continuation.split())
+
+
+class RecordingBackend(MockBackend):
+    """A MockBackend that records every request it is sent, a scored one with
+    its context replaced by the context's ``prompt_hash``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests: list[GenRequest | ScoreRequest] = []
+
+    def complete(self, req: GenRequest) -> tuple[str, int, int]:
+        with self._lock:
+            self.requests.append(req)
+        return super().complete(req)
+
+    def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
+        recorded = [replace(req, context=prompt_hash(req.context)) for req in reqs]
+        with self._lock:
+            self.requests.extend(recorded)
+        return super().score_many(reqs)
+
+
+def make_mock_client(tmp_path, backend=None, **kwargs) -> tuple[LLMClient, RecordingBackend]:
+    backend = backend or RecordingBackend(score_fn=per_token_scorer)
     client = LLMClient(backend, cache_dir=tmp_path / "cache", **kwargs)
     return client, backend
 

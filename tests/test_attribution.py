@@ -21,7 +21,7 @@ from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
 from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, prompt_hash
 
-from conftest import doc_from_sentences, score_requests
+from conftest import RecordingBackend, doc_from_sentences, score_requests
 
 # 12 sentences with disjoint token sets so substring presence is unambiguous.
 _SYNTH_SENTENCES = [
@@ -376,18 +376,17 @@ class TestContextciteAttribute:
 
     def test_batched_scoring_matches_one_context_at_a_time(self, tmp_path, monkeypatch):
         from higen import attribution
-        from higen.llm_client import overlap_scorer
 
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         response = "Bridge banana builds. Garnet guava glints."
         m = 3 * attribution.SCORE_BATCH + 2  # not a multiple of the batch size
         params = AttributionParams(m=m)
-        batched_backend = MockBackend(score_fn=overlap_scorer)
+        batched_backend = RecordingBackend()
         batched = contextcite_attribute(
             LLMClient(batched_backend, cache_dir=tmp_path / "b"), doc, response, "m", params, seed=4
         )
         monkeypatch.setattr(attribution, "SCORE_BATCH", 1)
-        single_backend = MockBackend(score_fn=overlap_scorer)
+        single_backend = RecordingBackend()
         single = contextcite_attribute(
             LLMClient(single_backend, cache_dir=tmp_path / "s"), doc, response, "m", params, seed=4
         )

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 from higen.cli import main
+from higen.llm_client import LLMClient, MockBackend
 
 from conftest import DATA_DIR
 
@@ -42,8 +43,20 @@ class TestExitCodes:
         assert main(["run", "-c", str(_write_config(tmp_path, k="30"))]) == 2
         assert "config error: invalid value in 'config': k must be an integer >= 1, got '30'" in capsys.readouterr().err
 
-    def test_partial_failures_are_3(self, tmp_path):
-        path = _write_config(tmp_path, endpoint={"base_url": "mock://no_summary"})
+    def test_a_misspelled_mock_url_is_2(self, tmp_path, capsys):
+        path = _write_config(tmp_path, endpoint={"base_url": "mock://echo_first_k?scorer=overlapp"})
+        assert main(["run", "-c", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: unknown mock endpoint 'mock://echo_first_k?scorer=overlapp';"
+            " the mock is 'mock://echo_first_k?scorer=overlap'"
+        ]
+
+    def test_partial_failures_are_3(self, tmp_path, monkeypatch):
+        # A generator that never answers with the "Summary:" marker fails every record.
+        backend = MockBackend(generate_fn=lambda req: "The assistant rambles without the requested structure.")
+        monkeypatch.setattr("higen.runner.build_client", lambda config: LLMClient(backend, cache_dir=tmp_path / "c"))
+        path = _write_config(tmp_path)
         assert main(["run", "-c", str(path)]) == 3
         records = [
             json.loads(line)
@@ -80,6 +93,25 @@ class TestHighlightCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2
         assert out[0].startswith("1. ")
+
+    def test_a_k_below_1_is_a_usage_error(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text("Alpha one here. Beta two there.")
+        for k in ("0", "-1"):
+            assert main(["highlight", "--method", "lexrank", "--doc", str(doc_path), "-k", k]) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("usage error: ") and "k must be an integer >= 1" in line
+
+    def test_k_defaults_to_the_configs_k_or_30(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text(" ".join(f"Sentence number {i} talks about topic {i}." for i in range(40)))
+        assert main(["highlight", "--method", "lexrank", "--doc", str(doc_path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 30
+        config = _write_config(tmp_path, k=3)
+        assert main(["highlight", "--method", "lexrank", "--doc", str(doc_path), "-c", str(config)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert main(["highlight", "--method", "lexrank", "--doc", str(doc_path), "-c", str(config), "-k", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
 
     def test_lexrank_similarity_dump(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.txt"
@@ -118,9 +150,7 @@ class TestHighlightCommand:
         assert out  # overlap scorer gives the draft's source sentences positive weight
 
     def test_contextcite_makes_only_the_draft_call(self, tmp_path, capsys, monkeypatch):
-        from higen.llm_client import LLMClient, MockBackend
-
-        backend = MockBackend(score_fn="overlap")
+        backend = MockBackend()
         monkeypatch.setattr("higen.cli.build_client", lambda config: LLMClient(backend, cache_dir=tmp_path / "c"))
         doc_path = tmp_path / "doc.txt"
         doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen.corpus import json_escaped, make_document
-from higen.errors import CapabilityError, EndpointError, OversizeError, TransportError
+from higen.errors import CapabilityError, ConfigError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
     GenRequest,
     HTTPBackend,
@@ -28,13 +28,13 @@ from higen.llm_client import (
     _Retryable,
     backend_from_url,
     echo_first_k,
-    per_token_scorer,
+    overlap_scorer,
     prompt_hash,
     score_key,
     score_keys,
 )
 
-from conftest import make_mock_client, score_requests
+from conftest import RecordingBackend, make_mock_client, per_token_scorer, score_requests
 
 
 def _gov_prompt(doc_text: str, k: int | None = None) -> str:
@@ -254,8 +254,9 @@ class TestScoreKey:
             ["0" * 64, _canonical_score_key(plain)]
         )
 
-    def test_mock_backend_records_a_scored_context_by_its_hash(self, tmp_path):
+    def test_recording_backend_records_a_scored_context_by_its_hash(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
+        assert isinstance(backend, RecordingBackend)
         context = "A long ablated context. " * 50
         score_requests(client, [ScoreRequest(model="m", context=context, continuation="a b")])
         [recorded] = backend.requests
@@ -555,10 +556,20 @@ class TestHTTPBackend:
 
 
 class TestBackendFromUrl:
-    def test_mock_scheme(self):
-        backend = backend_from_url("mock://echo_first_k?scorer=per_token")
-        assert isinstance(backend, MockBackend)
-        assert backend.score_fn is per_token_scorer
+    @pytest.mark.parametrize(
+        "url", ["mock://", "mock://echo_first_k", "mock://?scorer=overlap", "mock://echo_first_k?scorer=overlap"]
+    )
+    def test_mock_scheme(self, url):
+        backend = backend_from_url(url)
+        assert type(backend) is MockBackend
+        assert (backend.generate_fn, backend.score_fn) == (echo_first_k, overlap_scorer)
+
+    @pytest.mark.parametrize(
+        "url", ["mock://no_summary", "mock://echo_first_k?scorer=per_token", "mock://echo_first_k?scorer=overlapp"]
+    )
+    def test_any_other_mock_url_is_a_config_error(self, url):
+        with pytest.raises(ConfigError, match=r"unknown mock endpoint .*'mock://echo_first_k\?scorer=overlap'"):
+            backend_from_url(url)
 
     def test_http_scheme(self):
         backend = backend_from_url("http://localhost:8000")

@@ -244,7 +244,7 @@ class TestFactScoring:
 
     def test_the_mock_judge_answers_both_judge_prompts(self, tmp_path):
         doc = doc_from_sentences(["The harbor commission approved a dredging contract.", "Pilots praised it."])
-        backend = MockBackend("echo_first_k")
+        backend = MockBackend()
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
         summary = "The commission approved a dredging contract. Pilots praised it. The mayor resigned in March."
         report = factscore(summary, doc, client, "judge")

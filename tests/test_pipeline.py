@@ -17,7 +17,7 @@ from higen.pipeline import (
 )
 from higen.prompts import HighlightSet, render
 
-from conftest import ScriptedBackend, doc_from_sentences, make_mock_client
+from conftest import RecordingBackend, ScriptedBackend, doc_from_sentences, make_mock_client, per_token_scorer
 
 
 def _params(**kwargs) -> PipelineParams:
@@ -140,7 +140,7 @@ class TestRunTwoStage:
             bit = 1 if sentences[3] in context else 0
             return -(2 - bit)
 
-        backend = MockBackend(score_fn=scorer)
+        backend = RecordingBackend(score_fn=scorer)
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
         record = run_method(client, doc, "two_stage_cc", _params(k=2, attribution=AttributionParams(m=16)))
         assert record.ok
@@ -173,7 +173,7 @@ class TestRunTwoStage:
     def test_every_emitted_highlight_in_stage2_prompt(self, tmp_path, doc):
         # invariant across all two-stage highlighters
         for method in ("two_stage_gen", "two_stage_lexrank"):
-            backend = MockBackend()
+            backend = RecordingBackend(score_fn=per_token_scorer)
             client = LLMClient(backend, cache_dir=tmp_path / f"cache_{method}")
             record = run_method(client, doc, method, _params(k=2))
             assert record.ok
@@ -187,7 +187,7 @@ class TestRunTwoStage:
 
     def test_empty_highlights_fall_back_to_direct(self, tmp_path, doc):
         # constant scorer -> zero attribution everywhere -> empty plan -> fallback
-        backend = MockBackend(score_fn=lambda ctx, cont: -2.0)
+        backend = RecordingBackend(score_fn=lambda ctx, cont: -2.0)
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
         record = run_method(client, doc, "two_stage_cc", _params(k=2, attribution=AttributionParams(m=8)))
         assert record.ok
@@ -330,7 +330,7 @@ class TestQmsumFamily:
 class TestDeterminism:
     def test_records_bit_reproducible_under_mock(self, tmp_path, doc):
         def snapshot(cache_suffix: str) -> list[dict]:
-            client = LLMClient(MockBackend(score_fn="overlap"), cache_dir=tmp_path / cache_suffix)
+            client = LLMClient(MockBackend(), cache_dir=tmp_path / cache_suffix)
             params = _params(k=2, seed=7, attribution=AttributionParams(m=8))
             records = [run_method(client, doc, method, params).to_dict() for method in METHODS]
             for record in records:

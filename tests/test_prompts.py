@@ -12,6 +12,7 @@ from higen.prompts import (
     Highlight,
     align,
     format_highlights,
+    load_template,
     parse_highlights,
     parse_planned,
     render,
@@ -74,6 +75,12 @@ class TestRender:
     def test_unknown_template_id(self, gov_doc):
         with pytest.raises(RenderError):
             render("nope", gov_doc)
+
+    @pytest.mark.parametrize("template_id", ["../templates/direct_gov", "direct_gov.txt", ""])
+    def test_a_template_id_names_a_file_of_the_templates_directory(self, template_id):
+        assert load_template("direct_gov").startswith("You are given a report")
+        with pytest.raises(RenderError, match="unknown template id"):
+            load_template(template_id)
 
 
 class TestParsePlanned:

@@ -19,7 +19,7 @@ from higen.runner import (
     run,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, RecordingBackend
 
 
 def _config_dict(tmp_path, **overrides) -> dict:
@@ -154,7 +154,7 @@ class TestLoadConfig:
 class TestRun:
     def test_ten_docs_direct(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
-        backend = MockBackend(score_fn="overlap")
+        backend = MockBackend()
         client = LLMClient(backend, cache_dir=config.cache_dir, concurrency=2)
         run_dir = run(config, client=client)
         records = read_records(run_dir)
@@ -163,10 +163,18 @@ class TestRun:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["counts"]["direct"] == {"ok": 10, "failed": 0, "fallback": 0}
 
+    def test_the_mock_backend_keeps_only_its_counts(self, tmp_path):
+        config = parse_config(_config_dict(tmp_path, methods=["direct", "two_stage_cc"]))
+        client = build_client(config)
+        backend = client.backend
+        run(config, client=client)
+        assert backend.gen_calls > 0 and backend.score_calls > 0
+        assert set(vars(backend)) == {"generate_fn", "score_fn", "gen_calls", "score_calls", "_lock"}
+
     def test_resume_makes_zero_calls(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
         run(config)
-        backend = MockBackend(score_fn="overlap")
+        backend = MockBackend()
         client = LLMClient(backend, cache_dir=config.cache_dir, concurrency=2)
         run(config, client=client)
         assert backend.calls == 0
@@ -219,7 +227,7 @@ class TestRun:
         config = parse_config(_config_dict(tmp_path))
         run(config)
         fresh = parse_config(_config_dict(tmp_path, run_dir=str(tmp_path / "run2")))
-        backend = MockBackend(score_fn="overlap")
+        backend = MockBackend()
         client = LLMClient(backend, cache_dir=fresh.cache_dir, concurrency=2)
         run(fresh, client=client)
         assert backend.calls == 0
@@ -484,7 +492,7 @@ class TestEvaluate:
             )
         )
         run(config)
-        backend = MockBackend("echo_first_k")
+        backend = RecordingBackend()
         evaluate(config, client=LLMClient(backend, concurrency=4))
 
         prompts = [req.user_prompt for req in backend.requests]
@@ -498,7 +506,7 @@ class TestEvaluate:
             (r.doc_id, statement)
             for r in read_records(config.run_dir)
             if r.ok
-            for statement in metrics_mod.extract_facts(r.summary, LLMClient(MockBackend("echo_first_k")), "j")
+            for statement in metrics_mod.extract_facts(r.summary, LLMClient(MockBackend()), "j")
         ]
         assert len(statements) > len(set(statements))
         assert len(prompts) - len(extractions) > len(set(statements))
