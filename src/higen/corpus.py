@@ -321,6 +321,8 @@ def load_dataset(
                 raise ConfigError(f"generic_jsonl field_map missing {key!r}")
         fields = field_map
     query_field = fields.get("query_field")
+    if not Path(path).is_file():
+        raise ConfigError(f"dataset file not found: {path}")
 
     docs: list[Document] = []
     seen_ids: set[str] = set()

@@ -570,18 +570,29 @@ def echo_first_k(req: GenRequest) -> str:
     if judged is not None:
         return judged
     body = _mock_document_body(prompt)
-    sentences = [s.text for s in corpus.segment_sentences(corpus.normalize_text(body))]
     k_match = _KEY_SENTENCES_RE.search(prompt)
     if k_match:
-        k = min(int(k_match.group(1)), len(sentences))
-        chosen = sentences[:k]
+        chosen = _first_sentences(body, int(k_match.group(1)))
         numbered = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(chosen))
         return f"Key Sentences:\n{numbered}\nSummary: {' '.join(chosen)}"
     points = _mock_key_points(prompt)
     if points:
         return "Summary: " + " ".join(points)
-    chosen = sentences[:2] if sentences else ["ok."]
-    return "Summary: " + " ".join(chosen)
+    return "Summary: " + " ".join(_first_sentences(body, 2) or ["ok."])
+
+
+def _first_sentences(body: str, count: int) -> list[str]:
+    """The texts of the first ``count`` sentences of the normalized body,
+    segmented from a prefix that grows (4,096 characters, then 4x) until it
+    holds more than ``count`` sentences. Every sentence of a prefix but its last is a
+    sentence of the whole text: a split depends only on the next non-space
+    character and on the text before the split."""
+    size = 4096
+    while True:
+        sentences = corpus.segment_sentences(corpus.normalize_text(body[:size]))
+        if len(sentences) > count or size >= len(body):
+            return [s.text for s in sentences[:count]]
+        size *= 4
 
 
 def overlap_scorer(context: str, continuation: str) -> float:

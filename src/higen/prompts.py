@@ -6,17 +6,18 @@ that is parsed back with a line-oriented grammar. Templates are read from
 disk once per process.
 
 Generated highlight texts are aligned to source sentences by token-level F1
-over the document's token index. For one text, the clipped overlap with every
-sentence, c[s] = sum over terms t of min(count_text(t), count_s(t)), is one
-bincount over the postings of the text's terms (built once per document, by
-its token index); then p = c / len(text), r = c / len(s) and
-F1 = 2pr / (p + r), vectorized over the sentences.
+over the document's token index. One call counts, for all of its texts at
+once, the clipped overlap c[x, s] = sum over terms t of
+min(count_x(t), count_s(t)) of every text x with every sentence s: the
+postings of each (text, term) pair (built once per document, by its token
+index) are gathered into one array and summed by one bincount over
+x * sentences + s. Then p = c / len(x), r = c / len(s) and F1 = 2pr / (p + r)
+over the non-zero cells, and each row's first maximum is its best sentence.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -185,23 +186,34 @@ def align(document: Document, texts: list[str], threshold: float = 0.6) -> list[
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     index = document.token_index
-    sentence, count, postings = index.postings
-    out: list[Highlight] = []
-    for text in texts:
-        tokens = tokenize(text)
-        wanted = [(index.vocab[t], c) for t, c in Counter(tokens).items() if t in index.vocab]
-        best_score, best_index = 0.0, None
-        if wanted:
-            terms, caps = np.array(wanted).T
-            hits = np.concatenate([np.arange(postings[t], postings[t + 1]) for t in terms])
-            clipped = np.minimum(count[hits], np.repeat(caps, postings[terms + 1] - postings[terms]))
-            overlap = np.bincount(sentence[hits], weights=clipped, minlength=len(index.lengths))
-            matched = np.flatnonzero(overlap)
-            precision = overlap[matched] / len(tokens)
-            recall = overlap[matched] / index.lengths[matched]
-            f1 = 2 * precision * recall / (precision + recall)
-            best = int(np.argmax(f1))
-            best_score, best_index = float(f1[best]), int(matched[best])
-        source_index = best_index if best_score >= threshold else None
-        out.append(Highlight(text=text, source_index=source_index, alignment_score=best_score))
-    return out
+    n_sentences, n_terms = len(index.lengths), len(index.vocab)
+    if not n_sentences:
+        return [Highlight(text=text) for text in texts]
+    sentence, count, bounds = index.postings
+    tokens = [tokenize(text) for text in texts]
+    text_lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+    ids = np.array([index.vocab.get(token, -1) for found in tokens for token in found], dtype=np.int64)
+    owner = np.repeat(np.arange(len(texts)), text_lengths)
+    known = ids >= 0
+    # Each (text, term) pair once, with the term's count in the text.
+    pairs, caps = np.unique(owner[known] * n_terms + ids[known], return_counts=True)
+    row, term = np.divmod(pairs, n_terms)
+    # The postings of every pair as one run of indices: pair j's df[j]
+    # postings start at bounds[term[j]].
+    starts, df = bounds[term], bounds[term + 1] - bounds[term]
+    hits = np.arange(df.sum()) + np.repeat(starts - np.cumsum(df) + df, df)
+    clipped = np.minimum(count[hits], np.repeat(caps, df))
+    cells = np.repeat(row * n_sentences, df) + sentence[hits]
+    overlap = np.bincount(cells, weights=clipped, minlength=len(texts) * n_sentences).reshape(len(texts), n_sentences)
+    # An empty text or sentence gives 0 / 0 in its row or column; only
+    # cells with a shared token are scored.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = overlap / text_lengths[:, None]
+        recall = overlap / index.lengths
+        f1 = np.where(overlap > 0, 2 * precision * recall / (precision + recall), 0.0)
+    best = f1.argmax(axis=1)
+    scores = f1[np.arange(len(texts)), best]
+    return [
+        Highlight(text=text, source_index=i if score >= threshold else None, alignment_score=score)
+        for text, i, score in zip(texts, best.tolist(), scores.tolist())
+    ]

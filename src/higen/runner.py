@@ -228,11 +228,15 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     record); the manifest is written at the end. Per-record failures are
     recorded, never raised. Returns the run directory.
     """
+    # Every config error (dataset, endpoint) is raised before anything is
+    # written, so a failed start leaves no run or cache directory behind.
+    documents = sorted(_load_documents(config), key=lambda d: d.id)
+    if client is None:
+        client = build_client(config)
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     outputs_path = run_dir / "outputs.jsonl"
 
-    documents = sorted(_load_documents(config), key=lambda d: d.id)
     done = {(r.doc_id, r.method) for r in read_records(run_dir) if r.ok}
     tasks = [
         (doc, method)
@@ -241,8 +245,6 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
         if (doc.id, method) not in done
     ]
 
-    if client is None:
-        client = build_client(config)
     params = config.pipeline_params()
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     wall_start = time.monotonic()

@@ -52,6 +52,20 @@ class TestExitCodes:
             " the mock is 'mock://echo_first_k?scorer=overlap'"
         ]
 
+    def test_a_missing_dataset_file_is_2_and_creates_no_directory(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        path = _write_config(tmp_path, dataset={"path": str(missing), "schema": "scrolls_govreport"})
+        assert main(["run", "-c", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: dataset file not found: {missing}"]
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_bad_endpoint_is_2_and_creates_no_run_directory(self, tmp_path, capsys):
+        path = _write_config(tmp_path, endpoint={"base_url": "mock://x"})
+        assert main(["run", "-c", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown mock endpoint 'mock://x'")
+        assert not (tmp_path / "run").exists()
+
     def test_partial_failures_are_3(self, tmp_path, monkeypatch):
         # A generator that never answers with the "Summary:" marker fails every record.
         backend = MockBackend(generate_fn=lambda req: "The assistant rambles without the requested structure.")

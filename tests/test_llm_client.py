@@ -12,7 +12,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higen.corpus import json_escaped, make_document
+from higen.corpus import json_escaped, make_document, normalize_text, segment_sentences
 from higen.errors import CapabilityError, ConfigError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
     GenRequest,
@@ -61,6 +61,31 @@ class TestMockContract:
         text = echo_first_k(GenRequest(model="m", user_prompt=_gov_prompt("Apple one. Banana two. Cherry three.")))
         assert text.startswith("Summary: ")
         assert "Key Sentences:" not in text
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["Word", "word", "Dr.", "e.g.", "U.S.", "7", ".", "!", "?!", "...", " ", "  ", "\n", "\r\n", "\r", "\t"]
+                + ["(", '"', "\x07", "É"]
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(4097, 24000),
+        st.integers(1, 400),
+    )
+    def test_answers_from_a_prefix_equal_the_whole_text_segmented(self, pieces, size, k):
+        # a space per unit keeps the regex's backtracking over runs of
+        # terminal marks short
+        unit = "".join(pieces) + " "
+        body = (unit * (size // len(unit) + 1))[:size]
+        whole = [s.text for s in segment_sentences(normalize_text(body.strip()))]
+        planned = echo_first_k(GenRequest(model="m", user_prompt=_gov_prompt(body, k=k)))
+        numbered = "\n".join(f"{i}. {text}" for i, text in enumerate(whole[:k], start=1))
+        assert planned == f"Key Sentences:\n{numbered}\nSummary: {' '.join(whole[:k])}"
+        direct = echo_first_k(GenRequest(model="m", user_prompt=_gov_prompt(body)))
+        assert direct == "Summary: " + " ".join(whole[:2] or ["ok."])
 
     def test_per_token_scorer_contract(self, tmp_path):
         client, _ = make_mock_client(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higen.corpus import make_document
+from higen.corpus import make_document, tokenize
 from higen.errors import ParseError, RenderError
 from higen.prompts import (
     Highlight,
@@ -257,6 +257,36 @@ class TestAlign:
                         best_score, best_index = score, i
             assert h.alignment_score == best_score
             assert h.source_index == (best_index if best_score >= 0.6 else None)
+
+    def test_no_texts_give_no_highlights(self):
+        assert align(doc_from_sentences(["Aa bb.", "Cc dd."]), []) == []
+
+    def test_a_batch_sharing_no_token_scores_float_zero(self):
+        doc = doc_from_sentences(["Aa bb.", "Cc dd."])
+        texts = ["zz yy", "", "!!"]
+        highlights = align(doc, texts)
+        assert highlights == [Highlight(text=text, source_index=None, alignment_score=0.0) for text in texts]
+        # a float 0.0, as one text's miss gives, so records serialize the same
+        assert all(type(h.alignment_score) is float for h in highlights)
+
+    def test_a_sentence_without_tokens_is_never_chosen(self):
+        # "É" opens a sentence but is no [a-z0-9] token once lowercased
+        doc = make_document("doc", "... Aa bb. Éé! Cc dd.")
+        assert [s.text for s in doc.sentences] == ["...", "Aa bb.", "Éé!", "Cc dd."]
+        assert [len(tokenize(s.text)) for s in doc.sentences] == [0, 2, 0, 2]
+        highlights = align(doc, ["Cc dd.", "...", "Cc dd ee.", "éé"], threshold=0.6)
+        assert [h.source_index for h in highlights] == [3, None, 3, None]
+        assert [h.alignment_score for h in highlights] == [1.0, 0.0, 0.8, 0.0]
+
+    def test_one_call_equals_one_call_per_text(self):
+        rng = random.Random(65)
+        words = [f"w{i}" for i in range(30)]
+        sentences = [
+            " ".join(rng.choice(words) for _ in range(rng.randint(1, 12))).capitalize() + "." for _ in range(80)
+        ]
+        doc = doc_from_sentences(sentences)
+        texts = [" ".join(rng.choice(words + ["absent"]) for _ in range(rng.randint(0, 16))) for _ in range(65)]
+        assert align(doc, texts) == [h for text in texts for h in align(doc, [text])]
 
     def test_order_preserving_one_per_text(self):
         doc = doc_from_sentences(["Aa bb.", "Cc dd."])
