@@ -40,8 +40,10 @@ _DELIMITER_RE = re.compile(r"^={4,}\s*$")
 
 # A terminal run and the whitespace after it, where non-whitespace follows:
 # a candidate sentence boundary. ``\s`` matches exactly what ``str.isspace``
-# accepts.
-_SPLIT_RE = re.compile(r"([.!?]+)\s+(?=\S)")
+# accepts. The lookbehind lets a match start only at the first mark of a run,
+# so a long run that no whitespace follows is scanned once, not once per mark;
+# the leading class keeps the regex's fast scan for a first character.
+_SPLIT_RE = re.compile(r"([.!?](?<![.!?]{2})[.!?]*)\s+(?=\S)")
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 

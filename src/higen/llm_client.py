@@ -34,11 +34,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
-from requests.adapters import HTTPAdapter
 
 from . import corpus
 from .errors import (
@@ -51,6 +49,9 @@ from .errors import (
     require,
 )
 from .prompts import numbered_items
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_TIMEOUT = 120.0
 # The longest wait a Retry-After header can impose before the next attempt.
@@ -356,7 +357,8 @@ class LLMClient:
 
 class HTTPBackend:
     """OpenAI-compatible HTTP backend: chat completions for generation,
-    echoed completions with logprobs for teacher-forced scoring."""
+    echoed completions with logprobs for teacher-forced scoring. ``requests``
+    is imported here, so a process without an HTTP endpoint never loads it."""
 
     def __init__(
         self,
@@ -365,10 +367,13 @@ class HTTPBackend:
         timeout: float = DEFAULT_TIMEOUT,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
         self.session = session or requests.Session()
+        self._transport_errors = (requests.Timeout, requests.ConnectionError)
 
     def _post(self, path: str, payload: dict, **decode) -> dict:
         """POST a JSON payload; ``decode`` is passed on to the JSON decoder."""
@@ -379,7 +384,7 @@ class HTTPBackend:
             resp = self.session.post(
                 f"{self.base_url}{path}", json=payload, headers=headers, timeout=self.timeout
             )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+        except self._transport_errors as exc:
             raise _Retryable(f"transport failure: {exc}") from exc
         if resp.status_code in (429, 500, 502, 503, 504):
             wait = _retry_after(resp) if resp.status_code in (429, 503) else 0.0
@@ -652,11 +657,13 @@ def backend_from_url(
         if generator not in ("", "echo_first_k") or query not in ("", "scorer=overlap"):
             raise ConfigError(f"unknown mock endpoint {base_url!r}; the mock is 'mock://echo_first_k?scorer=overlap'")
         return MockBackend()
-    session = requests.Session()
+    from requests.adapters import HTTPAdapter
+
+    backend = HTTPBackend(base_url, api_key=api_key, timeout=timeout)
     adapter = HTTPAdapter(pool_maxsize=concurrency)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return HTTPBackend(base_url, api_key=api_key, timeout=timeout, session=session)
+    backend.session.mount("http://", adapter)
+    backend.session.mount("https://", adapter)
+    return backend
 
 
 def resolve_endpoint(base_url: str | None, api_key_env: str | None = None) -> tuple[str, str | None]:

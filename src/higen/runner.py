@@ -19,8 +19,6 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import yaml
-
 from . import metrics as metrics_mod
 from .attribution import AttributionParams
 from .corpus import SCHEMAS, Document, load_dataset, read_jsonl
@@ -164,7 +162,10 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a YAML (superset of JSON) config file and validate it."""
+    """Parse a YAML (superset of JSON) config file and validate it. PyYAML
+    is imported here, so a process that reads no config file never loads it."""
+    import yaml
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -306,12 +307,16 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
     ``metrics.factscores`` call whose ``concurrency`` workers judge each
     distinct summary and fact once; external scores joined by doc_id. Rows
     are sorted by (doc_id, method, metric) so repeated evaluation of the same
-    outputs is byte-identical, whatever the worker count.
+    outputs is byte-identical, whatever the worker count. A missing external
+    scores file is a ConfigError before any of this starts.
     """
     run_dir = Path(run_dir or config.run_dir)
     outputs_path = run_dir / "outputs.jsonl"
     if not outputs_path.exists():
         raise ConfigError(f"no outputs.jsonl under {run_dir}; run the experiment first")
+    for entry in config.metrics.external_scores:
+        if not Path(entry["path"]).is_file():
+            raise ConfigError(f"external scores file not found: {entry['path']}")
 
     documents = {doc.id: doc for doc in _load_documents(config)}
     records = read_records(run_dir)

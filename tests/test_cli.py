@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from higen.cli import main
@@ -261,6 +264,18 @@ class TestEvaluateAndReportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"metrics.jsonl:{len(lines)}: malformed JSON line" in err
 
+    def test_a_missing_external_scores_file_is_2_and_writes_no_metrics(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        config = _write_config(
+            tmp_path,
+            metrics={"enable_factscore": True, "external_scores": [{"name": "summac", "path": str(missing)}]},
+        )
+        assert main(["run", "-c", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "-c", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: external scores file not found: {missing}"]
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
     def test_evaluate_with_a_non_object_external_score_line_is_an_error_line_and_3(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.jsonl"
         scores_path.write_text('{"doc_id": "gov_a", "score": 0.5}\n5\n')
@@ -284,3 +299,31 @@ class TestEvaluateAndReportCommands:
         factscores = [row for row in rows if row.get("metric") == "factscore"]
         assert [row["doc_id"] for row in factscores] == ["doc00", "doc01"]
         assert all(0.0 <= row["value"] <= 1.0 for row in factscores)
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import higen, higen.cli, higen.llm_client, higen.runner
+loaded = lambda: [name for name in ("requests", "yaml") if name in sys.modules]
+steps = {"import": loaded()}
+higen.llm_client.backend_from_url("http://localhost:8000")
+steps["backend_from_url"] = loaded()
+higen.runner.load_config(sys.argv[1])
+steps["load_config"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+class TestImportFootprint:
+    def test_requests_and_yaml_load_only_where_they_are_used(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        config = _write_config(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(config)], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(done.stdout) == {
+            "import": [],
+            "backend_from_url": ["requests"],
+            "load_config": ["requests", "yaml"],
+        }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,17 @@ class TestRegexSegmenterMatchesLoopOracle:
         for doc in load_dataset(DATA_DIR / name, schema):
             assert doc.sentences
             assert _sentences(doc.normalized_text, doc.kind) == _oracle_sentences(doc.normalized_text, doc.kind)
+
+    def test_long_runs_of_marks_split_in_linear_time(self):
+        # Runs of 20,000 marks that whitespace does not follow: a regex that
+        # retries a run from each of its marks takes seconds on each.
+        text = "It began " + "." * 20_000 + "x then. Next " + "?!" * 10_000 + "Y ends! 42 more."
+        started = time.perf_counter()
+        spans = _prose_spans(text)
+        elapsed = time.perf_counter() - started
+        assert spans == _loop_prose_spans(text)
+        assert len(spans) == 3
+        assert elapsed < 1.0, f"segmenting {len(text)} characters took {elapsed:.2f} s"
 
 
 class TestTranscriptSegmentation:

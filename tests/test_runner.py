@@ -339,6 +339,22 @@ class TestEvaluate:
         joined = {(r["doc_id"], r["method"]) for r in read_metric_rows(config.run_dir) if r.get("metric") == "summac"}
         assert joined == {(r.doc_id, r.method) for r in records if r.ok}
 
+    def test_a_missing_external_scores_file_fails_before_any_judge_call(self, tmp_path):
+        present = tmp_path / "present.jsonl"
+        present.write_text(json.dumps({"doc_id": "doc00", "score": 0.5}) + "\n")
+        missing = tmp_path / "absent.jsonl"
+        external = [{"name": "summac", "path": str(present)}, {"name": "bert", "path": str(missing)}]
+        config = parse_config(
+            _config_dict(tmp_path, metrics={"enable_factscore": True, "external_scores": external})
+        )
+        run(config)
+        backend = RecordingBackend()
+        with pytest.raises(ConfigError) as raised:
+            evaluate(config, client=LLMClient(backend, cache_dir=tmp_path / "judge"))
+        assert str(raised.value) == f"external scores file not found: {missing}"
+        assert backend.requests == []
+        assert not (Path(config.run_dir) / "metrics.jsonl").exists()
+
     def test_missing_reference_warning_row(self, tmp_path):
         data_path = tmp_path / "norefs.jsonl"
         data_path.write_text('{"id":"d1","input":"Alpha beta. Gamma delta.","output":""}\n')
