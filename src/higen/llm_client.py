@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -110,6 +110,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         require("attempts", self.attempts, lambda n: isinstance(n, int) and n >= 1, "an integer >= 1")
         require("base_delay", self.base_delay, lambda d: d >= 0, ">= 0")
+        require("factor", self.factor, lambda f: f >= 1, "a number >= 1")
+        require("jitter", self.jitter, lambda j: 0 <= j < 1, "in [0, 1)")
 
 
 class _Retryable(Exception):
@@ -219,7 +221,7 @@ class LLMClient:
         self._sleep = sleep
         self._semaphore = threading.BoundedSemaphore(concurrency)
         self._stats_lock = threading.Lock()
-        self._key_locks: dict[str, threading.Lock] = {}
+        self._key_locks: dict[str, list] = {}  # key: [its lock, its holders and waiters]
         self.backend_calls = 0
         self.cache_hits = 0
 
@@ -326,9 +328,21 @@ class LLMClient:
             self._cache_write(key, {"kind": kind, "key": key}, dict(zip(fields, answer)))
         return [found[key] for key in keys], latency_ms
 
-    def _key_lock(self, key: str) -> threading.Lock:
+    @contextlib.contextmanager
+    def _key_lock(self, key: str) -> Iterator[None]:
+        """Hold the lock of ``key``. Its entry goes when the last caller that
+        holds or waits on it leaves, so the table holds only keys in flight."""
         with self._stats_lock:
-            return self._key_locks.setdefault(key, threading.Lock())
+            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._stats_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     # -- public API --------------------------------------------------------
 

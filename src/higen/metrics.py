@@ -121,12 +121,8 @@ def _chunk_text(text: str) -> list[str]:
     ]
 
 
-def verify_fact(statement: str, document: Document, client: LLMClient, judge_model: str) -> str:
-    """Verdict for one statement: supported once any document chunk supports it."""
-    return _verify_in_chunks(statement, _chunk_text(document.normalized_text), document.id, client, judge_model)
-
-
 def _verify_in_chunks(statement: str, chunks: list[str], doc_id: str, client: LLMClient, judge_model: str) -> str:
+    """Verdict for one statement: supported once any of ``chunks`` supports it."""
     template = load_template("judge_verify_fact")
     saw_no = False
     for chunk in chunks:

@@ -1,7 +1,7 @@
 """Experiment orchestration: config loading, the run loop, and evaluation.
 
 A run directory accumulates three artifacts: outputs.jsonl (one summary
-record per document x method, appended and flushed as completed),
+record per document x method, appended and flushed in task order),
 metrics.jsonl (one row per document x method x metric), and manifest.json
 (config snapshot plus bookkeeping). Re-invoking a run skips the pairs that
 already have an ok record and retries the failed ones, so interrupted
@@ -15,7 +15,7 @@ import json
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -51,6 +51,11 @@ class EndpointConfig:
     base_url: str | None = None
     api_key_env: str | None = None
     timeout: float = 120.0
+
+    def __post_init__(self) -> None:
+        for name in ("base_url", "api_key_env"):
+            require(name, getattr(self, name), lambda v: v is None or isinstance(v, str), "a string when set")
+        require("timeout", self.timeout, lambda t: t > 0, "a number > 0")
 
 
 @dataclass
@@ -225,9 +230,14 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     """Produce a SummaryRecord for every (document, method) pair without an ok
     one: a pair whose latest record failed is tried again.
 
-    Records append to run_dir/outputs.jsonl as they complete (flushed per
-    record); the manifest is written at the end. Per-record failures are
-    recorded, never raised. Returns the run directory.
+    Records append to run_dir/outputs.jsonl in task order (document id, then
+    config method order) at any concurrency, each flushed as it is written;
+    the manifest is written at the end. A record that finishes behind a
+    slower one waits in memory until that one is written: a crash before
+    then loses it, and resume redoes it, from cache_dir without a backend
+    call when there is a cache. An exception while writing (an interrupt, a
+    full disk) cancels the tasks not yet started and propagates. Per-record
+    failures are recorded, never raised. Returns the run directory.
     """
     # Every config error (dataset, endpoint) is raised before anything is
     # written, so a failed start leaves no run or cache directory behind.
@@ -261,17 +271,10 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
                     tail.seek(-1, os.SEEK_END)
                     if tail.read(1) != b"\n":
                         out.write("\n")
-            pending = [pool.submit(run_method, client, doc, method, params) for doc, method in tasks]
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                # Each finished set is written in submission order, so a run
-                # with one worker always writes its records in the same order.
-                done_now = [f for f in pending if f in finished]
-                pending = [f for f in pending if f not in finished]
-                for future in done_now:
-                    record = future.result()
-                    out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-                    out.flush()
+            # run_method is looked up at call time, so a patch of it applies.
+            for record in pool.map(lambda task: run_method(client, *task, params), tasks):
+                out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+                out.flush()
 
     records = read_records(run_dir)
     counts: dict[str, dict[str, int]] = {}

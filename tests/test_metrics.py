@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from higen.errors import DatasetError
 from higen.llm_client import LLMClient, MockBackend
 from higen.metrics import (
+    _chunk_text,
+    _verify_in_chunks,
     SUPPORTED,
     UNPARSEABLE,
     UNSUPPORTED,
@@ -24,7 +26,6 @@ from higen.metrics import (
     student_t_two_sided_p,
     summary_tokens,
     tokenize,
-    verify_fact,
 )
 
 from conftest import ScriptedBackend, doc_from_sentences
@@ -188,23 +189,23 @@ class TestFactScoring:
     def test_verify_yes(self, tmp_path):
         doc = doc_from_sentences(["The sky is blue."])
         client = _judge_client(["Answer: yes"], tmp_path)
-        assert verify_fact("sky is blue", doc, client, "judge") == SUPPORTED
+        assert _verify_in_chunks("sky is blue", _chunk_text(doc.normalized_text), doc.id, client, "judge") == SUPPORTED
 
     def test_verify_no(self, tmp_path):
         doc = doc_from_sentences(["The sky is blue."])
         client = _judge_client(["Answer: no"], tmp_path)
-        assert verify_fact("sky is green", doc, client, "judge") == UNSUPPORTED
+        assert _verify_in_chunks("sky is green", _chunk_text(doc.normalized_text), doc.id, client, "judge") == UNSUPPORTED
 
     def test_verify_unparseable(self, tmp_path):
         doc = doc_from_sentences(["The sky is blue."])
         client = _judge_client(["maybe"], tmp_path)
-        assert verify_fact("sky is blue", doc, client, "judge") == UNPARSEABLE
+        assert _verify_in_chunks("sky is blue", _chunk_text(doc.normalized_text), doc.id, client, "judge") == UNPARSEABLE
 
     def test_placeholders_inside_the_document_stay_literal(self, tmp_path):
         doc = doc_from_sentences(["Quote {statement} and {document} verbatim."])
         backend = ScriptedBackend(["Answer: yes"])
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        assert verify_fact("FACT", doc, client, "judge") == SUPPORTED
+        assert _verify_in_chunks("FACT", _chunk_text(doc.normalized_text), doc.id, client, "judge") == SUPPORTED
         prompt = backend.requests[0].user_prompt
         assert "Quote {statement} and {document} verbatim." in prompt
         assert prompt.count("FACT") == 1
@@ -267,7 +268,7 @@ class TestFactScoring:
         long_doc = doc_from_sentences(["Word number %d fills space." % i for i in range(20)])
         client = _judge_client(["Answer: no", "Answer: yes"], tmp_path)
         # chunking parameters are module constants read at call time
-        verdict = metrics_mod.verify_fact("statement", long_doc, client, "judge")
+        verdict = _verify_in_chunks("statement", _chunk_text(long_doc.normalized_text), long_doc.id, client, "judge")
         assert verdict == SUPPORTED
 
     def test_factscore_chunks_the_document_once(self, tmp_path, monkeypatch):

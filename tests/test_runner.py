@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from higen.errors import ConfigError
-from higen.llm_client import LLMClient, MockBackend
+from higen.llm_client import LLMClient, MockBackend, echo_first_k
 from higen.runner import (
     build_client,
     evaluate,
@@ -121,6 +121,14 @@ class TestLoadConfig:
             ({"seed": "7"}, r"in 'config': seed must be an integer, got '7'"),
             ({"lexrank": {"threshold": "0.1"}}, r"in 'lexrank': threshold must be in \[0, 1\]"),
             ({"lexrank": {"max_iter": "200"}}, r"in 'lexrank': max_iter must be an integer >= 1"),
+            ({"endpoint": {"timeout": "120"}}, r"in 'endpoint': timeout must be a number > 0, got '120'"),
+            ({"endpoint": {"timeout": -1}}, r"in 'endpoint': timeout must be a number > 0, got -1"),
+            ({"endpoint": {"base_url": 5}}, r"in 'endpoint': base_url must be a string when set, got 5"),
+            ({"endpoint": {"api_key_env": 5}}, r"in 'endpoint': api_key_env must be a string when set, got 5"),
+            ({"retry": {"factor": "2"}}, r"in 'retry': factor must be a number >= 1, got '2'"),
+            ({"retry": {"factor": 0.5}}, r"in 'retry': factor must be a number >= 1, got 0.5"),
+            ({"retry": {"jitter": "0.2"}}, r"in 'retry': jitter must be in \[0, 1\), got '0.2'"),
+            ({"retry": {"jitter": 1}}, r"in 'retry': jitter must be in \[0, 1\), got 1"),
         ],
         ids=lambda case: json.dumps(case[0]),
     )
@@ -252,12 +260,7 @@ class TestRun:
         rows = read_metric_rows(run_dir)
         assert any(r.get("metric") == "rouge_l" for r in rows)
 
-    def test_one_worker_writes_records_in_a_fixed_order(self, tmp_path, monkeypatch):
-        import concurrent.futures
-
-        # Hand the writer every record as one finished set, the case where
-        # set iteration order would show.
-        monkeypatch.setattr("higen.runner.wait", lambda fs, return_when: concurrent.futures.wait(fs))
+    def test_one_worker_writes_records_in_a_fixed_order(self, tmp_path):
         methods = ["direct", "e2e", "two_stage_gen", "two_stage_lexrank", "two_stage_cc"]
 
         def outputs(name: str) -> list[dict]:
@@ -277,6 +280,51 @@ class TestRun:
         assert first == second
         doc_ids = sorted({r["doc_id"] for r in first})
         assert [(r["doc_id"], r["method"]) for r in first] == [(d, m) for d in doc_ids for m in methods]
+
+    def test_four_workers_write_the_lines_of_one_in_task_order(self, tmp_path):
+        methods = ["direct", "e2e", "two_stage_lexrank"]
+
+        def uneven(req):
+            # 0-7 ms by prompt length, so four workers finish tasks out of task order.
+            time.sleep(0.001 * (7 - len(req.user_prompt) % 8))
+            return echo_first_k(req)
+
+        def outputs(concurrency: int) -> list[dict]:
+            config = parse_config(
+                _config_dict(
+                    tmp_path,
+                    methods=methods,
+                    run_dir=str(tmp_path / f"run{concurrency}"),
+                    cache_dir=None,
+                    concurrency=concurrency,
+                )
+            )
+            client = LLMClient(MockBackend(generate_fn=uneven), concurrency=concurrency)
+            lines = (run(config, client=client) / "outputs.jsonl").read_text(encoding="utf-8").splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"} for line in lines]
+
+        one, four = outputs(1), outputs(4)
+        assert four == one
+        doc_ids = sorted({r["doc_id"] for r in one})
+        assert [(r["doc_id"], r["method"]) for r in four] == [(d, m) for d in doc_ids for m in methods]
+
+    def test_an_interrupted_write_cancels_the_tasks_not_started(self, tmp_path, monkeypatch):
+        from higen.pipeline import SummaryRecord
+
+        def slow(req):
+            time.sleep(0.02)
+            return echo_first_k(req)
+
+        def interrupt(record):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(SummaryRecord, "to_dict", interrupt)
+        config = parse_config(_config_dict(tmp_path, cache_dir=None, concurrency=1))
+        backend = MockBackend(generate_fn=slow)
+        with pytest.raises(KeyboardInterrupt):
+            run(config, client=LLMClient(backend, concurrency=1))
+        # direct makes one generation per document; the run has ten.
+        assert 1 <= backend.gen_calls <= 3
 
     def test_cache_dir_monotone_growth(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
