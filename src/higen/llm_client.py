@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -221,7 +221,7 @@ class LLMClient:
         self._sleep = sleep
         self._semaphore = threading.BoundedSemaphore(concurrency)
         self._stats_lock = threading.Lock()
-        self._key_locks: dict[str, list] = {}  # key: [its lock, its holders and waiters]
+        self._key_locks: dict[str, threading.Lock] = {}
         self.backend_calls = 0
         self.cache_hits = 0
 
@@ -328,21 +328,9 @@ class LLMClient:
             self._cache_write(key, {"kind": kind, "key": key}, dict(zip(fields, answer)))
         return [found[key] for key in keys], latency_ms
 
-    @contextlib.contextmanager
-    def _key_lock(self, key: str) -> Iterator[None]:
-        """Hold the lock of ``key``. Its entry goes when the last caller that
-        holds or waits on it leaves, so the table holds only keys in flight."""
+    def _key_lock(self, key: str) -> threading.Lock:
         with self._stats_lock:
-            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
-            entry[1] += 1
-        try:
-            with entry[0]:
-                yield
-        finally:
-            with self._stats_lock:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._key_locks[key]
+            return self._key_locks.setdefault(key, threading.Lock())
 
     # -- public API --------------------------------------------------------
 

@@ -235,9 +235,10 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     the manifest is written at the end. A record that finishes behind a
     slower one waits in memory until that one is written: a crash before
     then loses it, and resume redoes it, from cache_dir without a backend
-    call when there is a cache. An exception while writing (an interrupt, a
-    full disk) cancels the tasks not yet started and propagates. Per-record
-    failures are recorded, never raised. Returns the run directory.
+    call when there is a cache and with all its calls again when there is
+    none. An exception while writing (an interrupt, a full disk) cancels the
+    tasks not yet started and propagates. Per-record failures are recorded,
+    never raised. Returns the run directory.
     """
     # Every config error (dataset, endpoint) is raised before anything is
     # written, so a failed start leaves no run or cache directory behind.

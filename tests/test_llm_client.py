@@ -765,14 +765,3 @@ class TestGenerateCoalescing:
         assert len(texts) == 64
         assert backend.gen_calls == client.backend_calls == 4
         assert client.cache_hits == 60
-
-    def test_the_key_lock_table_is_empty_after_a_batch(self, tmp_path):
-        from concurrent.futures import ThreadPoolExecutor
-
-        client, backend = make_mock_client(tmp_path, concurrency=4)
-        prompts = [GenRequest(model="m", user_prompt=f"Write a summary.\n\nReport:\nDoc {i % 5}.") for i in range(40)]
-        with ThreadPoolExecutor(4) as pool:
-            texts = list(pool.map(client.generate, prompts))
-        assert len(texts) == 40
-        assert backend.gen_calls == 5
-        assert client._key_locks == {}
