@@ -16,6 +16,10 @@ on the centered mask matrix, in matrix-vector form. The solver stops once the KK
 is at most ``tol`` and reports its iterations, whether it converged and the
 final residual. Strictly positive weights rank the sentences that form the
 content plan.
+
+Beyond the boolean masks, an attribution holds one m x n float array at a
+time: ``lambda_max`` and ``fit_lasso`` each center one float copy of the
+masks in place, and the cache keys are built one mask row at a time.
 """
 
 from __future__ import annotations
@@ -145,11 +149,12 @@ def logit_scale(total_logprob: float) -> float:
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     """Smallest penalty shrinking every weight to zero: max |X~^T (y - mean y)| / m
-    over centered columns."""
-    X = np.asarray(X, dtype=float)
+    over centered columns. X (a boolean mask array or floats) is centered in
+    one float copy; the caller's array is left as it is."""
+    centered = np.array(X, dtype=float)
+    centered -= centered.mean(axis=0)
     y = np.asarray(y, dtype=float)
-    centered = X - X.mean(axis=0)
-    return float(np.abs(centered.T @ (y - y.mean())).max() / X.shape[0])
+    return float(np.abs(centered.T @ (y - y.mean())).max() / centered.shape[0])
 
 
 _POWER_ITERATIONS = 20
@@ -194,22 +199,25 @@ def fit_lasso(
     columns keep weight exactly 0. The weight error is at most the residual
     over the smallest eigenvalue of Xc^T Xc / m, so the default tol sits well
     below the 1e-8 agreement the lambda = 0 fits owe the normal equations.
+
+    X may be a boolean mask array; it is centered in one float copy, and the
+    caller's array is left as it is.
     """
-    X = np.asarray(X, dtype=float)
+    Xc = np.array(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+    if not (np.isfinite(Xc).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in LASSO input")
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if Xc.ndim != 2 or y.ndim != 1 or Xc.shape[0] != y.shape[0]:
         raise ValueError("X must be (m, n) and y length m")
-    m, n = X.shape
+    m, n = Xc.shape
     if m < 2:
         raise ValueError("need at least 2 samples")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
 
-    x_mean = X.mean(axis=0)
-    varying = X.max(axis=0) != X.min(axis=0)
-    Xc = X - x_mean
+    x_mean = Xc.mean(axis=0)
+    varying = Xc.max(axis=0) != Xc.min(axis=0)
+    Xc -= x_mean
     Xc[:, ~varying] = 0.0
     yc = y - y.mean()
 
@@ -288,7 +296,7 @@ def contextcite_attribute(
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
     escaped = document.escaped_sentences
-    keys = score_keys(model, response, (b" ".join(compress(escaped, bits)) for bits in masks.tolist()))
+    keys = score_keys(model, response, (b" ".join(compress(escaped, bits.tolist())) for bits in masks))
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
     for first in range(0, len(masks), SCORE_BATCH):
@@ -311,12 +319,11 @@ def contextcite_attribute(
         raise AttributionError(f"only {len(rows)} of {params.m} ablation samples usable; need at least {need}")
     if dump_path is not None:
         with Path(dump_path).open("w", encoding="utf-8") as handle:
-            for bits, logit in zip(rows.astype(int).tolist(), targets):
-                handle.write(json.dumps({"mask": bits, "logit": logit}) + "\n")
-    X = rows.astype(float)
+            for bits, logit in zip(rows, targets):
+                handle.write(json.dumps({"mask": bits.astype(int).tolist(), "logit": logit}) + "\n")
     y = np.array(targets, dtype=float)
-    lam = params.lambda_frac * lambda_max(X, y)
-    fit = fit_lasso(X, y, lam)
+    lam = params.lambda_frac * lambda_max(rows, y)
+    fit = fit_lasso(rows, y, lam)
     return AttributionResult(
         scores=[float(w) for w in fit.weights],
         intercept=fit.intercept,

@@ -9,8 +9,8 @@ normalized text so downstream consumers (ranking, ablation, prompting) can
 address source sentences by index. Prose is segmented by one regex over
 terminal runs, with an abbreviation list protecting a lone period;
 transcripts are first split into speaker turns. Each document is segmented,
-and tokenized into a token index shared by the lexical kernels, at most once
-and only on first use.
+and tokenized into a token index shared by the lexical kernels, on first use
+and once until ``Document.release`` drops these artifacts.
 """
 
 from __future__ import annotations
@@ -173,6 +173,12 @@ class Document:
         once on first use: joined by spaces they give the escaped form of any
         ablated context, from which its cache key is built."""
         return [json_escaped(text) for text in self.labelled_sentences]
+
+    def release(self) -> None:
+        """Drop the cached sentences and every artifact derived from them; a
+        later read rebuilds them, equal to the dropped ones."""
+        for name in ("sentences", "token_index", "labelled_sentences", "escaped_sentences"):
+            self.__dict__.pop(name, None)
 
 
 def json_escaped(text: str) -> bytes:

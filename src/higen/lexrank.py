@@ -3,9 +3,14 @@
 Sentences are tf-idf rows over the document's token index, L2-normalized, so
 the modified cosines of all pairs are one product, weights = T @ T.T (Erkan &
 Radev 2004), with the diagonal set to 1 and entries below a threshold zeroed.
-A damped power iteration over the degree-normalized transition matrix yields
-a stationary saliency distribution. The top-k sentences, re-ordered by
-document position, form the content plan.
+A damped power iteration over the degree-normalized graph yields a stationary
+saliency distribution. The top-k sentences, re-ordered by document position,
+form the content plan.
+
+The weights are the one n x n float64 array a ranking holds (5 MB at 800
+sentences, 32 MB at 2,000): each row is thresholded as it is computed, and
+the iteration normalizes by the row sums on the fly instead of building a
+transition matrix.
 """
 
 from __future__ import annotations
@@ -82,9 +87,11 @@ def build_similarity_graph(index: TokenIndex, threshold: float = 0.1) -> Similar
     weights = np.empty((n, n))
     for i in range(n):
         entries = slice(bounds[i], bounds[i + 1])
-        weights[i] = (columns[term[entries]] * weight[entries, None]).sum(axis=0)
+        row = (columns[term[entries]] * weight[entries, None]).sum(axis=0)
+        row[row < threshold] = 0.0
+        weights[i] = row
+    # 1 >= threshold, so setting the diagonal after thresholding gives the same matrix
     np.fill_diagonal(weights, 1.0)
-    weights[weights < threshold] = 0.0
     return SimilarityGraph(n=n, weights=weights, threshold=threshold)
 
 
@@ -95,18 +102,24 @@ def centrality(
     max_iter: int = 200,
 ) -> CentralityScores:
     """Damped power iteration to the stationary distribution of the
-    degree-normalized similarity graph (all-zero rows become uniform)."""
+    degree-normalized similarity graph (all-zero rows become uniform).
+
+    With s the row sums of W, each step is
+    p' = d (W^T (p / s) + (mass of p on zero-sum rows) / n) + (1 - d) / n,
+    the product of p with the row-stochastic transition matrix without
+    building it: the iteration holds O(n) memory beyond the weights."""
     if not 0 < damping < 1:
         raise ValueError("damping must be in (0, 1)")
     n = graph.n
     if n == 0:
         return CentralityScores(scores=np.zeros(0), iterations=0, converged=True)
-    row_sums = graph.weights.sum(axis=1, keepdims=True)
-    transition = np.where(row_sums > 0, graph.weights / np.where(row_sums == 0, 1.0, row_sums), 1.0 / n)
+    row_sums = graph.weights.sum(axis=1)
+    linked = row_sums > 0
     p = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
     for iteration in range(1, max_iter + 1):
-        p_next = damping * (transition.T @ p) + teleport
+        walked = np.divide(p, row_sums, out=np.zeros(n), where=linked)
+        p_next = damping * (graph.weights.T @ walked + p[~linked].sum() / n) + teleport
         if np.abs(p_next - p).sum() < tol:
             return CentralityScores(scores=p_next, iterations=iteration, converged=True)
         p = p_next
@@ -114,9 +127,11 @@ def centrality(
 
 
 def dump_similarity_csv(graph: SimilarityGraph, path: str | Path) -> None:
-    """Debug dump of the (thresholded) similarity matrix."""
-    lines = [",".join(f"{graph.weights[i, j]:.6f}" for j in range(graph.n)) for i in range(graph.n)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Debug dump of the (thresholded) similarity matrix, one CSV line per
+    row, written row by row."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for row in graph.weights:
+            handle.write(",".join(f"{w:.6f}" for w in row.tolist()) + "\n")
 
 
 def lexrank_highlights(document: Document, k: int, params: LexRankParams = LexRankParams()) -> HighlightSet:

@@ -360,7 +360,12 @@ class LLMClient:
 class HTTPBackend:
     """OpenAI-compatible HTTP backend: chat completions for generation,
     echoed completions with logprobs for teacher-forced scoring. ``requests``
-    is imported here, so a process without an HTTP endpoint never loads it."""
+    is imported here, so a process without an HTTP endpoint never loads it.
+
+    A session the backend builds itself reads the endpoint's proxy (with
+    ``NO_PROXY``), CA bundle and ``.netrc`` credentials from the environment
+    once, here, as requests would on every request; an injected session is
+    used as it is."""
 
     def __init__(
         self,
@@ -374,7 +379,13 @@ class HTTPBackend:
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            settings = session.merge_environment_settings(self.base_url, {}, None, None, None)
+            session.proxies, session.verify = settings["proxies"], settings["verify"]
+            session.auth = requests.utils.get_netrc_auth(self.base_url)
+            session.trust_env = False
+        self.session = session
         self._transport_errors = (requests.Timeout, requests.ConnectionError)
 
     def _post(self, path: str, payload: dict, **decode) -> dict:

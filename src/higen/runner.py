@@ -238,7 +238,9 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     call when there is a cache and with all its calls again when there is
     none. An exception while writing (an interrupt, a full disk) cancels the
     tasks not yet started and propagates. Per-record failures are recorded,
-    never raised. Returns the run directory.
+    never raised. Once a document's last record is written, its cached
+    artifacts are released (``Document.release``), so a run holds those of
+    the documents in flight, not of the corpus. Returns the run directory.
     """
     # Every config error (dataset, endpoint) is raised before anything is
     # written, so a failed start leaves no run or cache directory behind.
@@ -273,9 +275,16 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
                     if tail.read(1) != b"\n":
                         out.write("\n")
             # run_method is looked up at call time, so a patch of it applies.
-            for record in pool.map(lambda task: run_method(client, *task, params), tasks):
+            # The map is no local: an exception here drops it, which cancels
+            # the tasks not yet started.
+            for i, record in enumerate(pool.map(lambda task: run_method(client, *task, params), tasks)):
                 out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
                 out.flush()
+                # A document's tasks are adjacent, so its last one is followed
+                # by another document's or by none.
+                document = tasks[i][0]
+                if i + 1 == len(tasks) or tasks[i + 1][0] is not document:
+                    document.release()
 
     records = read_records(run_dir)
     counts: dict[str, dict[str, int]] = {}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
@@ -32,6 +33,18 @@ def three_sentence_doc() -> Document:
     return doc_from_sentences(
         ["Alpha opens the report.", "Bravo covers the middle.", "Charlie closes the report."]
     )
+
+
+def traced_peak(fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak of the memory it allocated, in
+    bytes, as tracemalloc (which numpy reports its arrays to) sees it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def score_requests(client: LLMClient, reqs: list[ScoreRequest]):

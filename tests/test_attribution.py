@@ -21,7 +21,7 @@ from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
 from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, prompt_hash
 
-from conftest import RecordingBackend, doc_from_sentences, score_requests
+from conftest import RecordingBackend, doc_from_sentences, score_requests, traced_peak
 
 # 12 sentences with disjoint token sets so substring presence is unambiguous.
 _SYNTH_SENTENCES = [
@@ -305,6 +305,33 @@ def test_fit_backtracks_from_an_underestimated_step_constant(monkeypatch):
     fit = fit_lasso(X, y, lam)
     assert fit.converged
     assert np.abs(fit.weights - reference.weights).max() < 1e-8
+
+
+def _mask_problem() -> tuple[np.ndarray, np.ndarray]:
+    """A boolean 256 x 400 mask array and targets linear in a few of its bits."""
+    masks = sample_masks(400, 256, 0.5, seed=41)
+    rng = np.random.default_rng(41)
+    y = masks[:, :6] @ rng.normal(0.0, 2.0, 6) + rng.normal(0.0, 0.5, 256)
+    return masks, y
+
+
+def test_lambda_max_and_fit_lasso_hold_one_float_copy_of_a_boolean_mask():
+    masks, y = _mask_problem()
+    floats = masks.astype(float)
+    one_copy = floats.nbytes
+    masks_before, floats_before = masks.copy(), floats.copy()
+
+    lam, peak = traced_peak(lambda_max, masks, y)
+    assert peak <= 1.5 * one_copy
+    assert lam == lambda_max(floats, y)
+
+    fit, peak = traced_peak(fit_lasso, masks, y, 0.01 * lam)
+    assert peak <= 1.5 * one_copy
+    reference = fit_lasso(floats, y, 0.01 * lam)
+    assert fit.weights.tobytes() == reference.weights.tobytes()
+    assert fit[1:] == reference[1:]
+
+    assert (masks == masks_before).all() and (floats == floats_before).all()
 
 
 class TestContextciteAttribute:

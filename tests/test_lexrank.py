@@ -12,11 +12,12 @@ from higen.lexrank import (
     SimilarityGraph,
     build_similarity_graph,
     centrality,
+    dump_similarity_csv,
     lexrank_highlights,
     tfidf,
 )
 
-from conftest import doc_from_sentences
+from conftest import doc_from_sentences, traced_peak
 
 
 def _tfidf_rows(texts: list[str]) -> list[dict[str, float]]:
@@ -191,6 +192,31 @@ class TestCentrality:
         with pytest.raises(ValueError):
             centrality(graph, damping=1.0)
 
+    def test_zero_sum_rows_match_eigensolver(self):
+        # rows and columns without any weight, diagonal included: their share
+        # of the walk spreads uniformly, as in the transition-matrix form
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            graph = _random_graph(rng)
+            cut = rng.random(graph.n) < 0.3
+            graph.weights[cut] = 0.0
+            graph.weights[:, cut] = 0.0
+            result = centrality(graph, tol=1e-12, max_iter=2000)
+            assert np.abs(result.scores - _dominant_eigenvector(graph.weights, 0.85)).max() < 1e-6
+
+    def test_allocates_far_less_than_one_copy_of_the_weights(self):
+        rng = np.random.default_rng(5)
+        raw = rng.random((600, 600))
+        weights = (raw + raw.T) / 2
+        weights[weights < 0.3] = 0.0
+        np.fill_diagonal(weights, 1.0)
+        graph = SimilarityGraph(n=600, weights=weights, threshold=0.3)
+        before = weights.copy()
+        result, peak = traced_peak(centrality, graph)
+        assert result.converged
+        assert peak < weights.nbytes / 20
+        assert (weights == before).all()
+
 
 class TestGraphInvariants:
     def test_diagonal_one_before_threshold(self):
@@ -256,3 +282,30 @@ class TestLexrankHighlights:
         doc = doc_from_sentences(["Aa bb.", "Cc dd."])
         hs = lexrank_highlights(doc, k=1, params=LexRankParams(threshold=0.0, damping=0.5))
         assert len(hs.items) == 1
+
+
+class TestDumpSimilarityCsv:
+    @pytest.mark.parametrize(
+        ("weights", "expected"),
+        [
+            (np.zeros((0, 0)), b""),
+            (np.ones((1, 1)), b"1.000000\n"),
+            (
+                np.array([[1.0, 0.1234565, 0.0], [0.1234565, 1.0, 2.5e-7], [0.0, 2.5e-7, 1.0]]),
+                b"1.000000,0.123456,0.000000\n0.123456,1.000000,0.000000\n0.000000,0.000000,1.000000\n",
+            ),
+        ],
+    )
+    def test_bytes(self, tmp_path, weights, expected):
+        path = tmp_path / "similarity.csv"
+        dump_similarity_csv(SimilarityGraph(n=len(weights), weights=weights, threshold=0.1), path)
+        assert path.read_bytes() == expected
+
+    def test_bytes_of_a_built_graph(self, tmp_path):
+        texts = ["signal metric drift", "metric drift alarm", "the quiet harbor", "signal alarm"]
+        path = tmp_path / "similarity.csv"
+        dump_similarity_csv(build_similarity_graph(TokenIndex.build(texts)), path)
+        assert path.read_bytes() == (
+            b"1.000000,0.666667,0.000000,0.408248\n0.666667,1.000000,0.000000,0.408248\n"
+            b"0.000000,0.000000,1.000000,0.000000\n0.408248,0.408248,0.000000,1.000000\n"
+        )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from higen.corpus import load_dataset
 from higen.errors import ConfigError
 from higen.llm_client import LLMClient, MockBackend, echo_first_k
 from higen.runner import (
@@ -325,6 +326,20 @@ class TestRun:
             run(config, client=LLMClient(backend, concurrency=1))
         # direct makes one generation per document; the run has ten.
         assert 1 <= backend.gen_calls <= 3
+
+    def test_each_document_is_released_after_its_last_record(self, tmp_path, monkeypatch):
+        import higen.runner as runner_mod
+
+        documents = load_dataset(DATA_DIR / "minicorpus.jsonl", "scrolls_govreport")
+        monkeypatch.setattr(runner_mod, "_load_documents", lambda config: list(documents))
+        config = parse_config(_config_dict(tmp_path, methods=["two_stage_lexrank", "two_stage_cc"]))
+        run(config)
+        records = read_records(config.run_dir)
+        assert len(records) == 20 and all(r.ok for r in records)
+        artifacts = {"sentences", "token_index", "labelled_sentences", "escaped_sentences"}
+        assert [sorted(artifacts & vars(doc).keys()) for doc in documents] == [[]] * len(documents)
+        # released artifacts are rebuilt on the next read
+        assert [len(doc.sentences) for doc in documents] == [5] * len(documents)
 
     def test_cache_dir_monotone_growth(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
