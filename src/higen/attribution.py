@@ -3,19 +3,20 @@
 Source sentences are ablated under random Bernoulli masks (an m x n boolean
 array, one row per ablated context), a fixed response is re-scored under each
 ablated context, ``SCORE_BATCH`` contexts per scoring request, and the
-resulting log-probabilities are mapped to logits. The masks are drawn in
-one call, and every context's cache key is built from the document's
-sentences, JSON-escaped once per document, in one pass over the masks; the
-context itself is built only when its key misses the cache, so a warm rerun
-builds no ablated context. The keys equal those of plain requests. The fit
-needs at least n/2 + 2 usable samples, so a document that m samples could
-never cover fails before any mask is drawn or any request sent. A sparse
-linear surrogate is fit to the logits by LASSO, solved with FISTA (Beck &
-Teboulle 2009) with gradient-based adaptive restart (O'Donoghue & Candes 2015)
-on the centered mask matrix, in matrix-vector form. The solver stops once the KKT residual
-is at most ``tol`` and reports its iterations, whether it converged and the
-final residual. Strictly positive weights rank the sentences that form the
-content plan.
+resulting log-probabilities are mapped to logits. The masks are drawn in one
+call. The document's sentences are JSON-escaped once per attribution, and
+``llm_client.score_keys`` keys every ablated context from them in one pass
+over the masks; the context itself is built only when its key misses the
+cache, so a warm rerun builds no ablated context. The keys equal those of
+plain requests. The fit needs at least n/2 + 2 usable samples, so a document
+that m samples could never cover fails before any mask is drawn or any
+request sent. A sparse linear surrogate is fit to the logits by LASSO, solved
+with FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
+(O'Donoghue & Candes 2015) on the centered mask matrix, in matrix-vector
+form. The solver stops once the KKT residual is at most ``tol`` and reports
+its iterations, whether it converged and the final residual. Strictly
+positive weights rank the sentences that form the content plan, through
+``prompts.ranked_highlights("contextcite", ...)``.
 
 Beyond the boolean masks, an attribution holds one m x n float array at a
 time: ``lambda_max`` and ``fit_lasso`` each center one float copy of the
@@ -35,8 +36,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError, require
-from .llm_client import LLMClient, ScoreRequest, score_keys
-from .prompts import HighlightSet, ranked_highlights
+from .llm_client import LLMClient, ScoreRequest, json_escaped, score_keys
 
 
 # Ablated contexts scored per request. Each is about half the document, and the
@@ -295,7 +295,7 @@ def contextcite_attribute(
     if params.m < need:
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
-    escaped = document.escaped_sentences
+    escaped = [json_escaped(text) for text in document.labelled_sentences]
     keys = score_keys(model, response, (b" ".join(compress(escaped, bits.tolist())) for bits in masks))
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
@@ -335,9 +335,3 @@ def contextcite_attribute(
         converged=fit.converged,
         kkt_residual=fit.kkt_residual,
     )
-
-
-def attribution_highlights(result: AttributionResult, document: Document, k: int) -> HighlightSet:
-    """Top-k strictly positive attribution scores, re-ordered by document
-    position. Zero positive scores yield an empty set."""
-    return ranked_highlights("contextcite", document, result.scores, k)

@@ -12,13 +12,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .attribution import attribution_highlights, contextcite_attribute
+from .attribution import contextcite_attribute
 from .corpus import make_document
 from .errors import ConfigError, DatasetError, HigenError
 from .lexrank import build_similarity_graph, dump_similarity_csv
 from .pipeline import PipelineParams, plan
+from .prompts import ranked_highlights
 from .report import aggregate, emit
-from .runner import build_client, evaluate, load_config, read_metric_rows, read_records, run
+from .runner import build_client, evaluate, load_config, read_metric_rows, read_records, read_text, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,10 +78,7 @@ def _build_parser() -> _Parser:
 
 
 def _document_from_file(path: str, need_sentences: bool = False):
-    file_path = Path(path)
-    if not file_path.exists():
-        raise ConfigError(f"document file not found: {path}")
-    document = make_document(file_path.stem, file_path.read_text(encoding="utf-8"))
+    document = make_document(Path(path).stem, read_text(path, "document"))
     if need_sentences and not document.sentences:
         raise DatasetError(f"document {path} has no sentences to attribute")
     return document
@@ -105,9 +103,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no manifest.json under {run_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(read_text(manifest_path, "manifest"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"could not parse {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path} is not a JSON object")
     snapshot = manifest.get("config", {})
     methods = snapshot.get("methods", [])
     dataset_name = Path(snapshot.get("dataset", {}).get("path", "")).stem
@@ -131,8 +132,8 @@ def _cmd_highlight(args) -> int:
     if args.k is not None:
         params = replace(params, k=args.k)
     if args.dump_similarity:
-        graph = build_similarity_graph(document.token_index, threshold=params.lexrank.threshold)
-        dump_similarity_csv(graph, args.dump_similarity)
+        weights = build_similarity_graph(document.token_index, threshold=params.lexrank.threshold)
+        dump_similarity_csv(weights, args.dump_similarity)
     client = build_client(config) if args.method != "lexrank" else None
     for i, item in enumerate(plan(client, document, args.method, params).items, start=1):
         print(f"{i}. {item.text}")
@@ -144,10 +145,7 @@ def _cmd_attribute(args) -> int:
         raise ConfigError("attribute needs a config with an endpoint and model")
     config = load_config(args.config)
     document = _document_from_file(args.doc, need_sentences=True)
-    response_path = Path(args.response)
-    if not response_path.exists():
-        raise ConfigError(f"response file not found: {args.response}")
-    response_text = response_path.read_text(encoding="utf-8").strip()
+    response_text = read_text(args.response, "response").strip()
     client = build_client(config)
     result = contextcite_attribute(
         client,
@@ -158,7 +156,7 @@ def _cmd_attribute(args) -> int:
         seed=config.seed,
         dump_path=args.dump_ablations,
     )
-    highlights = attribution_highlights(result, document, config.k)
+    highlights = ranked_highlights("contextcite", document, result.scores, config.k)
     print(
         json.dumps(
             {

@@ -167,26 +167,11 @@ class Document:
         when it has one, rendered once on first use."""
         return [f"{s.speaker}: {s.text}" if s.speaker else s.text for s in self.sentences]
 
-    @cached_property
-    def escaped_sentences(self) -> list[bytes]:
-        """``labelled_sentences`` JSON-escaped (see ``json_escaped``), escaped
-        once on first use: joined by spaces they give the escaped form of any
-        ablated context, from which its cache key is built."""
-        return [json_escaped(text) for text in self.labelled_sentences]
-
     def release(self) -> None:
         """Drop the cached sentences and every artifact derived from them; a
         later read rebuilds them, equal to the dropped ones."""
-        for name in ("sentences", "token_index", "labelled_sentences", "escaped_sentences"):
+        for name in ("sentences", "token_index", "labelled_sentences"):
             self.__dict__.pop(name, None)
-
-
-def json_escaped(text: str) -> bytes:
-    """The UTF-8 bytes of ``text`` as the inside of a JSON string literal,
-    escaped as ``json.dumps(..., ensure_ascii=False)`` escapes it. Escaping
-    works character by character and leaves a space as it is, so the escaped
-    form of a space-joined text is the space-joined escaped forms."""
-    return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
 
 
 def normalize_text(raw: str) -> str:
@@ -358,15 +343,17 @@ def load_dataset(
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """The (line number, object) of each non-blank line of a JSONL file, read
-    strictly: a line that is not JSON, or not a JSON object, raises a
-    ``DatasetError`` naming ``path:line``."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    strictly: a line that is not UTF-8, not JSON or not a JSON object raises a
+    ``DatasetError`` naming ``path:line``. Lines end at ``\n``, each decoded
+    on its own."""
+    with Path(path).open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
             if not isinstance(obj, dict):
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object")

@@ -40,13 +40,6 @@ class LexRankParams:
 
 
 @dataclass
-class SimilarityGraph:
-    n: int
-    weights: np.ndarray
-    threshold: float
-
-
-@dataclass
 class CentralityScores:
     scores: np.ndarray
     iterations: int
@@ -67,9 +60,9 @@ def tfidf(index: TokenIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sentence, term, count * idf
 
 
-def build_similarity_graph(index: TokenIndex, threshold: float = 0.1) -> SimilarityGraph:
-    """Symmetric modified-cosine matrix with unit diagonal; entries below the
-    threshold are zeroed."""
+def build_similarity_graph(index: TokenIndex, threshold: float = 0.1) -> np.ndarray:
+    """The graph's n x n weights: the symmetric modified-cosine matrix with
+    unit diagonal; entries below the threshold are zeroed."""
     n = len(index.lengths)
     sentence, term, weight = tfidf(index)
     norms = np.sqrt(np.bincount(sentence, weights=weight * weight, minlength=n))
@@ -92,17 +85,18 @@ def build_similarity_graph(index: TokenIndex, threshold: float = 0.1) -> Similar
         weights[i] = row
     # 1 >= threshold, so setting the diagonal after thresholding gives the same matrix
     np.fill_diagonal(weights, 1.0)
-    return SimilarityGraph(n=n, weights=weights, threshold=threshold)
+    return weights
 
 
 def centrality(
-    graph: SimilarityGraph,
+    weights: np.ndarray,
     damping: float = 0.85,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> CentralityScores:
     """Damped power iteration to the stationary distribution of the
-    degree-normalized similarity graph (all-zero rows become uniform).
+    degree-normalized similarity graph with n x n ``weights`` W (all-zero
+    rows become uniform).
 
     With s the row sums of W, each step is
     p' = d (W^T (p / s) + (mass of p on zero-sum rows) / n) + (1 - d) / n,
@@ -110,27 +104,27 @@ def centrality(
     building it: the iteration holds O(n) memory beyond the weights."""
     if not 0 < damping < 1:
         raise ValueError("damping must be in (0, 1)")
-    n = graph.n
+    n = len(weights)
     if n == 0:
         return CentralityScores(scores=np.zeros(0), iterations=0, converged=True)
-    row_sums = graph.weights.sum(axis=1)
+    row_sums = weights.sum(axis=1)
     linked = row_sums > 0
     p = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
     for iteration in range(1, max_iter + 1):
         walked = np.divide(p, row_sums, out=np.zeros(n), where=linked)
-        p_next = damping * (graph.weights.T @ walked + p[~linked].sum() / n) + teleport
+        p_next = damping * (weights.T @ walked + p[~linked].sum() / n) + teleport
         if np.abs(p_next - p).sum() < tol:
             return CentralityScores(scores=p_next, iterations=iteration, converged=True)
         p = p_next
     return CentralityScores(scores=p, iterations=max_iter, converged=False)
 
 
-def dump_similarity_csv(graph: SimilarityGraph, path: str | Path) -> None:
+def dump_similarity_csv(weights: np.ndarray, path: str | Path) -> None:
     """Debug dump of the (thresholded) similarity matrix, one CSV line per
     row, written row by row."""
     with Path(path).open("w", encoding="utf-8") as handle:
-        for row in graph.weights:
+        for row in weights:
             handle.write(",".join(f"{w:.6f}" for w in row.tolist()) + "\n")
 
 
@@ -140,6 +134,6 @@ def lexrank_highlights(document: Document, k: int, params: LexRankParams = LexRa
     Ties break toward the smaller sentence index. Every score is positive
     (the teleport term alone is (1 - damping) / n), so every sentence ranks.
     """
-    graph = build_similarity_graph(document.token_index, threshold=params.threshold)
-    result = centrality(graph, damping=params.damping, tol=params.tol, max_iter=params.max_iter)
+    weights = build_similarity_graph(document.token_index, threshold=params.threshold)
+    result = centrality(weights, damping=params.damping, tol=params.tol, max_iter=params.max_iter)
     return ranked_highlights("lexrank", document, result.scores, k)

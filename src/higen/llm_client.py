@@ -13,12 +13,12 @@ per-key lock so concurrent identical generations share one backend call;
 ``score_many`` is a batch, sent with an array ``prompt`` whose choices are
 mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS`` describe each
 route's cached response; a missing or damaged entry is a miss, and a hit
-is read in one open, read and close. A scored context's key is
-``score_key``, the sha256 of the canonical JSON of the request; a caller that
-holds the contexts' JSON-escaped sentences (as attribution does) keys them all
-through ``score_keys`` without building a context, and gets the same keys, so
-caches written before keep hitting. A deterministic mock backend makes the
-whole pipeline reproducible in tests and offline runs.
+is read in one open, read and close. The score-cache key format lives here
+alone: a context's key is the sha256 of the request's canonical JSON, which
+``score_keys`` builds from the context's ``json_escaped`` bytes; a caller that
+escapes each sentence once (as attribution does) keys any ablated context by
+joining its sentences' bytes, without building it. A deterministic mock
+backend makes the whole pipeline reproducible in tests and offline runs.
 """
 
 from __future__ import annotations
@@ -146,9 +146,17 @@ def _canonical_gen_key(req: GenRequest) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
+def json_escaped(text: str) -> bytes:
+    """The UTF-8 bytes of ``text`` as the inside of a JSON string literal,
+    escaped as ``json.dumps(..., ensure_ascii=False)`` escapes it. Escaping
+    works character by character and leaves a space as it is, so the escaped
+    form of a space-joined text is the space-joined escaped forms."""
+    return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
+
+
 def score_keys(model: str, continuation: str, escaped_contexts: Iterable[bytes]) -> list[str]:
     """The cache keys of scoring ``continuation`` after each context, given
-    the contexts as ``corpus.json_escaped`` bytes: each the sha256 of
+    the contexts as ``json_escaped`` bytes: each the sha256 of
     ``json.dumps({"kind": "score", "model", "context", "continuation"},
     sort_keys=True, ensure_ascii=False)``, whose first member is the context.
     The JSON after the context and the hash of the JSON before it are built
@@ -165,18 +173,29 @@ def score_keys(model: str, continuation: str, escaped_contexts: Iterable[bytes])
     return keys
 
 
-def score_key(model: str, continuation: str, escaped_context: bytes) -> str:
-    """The cache key of one context, as ``score_keys`` builds it."""
-    return score_keys(model, continuation, [escaped_context])[0]
-
-
 def _canonical_score_key(req: ScoreRequest) -> str:
-    return score_key(req.model, req.continuation, corpus.json_escaped(req.context))
+    return score_keys(req.model, req.continuation, [json_escaped(req.context)])[0]
 
 
 def prompt_hash(prompt: str) -> str:
     """Short stable identifier for a prompt, safe to log (never the prompt itself)."""
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+
+
+def write_atomically(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``: a reader sees the old file or the whole new one, never a part.
+    The temporary name is unique per writer, so concurrent writers of one
+    path never share it, and whichever rename lands last wins."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # The first read of a cache entry; a score entry is about 150 bytes.
@@ -255,20 +274,9 @@ class LLMClient:
         return values if all(map(isinstance, values, fields.values())) else None
 
     def _cache_write(self, key: str, request: dict, response: dict) -> None:
-        if self.cache_dir is None:
-            return
-        path = self._cache_path(key)
-        # Unique temp name per writer: concurrent writers of the same entry
-        # hold identical content, so whichever rename lands last wins.
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps({"request": request, "response": response}, ensure_ascii=False))
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-            raise
+        if self.cache_dir is not None:
+            entry = json.dumps({"request": request, "response": response}, ensure_ascii=False)
+            write_atomically(self._cache_path(key), entry)
 
     # -- the one call path --------------------------------------------------
 
@@ -351,7 +359,7 @@ class LLMClient:
         self, keys: Sequence[str], build: Callable[[int], ScoreRequest], doc_id: str | None = None
     ) -> list[ScoreResponse]:
         """Score the requests under ``keys``, in order. ``build(i)`` makes the
-        request whose ``score_key`` is ``keys[i]``; the misses go to the
+        request ``keys[i]`` belongs to (see ``score_keys``); the misses go to the
         backend in one request."""
         rows, _ = self._cached("score", keys, _SCORE_FIELDS, build, self.backend.score_many, doc_id)
         return [ScoreResponse(*row) for row in rows]
@@ -455,12 +463,11 @@ class HTTPBackend:
     ) -> list[tuple[float, int] | SeamAlignmentError]:
         """Per (context, continuation) pair, the continuation's total logprob
         and token count, or the SeamAlignmentError of a pair whose seam does
-        not fall on a token boundary. A single pair is sent as a plain string
-        prompt, as scoring did before batching; several as an array."""
+        not fall on a token boundary. The prompts are sent as one array."""
         prompts = [context + continuation for context, continuation in pairs]
         payload = {
             "model": model,
-            "prompt": prompts if len(prompts) > 1 else prompts[0],
+            "prompt": prompts,
             "max_tokens": 0,
             "echo": True,
             "logprobs": 1,

@@ -95,12 +95,12 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
 # -- factual consistency -----------------------------------------------------
 
 
-def extract_facts(summary: str, client: LLMClient, judge_model: str, max_tokens: int = 1024) -> list[str]:
+def extract_facts(summary: str, client: LLMClient, judge_model: str) -> list[str]:
     """Ask the judge to decompose a summary into atomic facts (numbered list)."""
     if not summary.strip():
         return []
     prompt = fill(load_template("judge_extract_facts"), {"summary": summary})
-    response = client.generate(GenRequest(model=judge_model, user_prompt=prompt, max_tokens=max_tokens))
+    response = client.generate(GenRequest(model=judge_model, user_prompt=prompt, max_tokens=1024))
     facts = numbered_items(response.text)
     if not facts:
         raise ParseError("judge returned no parseable facts")

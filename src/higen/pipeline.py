@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, field
 
-from .attribution import AttributionParams, attribution_highlights, contextcite_attribute
+from .attribution import AttributionParams, contextcite_attribute
 from .corpus import Document
 from .errors import HigenError, ParseError
 from .lexrank import LexRankParams, lexrank_highlights
@@ -39,6 +39,7 @@ from .prompts import (
     align,
     parse_highlights,
     parse_planned,
+    ranked_highlights,
     render,
 )
 
@@ -60,7 +61,7 @@ class PipelineParams:
     template_family: str = "gov"
     align_threshold: float = 0.6
     max_tokens: int = 1200
-    seed: int | None = 0
+    seed: int = 0
     attribution: AttributionParams = field(default_factory=AttributionParams)
     lexrank: LexRankParams = field(default_factory=LexRankParams)
 
@@ -152,8 +153,8 @@ def plan(
         record.error_stage = "draft"
         draft = _direct_summary(client, document, params, record)
         record.error_stage = "attribution"
-        result = contextcite_attribute(client, document, draft, params.model, params.attribution, seed=params.seed or 0)
-        return attribution_highlights(result, document, params.k)
+        result = contextcite_attribute(client, document, draft, params.model, params.attribution, seed=params.seed)
+        return ranked_highlights("contextcite", document, result.scores, params.k)
     raise ValueError(f"unknown highlighter: {highlighter!r}")
 
 

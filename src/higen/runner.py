@@ -24,7 +24,7 @@ from .attribution import AttributionParams
 from .corpus import SCHEMAS, Document, load_dataset, read_jsonl
 from .errors import ConfigError, require
 from .lexrank import LexRankParams
-from .llm_client import LLMClient, RetryPolicy, backend_from_url, resolve_endpoint
+from .llm_client import LLMClient, RetryPolicy, backend_from_url, resolve_endpoint, write_atomically
 from .pipeline import METHODS, PipelineParams, SummaryRecord, run_method
 
 ARTIFACT_VERSION = "0.1.0"
@@ -166,16 +166,24 @@ def parse_config(data: dict) -> ExperimentConfig:
     return _build({**data, **sections}, ExperimentConfig, "config")
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of an input file; a file that is missing, unreadable or
+    not UTF-8 is a ConfigError naming ``what`` and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"could not read {what} file {path}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a YAML (superset of JSON) config file and validate it. PyYAML
     is imported here, so a process that reads no config file never loads it."""
     import yaml
 
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = yaml.safe_load(read_text(path, "config"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse config {path}: {exc}") from exc
     return parse_config(data or {})
@@ -208,19 +216,17 @@ def _load_documents(config: ExperimentConfig) -> list[Document]:
 
 def read_records(run_dir: str | Path) -> list[SummaryRecord]:
     """The latest record of each (document, method) pair in outputs.jsonl,
-    read tolerantly (a truncated trailing line is skipped)."""
+    read tolerantly: a blank line, or a truncated one (which may end inside
+    a UTF-8 character), is skipped."""
     path = Path(run_dir) / "outputs.jsonl"
     latest: dict[tuple[str, str], SummaryRecord] = {}
     if not path.exists():
         return []
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
                 record = SummaryRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                 continue
             latest[(record.doc_id, record.method)] = record
     return list(latest.values())
@@ -232,7 +238,7 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
 
     Records append to run_dir/outputs.jsonl in task order (document id, then
     config method order) at any concurrency, each flushed as it is written;
-    the manifest is written at the end. A record that finishes behind a
+    the manifest is replaced whole at the end. A record that finishes behind a
     slower one waits in memory until that one is written: a crash before
     then loses it, and resume redoes it, from cache_dir without a backend
     call when there is a cache and with all its calls again when there is
@@ -306,9 +312,7 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
         "llm_calls": client.backend_calls,
         "cache_hits": client.cache_hits,
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2), encoding="utf-8"
-    )
+    write_atomically(run_dir / "manifest.json", json.dumps(manifest, ensure_ascii=False, indent=2))
     return run_dir
 
 

@@ -48,7 +48,7 @@ def traced_peak(fn: Callable, *args, **kwargs):
 
 
 def score_requests(client: LLMClient, reqs: list[ScoreRequest]):
-    """Score plain requests through ``score_many``, each under its own ``score_key``."""
+    """Score plain requests through ``score_many``, each under its own canonical score key."""
     return client.score_many([_canonical_score_key(req) for req in reqs], reqs.__getitem__)
 
 

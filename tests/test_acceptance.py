@@ -20,7 +20,7 @@ import pytest
 
 from higen.attribution import AttributionParams, contextcite_attribute, fit_lasso, lambda_max, logit_scale
 from higen.cli import main as cli_main
-from higen.lexrank import SimilarityGraph, centrality
+from higen.lexrank import centrality
 from higen.llm_client import GenRequest, LLMClient, MockBackend
 from higen.metrics import lcs_length, paired_t_test, rouge_l, student_t_two_sided_p, tokenize
 from higen.pipeline import PipelineParams, run_method
@@ -79,8 +79,7 @@ def test_criterion_2_lexrank_oracle_equivalence():
         np.fill_diagonal(weights, 1.0)
         threshold = float(rng.choice([0.0, 0.1, 0.3]))
         weights[weights < threshold] = 0.0
-        graph = SimilarityGraph(n=n, weights=weights, threshold=threshold)
-        result = centrality(graph, tol=1e-12, max_iter=2000)
+        result = centrality(weights, tol=1e-12, max_iter=2000)
 
         row_sums = weights.sum(axis=1, keepdims=True)
         transition = np.where(row_sums > 0, weights / np.where(row_sums == 0, 1.0, row_sums), 1.0 / n)

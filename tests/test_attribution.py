@@ -10,7 +10,6 @@ from higen.attribution import (
     SCORE_BATCH,
     AttributionParams,
     ablate,
-    attribution_highlights,
     contextcite_attribute,
     fit_lasso,
     lambda_max,
@@ -20,6 +19,7 @@ from higen.attribution import (
 from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
 from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, prompt_hash
+from higen.prompts import ranked_highlights
 
 from conftest import RecordingBackend, doc_from_sentences, score_requests, traced_peak
 
@@ -578,23 +578,23 @@ class TestAttributionHighlights:
 
     def test_filter_and_reorder(self):
         doc = doc_from_sentences(["S zero.", "S one.", "S two.", "S three."])
-        hs = attribution_highlights(self._result([0.5, 0.0, -0.2, 0.9]), doc, k=30)
+        hs = ranked_highlights("contextcite", doc, self._result([0.5, 0.0, -0.2, 0.9]).scores, k=30)
         assert [h.source_index for h in hs.items] == [0, 3]
         assert hs.method == "contextcite"
 
     def test_all_zero_scores_empty_set(self):
         doc = doc_from_sentences(["S zero.", "S one."])
-        hs = attribution_highlights(self._result([0.0, 0.0]), doc, k=5)
+        hs = ranked_highlights("contextcite", doc, self._result([0.0, 0.0]).scores, k=5)
         assert hs.items == ()
 
     def test_top_k_cap(self):
         doc = doc_from_sentences(["S zero.", "S one."])
-        hs = attribution_highlights(self._result([0.5, 0.9]), doc, k=1)
+        hs = ranked_highlights("contextcite", doc, self._result([0.5, 0.9]).scores, k=1)
         assert [h.source_index for h in hs.items] == [1]
 
     def test_never_emits_nonpositive_or_duplicates(self):
         doc = doc_from_sentences(["S zero.", "S one.", "S two."])
-        hs = attribution_highlights(self._result([0.1, -0.5, 0.0]), doc, k=10)
+        hs = ranked_highlights("contextcite", doc, self._result([0.1, -0.5, 0.0]).scores, k=10)
         indices = [h.source_index for h in hs.items]
         assert indices == [0]
         assert len(indices) == len(set(indices))

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from higen.cli import main
 from higen.llm_client import LLMClient, MockBackend
 
@@ -100,6 +102,38 @@ class TestExitCodes:
 
     def test_report_without_manifest_is_2(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        ("argv", "bad"),
+        [
+            (["report", "--run-dir", "{truncated_run}"], "{truncated_run}/manifest.json"),
+            (["report", "--run-dir", "{latin1_run}"], "{latin1_run}/manifest.json"),
+            (["report", "--run-dir", "{list_run}"], "{list_run}/manifest.json"),
+            (["highlight", "--method", "lexrank", "--doc", "{latin1}"], "{latin1}"),
+            (["attribute", "--doc", "{latin1}", "--response", "{response}", "-c", "{config}"], "{latin1}"),
+            (["attribute", "--doc", "{doc}", "--response", "{latin1}", "-c", "{config}"], "{latin1}"),
+            (["run", "-c", "{latin1}"], "{latin1}"),
+        ],
+        ids=[
+            "truncated-manifest", "non-utf8-manifest", "non-object-manifest",
+            "highlight-doc", "attribute-doc", "response", "config",
+        ],
+    )
+    def test_an_unusable_input_file_is_a_config_error(self, tmp_path, capsys, argv, bad):
+        files = ("truncated_run", "latin1_run", "list_run", "latin1", "doc", "response")
+        paths = {name: tmp_path / name for name in files}
+        paths["config"] = _write_config(tmp_path)
+        paths["doc"].write_text("Alpha one here. Beta two there.", encoding="utf-8")
+        paths["response"].write_text("Alpha one here.", encoding="utf-8")
+        paths["latin1"].write_bytes("Caf\u00e9 one here. Beta two there.".encode("latin-1"))
+        manifests = {"truncated_run": b'{"config": {"methods": [', "latin1_run": b'{"model": "\xe9"}', "list_run": b"[]"}
+        for run_dir, manifest in manifests.items():
+            paths[run_dir].mkdir()
+            (paths[run_dir] / "manifest.json").write_bytes(manifest)
+        names = {name: str(path) for name, path in paths.items()}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and bad.format(**names) in line
 
 
 class TestHighlightCommand:

@@ -292,6 +292,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=":2:"):
             load_dataset(path, "scrolls_govreport")
 
+    def test_undecodable_byte_carries_line_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id":"d1","input":"A.","output":"A."}\n\n{"id":"d2","input":"B\xff.","output":"B."}\n')
+        with pytest.raises(DatasetError, match=r"bad\.jsonl:3: .*can't decode byte 0xff"):
+            load_dataset(path, "scrolls_govreport")
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id":"d1","input":"A."}\n')

@@ -9,7 +9,6 @@ import pytest
 from higen.corpus import STOPWORDS, TokenIndex, tokenize
 from higen.lexrank import (
     LexRankParams,
-    SimilarityGraph,
     build_similarity_graph,
     centrality,
     dump_similarity_csv,
@@ -32,7 +31,7 @@ def _tfidf_rows(texts: list[str]) -> list[dict[str, float]]:
 
 def _cosine(texts: list[str]) -> float:
     """Graph weight between the first two sentences, with no threshold."""
-    return build_similarity_graph(TokenIndex.build(texts), threshold=0.0).weights[0, 1]
+    return build_similarity_graph(TokenIndex.build(texts), threshold=0.0)[0, 1]
 
 
 def _brute_force_tfidf(texts: list[str]) -> list[dict[str, float]]:
@@ -120,12 +119,12 @@ class TestModifiedCosine:
         texts = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 12))) for _ in range(118)]
         texts += ["the of and", texts[5]]
         for threshold in (0.0, 0.1):
-            graph = build_similarity_graph(TokenIndex.build(texts), threshold=threshold)
+            weights = build_similarity_graph(TokenIndex.build(texts), threshold=threshold)
             vectors = _brute_force_tfidf(texts)
             expected = np.array([[_brute_force_cosine(u, v) for v in vectors] for u in vectors])
             np.fill_diagonal(expected, 1.0)
-            assert np.abs(graph.weights - np.where(expected < threshold, 0.0, expected)).max() < 1e-12
-            assert (graph.weights == graph.weights.T).all()
+            assert np.abs(weights - np.where(expected < threshold, 0.0, expected)).max() < 1e-12
+            assert (weights == weights.T).all()
 
 
 def _dominant_eigenvector(weights: np.ndarray, damping: float) -> np.ndarray:
@@ -138,20 +137,19 @@ def _dominant_eigenvector(weights: np.ndarray, damping: float) -> np.ndarray:
     return vector / vector.sum()
 
 
-def _random_graph(rng: np.random.Generator) -> SimilarityGraph:
+def _random_graph(rng: np.random.Generator) -> np.ndarray:
     n = int(rng.integers(1, 13))
     raw = rng.random((n, n))
     weights = (raw + raw.T) / 2
     np.fill_diagonal(weights, 1.0)
     threshold = float(rng.choice([0.0, 0.1, 0.3]))
     weights[weights < threshold] = 0.0
-    return SimilarityGraph(n=n, weights=weights, threshold=threshold)
+    return weights
 
 
 class TestCentrality:
     def test_singleton(self):
-        graph = SimilarityGraph(n=1, weights=np.ones((1, 1)), threshold=0.1)
-        result = centrality(graph)
+        result = centrality(np.ones((1, 1)))
         assert result.scores.tolist() == pytest.approx([1.0])
         assert result.converged
 
@@ -165,7 +163,7 @@ class TestCentrality:
         for _ in range(50):
             graph = _random_graph(rng)
             result = centrality(graph, tol=1e-12, max_iter=2000)
-            oracle = _dominant_eigenvector(graph.weights, 0.85)
+            oracle = _dominant_eigenvector(graph, 0.85)
             assert np.abs(result.scores - oracle).max() < 1e-6
             assert abs(result.scores.sum() - 1.0) < 1e-9
             assert (result.scores >= 0).all()
@@ -173,24 +171,21 @@ class TestCentrality:
     def test_disconnected_graph_uniform(self):
         weights = np.eye(4)
         weights[weights < 0.5] = 0.0
-        graph = SimilarityGraph(n=4, weights=weights, threshold=0.5)
-        result = centrality(graph)
+        result = centrality(weights)
         assert result.scores.tolist() == pytest.approx([0.25] * 4)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         graph = _random_graph(rng)
-        n = graph.n
-        perm = rng.permutation(n)
-        permuted = SimilarityGraph(n=n, weights=graph.weights[np.ix_(perm, perm)], threshold=graph.threshold)
+        perm = rng.permutation(len(graph))
+        permuted = graph[np.ix_(perm, perm)]
         base = centrality(graph, tol=1e-12, max_iter=2000).scores
         shuffled = centrality(permuted, tol=1e-12, max_iter=2000).scores
         assert np.abs(shuffled - base[perm]).max() < 1e-9
 
     def test_damping_validation(self):
-        graph = SimilarityGraph(n=1, weights=np.ones((1, 1)), threshold=0.0)
         with pytest.raises(ValueError):
-            centrality(graph, damping=1.0)
+            centrality(np.ones((1, 1)), damping=1.0)
 
     def test_zero_sum_rows_match_eigensolver(self):
         # rows and columns without any weight, diagonal included: their share
@@ -198,11 +193,11 @@ class TestCentrality:
         rng = np.random.default_rng(99)
         for _ in range(20):
             graph = _random_graph(rng)
-            cut = rng.random(graph.n) < 0.3
-            graph.weights[cut] = 0.0
-            graph.weights[:, cut] = 0.0
+            cut = rng.random(len(graph)) < 0.3
+            graph[cut] = 0.0
+            graph[:, cut] = 0.0
             result = centrality(graph, tol=1e-12, max_iter=2000)
-            assert np.abs(result.scores - _dominant_eigenvector(graph.weights, 0.85)).max() < 1e-6
+            assert np.abs(result.scores - _dominant_eigenvector(graph, 0.85)).max() < 1e-6
 
     def test_allocates_far_less_than_one_copy_of_the_weights(self):
         rng = np.random.default_rng(5)
@@ -210,9 +205,8 @@ class TestCentrality:
         weights = (raw + raw.T) / 2
         weights[weights < 0.3] = 0.0
         np.fill_diagonal(weights, 1.0)
-        graph = SimilarityGraph(n=600, weights=weights, threshold=0.3)
         before = weights.copy()
-        result, peak = traced_peak(centrality, graph)
+        result, peak = traced_peak(centrality, weights)
         assert result.converged
         assert peak < weights.nbytes / 20
         assert (weights == before).all()
@@ -220,16 +214,16 @@ class TestCentrality:
 
 class TestGraphInvariants:
     def test_diagonal_one_before_threshold(self):
-        graph = build_similarity_graph(TokenIndex.build(["aa bb", "cc dd", "the of"]), threshold=0.0)
-        assert np.diag(graph.weights).tolist() == pytest.approx([1.0, 1.0, 1.0])
+        weights = build_similarity_graph(TokenIndex.build(["aa bb", "cc dd", "the of"]), threshold=0.0)
+        assert np.diag(weights).tolist() == pytest.approx([1.0, 1.0, 1.0])
 
     def test_symmetry_and_threshold(self):
-        graph = build_similarity_graph(
+        weights = build_similarity_graph(
             TokenIndex.build(["harbor dredging work", "dredging work spring", "unrelated topic zone"]),
             threshold=0.1,
         )
-        assert np.allclose(graph.weights, graph.weights.T)
-        off_diag = graph.weights[~np.eye(graph.n, dtype=bool)]
+        assert np.allclose(weights, weights.T)
+        off_diag = weights[~np.eye(len(weights), dtype=bool)]
         assert ((off_diag == 0.0) | (off_diag >= 0.1)).all()
 
 
@@ -298,7 +292,7 @@ class TestDumpSimilarityCsv:
     )
     def test_bytes(self, tmp_path, weights, expected):
         path = tmp_path / "similarity.csv"
-        dump_similarity_csv(SimilarityGraph(n=len(weights), weights=weights, threshold=0.1), path)
+        dump_similarity_csv(weights, path)
         assert path.read_bytes() == expected
 
     def test_bytes_of_a_built_graph(self, tmp_path):

@@ -12,7 +12,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higen.corpus import json_escaped, make_document, normalize_text, segment_sentences
+from higen.corpus import make_document, normalize_text, segment_sentences
 from higen.errors import CapabilityError, ConfigError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
     GenRequest,
@@ -28,9 +28,9 @@ from higen.llm_client import (
     _Retryable,
     backend_from_url,
     echo_first_k,
+    json_escaped,
     overlap_scorer,
     prompt_hash,
-    score_key,
     score_keys,
 )
 
@@ -222,7 +222,7 @@ class TestCache:
 
 
 def _plain_score_key(model: str, context: str, continuation: str) -> str:
-    """The score-cache key as it was first defined, the oracle for score_key."""
+    """The score-cache key as it was first defined, the oracle for score_keys."""
     payload = {"kind": "score", "model": model, "context": context, "continuation": continuation}
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
@@ -248,7 +248,7 @@ class TestScoreKey:
         context = " ".join(compress(sentences, mask))
         escaped = b" ".join(compress([json_escaped(text) for text in sentences], mask))
         expected = _plain_score_key(model, context, continuation)
-        assert score_key(model, continuation, escaped) == expected
+        assert score_keys(model, continuation, [escaped])[0] == expected
         assert _canonical_score_key(ScoreRequest(model, context, continuation)) == expected
 
     def test_the_batch_builder_keys_each_context_as_the_plain_formula(self):
@@ -533,7 +533,7 @@ class TestHTTPBackend:
         assert total == pytest.approx(-0.5)
         assert count == 1
         assert len(session.posts) == 2
-        assert session.posts[1][1]["prompt"] == "ab cd"
+        assert session.posts[1][1]["prompt"] == ["ab cd"]
 
     def test_longer_continuation_never_scores_higher_on_trace(self):
         # recorded-style traces of one prompt and its extension: every echoed
@@ -751,7 +751,7 @@ class TestBatchedScoring:
         backend = HTTPBackend("http://host", session=session)
         scored = backend.score_many([ScoreRequest("m", "ab", " cd"), ScoreRequest("m", "ab", "cd")])
         assert scored == [(-1.0, 1), (-0.5, 1)]
-        assert [sent["prompt"] for _, sent in session.posts] == [["ab cd", "abcd"], "ab cd"]
+        assert [sent["prompt"] for _, sent in session.posts] == [["ab cd", "abcd"], ["ab cd"]]
 
     def test_partial_cache_hit_sends_only_the_misses(self, tmp_path):
         backend = _BatchRecorder()

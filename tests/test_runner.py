@@ -224,6 +224,17 @@ class TestRun:
         pairs = [(r.doc_id, r.method) for r in records]
         assert len(pairs) == len(set(pairs)) == 10
 
+    def test_a_line_cut_inside_a_utf8_character_is_skipped_on_resume(self, tmp_path):
+        config = parse_config(_config_dict(tmp_path, concurrency=1))
+        run(config)
+        outputs = Path(config.run_dir) / "outputs.jsonl"
+        lines = outputs.read_bytes().splitlines(keepends=True)
+        fragment = lines[9].replace(b'"summary": "', '"summary": "Caf\u00e9 '.encode("utf-8"))
+        outputs.write_bytes(b"".join(lines[:9]) + fragment[: fragment.index(b"\xc3") + 1])
+        assert len(read_records(config.run_dir)) == 9
+        run(config)
+        assert len(read_records(config.run_dir)) == 10
+
     def test_no_duplicate_pairs_after_resume(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
         run(config)
@@ -327,6 +338,23 @@ class TestRun:
         # direct makes one generation per document; the run has ten.
         assert 1 <= backend.gen_calls <= 3
 
+    def test_a_failed_manifest_write_leaves_the_previous_manifest(self, tmp_path, monkeypatch):
+        # The manifest is written whole to a temporary file and renamed over
+        # the old one, so a crash mid-write leaves the old one, not a part.
+        config = parse_config(_config_dict(tmp_path, cache_dir=None))
+        run(config)
+        manifest = Path(config.run_dir) / "manifest.json"
+        before = manifest.read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("os.replace", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            run(config)
+        assert manifest.read_bytes() == before
+        assert sorted(path.name for path in Path(config.run_dir).iterdir()) == ["manifest.json", "outputs.jsonl"]
+
     def test_each_document_is_released_after_its_last_record(self, tmp_path, monkeypatch):
         import higen.runner as runner_mod
 
@@ -336,7 +364,7 @@ class TestRun:
         run(config)
         records = read_records(config.run_dir)
         assert len(records) == 20 and all(r.ok for r in records)
-        artifacts = {"sentences", "token_index", "labelled_sentences", "escaped_sentences"}
+        artifacts = {"sentences", "token_index", "labelled_sentences"}
         assert [sorted(artifacts & vars(doc).keys()) for doc in documents] == [[]] * len(documents)
         # released artifacts are rebuilt on the next read
         assert [len(doc.sentences) for doc in documents] == [5] * len(documents)
