@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 usage error, 2 configuration error, 3 completed with
-partial failures.
+Exit codes: 0 ok, 1 usage error, 2 configuration or dataset error, 3
+completed with partial failures.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def _cmd_report(args) -> int:
     if not isinstance(manifest, dict):
         raise ConfigError(f"{manifest_path} is not a JSON object")
     snapshot = manifest.get("config", {})
+    if not isinstance(snapshot, dict) or not isinstance(snapshot.get("dataset", {}), dict):
+        raise ConfigError(f"{manifest_path}: config and config.dataset must be JSON objects")
     methods = snapshot.get("methods", [])
     dataset_name = Path(snapshot.get("dataset", {}).get("path", "")).stem
     table = aggregate(
@@ -196,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DatasetError as exc:
+        print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HigenError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -99,17 +99,13 @@ class TokenIndex:
 
     @classmethod
     def build(cls, texts: Iterable[str]) -> TokenIndex:
-        vocab: dict[str, int] = {}
-        ids: list[int] = []
-        lengths: list[int] = []
-        for text in texts:
-            tokens = tokenize(text)
-            ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
-            lengths.append(len(tokens))
+        """The vocabulary in order of first appearance, and every token's id."""
+        tokens = [tokenize(text) for text in texts]
+        vocab = {token: i for i, token in enumerate(dict.fromkeys(chain.from_iterable(tokens)))}
         return cls(
             vocab=vocab,
-            ids=np.array(ids, dtype=np.int32),
-            lengths=np.array(lengths, dtype=np.int64),
+            ids=np.fromiter(map(vocab.__getitem__, chain.from_iterable(tokens)), dtype=np.int32),
+            lengths=np.array([len(sentence) for sentence in tokens], dtype=np.int64),
             stop=np.array([token in STOPWORDS for token in vocab], dtype=bool),
         )
 

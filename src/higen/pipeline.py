@@ -19,6 +19,10 @@ expected failure: its traceback is also logged at WARNING on the
 lexrank) or ``draft`` then ``attribution`` (contextcite) while ``plan``
 builds the content plan; then ``stage2``, or ``fallback_direct`` when the
 plan came back empty.
+
+A document's kind picks its prompts and generation budget, after GovReport
+and QMSum: prose the ``*_gov`` templates and 1200 tokens, a transcript the
+``*_qmsum`` templates and 256. A set ``max_tokens`` overrides the budget.
 """
 
 from __future__ import annotations
@@ -53,14 +57,16 @@ _HIGHLIGHTER_FOR_METHOD = {
     "two_stage_cc": "contextcite",
 }
 
+# The template family and default generation budget of each document kind.
+_FAMILY = {"prose": "gov", "transcript": "qmsum"}
+_DEFAULT_MAX_TOKENS = {"prose": 1200, "transcript": 256}
+
 
 @dataclass
 class PipelineParams:
     model: str
     k: int = 30
-    template_family: str = "gov"
-    align_threshold: float = 0.6
-    max_tokens: int = 1200
+    max_tokens: int | None = None
     seed: int = 0
     attribution: AttributionParams = field(default_factory=AttributionParams)
     lexrank: LexRankParams = field(default_factory=LexRankParams)
@@ -96,8 +102,11 @@ class SummaryRecord:
         return cls(**{**data, "highlights": HighlightSet(**{**hs, "items": items})})
 
 
-def _generate(client: LLMClient, record: SummaryRecord, prompt: str, params: PipelineParams) -> GenResponse:
-    request = GenRequest(model=params.model, user_prompt=prompt, max_tokens=params.max_tokens, seed=params.seed)
+def _generate(
+    client: LLMClient, record: SummaryRecord, document: Document, prompt: str, params: PipelineParams
+) -> GenResponse:
+    max_tokens = _DEFAULT_MAX_TOKENS[document.kind] if params.max_tokens is None else params.max_tokens
+    request = GenRequest(model=params.model, user_prompt=prompt, max_tokens=max_tokens, seed=params.seed)
     record.error_prompt_hash = prompt_hash(prompt)
     response = client.generate(request, doc_id=record.doc_id)
     record.raw_responses.append(response.text)
@@ -107,24 +116,26 @@ def _generate(client: LLMClient, record: SummaryRecord, prompt: str, params: Pip
     return response
 
 
-def _generate_planned(client: LLMClient, record: SummaryRecord, prompt: str, params: PipelineParams) -> PlannedOutput:
+def _generate_planned(
+    client: LLMClient, record: SummaryRecord, document: Document, prompt: str, params: PipelineParams
+) -> PlannedOutput:
     """Generate and parse, retrying once with a format reminder on parse failure."""
-    response = _generate(client, record, prompt, params)
+    response = _generate(client, record, document, prompt, params)
     try:
         return parse_planned(response.text)
     except ParseError:
-        response = _generate(client, record, prompt + "\n" + FORMAT_REMINDER, params)
+        response = _generate(client, record, document, prompt + "\n" + FORMAT_REMINDER, params)
         return parse_planned(response.text)
 
 
 def _direct_summary(client: LLMClient, document: Document, params: PipelineParams, record: SummaryRecord) -> str:
-    prompt = render(f"direct_{params.template_family}", document)
-    return _generate_planned(client, record, prompt, params).summary
+    prompt = render(f"direct_{_FAMILY[document.kind]}", document)
+    return _generate_planned(client, record, document, prompt, params).summary
 
 
 def _aligned(method: str, document: Document, texts: list[str], params: PipelineParams) -> HighlightSet:
     """The first k generated highlight texts, aligned to the source sentences."""
-    items = tuple(align(document, texts[: params.k], params.align_threshold))
+    items = tuple(align(document, texts[: params.k]))
     return HighlightSet(method=method, k_requested=params.k, items=items)
 
 
@@ -144,8 +155,8 @@ def plan(
     record = record or SummaryRecord(document.id, highlighter, params.model, HighlightSet(highlighter, 0, ()))
     record.error_stage = "stage1"
     if highlighter == "generative":
-        prompt = render(f"stage1_highlights_{params.template_family}", document, k=params.k)
-        response = _generate(client, record, prompt, params)
+        prompt = render(f"stage1_highlights_{_FAMILY[document.kind]}", document, k=params.k)
+        response = _generate(client, record, document, prompt, params)
         return _aligned("generative", document, parse_highlights(response.text), params)
     if highlighter == "lexrank":
         return lexrank_highlights(document, params.k, params.lexrank)
@@ -167,8 +178,8 @@ def _summarize(client: LLMClient, document: Document, params: PipelineParams, re
         return _direct_summary(client, document, params, record)
     if method == "e2e":
         record.error_stage = "e2e"
-        prompt = render(f"e2e_{params.template_family}", document, k=params.k)
-        planned = _generate_planned(client, record, prompt, params)
+        prompt = render(f"e2e_{_FAMILY[document.kind]}", document, k=params.k)
+        planned = _generate_planned(client, record, document, prompt, params)
         record.highlights = _aligned("e2e", document, list(planned.highlights), params)
         return planned.summary
     record.highlights = plan(client, document, _HIGHLIGHTER_FOR_METHOD[method], params, record)
@@ -178,8 +189,8 @@ def _summarize(client: LLMClient, document: Document, params: PipelineParams, re
         record.fallback_used = True  # only once the fallback has answered
         return summary
     record.error_stage = "stage2"
-    prompt = render(f"stage2_summary_{params.template_family}", document, highlights=record.highlights.items)
-    return _generate_planned(client, record, prompt, params).summary
+    prompt = render(f"stage2_summary_{_FAMILY[document.kind]}", document, highlights=record.highlights.items)
+    return _generate_planned(client, record, document, prompt, params).summary
 
 
 def run_method(client: LLMClient, document: Document, method: str, params: PipelineParams) -> SummaryRecord:

@@ -29,9 +29,6 @@ from .pipeline import METHODS, PipelineParams, SummaryRecord, run_method
 
 ARTIFACT_VERSION = "0.1.0"
 
-# Generation budgets sized to the reference-summary lengths of each family.
-DEFAULT_MAX_TOKENS = {"gov": 1200, "qmsum": 256}
-
 
 @dataclass
 class DatasetConfig:
@@ -44,6 +41,8 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         require("schema", self.schema, SCHEMAS.__contains__, f"one of {', '.join(SCHEMAS)}")
         require("limit", self.limit, lambda n: n is None or isinstance(n, int) and n >= 0, "an integer >= 0")
+        rule = "unset unless the schema is generic_jsonl"
+        require("field_map", self.field_map, lambda m: m is None or self.schema == "generic_jsonl", rule)
 
 
 @dataclass
@@ -77,9 +76,7 @@ class ExperimentConfig:
     methods: list[str] = field(default_factory=lambda: ["direct"])
     judge_model: str = "gpt-4o-mini"
     k: int = 30
-    prompt_family: str | None = None
     max_tokens: int | None = None
-    align_threshold: float = 0.6
     endpoint: EndpointConfig = field(default_factory=EndpointConfig)
     concurrency: int = 4
     cache_dir: str | None = None
@@ -97,26 +94,13 @@ class ExperimentConfig:
         require("concurrency", self.concurrency, lambda c: isinstance(c, int) and c >= 1, "an integer >= 1")
         require("max_tokens", self.max_tokens, lambda t: t is None or isinstance(t, int) and t >= 1, "an integer >= 1")
         require("seed", self.seed, lambda s: isinstance(s, int), "an integer")
-        require("align_threshold", self.align_threshold, lambda t: 0 < t <= 1, "in (0, 1]")
-        require("prompt_family", self.prompt_family, lambda f: f in (None, "gov", "qmsum"), "gov or qmsum when set")
-
-    def family(self) -> str:
-        if self.prompt_family:
-            return self.prompt_family
-        return "qmsum" if self.dataset.schema == "scrolls_qmsum" else "gov"
-
-    def generation_budget(self) -> int:
-        if self.max_tokens is not None:
-            return self.max_tokens
-        return DEFAULT_MAX_TOKENS[self.family()]
 
     def pipeline_params(self) -> PipelineParams:
+        """Each document's kind picks its prompts, and its budget unless ``max_tokens`` is set."""
         return PipelineParams(
             model=self.model,
             k=self.k,
-            template_family=self.family(),
-            align_threshold=self.align_threshold,
-            max_tokens=self.generation_budget(),
+            max_tokens=self.max_tokens,
             seed=self.seed,
             attribution=self.attribution,
             lexrank=self.lexrank,

@@ -12,7 +12,7 @@ import pytest
 from higen.cli import main
 from higen.llm_client import LLMClient, MockBackend
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, RecordingBackend
 
 
 def _write_config(tmp_path, **overrides) -> Path:
@@ -65,6 +65,16 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "cache").exists()
 
+    def test_a_malformed_dataset_line_is_2_and_creates_no_directory(self, tmp_path, capsys):
+        data_path = tmp_path / "bad.jsonl"
+        data_path.write_text((DATA_DIR / "minicorpus.jsonl").read_text().splitlines()[0] + "\nnot json\n")
+        path = _write_config(tmp_path, dataset={"path": str(data_path), "schema": "scrolls_govreport"})
+        assert main(["run", "-c", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"dataset error: {data_path}:2: malformed JSON line")
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "cache").exists()
+
     def test_a_bad_endpoint_is_2_and_creates_no_run_directory(self, tmp_path, capsys):
         path = _write_config(tmp_path, endpoint={"base_url": "mock://x"})
         assert main(["run", "-c", str(path)]) == 2
@@ -109,6 +119,8 @@ class TestExitCodes:
             (["report", "--run-dir", "{truncated_run}"], "{truncated_run}/manifest.json"),
             (["report", "--run-dir", "{latin1_run}"], "{latin1_run}/manifest.json"),
             (["report", "--run-dir", "{list_run}"], "{list_run}/manifest.json"),
+            (["report", "--run-dir", "{list_config_run}"], "{list_config_run}/manifest.json"),
+            (["report", "--run-dir", "{list_dataset_run}"], "{list_dataset_run}/manifest.json"),
             (["highlight", "--method", "lexrank", "--doc", "{latin1}"], "{latin1}"),
             (["attribute", "--doc", "{latin1}", "--response", "{response}", "-c", "{config}"], "{latin1}"),
             (["attribute", "--doc", "{doc}", "--response", "{latin1}", "-c", "{config}"], "{latin1}"),
@@ -116,17 +128,23 @@ class TestExitCodes:
         ],
         ids=[
             "truncated-manifest", "non-utf8-manifest", "non-object-manifest",
+            "non-object-manifest-config", "non-object-manifest-dataset",
             "highlight-doc", "attribute-doc", "response", "config",
         ],
     )
     def test_an_unusable_input_file_is_a_config_error(self, tmp_path, capsys, argv, bad):
-        files = ("truncated_run", "latin1_run", "list_run", "latin1", "doc", "response")
-        paths = {name: tmp_path / name for name in files}
+        manifests = {
+            "truncated_run": b'{"config": {"methods": [',
+            "latin1_run": b'{"model": "\xe9"}',
+            "list_run": b"[]",
+            "list_config_run": b'{"config": []}',
+            "list_dataset_run": b'{"config": {"methods": ["direct"], "dataset": []}}',
+        }
+        paths = {name: tmp_path / name for name in (*manifests, "latin1", "doc", "response")}
         paths["config"] = _write_config(tmp_path)
         paths["doc"].write_text("Alpha one here. Beta two there.", encoding="utf-8")
         paths["response"].write_text("Alpha one here.", encoding="utf-8")
         paths["latin1"].write_bytes("Caf\u00e9 one here. Beta two there.".encode("latin-1"))
-        manifests = {"truncated_run": b'{"config": {"methods": [', "latin1_run": b'{"model": "\xe9"}', "list_run": b"[]"}
         for run_dir, manifest in manifests.items():
             paths[run_dir].mkdir()
             (paths[run_dir] / "manifest.json").write_bytes(manifest)
@@ -191,6 +209,20 @@ class TestHighlightCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["1. Alpha one here.", "2. Beta two there."]
 
+    def test_generative_follows_the_document_not_the_configs_schema(self, tmp_path, capsys, monkeypatch):
+        backend = RecordingBackend()
+        monkeypatch.setattr("higen.cli.build_client", lambda config: LLMClient(backend, cache_dir=tmp_path / "c"))
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")
+        dataset = {"path": str(DATA_DIR / "qmsum_record.jsonl"), "schema": "scrolls_qmsum"}
+        config = _write_config(tmp_path, dataset=dataset, max_tokens=None)
+        rc = main(["highlight", "--method", "generative", "--doc", str(doc_path), "-k", "2", "-c", str(config)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["1. Alpha one here.", "2. Beta two there."]
+        [request] = backend.requests
+        assert request.user_prompt.startswith("You are given a report by a government agency.")
+        assert request.max_tokens == 1200
+
     def test_contextcite_with_mock_config(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.txt"
         doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")
@@ -211,14 +243,14 @@ class TestHighlightCommand:
         assert backend.gen_calls == 1
         assert len(capsys.readouterr().out.strip().splitlines()) <= 2
 
-    def test_contextcite_on_an_empty_document_is_an_error_line_and_3(self, tmp_path, capsys):
+    def test_contextcite_on_an_empty_document_is_an_error_line_and_2(self, tmp_path, capsys):
         doc_path = tmp_path / "empty.txt"
         doc_path.write_text("")
         config = _write_config(tmp_path)
         rc = main(["highlight", "--method", "contextcite", "--doc", str(doc_path), "-c", str(config)])
-        assert rc == 3
+        assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "no sentences" in err
+        assert err.startswith("dataset error: ") and "no sentences" in err
         assert "Traceback" not in err
 
     def test_missing_doc_file_is_2(self, tmp_path):
@@ -251,17 +283,17 @@ class TestAttributeCommand:
         assert all(type(bit) is int and bit in (0, 1) for p in pairs for bit in p["mask"])
         assert all(math.isfinite(p["logit"]) for p in pairs)
 
-    def test_attribute_on_an_empty_document_is_an_error_line_and_3(self, tmp_path, capsys):
+    def test_attribute_on_an_empty_document_is_an_error_line_and_2(self, tmp_path, capsys):
         doc_path = tmp_path / "empty.txt"
         doc_path.write_text("  \n")
         response_path = tmp_path / "resp.txt"
         response_path.write_text("Alpha.")
         config = _write_config(tmp_path)
         rc = main(["attribute", "--doc", str(doc_path), "--response", str(response_path), "-c", str(config)])
-        assert rc == 3
+        assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "no sentences" in captured.err
+        assert captured.err.startswith("dataset error: ") and "no sentences" in captured.err
 
     def test_attribute_needs_config(self, tmp_path):
         doc_path = tmp_path / "doc.txt"
@@ -286,7 +318,7 @@ class TestEvaluateAndReportCommands:
         ]
         assert any(r.get("metric") == "tokens_alnum" for r in metrics_rows)
 
-    def test_report_on_a_truncated_metrics_line_is_an_error_line_and_3(self, tmp_path, capsys):
+    def test_report_on_a_truncated_metrics_line_is_an_error_line_and_2(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         assert main(["run", "-c", str(config)]) == 0
         assert main(["evaluate", "-c", str(config)]) == 0
@@ -294,9 +326,10 @@ class TestEvaluateAndReportCommands:
         lines = metrics_path.read_text().splitlines()
         metrics_path.write_text("\n".join(lines[:-1] + [lines[-1][:10]]))
         capsys.readouterr()
-        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"metrics.jsonl:{len(lines)}: malformed JSON line" in err
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("dataset error: ") and f"metrics.jsonl:{len(lines)}: malformed JSON line" in line
+        assert not (tmp_path / "run" / "report.md").exists()
 
     def test_a_missing_external_scores_file_is_2_and_writes_no_metrics(self, tmp_path, capsys):
         missing = tmp_path / "absent.jsonl"
@@ -310,15 +343,15 @@ class TestEvaluateAndReportCommands:
         assert capsys.readouterr().err.splitlines() == [f"config error: external scores file not found: {missing}"]
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
-    def test_evaluate_with_a_non_object_external_score_line_is_an_error_line_and_3(self, tmp_path, capsys):
+    def test_evaluate_with_a_non_object_external_score_line_is_an_error_line_and_2(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.jsonl"
         scores_path.write_text('{"doc_id": "gov_a", "score": 0.5}\n5\n')
         config = _write_config(tmp_path, metrics={"external_scores": [{"name": "bertscore", "path": str(scores_path)}]})
         assert main(["run", "-c", str(config)]) == 0
         capsys.readouterr()
-        assert main(["evaluate", "-c", str(config)]) == 3
+        assert main(["evaluate", "-c", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "scores.jsonl:2: expected a JSON object" in err
+        assert err.startswith("dataset error: ") and "scores.jsonl:2: expected a JSON object" in err
 
     def test_factscore_on_the_mock_backend_writes_a_row_per_record(self, tmp_path):
         config = _write_config(

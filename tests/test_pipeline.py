@@ -21,7 +21,7 @@ from conftest import RecordingBackend, ScriptedBackend, doc_from_sentences, make
 
 
 def _params(**kwargs) -> PipelineParams:
-    defaults = dict(model="mock-model", k=2, template_family="gov", max_tokens=200)
+    defaults = dict(model="mock-model", k=2, max_tokens=200)
     defaults.update(kwargs)
     return PipelineParams(**defaults)
 
@@ -307,7 +307,7 @@ class TestQmsumFamily:
 
     def test_e2e_on_fenced_transcript(self, tmp_path, transcript_doc):
         client, backend = make_mock_client(tmp_path)
-        record = run_method(client, transcript_doc, "e2e", _params(template_family="qmsum", k=2))
+        record = run_method(client, transcript_doc, "e2e", _params(k=2))
         assert record.ok
         assert record.summary
         assert len(record.highlights.items) == 2
@@ -319,7 +319,7 @@ class TestQmsumFamily:
 
     def test_two_stage_lexrank_on_transcript(self, tmp_path, transcript_doc):
         client, backend = make_mock_client(tmp_path)
-        record = run_method(client, transcript_doc, "two_stage_lexrank", _params(template_family="qmsum", k=2))
+        record = run_method(client, transcript_doc, "two_stage_lexrank", _params(k=2))
         assert record.ok
         stage2 = backend.requests[-1].user_prompt
         assert "key points:" in stage2

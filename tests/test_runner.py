@@ -9,7 +9,8 @@ import pytest
 
 from higen.corpus import load_dataset
 from higen.errors import ConfigError
-from higen.llm_client import LLMClient, MockBackend, echo_first_k
+from higen.llm_client import GenRequest, LLMClient, MockBackend, echo_first_k
+from higen.pipeline import METHODS
 from higen.runner import (
     build_client,
     evaluate,
@@ -46,6 +47,21 @@ def _write_config(tmp_path, **overrides) -> Path:
     return path
 
 
+# The opening sentence of every template of each family.
+_OPENING = {"gov": "You are given a report by a government agency.", "qmsum": "Read the following meeting transcript."}
+
+_MINICORPUS_FIELDS = {"id_field": "id", "input_field": "input", "output_field": "output"}
+
+
+def _requests_sent(tmp_path, **overrides) -> list[GenRequest]:
+    """The generation requests a run of all five methods sends."""
+    config = parse_config(_config_dict(tmp_path, methods=list(METHODS), **overrides))
+    backend = RecordingBackend()
+    run(config, client=LLMClient(backend, cache_dir=config.cache_dir))
+    assert all(r.ok for r in read_records(config.run_dir))
+    return [r for r in backend.requests if isinstance(r, GenRequest)]
+
+
 class TestLoadConfig:
     def test_minimal_defaults_filled(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -57,7 +73,7 @@ class TestLoadConfig:
         assert config.concurrency == 4
         assert config.attribution.m == 64
         assert config.lexrank.damping == 0.85
-        assert config.family() == "gov"
+        assert config.max_tokens is None
 
     def test_json_is_valid_yaml(self, tmp_path):
         path = _write_config(tmp_path)
@@ -88,17 +104,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="dataset.path"):
             parse_config({"model": "m", "run_dir": "r"})
 
-    def test_qmsum_schema_selects_family(self):
-        config = parse_config(
-            {
-                "dataset": {"path": "x", "schema": "scrolls_qmsum"},
-                "model": "m",
-                "run_dir": "r",
-                "methods": ["direct"],
-            }
-        )
-        assert config.family() == "qmsum"
-        assert config.generation_budget() == 256
+    def test_qmsum_schema_selects_family(self, tmp_path):
+        dataset = {"path": str(DATA_DIR / "qmsum_record.jsonl"), "schema": "scrolls_qmsum"}
+        requests = _requests_sent(tmp_path, dataset=dataset, max_tokens=None)
+        assert requests
+        assert all(r.user_prompt.startswith(_OPENING["qmsum"]) and r.max_tokens == 256 for r in requests)
+
+    @pytest.mark.parametrize(
+        ("dataset", "max_tokens", "family", "sent_max_tokens"),
+        [
+            ({"schema": "scrolls_govreport"}, None, "gov", 1200),
+            ({"schema": "generic_jsonl", "field_map": _MINICORPUS_FIELDS}, None, "gov", 1200),
+            ({"schema": "scrolls_govreport"}, 77, "gov", 77),
+            ({"schema": "scrolls_qmsum", "path": str(DATA_DIR / "qmsum_record.jsonl")}, 77, "qmsum", 77),
+        ],
+        ids=["govreport", "generic_jsonl", "govreport-max_tokens", "qmsum-max_tokens"],
+    )
+    def test_each_documents_kind_selects_its_prompts_and_budget(
+        self, tmp_path, dataset, max_tokens, family, sent_max_tokens
+    ):
+        dataset = {"path": str(DATA_DIR / "minicorpus.jsonl"), "limit": 2, **dataset}
+        requests = _requests_sent(tmp_path, dataset=dataset, max_tokens=max_tokens)
+        assert requests
+        assert all(r.user_prompt.startswith(_OPENING[family]) for r in requests)
+        assert {r.max_tokens for r in requests} == {sent_max_tokens}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -130,6 +159,13 @@ class TestLoadConfig:
             ({"retry": {"factor": 0.5}}, r"in 'retry': factor must be a number >= 1, got 0.5"),
             ({"retry": {"jitter": "0.2"}}, r"in 'retry': jitter must be in \[0, 1\), got '0.2'"),
             ({"retry": {"jitter": 1}}, r"in 'retry': jitter must be in \[0, 1\), got 1"),
+            (
+                {"dataset": {"path": "x", "schema": "scrolls_govreport", "field_map": {"id_field": "doc"}}},
+                r"in 'dataset': field_map must be unset unless the schema is generic_jsonl, got \{'id_field': 'doc'\}",
+            ),
+            # Each document's kind picks the prompts and the budget; no key overrides the family.
+            ({"prompt_family": "qmsum"}, r"unknown key\(s\) in 'config': \['prompt_family'\]"),
+            ({"align_threshold": 0.5}, r"unknown key\(s\) in 'config': \['align_threshold'\]"),
         ],
         ids=lambda case: json.dumps(case[0]),
     )
@@ -262,8 +298,6 @@ class TestRun:
                 max_tokens=None,
             )
         )
-        assert config.family() == "qmsum"
-        assert config.generation_budget() == 256
         run_dir = run(config)
         records = read_records(run_dir)
         assert len(records) == 3
