@@ -20,7 +20,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +47,9 @@ _SPLIT_RE = re.compile(r"([.!?](?<![.!?]{2})[.!?]*)\s+(?=\S)")
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# The fields every dataset line must carry, in the order they are checked.
-_REQUIRED_FIELDS = ("id_field", "input_field", "output_field")
+# The keys of a field map: the fields every dataset line must carry, in the
+# order they are checked.
+FIELD_KEYS = ("id_field", "input_field", "output_field")
 
 # The fixed field map of both SCROLLS schemas; generic_jsonl takes the caller's.
 _SCROLLS_FIELDS = {"id_field": "id", "input_field": "input", "output_field": "output"}
@@ -99,13 +100,17 @@ class TokenIndex:
 
     @classmethod
     def build(cls, texts: Iterable[str]) -> TokenIndex:
-        """The vocabulary in order of first appearance, and every token's id."""
-        tokens = [tokenize(text) for text in texts]
-        vocab = {token: i for i, token in enumerate(dict.fromkeys(chain.from_iterable(tokens)))}
+        vocab: dict[str, int] = {}
+        ids: list[int] = []
+        lengths: list[int] = []
+        for text in texts:
+            tokens = tokenize(text)
+            ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
+            lengths.append(len(tokens))
         return cls(
             vocab=vocab,
-            ids=np.fromiter(map(vocab.__getitem__, chain.from_iterable(tokens)), dtype=np.int32),
-            lengths=np.array([len(sentence) for sentence in tokens], dtype=np.int64),
+            ids=np.array(ids, dtype=np.int32),
+            lengths=np.array(lengths, dtype=np.int64),
             stop=np.array([token in STOPWORDS for token in vocab], dtype=bool),
         )
 
@@ -293,7 +298,7 @@ def load_dataset(
 
     ``scrolls_govreport`` and ``scrolls_qmsum`` read the fields {id, input,
     output}; ``generic_jsonl`` reads a caller-supplied field map {id_field,
-    input_field, output_field, query_field?} into prose documents.
+    input_field, output_field} into prose documents.
     ``scrolls_qmsum`` additionally splits the query prefix off the input and
     marks the document as a transcript.
     """
@@ -305,11 +310,10 @@ def load_dataset(
     if schema == "generic_jsonl":
         if not field_map:
             raise ConfigError("generic_jsonl requires a field_map")
-        for key in _REQUIRED_FIELDS:
+        for key in FIELD_KEYS:
             if key not in field_map:
                 raise ConfigError(f"generic_jsonl field_map missing {key!r}")
         fields = field_map
-    query_field = fields.get("query_field")
     if not Path(path).is_file():
         raise ConfigError(f"dataset file not found: {path}")
 
@@ -318,13 +322,12 @@ def load_dataset(
     # Every non-blank line is a document or an error, so the first ``limit``
     # objects are the sample, and the lines after it are never parsed.
     for lineno, obj in islice(read_jsonl(path), limit):
-        for key in _REQUIRED_FIELDS:
+        for key in FIELD_KEYS:
             if fields[key] not in obj:
                 raise DatasetError(f"{path}:{lineno}: missing required field {fields[key]!r}")
 
-        doc_id, text, reference = (str(obj[fields[key]]) for key in _REQUIRED_FIELDS)
-        query = str(obj[query_field]) if query_field and obj.get(query_field) else None
-        kind = "prose"
+        doc_id, text, reference = (str(obj[fields[key]]) for key in FIELD_KEYS)
+        query, kind = None, "prose"
         if schema == "scrolls_qmsum":
             query, text = _split_query_prefix(text)
             kind = "transcript"

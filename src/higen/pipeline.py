@@ -20,9 +20,9 @@ lexrank) or ``draft`` then ``attribution`` (contextcite) while ``plan``
 builds the content plan; then ``stage2``, or ``fallback_direct`` when the
 plan came back empty.
 
-A document's kind picks its prompts and generation budget, after GovReport
-and QMSum: prose the ``*_gov`` templates and 1200 tokens, a transcript the
-``*_qmsum`` templates and 256. A set ``max_tokens`` overrides the budget.
+A document's kind picks its prompts and, unless ``max_tokens`` is set, its
+generation budget, as for GovReport and QMSum: prose the ``*_gov`` templates
+and 1200 tokens, a transcript the ``*_qmsum`` templates and 256.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ _HIGHLIGHTER_FOR_METHOD = {
     "two_stage_cc": "contextcite",
 }
 
-# The template family and default generation budget of each document kind.
 _FAMILY = {"prose": "gov", "transcript": "qmsum"}
 _DEFAULT_MAX_TOKENS = {"prose": 1200, "transcript": 256}
 
@@ -102,10 +101,8 @@ class SummaryRecord:
         return cls(**{**data, "highlights": HighlightSet(**{**hs, "items": items})})
 
 
-def _generate(
-    client: LLMClient, record: SummaryRecord, document: Document, prompt: str, params: PipelineParams
-) -> GenResponse:
-    max_tokens = _DEFAULT_MAX_TOKENS[document.kind] if params.max_tokens is None else params.max_tokens
+def _generate(client: LLMClient, record: SummaryRecord, kind: str, prompt: str, params: PipelineParams) -> GenResponse:
+    max_tokens = _DEFAULT_MAX_TOKENS[kind] if params.max_tokens is None else params.max_tokens
     request = GenRequest(model=params.model, user_prompt=prompt, max_tokens=max_tokens, seed=params.seed)
     record.error_prompt_hash = prompt_hash(prompt)
     response = client.generate(request, doc_id=record.doc_id)
@@ -117,20 +114,21 @@ def _generate(
 
 
 def _generate_planned(
-    client: LLMClient, record: SummaryRecord, document: Document, prompt: str, params: PipelineParams
+    client: LLMClient, record: SummaryRecord, document: Document, template: str, params: PipelineParams, **fields
 ) -> PlannedOutput:
-    """Generate and parse, retrying once with a format reminder on parse failure."""
-    response = _generate(client, record, document, prompt, params)
+    """Render the document's ``template`` prompt, generate and parse, retrying
+    once with a format reminder on parse failure."""
+    prompt = render(f"{template}_{_FAMILY[document.kind]}", document, **fields)
+    response = _generate(client, record, document.kind, prompt, params)
     try:
         return parse_planned(response.text)
     except ParseError:
-        response = _generate(client, record, document, prompt + "\n" + FORMAT_REMINDER, params)
+        response = _generate(client, record, document.kind, prompt + "\n" + FORMAT_REMINDER, params)
         return parse_planned(response.text)
 
 
 def _direct_summary(client: LLMClient, document: Document, params: PipelineParams, record: SummaryRecord) -> str:
-    prompt = render(f"direct_{_FAMILY[document.kind]}", document)
-    return _generate_planned(client, record, document, prompt, params).summary
+    return _generate_planned(client, record, document, "direct", params).summary
 
 
 def _aligned(method: str, document: Document, texts: list[str], params: PipelineParams) -> HighlightSet:
@@ -156,7 +154,7 @@ def plan(
     record.error_stage = "stage1"
     if highlighter == "generative":
         prompt = render(f"stage1_highlights_{_FAMILY[document.kind]}", document, k=params.k)
-        response = _generate(client, record, document, prompt, params)
+        response = _generate(client, record, document.kind, prompt, params)
         return _aligned("generative", document, parse_highlights(response.text), params)
     if highlighter == "lexrank":
         return lexrank_highlights(document, params.k, params.lexrank)
@@ -178,8 +176,7 @@ def _summarize(client: LLMClient, document: Document, params: PipelineParams, re
         return _direct_summary(client, document, params, record)
     if method == "e2e":
         record.error_stage = "e2e"
-        prompt = render(f"e2e_{_FAMILY[document.kind]}", document, k=params.k)
-        planned = _generate_planned(client, record, document, prompt, params)
+        planned = _generate_planned(client, record, document, "e2e", params, k=params.k)
         record.highlights = _aligned("e2e", document, list(planned.highlights), params)
         return planned.summary
     record.highlights = plan(client, document, _HIGHLIGHTER_FOR_METHOD[method], params, record)
@@ -189,8 +186,8 @@ def _summarize(client: LLMClient, document: Document, params: PipelineParams, re
         record.fallback_used = True  # only once the fallback has answered
         return summary
     record.error_stage = "stage2"
-    prompt = render(f"stage2_summary_{_FAMILY[document.kind]}", document, highlights=record.highlights.items)
-    return _generate_planned(client, record, document, prompt, params).summary
+    highlights = record.highlights.items
+    return _generate_planned(client, record, document, "stage2_summary", params, highlights=highlights).summary
 
 
 def run_method(client: LLMClient, document: Document, method: str, params: PipelineParams) -> SummaryRecord:

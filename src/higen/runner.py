@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .attribution import AttributionParams
-from .corpus import SCHEMAS, Document, load_dataset, read_jsonl
+from .corpus import FIELD_KEYS, SCHEMAS, Document, load_dataset, read_jsonl
 from .errors import ConfigError, require
 from .lexrank import LexRankParams
 from .llm_client import LLMClient, RetryPolicy, backend_from_url, resolve_endpoint, write_atomically
@@ -43,6 +43,9 @@ class DatasetConfig:
         require("limit", self.limit, lambda n: n is None or isinstance(n, int) and n >= 0, "an integer >= 0")
         rule = "unset unless the schema is generic_jsonl"
         require("field_map", self.field_map, lambda m: m is None or self.schema == "generic_jsonl", rule)
+        # generic_jsonl documents are prose, whose prompts take no query_field.
+        keys, rule = set(FIELD_KEYS), f"a map with no keys besides {', '.join(FIELD_KEYS)}"
+        require("field_map", self.field_map, lambda m: m is None or isinstance(m, dict) and m.keys() <= keys, rule)
 
 
 @dataclass

@@ -1,27 +1,20 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen.corpus import (
     ABBREVIATIONS,
-    STOPWORDS,
-    TokenIndex,
     _is_protected,
     _prose_spans,
     _transcript_turns,
     load_dataset,
-    make_document,
     normalize_text,
     segment_sentences,
-    tokenize,
 )
 from higen.errors import ConfigError, DatasetError
 
@@ -225,58 +218,6 @@ class TestRegexSegmenterMatchesLoopOracle:
         assert spans == _loop_prose_spans(text)
         assert len(spans) == 3
         assert elapsed < 1.0, f"segmenting {len(text)} characters took {elapsed:.2f} s"
-
-
-def _loop_token_index(texts: list[str]) -> tuple[dict[str, int], list[int], list[int]]:
-    """Oracle: the per-token loop that built the token index before the
-    flattened form: (vocab, ids, lengths)."""
-    vocab: dict[str, int] = {}
-    ids: list[int] = []
-    lengths: list[int] = []
-    for text in texts:
-        tokens = tokenize(text)
-        ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
-        lengths.append(len(tokens))
-    return vocab, ids, lengths
-
-
-def _corpus_gen_documents():
-    """Documents in the benchmark's GovReport and QMSum corpus shapes."""
-    spec = importlib.util.spec_from_file_location("corpus_gen", Path(__file__).parents[1] / "bench" / "corpus_gen.py")
-    corpus_gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus_gen)
-    for shape, kind in (("gov", "prose"), ("qmsum", "transcript")):
-        for record in corpus_gen.generate(shape, 2, seed=5, structure_seed=3):
-            yield make_document(record["id"], record["input"], kind)
-
-
-class TestTokenIndexMatchesLoopOracle:
-    @pytest.mark.parametrize("source", ["fixtures", "corpus_gen"])
-    def test_documents_equal_oracle(self, source):
-        if source == "fixtures":
-            documents = [
-                *load_dataset(DATA_DIR / "minicorpus.jsonl", "scrolls_govreport"),
-                *load_dataset(DATA_DIR / "qmsum_record.jsonl", "scrolls_qmsum"),
-            ]
-        else:
-            documents = list(_corpus_gen_documents())
-        for doc in documents:
-            texts = [s.text for s in doc.sentences]
-            vocab, ids, lengths = _loop_token_index(texts)
-            index = TokenIndex.build(texts)
-            assert list(index.vocab.items()) == list(vocab.items())
-            assert index.ids.dtype == np.int32 and index.ids.tolist() == ids
-            assert index.lengths.dtype == np.int64 and index.lengths.tolist() == lengths
-            assert index.stop.tolist() == [token in STOPWORDS for token in vocab]
-
-    @pytest.mark.parametrize("texts", [[], [""], ["", "..."], ["The the THE.", "", "42 and 42."]])
-    def test_edge_cases_equal_oracle(self, texts):
-        vocab, ids, lengths = _loop_token_index(texts)
-        index = TokenIndex.build(texts)
-        assert list(index.vocab.items()) == list(vocab.items())
-        assert index.ids.dtype == np.int32 and index.ids.tolist() == ids
-        assert index.lengths.tolist() == lengths
-        assert len(index.stop) == len(vocab)
 
 
 class TestTranscriptSegmentation:

@@ -163,6 +163,12 @@ class TestLoadConfig:
                 {"dataset": {"path": "x", "schema": "scrolls_govreport", "field_map": {"id_field": "doc"}}},
                 r"in 'dataset': field_map must be unset unless the schema is generic_jsonl, got \{'id_field': 'doc'\}",
             ),
+            (
+                {"dataset": {"path": "x", "schema": "generic_jsonl", "field_map": {
+                    "id_field": "id", "input_field": "text", "output_field": "summary", "query_field": "q",
+                }}},
+                r"in 'dataset': field_map must be a map with no keys besides id_field, input_field, output_field",
+            ),
             # Each document's kind picks the prompts and the budget; no key overrides the family.
             ({"prompt_family": "qmsum"}, r"unknown key\(s\) in 'config': \['prompt_family'\]"),
             ({"align_threshold": 0.5}, r"unknown key\(s\) in 'config': \['align_threshold'\]"),
