@@ -112,14 +112,13 @@ def _cmd_report(args) -> int:
     snapshot = manifest.get("config", {})
     if not isinstance(snapshot, dict) or not isinstance(snapshot.get("dataset", {}), dict):
         raise ConfigError(f"{manifest_path}: config and config.dataset must be JSON objects")
+    dataset_path, model = snapshot.get("dataset", {}).get("path", ""), snapshot.get("model", "")
     methods = snapshot.get("methods", [])
-    dataset_name = Path(snapshot.get("dataset", {}).get("path", "")).stem
-    table = aggregate(
-        read_metric_rows(run_dir),
-        methods,
-        dataset=dataset_name,
-        model=snapshot.get("model", ""),
-    )
+    if not all(isinstance(value, str) for value in (dataset_path, model)):
+        raise ConfigError(f"{manifest_path}: config.dataset.path and config.model must be strings")
+    if not isinstance(methods, list) or not all(isinstance(method, str) for method in methods):
+        raise ConfigError(f"{manifest_path}: config.methods must be a list of strings")
+    table = aggregate(read_metric_rows(run_dir), methods, dataset=Path(dataset_path).stem, model=model)
     for path in emit(table, run_dir, fmt=args.format):
         print(f"report written to {path}")
     return EXIT_OK
@@ -130,7 +129,7 @@ def _cmd_highlight(args) -> int:
     config = load_config(args.config) if args.config else None
     if config is None and args.method != "lexrank":
         raise ConfigError(f"--method {args.method} needs a config with an endpoint and model")
-    params = config.pipeline_params() if config else PipelineParams(model="")
+    params = config or PipelineParams(model="")
     if args.k is not None:
         params = replace(params, k=args.k)
     if args.dump_similarity:

@@ -29,14 +29,10 @@ from .prompts import HighlightSet, ranked_highlights
 class LexRankParams:
     threshold: float = 0.1
     damping: float = 0.85
-    tol: float = 1e-8
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         require("threshold", self.threshold, lambda t: 0 <= t <= 1, "in [0, 1]")
         require("damping", self.damping, lambda d: 0 < d < 1, "in (0, 1)")
-        require("tol", self.tol, lambda t: t > 0, "> 0")
-        require("max_iter", self.max_iter, lambda n: isinstance(n, int) and n >= 1, "an integer >= 1")
 
 
 @dataclass
@@ -135,5 +131,5 @@ def lexrank_highlights(document: Document, k: int, params: LexRankParams = LexRa
     (the teleport term alone is (1 - damping) / n), so every sentence ranks.
     """
     weights = build_similarity_graph(document.token_index, threshold=params.threshold)
-    result = centrality(weights, damping=params.damping, tol=params.tol, max_iter=params.max_iter)
+    result = centrality(weights, damping=params.damping)
     return ranked_highlights("lexrank", document, result.scores, k)

@@ -56,6 +56,10 @@ if TYPE_CHECKING:
 DEFAULT_TIMEOUT = 120.0
 # The longest wait a Retry-After header can impose before the next attempt.
 MAX_RETRY_AFTER = 60.0
+# Attempt i waits base_delay * BACKOFF_FACTOR**i, scaled by a uniform draw
+# from [1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER].
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.2
 
 _OVERSIZE_RE = re.compile(r"context(\s|_)?(length|window)|maximum.*(length|tokens)|too (long|many tokens)", re.IGNORECASE)
 
@@ -104,14 +108,10 @@ class ScoreResponse:
 class RetryPolicy:
     attempts: int = 5
     base_delay: float = 1.0
-    factor: float = 2.0
-    jitter: float = 0.2
 
     def __post_init__(self) -> None:
         require("attempts", self.attempts, lambda n: isinstance(n, int) and n >= 1, "an integer >= 1")
         require("base_delay", self.base_delay, lambda d: d >= 0, ">= 0")
-        require("factor", self.factor, lambda f: f >= 1, "a number >= 1")
-        require("jitter", self.jitter, lambda j: 0 <= j < 1, "in [0, 1)")
 
 
 class _Retryable(Exception):
@@ -323,8 +323,8 @@ class LLMClient:
             except _Retryable as exc:
                 last = exc
                 if attempt + 1 < self.retry.attempts:
-                    delay = self.retry.base_delay * self.retry.factor**attempt
-                    delay *= 1.0 + random.uniform(-self.retry.jitter, self.retry.jitter)
+                    delay = self.retry.base_delay * BACKOFF_FACTOR**attempt
+                    delay *= 1.0 + random.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
                     self._sleep(max(delay, min(exc.retry_after, MAX_RETRY_AFTER), 0.0))
             except OversizeError as exc:
                 raise OversizeError(str(exc), doc_id=doc_id) if doc_id and not exc.doc_id else exc
@@ -685,11 +685,3 @@ def backend_from_url(
     backend.session.mount("https://", adapter)
     return backend
 
-
-def resolve_endpoint(base_url: str | None, api_key_env: str | None = None) -> tuple[str, str | None]:
-    """Resolve the endpoint URL and key from config values and environment."""
-    url = base_url or os.environ.get("HIGEN_API_BASE")
-    if not url:
-        raise ConfigError("no endpoint configured: set endpoint.base_url or HIGEN_API_BASE")
-    key = os.environ.get(api_key_env) if api_key_env else os.environ.get("HIGEN_API_KEY")
-    return url, key

@@ -24,7 +24,7 @@ from .attribution import AttributionParams
 from .corpus import FIELD_KEYS, SCHEMAS, Document, load_dataset, read_jsonl
 from .errors import ConfigError, require
 from .lexrank import LexRankParams
-from .llm_client import LLMClient, RetryPolicy, backend_from_url, resolve_endpoint, write_atomically
+from .llm_client import LLMClient, RetryPolicy, backend_from_url, write_atomically
 from .pipeline import METHODS, PipelineParams, SummaryRecord, run_method
 
 ARTIFACT_VERSION = "0.1.0"
@@ -39,6 +39,7 @@ class DatasetConfig:
     shuffle_seed: int | None = None
 
     def __post_init__(self) -> None:
+        require("path", self.path, lambda p: isinstance(p, str), "a string")
         require("schema", self.schema, SCHEMAS.__contains__, f"one of {', '.join(SCHEMAS)}")
         require("limit", self.limit, lambda n: n is None or isinstance(n, int) and n >= 0, "an integer >= 0")
         rule = "unset unless the schema is generic_jsonl"
@@ -69,23 +70,26 @@ class MetricsConfig:
         for entry in self.external_scores:
             if not isinstance(entry, dict) or not entry.get("name") or not entry.get("path"):
                 raise ValueError(f"external score entries need name and path, got {entry!r}")
+            unknown = set(entry) - {"name", "path", "method"}
+            if unknown:
+                raise ValueError(f"unknown key(s) in external score entry {entry!r}: {sorted(unknown)}")
+            for key in ("name", "path"):
+                require(f"external score {key}", entry[key], lambda v: isinstance(v, str), "a non-empty string")
+            rule = f"unset or one of {', '.join(METHODS)}"
+            require("external score method", entry.get("method"), lambda m: m is None or m in METHODS, rule)
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(PipelineParams):
+    """The pipeline's params, and what the run around the pipeline needs."""
+
     dataset: DatasetConfig
-    model: str
     run_dir: str
     methods: list[str] = field(default_factory=lambda: ["direct"])
     judge_model: str = "gpt-4o-mini"
-    k: int = 30
-    max_tokens: int | None = None
     endpoint: EndpointConfig = field(default_factory=EndpointConfig)
     concurrency: int = 4
     cache_dir: str | None = None
-    seed: int = 0
-    attribution: AttributionParams = field(default_factory=AttributionParams)
-    lexrank: LexRankParams = field(default_factory=LexRankParams)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
@@ -93,24 +97,11 @@ class ExperimentConfig:
         require("methods", self.methods, lambda ms: len(set(ms)) == len(ms) > 0, "a non-empty list of distinct methods")
         for method in self.methods:
             require("each method", method, METHODS.__contains__, f"one of {', '.join(METHODS)}")
-        require("k", self.k, lambda k: isinstance(k, int) and k >= 1, "an integer >= 1")
+        super().__post_init__()
+        for name in ("run_dir", "judge_model"):
+            require(name, getattr(self, name), lambda v: isinstance(v, str), "a string")
+        require("cache_dir", self.cache_dir, lambda v: v is None or isinstance(v, str), "a string when set")
         require("concurrency", self.concurrency, lambda c: isinstance(c, int) and c >= 1, "an integer >= 1")
-        require("max_tokens", self.max_tokens, lambda t: t is None or isinstance(t, int) and t >= 1, "an integer >= 1")
-        require("seed", self.seed, lambda s: isinstance(s, int), "an integer")
-
-    def pipeline_params(self) -> PipelineParams:
-        """Each document's kind picks its prompts, and its budget unless ``max_tokens`` is set."""
-        return PipelineParams(
-            model=self.model,
-            k=self.k,
-            max_tokens=self.max_tokens,
-            seed=self.seed,
-            attribution=self.attribution,
-            lexrank=self.lexrank,
-        )
-
-    def snapshot(self) -> dict:
-        return asdict(self)
 
 
 def _build(section: dict | None, cls, name: str):
@@ -177,10 +168,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def build_client(config: ExperimentConfig) -> LLMClient:
-    base_url, api_key = resolve_endpoint(config.endpoint.base_url, config.endpoint.api_key_env)
-    backend = backend_from_url(
-        base_url, api_key=api_key, timeout=config.endpoint.timeout, concurrency=config.concurrency
-    )
+    endpoint = config.endpoint
+    base_url = endpoint.base_url or os.environ.get("HIGEN_API_BASE")
+    if not base_url:
+        raise ConfigError("no endpoint configured: set endpoint.base_url or HIGEN_API_BASE")
+    api_key = os.environ.get(endpoint.api_key_env or "HIGEN_API_KEY")
+    backend = backend_from_url(base_url, api_key=api_key, timeout=endpoint.timeout, concurrency=config.concurrency)
     return LLMClient(
         backend,
         cache_dir=config.cache_dir,
@@ -252,7 +245,6 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
         if (doc.id, method) not in done
     ]
 
-    params = config.pipeline_params()
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     wall_start = time.monotonic()
 
@@ -270,7 +262,7 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
             # run_method is looked up at call time, so a patch of it applies.
             # The map is no local: an exception here drops it, which cancels
             # the tasks not yet started.
-            for i, record in enumerate(pool.map(lambda task: run_method(client, *task, params), tasks)):
+            for i, record in enumerate(pool.map(lambda task: run_method(client, *task, config), tasks)):
                 out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
                 out.flush()
                 # A document's tasks are adjacent, so its last one is followed
@@ -290,7 +282,7 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
         }
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
-        "config": config.snapshot(),
+        "config": asdict(config),
         "started": started,
         "finished": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "wall_seconds": round(time.monotonic() - wall_start, 3),
@@ -311,16 +303,19 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
     ``metrics.factscores`` call whose ``concurrency`` workers judge each
     distinct summary and fact once; external scores joined by doc_id. Rows
     are sorted by (doc_id, method, metric) so repeated evaluation of the same
-    outputs is byte-identical, whatever the worker count. A missing external
-    scores file is a ConfigError before any of this starts.
+    outputs is byte-identical, whatever the worker count. The external scores
+    files are read before any of this starts: a missing one is a ConfigError,
+    a damaged one a DatasetError.
     """
     run_dir = Path(run_dir or config.run_dir)
     outputs_path = run_dir / "outputs.jsonl"
     if not outputs_path.exists():
         raise ConfigError(f"no outputs.jsonl under {run_dir}; run the experiment first")
+    external = []
     for entry in config.metrics.external_scores:
         if not Path(entry["path"]).is_file():
             raise ConfigError(f"external scores file not found: {entry['path']}")
+        external.append((entry, metrics_mod.load_external_scores(entry["path"], entry["name"])))
 
     documents = {doc.id: doc for doc in _load_documents(config)}
     records = read_records(run_dir)
@@ -369,14 +364,12 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
 
     methods_present = sorted({r.method for r in records})
     ok_pairs = {(r.doc_id, r.method) for r in records if r.ok}
-    for entry in config.metrics.external_scores:
-        name = entry["name"]
-        scores = metrics_mod.load_external_scores(entry["path"], name)
+    for entry, scores in external:
         target_methods = [entry["method"]] if entry.get("method") else methods_present
         for method in target_methods:
             for doc_id, value in sorted(scores.items()):
                 if (doc_id, method) in ok_pairs:
-                    rows.append({"doc_id": doc_id, "method": method, "metric": name, "value": value})
+                    rows.append({"doc_id": doc_id, "method": method, "metric": entry["name"], "value": value})
 
     rows.sort(key=lambda r: (r["doc_id"], r["method"], r.get("metric", ""), r.get("warning", "")))
     metrics_path = run_dir / "metrics.jsonl"

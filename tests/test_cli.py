@@ -121,6 +121,9 @@ class TestExitCodes:
             (["report", "--run-dir", "{list_run}"], "{list_run}/manifest.json"),
             (["report", "--run-dir", "{list_config_run}"], "{list_config_run}/manifest.json"),
             (["report", "--run-dir", "{list_dataset_run}"], "{list_dataset_run}/manifest.json"),
+            (["report", "--run-dir", "{number_path_run}"], "{number_path_run}/manifest.json"),
+            (["report", "--run-dir", "{number_methods_run}"], "{number_methods_run}/manifest.json"),
+            (["report", "--run-dir", "{number_model_run}"], "{number_model_run}/manifest.json"),
             (["highlight", "--method", "lexrank", "--doc", "{latin1}"], "{latin1}"),
             (["attribute", "--doc", "{latin1}", "--response", "{response}", "-c", "{config}"], "{latin1}"),
             (["attribute", "--doc", "{doc}", "--response", "{latin1}", "-c", "{config}"], "{latin1}"),
@@ -129,6 +132,7 @@ class TestExitCodes:
         ids=[
             "truncated-manifest", "non-utf8-manifest", "non-object-manifest",
             "non-object-manifest-config", "non-object-manifest-dataset",
+            "non-string-manifest-dataset-path", "non-list-manifest-methods", "non-string-manifest-model",
             "highlight-doc", "attribute-doc", "response", "config",
         ],
     )
@@ -139,6 +143,9 @@ class TestExitCodes:
             "list_run": b"[]",
             "list_config_run": b'{"config": []}',
             "list_dataset_run": b'{"config": {"methods": ["direct"], "dataset": []}}',
+            "number_path_run": b'{"config": {"dataset": {"path": 5}}}',
+            "number_methods_run": b'{"config": {"methods": 5}}',
+            "number_model_run": b'{"config": {"model": 5}}',
         }
         paths = {name: tmp_path / name for name in (*manifests, "latin1", "doc", "response")}
         paths["config"] = _write_config(tmp_path)

@@ -12,6 +12,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higen import llm_client
 from higen.corpus import make_document, normalize_text, segment_sentences
 from higen.errors import CapabilityError, ConfigError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
@@ -382,7 +383,7 @@ class TestRetry:
         backend = _FlakyBackend(failures=2)
         client = LLMClient(
             backend,
-            retry=RetryPolicy(attempts=5, base_delay=1.0, factor=2.0, jitter=0.2),
+            retry=RetryPolicy(attempts=5, base_delay=1.0),
             sleep=delays.append,
         )
         response = client.generate(GenRequest(model="m", user_prompt="p"))
@@ -462,10 +463,12 @@ class TestRetryAfter:
         delays: list[float] = []
         client = LLMClient(
             HTTPBackend("http://host", session=session),
-            retry=RetryPolicy(attempts=3, base_delay=base_delay, factor=2.0, jitter=0.0),
+            retry=RetryPolicy(attempts=3, base_delay=base_delay),
             sleep=delays.append,
         )
-        assert client.generate(GenRequest(model="m", user_prompt="p")).text == "Summary: fine"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(llm_client, "BACKOFF_JITTER", 0.0)
+            assert client.generate(GenRequest(model="m", user_prompt="p")).text == "Summary: fine"
         assert client.backend_calls == 2 and len(session.posts) == 2
         [delay] = delays
         return delay

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from higen.corpus import load_dataset
-from higen.errors import ConfigError
+from higen.errors import ConfigError, DatasetError
 from higen.llm_client import GenRequest, LLMClient, MockBackend, echo_first_k
 from higen.pipeline import METHODS
 from higen.runner import (
@@ -149,16 +149,40 @@ class TestLoadConfig:
             ({"max_tokens": 0}, r"in 'config': max_tokens must be an integer >= 1"),
             ({"k": 2.5}, r"in 'config': k must be an integer >= 1, got 2.5"),
             ({"seed": "7"}, r"in 'config': seed must be an integer, got '7'"),
+            ({"model": 5}, r"in 'config': model must be a string, got 5"),
+            ({"run_dir": 5}, r"in 'config': run_dir must be a string, got 5"),
+            ({"judge_model": 5}, r"in 'config': judge_model must be a string, got 5"),
+            ({"cache_dir": 5}, r"in 'config': cache_dir must be a string when set, got 5"),
+            ({"dataset": {"path": 5}}, r"in 'dataset': path must be a string, got 5"),
             ({"lexrank": {"threshold": "0.1"}}, r"in 'lexrank': threshold must be in \[0, 1\]"),
-            ({"lexrank": {"max_iter": "200"}}, r"in 'lexrank': max_iter must be an integer >= 1"),
+            # LexRank's solver tolerance and iteration cap, and the backoff's
+            # factor and jitter, are constants.
+            ({"lexrank": {"max_iter": "200"}}, r"unknown key\(s\) in 'lexrank': \['max_iter'\]"),
+            ({"lexrank": {"tol": 1e-8}}, r"unknown key\(s\) in 'lexrank': \['tol'\]"),
             ({"endpoint": {"timeout": "120"}}, r"in 'endpoint': timeout must be a number > 0, got '120'"),
             ({"endpoint": {"timeout": -1}}, r"in 'endpoint': timeout must be a number > 0, got -1"),
             ({"endpoint": {"base_url": 5}}, r"in 'endpoint': base_url must be a string when set, got 5"),
             ({"endpoint": {"api_key_env": 5}}, r"in 'endpoint': api_key_env must be a string when set, got 5"),
-            ({"retry": {"factor": "2"}}, r"in 'retry': factor must be a number >= 1, got '2'"),
-            ({"retry": {"factor": 0.5}}, r"in 'retry': factor must be a number >= 1, got 0.5"),
-            ({"retry": {"jitter": "0.2"}}, r"in 'retry': jitter must be in \[0, 1\), got '0.2'"),
-            ({"retry": {"jitter": 1}}, r"in 'retry': jitter must be in \[0, 1\), got 1"),
+            ({"retry": {"factor": "2"}}, r"unknown key\(s\) in 'retry': \['factor'\]"),
+            ({"retry": {"factor": 0.5}}, r"unknown key\(s\) in 'retry': \['factor'\]"),
+            ({"retry": {"jitter": "0.2"}}, r"unknown key\(s\) in 'retry': \['jitter'\]"),
+            ({"retry": {"jitter": 1}}, r"unknown key\(s\) in 'retry': \['jitter'\]"),
+            (
+                {"metrics": {"external_scores": [{"name": "x", "path": 5}]}},
+                r"in 'metrics': external score path must be a non-empty string, got 5",
+            ),
+            (
+                {"metrics": {"external_scores": [{"name": 7, "path": "s.jsonl"}]}},
+                r"in 'metrics': external score name must be a non-empty string, got 7",
+            ),
+            (
+                {"metrics": {"external_scores": [{"name": "x", "path": "s.jsonl", "metod": "direct"}]}},
+                r"in 'metrics': unknown key\(s\) in external score entry .*: \['metod'\]",
+            ),
+            (
+                {"metrics": {"external_scores": [{"name": "x", "path": "s.jsonl", "method": "summac"}]}},
+                r"in 'metrics': external score method must be unset or one of direct, e2e, ",
+            ),
             (
                 {"dataset": {"path": "x", "schema": "scrolls_govreport", "field_map": {"id_field": "doc"}}},
                 r"in 'dataset': field_map must be unset unless the schema is generic_jsonl, got \{'id_field': 'doc'\}",
@@ -179,6 +203,15 @@ class TestLoadConfig:
         overrides, message = case
         with pytest.raises(ConfigError, match=message):
             load_config(_write_config(tmp_path, **overrides))
+
+    def test_the_readme_quickstart_config_parses(self):
+        import yaml
+
+        readme = (DATA_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Quickstart", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = parse_config(yaml.safe_load(block))
+        assert config.methods == ["direct", "two_stage_gen", "two_stage_lexrank", "two_stage_cc"]
+        assert (config.k, config.lexrank.threshold, config.lexrank.damping) == (30, 0.1, 0.85)
 
     def test_a_null_nested_key_takes_its_default(self, tmp_path):
         config = load_config(_write_config(tmp_path, attribution={"m": None}, metrics={"external_scores": None}))
@@ -486,6 +519,19 @@ class TestEvaluate:
         assert backend.requests == []
         assert not (Path(config.run_dir) / "metrics.jsonl").exists()
 
+    def test_a_damaged_external_scores_line_fails_before_any_judge_call(self, tmp_path):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps({"doc_id": "doc00", "score": 0.5}) + "\nnot json\n")
+        dataset = {"path": str(DATA_DIR / "minicorpus.jsonl"), "schema": "scrolls_govreport", "limit": 2}
+        metrics = {"enable_factscore": True, "external_scores": [{"name": "summac", "path": str(scores)}]}
+        config = parse_config(_config_dict(tmp_path, dataset=dataset, metrics=metrics))
+        run(config)
+        backend = RecordingBackend()
+        with pytest.raises(DatasetError, match=f"{scores}:2: malformed JSON line"):
+            evaluate(config, client=LLMClient(backend, cache_dir=tmp_path / "judge"))
+        assert backend.requests == []
+        assert not (Path(config.run_dir) / "metrics.jsonl").exists()
+
     def test_missing_reference_warning_row(self, tmp_path):
         data_path = tmp_path / "norefs.jsonl"
         data_path.write_text('{"id":"d1","input":"Alpha beta. Gamma delta.","output":""}\n')
@@ -721,6 +767,18 @@ class TestBuildClient:
         config = parse_config(_config_dict(tmp_path, endpoint={}))
         client = build_client(config)
         assert isinstance(client.backend, MockBackend)
+
+    def test_no_endpoint_is_a_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HIGEN_API_BASE", raising=False)
+        with pytest.raises(ConfigError, match="no endpoint configured"):
+            build_client(parse_config(_config_dict(tmp_path, endpoint={})))
+
+    def test_the_key_is_read_from_api_key_env_else_higen_api_key(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HIGEN_API_KEY", "default-key")
+        monkeypatch.setenv("OTHER_KEY", "other-key")
+        for endpoint, key in (({}, "default-key"), ({"api_key_env": "OTHER_KEY"}, "other-key")):
+            config = parse_config(_config_dict(tmp_path, endpoint={"base_url": "http://localhost:1", **endpoint}))
+            assert build_client(config).backend.api_key == key
 
 
 class TestFailureBoundary:
