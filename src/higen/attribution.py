@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Document
-from .errors import AttributionError, DomainError, HigenError, require
+from .errors import AttributionError, DomainError, HigenError, is_number, require
 from .llm_client import LLMClient, ScoreRequest, json_escaped, score_keys
 
 
@@ -54,9 +54,9 @@ class AttributionParams:
     lambda_frac: float = 0.01
 
     def __post_init__(self) -> None:
-        require("m", self.m, lambda m: isinstance(m, int) and m >= 2, "an integer >= 2")
-        require("keep_prob", self.keep_prob, lambda p: 0 < p < 1, "in (0, 1)")
-        require("lambda_frac", self.lambda_frac, lambda f: f >= 0, ">= 0")
+        require("m", self.m, lambda m: is_number(m, int) and m >= 2, "an integer >= 2")
+        require("keep_prob", self.keep_prob, lambda p: is_number(p) and 0 < p < 1, "in (0, 1)")
+        require("lambda_frac", self.lambda_frac, lambda f: is_number(f) and f >= 0, ">= 0")
 
 
 @dataclass

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Callable
+
+
+def is_number(value: Any, kind: type = numbers.Real) -> bool:
+    """Whether ``value`` is a ``kind`` and not a bool. YAML's true and false
+    load as Python bools, which are ints, but no count or rate is a truth value."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def require(name: str, value: Any, ok: Callable[[Any], bool], rule: str) -> None:

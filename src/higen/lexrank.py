@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, TokenIndex
-from .errors import require
+from .errors import is_number, require
 from .prompts import HighlightSet, ranked_highlights
 
 
@@ -31,8 +31,8 @@ class LexRankParams:
     damping: float = 0.85
 
     def __post_init__(self) -> None:
-        require("threshold", self.threshold, lambda t: 0 <= t <= 1, "in [0, 1]")
-        require("damping", self.damping, lambda d: 0 < d < 1, "in (0, 1)")
+        require("threshold", self.threshold, lambda t: is_number(t) and 0 <= t <= 1, "in [0, 1]")
+        require("damping", self.damping, lambda d: is_number(d) and 0 < d < 1, "in (0, 1)")
 
 
 @dataclass

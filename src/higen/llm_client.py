@@ -46,6 +46,7 @@ from .errors import (
     OversizeError,
     SeamAlignmentError,
     TransportError,
+    is_number,
     require,
 )
 from .prompts import numbered_items
@@ -110,8 +111,8 @@ class RetryPolicy:
     base_delay: float = 1.0
 
     def __post_init__(self) -> None:
-        require("attempts", self.attempts, lambda n: isinstance(n, int) and n >= 1, "an integer >= 1")
-        require("base_delay", self.base_delay, lambda d: d >= 0, ">= 0")
+        require("attempts", self.attempts, lambda n: is_number(n, int) and n >= 1, "an integer >= 1")
+        require("base_delay", self.base_delay, lambda d: is_number(d) and d >= 0, ">= 0")
 
 
 class _Retryable(Exception):

@@ -1,7 +1,8 @@
 """Native evaluation metrics and significance testing.
 
 ROUGE-L (via bit-parallel LCS), token-length statistics, and the paired
-t-test (via a native regularized incomplete beta) are computed in-process.
+t-test (via the closed-form Student-t tail for integer degrees of freedom,
+Abramowitz & Stegun 26.7.3-26.7.4) are computed in-process.
 FactScore-style factual consistency runs against a judge model through the
 shared client. Neural metrics computed out-of-band are joined through a JSONL
 adapter.
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import TOKEN_RE, Document, read_jsonl, tokenize
-from .errors import DatasetError, HigenError, ParseError
+from .errors import DatasetError, HigenError, ParseError, is_number, require
 from .llm_client import GenRequest, LLMClient
 from .prompts import fill, load_template, numbered_items
 
@@ -208,67 +209,27 @@ def _report(
 # -- paired t-test ------------------------------------------------------------
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (Lentz's method)."""
-    max_iter, eps, fpmin = 300, 3e-14, 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_two_sided_p(t: float, df: int) -> float:
-    """Two-sided p-value from the Student-t CDF via I_{df/(df+t^2)}(df/2, 1/2)."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
+    """Two-sided p-value 1 - A(t | df) of Student's t with integer ``df``, by
+    the finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even
+    df) in theta = atan(|t| / sqrt(df)): no iteration, so nothing to converge."""
+    require("df", df, lambda d: is_number(d, int) and d >= 1, "an integer >= 1")
     if math.isinf(t):
         return 0.0
     if t == 0.0:
         return 1.0
-    x = df / (df + t * t)
-    return min(max(betainc_regularized(df / 2.0, 0.5, x), 0.0), 1.0)
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos = math.cos(theta)
+    # The terms cos^e(theta) for e = df mod 2, +2, ..., df - 2, each the last
+    # times (e + 1) / (e + 2) cos^2(theta).
+    total, term = 0.0, cos ** (df % 2)
+    for e in range(df % 2, df - 1, 2):
+        total += term
+        term *= (e + 1) / (e + 2) * cos * cos
+    a = math.sin(theta) * total
+    if df % 2:
+        a = 2 / math.pi * (theta + a)
+    return min(max(1.0 - a, 0.0), 1.0)
 
 
 def paired_t_test(a: list[float], b: list[float]) -> TTestResult:

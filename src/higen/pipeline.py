@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 from .attribution import AttributionParams, contextcite_attribute
 from .corpus import Document
-from .errors import HigenError, ParseError, require
+from .errors import HigenError, ParseError, is_number, require
 from .lexrank import LexRankParams, lexrank_highlights
 from .llm_client import GenRequest, GenResponse, LLMClient, prompt_hash
 from .prompts import (
@@ -72,9 +72,9 @@ class PipelineParams:
 
     def __post_init__(self) -> None:
         require("model", self.model, lambda m: isinstance(m, str), "a string")
-        require("k", self.k, lambda k: isinstance(k, int) and k >= 1, "an integer >= 1")
-        require("max_tokens", self.max_tokens, lambda t: t is None or isinstance(t, int) and t >= 1, "an integer >= 1")
-        require("seed", self.seed, lambda s: isinstance(s, int), "an integer")
+        require("k", self.k, lambda k: is_number(k, int) and k >= 1, "an integer >= 1")
+        require("max_tokens", self.max_tokens, lambda t: t is None or is_number(t, int) and t >= 1, "an integer >= 1")
+        require("seed", self.seed, lambda s: is_number(s, int), "an integer")
 
 
 @dataclass

@@ -177,14 +177,15 @@ def parse_planned(raw: str) -> PlannedOutput:
     return PlannedOutput(highlights=tuple(highlights), summary=summary)
 
 
-def align(document: Document, texts: list[str], threshold: float = 0.6) -> list[Highlight]:
+ALIGN_THRESHOLD = 0.6
+
+
+def align(document: Document, texts: list[str]) -> list[Highlight]:
     """Match each text to the source sentence maximizing token-level F1.
 
-    The source index is recorded only when the best F1 reaches the threshold;
+    The source index is recorded only when the best F1 reaches ALIGN_THRESHOLD;
     the score is kept either way. Ties go to the smaller sentence index.
     """
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
     index = document.token_index
     n_sentences, n_terms = len(index.lengths), len(index.vocab)
     if not n_sentences:
@@ -214,6 +215,6 @@ def align(document: Document, texts: list[str], threshold: float = 0.6) -> list[
     best = f1.argmax(axis=1)
     scores = f1[np.arange(len(texts)), best]
     return [
-        Highlight(text=text, source_index=i if score >= threshold else None, alignment_score=score)
+        Highlight(text=text, source_index=i if score >= ALIGN_THRESHOLD else None, alignment_score=score)
         for text, i, score in zip(texts, best.tolist(), scores.tolist())
     ]

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .attribution import AttributionParams
 from .corpus import FIELD_KEYS, SCHEMAS, Document, load_dataset, read_jsonl
-from .errors import ConfigError, require
+from .errors import ConfigError, is_number, require
 from .lexrank import LexRankParams
 from .llm_client import LLMClient, RetryPolicy, backend_from_url, write_atomically
 from .pipeline import METHODS, PipelineParams, SummaryRecord, run_method
@@ -41,7 +41,8 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         require("path", self.path, lambda p: isinstance(p, str), "a string")
         require("schema", self.schema, SCHEMAS.__contains__, f"one of {', '.join(SCHEMAS)}")
-        require("limit", self.limit, lambda n: n is None or isinstance(n, int) and n >= 0, "an integer >= 0")
+        require("limit", self.limit, lambda n: n is None or is_number(n, int) and n >= 0, "an integer >= 0")
+        require("shuffle_seed", self.shuffle_seed, lambda s: s is None or is_number(s, int), "an integer when set")
         rule = "unset unless the schema is generic_jsonl"
         require("field_map", self.field_map, lambda m: m is None or self.schema == "generic_jsonl", rule)
         # generic_jsonl documents are prose, whose prompts take no query_field.
@@ -58,7 +59,7 @@ class EndpointConfig:
     def __post_init__(self) -> None:
         for name in ("base_url", "api_key_env"):
             require(name, getattr(self, name), lambda v: v is None or isinstance(v, str), "a string when set")
-        require("timeout", self.timeout, lambda t: t > 0, "a number > 0")
+        require("timeout", self.timeout, lambda t: is_number(t) and t > 0, "a number > 0")
 
 
 @dataclass
@@ -67,6 +68,7 @@ class MetricsConfig:
     external_scores: list[dict] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        require("enable_factscore", self.enable_factscore, lambda v: isinstance(v, bool), "true or false")
         for entry in self.external_scores:
             if not isinstance(entry, dict) or not entry.get("name") or not entry.get("path"):
                 raise ValueError(f"external score entries need name and path, got {entry!r}")
@@ -101,7 +103,7 @@ class ExperimentConfig(PipelineParams):
         for name in ("run_dir", "judge_model"):
             require(name, getattr(self, name), lambda v: isinstance(v, str), "a string")
         require("cache_dir", self.cache_dir, lambda v: v is None or isinstance(v, str), "a string when set")
-        require("concurrency", self.concurrency, lambda c: isinstance(c, int) and c >= 1, "an integer >= 1")
+        require("concurrency", self.concurrency, lambda c: is_number(c, int) and c >= 1, "an integer >= 1")
 
 
 def _build(section: dict | None, cls, name: str):

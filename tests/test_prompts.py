@@ -183,13 +183,13 @@ class TestParseHighlights:
 class TestAlign:
     def test_exact_match(self):
         doc = doc_from_sentences(["Zero one.", "Two three.", "Four five.", "Six seven."])
-        [h] = align(doc, ["Six seven."], threshold=0.6)
+        [h] = align(doc, ["Six seven."])
         assert h.source_index == 3
         assert h.alignment_score == pytest.approx(1.0)
 
     def test_disjoint_text(self):
         doc = doc_from_sentences(["Alpha beta.", "Gamma delta."])
-        [h] = align(doc, ["unrelated words entirely"], threshold=0.6)
+        [h] = align(doc, ["unrelated words entirely"])
         assert h.source_index is None
         assert h.alignment_score == 0.0
 
@@ -199,7 +199,7 @@ class TestAlign:
         assert len(cases) == 20
         for case in cases:
             doc = doc_from_sentences(case["sentences"])
-            [h] = align(doc, [case["text"]], threshold=0.6)
+            [h] = align(doc, [case["text"]])
             correct += h.source_index == case["expected_index"]
         assert correct >= 18
 
@@ -219,7 +219,7 @@ class TestAlign:
 
         for case in load_jsonl("alignment_cases.jsonl"):
             doc = doc_from_sentences(case["sentences"])
-            [h] = align(doc, [case["text"]], threshold=0.6)
+            [h] = align(doc, [case["text"]])
             scores = [f1(case["text"], s) for s in case["sentences"]]
             assert h.alignment_score == pytest.approx(max(scores))
 
@@ -242,7 +242,7 @@ class TestAlign:
         texts = [sentences[7], sentences[123], "zzz qqq", "", "W3 w3 w3 absentword w5"]
         texts += [" ".join(rng.choice(words + ["absent", "missing"]) for _ in range(rng.randint(1, 20))) for _ in range(60)]
         source = [Counter(tokenize(s.text)) for s in doc.sentences]
-        highlights = align(doc, texts, threshold=0.6)
+        highlights = align(doc, texts)
         assert [h.text for h in highlights] == texts
         assert highlights[0].source_index == 7
         for h, text in zip(highlights, texts):
@@ -274,7 +274,7 @@ class TestAlign:
         doc = make_document("doc", "... Aa bb. Éé! Cc dd.")
         assert [s.text for s in doc.sentences] == ["...", "Aa bb.", "Éé!", "Cc dd."]
         assert [len(tokenize(s.text)) for s in doc.sentences] == [0, 2, 0, 2]
-        highlights = align(doc, ["Cc dd.", "...", "Cc dd ee.", "éé"], threshold=0.6)
+        highlights = align(doc, ["Cc dd.", "...", "Cc dd ee.", "éé"])
         assert [h.source_index for h in highlights] == [3, None, 3, None]
         assert [h.alignment_score for h in highlights] == [1.0, 0.0, 0.8, 0.0]
 
@@ -291,7 +291,7 @@ class TestAlign:
     def test_order_preserving_one_per_text(self):
         doc = doc_from_sentences(["Aa bb.", "Cc dd."])
         texts = ["Cc dd.", "Aa bb.", "zz"]
-        highlights = align(doc, texts, threshold=0.5)
+        highlights = align(doc, texts)
         assert [h.text for h in highlights] == texts
 
     @settings(max_examples=30, deadline=None)
@@ -299,11 +299,6 @@ class TestAlign:
     def test_self_alignment_is_perfect(self, words):
         text = " ".join(words).capitalize() + "."
         doc = doc_from_sentences([text, "Completely different tokens here."])
-        [h] = align(doc, [text], threshold=0.6)
+        [h] = align(doc, [text])
         assert h.source_index == 0
         assert h.alignment_score == pytest.approx(1.0)
-
-    def test_threshold_validation(self):
-        doc = doc_from_sentences(["Aa."])
-        with pytest.raises(ValueError):
-            align(doc, ["Aa."], threshold=0.0)

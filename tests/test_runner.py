@@ -196,6 +196,25 @@ class TestLoadConfig:
             # Each document's kind picks the prompts and the budget; no key overrides the family.
             ({"prompt_family": "qmsum"}, r"unknown key\(s\) in 'config': \['prompt_family'\]"),
             ({"align_threshold": 0.5}, r"unknown key\(s\) in 'config': \['align_threshold'\]"),
+            # YAML's true and false are bools, which Python counts as ints; no
+            # integer or numeric value takes one.
+            ({"k": True}, r"in 'config': k must be an integer >= 1, got True"),
+            ({"concurrency": True}, r"in 'config': concurrency must be an integer >= 1, got True"),
+            ({"seed": False}, r"in 'config': seed must be an integer, got False"),
+            ({"max_tokens": True}, r"in 'config': max_tokens must be an integer >= 1, got True"),
+            ({"retry": {"attempts": True}}, r"in 'retry': attempts must be an integer >= 1, got True"),
+            ({"dataset": {"path": "x", "limit": True}}, r"in 'dataset': limit must be an integer >= 0, got True"),
+            ({"lexrank": {"threshold": True}}, r"in 'lexrank': threshold must be in \[0, 1\], got True"),
+            ({"lexrank": {"threshold": False}}, r"in 'lexrank': threshold must be in \[0, 1\], got False"),
+            ({"attribution": {"lambda_frac": True}}, r"in 'attribution': lambda_frac must be >= 0, got True"),
+            ({"retry": {"base_delay": True}}, r"in 'retry': base_delay must be >= 0, got True"),
+            ({"endpoint": {"timeout": True}}, r"in 'endpoint': timeout must be a number > 0, got True"),
+            # A quoted seed would draw another sample than the integer.
+            ({"dataset": {"path": "x", "shuffle_seed": "7"}}, r"in 'dataset': shuffle_seed must be an integer when set, got '7'"),
+            ({"dataset": {"path": "x", "shuffle_seed": 2.5}}, r"in 'dataset': shuffle_seed must be an integer when set, got 2.5"),
+            # A quoted "no" is truthy and would turn the judge fan-out on.
+            ({"metrics": {"enable_factscore": "no"}}, r"in 'metrics': enable_factscore must be true or false, got 'no'"),
+            ({"metrics": {"enable_factscore": 1}}, r"in 'metrics': enable_factscore must be true or false, got 1"),
         ],
         ids=lambda case: json.dumps(case[0]),
     )
