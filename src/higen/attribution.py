@@ -4,13 +4,22 @@ Source sentences are ablated under random Bernoulli masks (an m x n boolean
 array, one row per ablated context), a fixed response is re-scored under each
 ablated context, ``SCORE_BATCH`` contexts per scoring request, and the
 resulting log-probabilities are mapped to logits. The masks are drawn in one
-call. The document's sentences are JSON-escaped once per attribution, and
+call. Once all m contexts are scored, their m (total logprob, token count)
+pairs are cached again as one packed score entry, in mask order, under
+``llm_client.packed_score_key``: it covers the model, the response, every
+labelled sentence and the mask bits with their shape, so it changes whenever
+any per-context key would. A warm rerun reads that one entry and nothing
+else. When it misses (a cache filled before packed entries, a damaged
+entry, an attribution cut short), the contexts are scored as follows. The
+document's sentences are JSON-escaped once per attribution, and
 ``llm_client.score_keys`` keys every ablated context from them in one pass
 over the masks; the context itself is built only when its key misses the
-cache, so a warm rerun builds no ablated context. The keys equal those of
-plain requests. The fit needs at least n/2 + 2 usable samples, so a document
-that m samples could never cover fails before any mask is drawn or any
-request sent. A sparse linear surrogate is fit to the logits by LASSO, solved
+cache, and the misses of a batch are sent in one request, so an interrupted
+attribution resumes batch by batch. The keys equal those of plain requests.
+An attribution that fails writes no packed entry. Logit filtering and the fit
+run on every call, from either source. The fit needs at least n/2 + 2 usable
+samples, so a document that m samples could never cover fails before any mask
+is drawn or any request sent. A sparse linear surrogate is fit to the logits by LASSO, solved
 with FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
 (O'Donoghue & Candes 2015) on the centered mask matrix, in matrix-vector
 form. The solver stops once the KKT residual is at most ``tol`` and reports
@@ -26,6 +35,7 @@ masks in place, and the cache keys are built one mask row at a time.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -36,7 +46,9 @@ import numpy as np
 
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError, is_number, require
-from .llm_client import LLMClient, ScoreRequest, json_escaped, score_keys
+from .llm_client import LLMClient, ScoreRequest, ScoreResponse, json_escaped, packed_score_key, score_keys
+
+_logger = logging.getLogger(__name__)
 
 
 # Ablated contexts scored per request. Each is about half the document, and the
@@ -264,6 +276,27 @@ def fit_lasso(
     return LassoFit(w, intercept, r_squared, iterations, residual <= tol, residual)
 
 
+def _score_ablations(
+    client: LLMClient, document: Document, response: str, model: str, masks: np.ndarray
+) -> list[ScoreResponse]:
+    """The score of ``response`` after each ablated context, in mask order,
+    SCORE_BATCH contexts per request, each cached under its own key. A
+    context is built only when its key misses the cache."""
+    escaped = [json_escaped(text) for text in document.labelled_sentences]
+    keys = score_keys(model, response, (b" ".join(compress(escaped, bits.tolist())) for bits in masks))
+    scores: list[ScoreResponse] = []
+    for first in range(0, len(masks), SCORE_BATCH):
+        try:
+            scores += client.score_many(
+                keys[first : first + SCORE_BATCH],
+                lambda i: ScoreRequest(model, ablate(document, masks[first + i]), response),
+                doc_id=document.id,
+            )
+        except HigenError as exc:
+            raise AttributionError(f"scoring failed on the batch from ablation mask {first}: {exc}") from exc
+    return scores
+
+
 def contextcite_attribute(
     client: LLMClient,
     document: Document,
@@ -275,16 +308,21 @@ def contextcite_attribute(
 ) -> AttributionResult:
     """Per-sentence influence weights for a fixed response.
 
-    The ablated contexts are scored by the client SCORE_BATCH at a time, one
-    request per batch, each context cached on its own; logit-scaled totals
-    are regressed on the mask bits with lambda = lambda_frac * lambda_max.
-    Samples without a finite logit (probability 1, or a non-finite logprob)
-    are dropped; the fit requires at least n/2 + 2 surviving samples, and
+    The scores come from the attribution's packed score entry when it hits
+    the cache; otherwise the ablated contexts are scored by the client
+    SCORE_BATCH at a time, one request per batch, each context cached on its
+    own, and the packed entry is written once the samples are known to
+    suffice. Logit-scaled totals are regressed on the mask bits with
+    lambda = lambda_frac * lambda_max. Samples without a finite logit
+    (probability 1, or a non-finite logprob) are dropped; the fit requires at least n/2 + 2 surviving samples, and
     when params.m is below that it raises before sampling or scoring. The
     solver's iterations, convergence and KKT residual are reported on the
-    result; a fit that does not converge is returned, not raised. With
-    dump_path set, the (mask, logit) pairs are written as JSONL (masks as
-    lists of 0/1) for offline refits.
+    result; a fit that does not converge is returned, not raised. Each
+    attribution logs one DEBUG line on ``higen.attribution`` with the
+    document id, n, the usable samples, lambda, r^2, the iterations, whether
+    the fit converged and where the scores came from. With dump_path set,
+    the (mask, logit) pairs are written as JSONL (masks as lists of 0/1) for
+    offline refits.
     """
     if not response:
         raise AttributionError("response must be non-empty")
@@ -295,28 +333,24 @@ def contextcite_attribute(
     if params.m < need:
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
-    escaped = [json_escaped(text) for text in document.labelled_sentences]
-    keys = score_keys(model, response, (b" ".join(compress(escaped, bits.tolist())) for bits in masks))
+    packed_key = packed_score_key(model, response, document.labelled_sentences, masks)
+    scores = client.read_packed_scores(packed_key, len(masks))
+    packed = scores is not None
+    if scores is None:
+        scores = _score_ablations(client, document, response, model, masks)
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
-    for first in range(0, len(masks), SCORE_BATCH):
+    for index, score in enumerate(scores):
         try:
-            scored = client.score_many(
-                keys[first : first + SCORE_BATCH],
-                lambda i: ScoreRequest(model, ablate(document, masks[first + i]), response),
-                doc_id=document.id,
-            )
-        except HigenError as exc:
-            raise AttributionError(f"scoring failed on the batch from ablation mask {first}: {exc}") from exc
-        for index, score in enumerate(scored, start=first):
-            try:
-                targets.append(logit_scale(score.total_logprob))
-            except DomainError:
-                continue
-            usable[index] = True
+            targets.append(logit_scale(score.total_logprob))
+        except DomainError:
+            continue
+        usable[index] = True
     rows = masks[usable]
     if len(rows) < need:
         raise AttributionError(f"only {len(rows)} of {params.m} ablation samples usable; need at least {need}")
+    if not packed:
+        client.write_packed_scores(packed_key, scores)
     if dump_path is not None:
         with Path(dump_path).open("w", encoding="utf-8") as handle:
             for bits, logit in zip(rows, targets):
@@ -324,6 +358,19 @@ def contextcite_attribute(
     y = np.array(targets, dtype=float)
     lam = params.lambda_frac * lambda_max(rows, y)
     fit = fit_lasso(rows, y, lam)
+    _logger.debug(
+        "attribution of %s: n=%d, %d/%d samples usable, lambda=%.6g, r2=%.6g, %d iterations, converged=%s, "
+        "scores from %s",
+        document.id,
+        n,
+        len(rows),
+        params.m,
+        lam,
+        fit.r_squared,
+        fit.iterations,
+        fit.converged,
+        "the packed entry" if packed else "per-context entries",
+    )
     return AttributionResult(
         scores=[float(w) for w in fit.weights],
         intercept=fit.intercept,

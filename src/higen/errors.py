@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any, Callable
 
 
 def is_number(value: Any, kind: type = numbers.Real) -> bool:
-    """Whether ``value`` is a ``kind`` and not a bool. YAML's true and false
-    load as Python bools, which are ints, but no count or rate is a truth value."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether ``value`` is a finite ``kind`` and not a bool. YAML's true and
+    false load as Python bools, which are ints, but no count or rate is a truth
+    value; and YAML's .inf and .nan are floats, but no timeout, delay or rate
+    is infinite or undefined."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def require(name: str, value: Any, ok: Callable[[Any], bool], rule: str) -> None:

@@ -17,7 +17,12 @@ is read in one open, read and close. The score-cache key format lives here
 alone: a context's key is the sha256 of the request's canonical JSON, which
 ``score_keys`` builds from the context's ``json_escaped`` bytes; a caller that
 escapes each sentence once (as attribution does) keys any ablated context by
-joining its sentences' bytes, without building it. A deterministic mock
+joining its sentences' bytes, without building it. The packed score key lives
+here too: ``packed_score_key`` hashes the model, the continuation, every
+sentence and the masks (bits and shape) of one attribution, and
+``read_packed_scores``/``write_packed_scores`` keep that attribution's m
+scores, in mask order, in one entry beside the per-context ones, so a warm
+attribution reads one file instead of m. A deterministic mock
 backend makes the whole pipeline reproducible in tests and offline runs.
 """
 
@@ -174,6 +179,29 @@ def score_keys(model: str, continuation: str, escaped_contexts: Iterable[bytes])
     return keys
 
 
+def packed_score_key(model: str, continuation: str, sentences: Sequence[str], masks: np.ndarray) -> str:
+    """The cache key of one attribution's packed scores: the sha256 of the
+    canonical JSON of the model, the continuation, every sentence and the
+    shape of the boolean ``masks``, followed by the mask bits, eight to a
+    byte. The score key of an ablated context depends only on the model, the
+    continuation and the sentences its mask keeps, so the packed key changes
+    whenever any of the per-context keys would."""
+    head = json.dumps(
+        {
+            "kind": "packed_score",
+            "model": model,
+            "continuation": continuation,
+            "sentences": list(sentences),
+            "shape": list(masks.shape),
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    digest = hashlib.sha256(head.encode("utf-8"))
+    digest.update(np.packbits(masks).tobytes())
+    return digest.hexdigest()
+
+
 def _canonical_score_key(req: ScoreRequest) -> str:
     return score_keys(req.model, req.continuation, [json_escaped(req.context)])[0]
 
@@ -215,9 +243,17 @@ def _read_to_end(descriptor: int) -> bytes:
 
 
 # The fields of a cached response, in the order of the response's fields,
-# with the types a usable entry holds.
+# with the types a usable entry holds. A packed score entry holds one list per
+# score field, each value of the field's type.
 _GEN_FIELDS = {"text": str, "prompt_tokens": int, "completion_tokens": int}
 _SCORE_FIELDS = {"total_logprob": (int, float), "token_count": int}
+_PACKED_FIELDS = dict.fromkeys(_SCORE_FIELDS, list)
+
+
+def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
+    """Whether a cached value is a ``kind``; JSON's true and false load as
+    bools, which are ints, but no cached count or logprob is a truth value."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class LLMClient:
@@ -272,7 +308,7 @@ class LLMClient:
             values = [response[name] for name in fields]
         except (ValueError, KeyError, TypeError):
             return None
-        return values if all(map(isinstance, values, fields.values())) else None
+        return values if all(map(_is_a, values, fields.values())) else None
 
     def _cache_write(self, key: str, request: dict, response: dict) -> None:
         if self.cache_dir is not None:
@@ -364,6 +400,26 @@ class LLMClient:
         backend in one request."""
         rows, _ = self._cached("score", keys, _SCORE_FIELDS, build, self.backend.score_many, doc_id)
         return [ScoreResponse(*row) for row in rows]
+
+    def read_packed_scores(self, key: str, count: int) -> list[ScoreResponse] | None:
+        """The ``count`` scores of the packed entry under ``key`` (see
+        ``packed_score_key``), in order, or None on a miss: no entry, a
+        damaged one, or one whose fields do not each hold ``count`` values of
+        a score's types. A hit counts as ``count`` cache hits, one per score."""
+        columns = self._cache_read(key, _PACKED_FIELDS)
+        if columns is None or any(len(column) != count for column in columns):
+            return None
+        for column, kind in zip(columns, _SCORE_FIELDS.values()):
+            if not all(_is_a(value, kind) for value in column):
+                return None
+        with self._stats_lock:
+            self.cache_hits += count
+        return [ScoreResponse(*row) for row in zip(*columns)]
+
+    def write_packed_scores(self, key: str, scores: Sequence[ScoreResponse]) -> None:
+        """Cache ``scores`` under ``key`` as one packed entry, one list per field."""
+        response = {name: [getattr(score, name) for score in scores] for name in _PACKED_FIELDS}
+        self._cache_write(key, {"kind": "packed_score", "key": key}, response)
 
 
 class HTTPBackend:

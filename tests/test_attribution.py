@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+import logging
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +21,7 @@ from higen.attribution import (
 )
 from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
-from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, prompt_hash
+from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, packed_score_key, prompt_hash
 from higen.prompts import ranked_highlights
 
 from conftest import RecordingBackend, doc_from_sentences, score_requests, traced_peak
@@ -566,6 +569,216 @@ class TestContextciteAttribute:
         client = _client_with_scorer(tmp_path, lambda c, k: -1.0)
         with pytest.raises(AttributionError, match="response must be non-empty"):
             contextcite_attribute(client, doc, "", "m")
+
+
+def _packed_entry(cache_dir, doc, response, model, params, seed) -> Path:
+    """The path of the packed score entry of one attribution."""
+    masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, seed)
+    return cache_dir / f"{packed_score_key(model, response, doc.labelled_sentences, masks)}.json"
+
+
+def _edited_response(edit):
+    """A damage that applies ``edit`` to the response of a cache entry's bytes."""
+
+    def damage(good: bytes) -> bytes:
+        entry = json.loads(good)
+        edit(entry["response"])
+        return json.dumps(entry).encode("utf-8")
+
+    return damage
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of ``owner.name``, which still runs."""
+    calls = []
+    plain = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _forbid(monkeypatch, owner, name):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(owner, name, must_not_run)
+
+
+class TestPackedScoreEntry:
+    _RESPONSE = "Bridge banana builds. Garnet guava glints."
+    _PARAMS = AttributionParams(m=16)
+
+    def _cold(self, tmp_path, doc=None, scorer=overlap_scorer, **kwargs):
+        doc = doc or doc_from_sentences(_SYNTH_SENTENCES)
+        client = _client_with_scorer(tmp_path, scorer)
+        return contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2, **kwargs)
+
+    def _warm(self, tmp_path, doc=None, **kwargs):
+        doc = doc or doc_from_sentences(_SYNTH_SENTENCES)
+        backend = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        result = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2, **kwargs)
+        assert backend.calls == 0 and client.backend_calls == 0
+        assert client.cache_hits == self._PARAMS.m
+        return result
+
+    def test_a_cold_run_writes_m_plus_one_entries_and_a_warm_one_reads_one(self, tmp_path, monkeypatch):
+        from higen import attribution
+
+        cold = self._cold(tmp_path)
+        assert len(list((tmp_path / "cache").glob("*.json"))) == self._PARAMS.m + 1
+        reads = _count_calls(monkeypatch, LLMClient, "_cache_read")
+        _forbid(monkeypatch, attribution, "score_keys")
+        assert self._warm(tmp_path) == cold
+        assert len(reads) == 1
+        assert len(list((tmp_path / "cache").glob("*.json"))) == self._PARAMS.m + 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda good: good[: len(good) // 2],
+            _edited_response(lambda response: response["total_logprob"].pop()),
+            _edited_response(lambda response: response["token_count"].append(1)),
+            _edited_response(lambda response: response["token_count"].__setitem__(3, True)),
+            _edited_response(lambda response: response["total_logprob"].__setitem__(0, "-1.5")),
+            _edited_response(lambda response: response.__setitem__("total_logprob", -1.5)),
+        ],
+        ids=["truncated", "a_logprob_short", "a_count_long", "a_bool_count", "a_string_logprob", "not_a_list"],
+    )
+    def test_a_damaged_entry_falls_back_to_the_per_context_entries_and_is_rewritten(
+        self, tmp_path, monkeypatch, damage
+    ):
+        from higen import attribution
+
+        cold = self._cold(tmp_path)
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        good = path.read_bytes()
+        path.write_bytes(damage(good))
+        keyed = _count_calls(monkeypatch, attribution, "score_keys")
+        assert self._warm(tmp_path) == cold
+        assert len(keyed) == 1
+        assert path.read_bytes() == good
+        keyed.clear()
+        assert self._warm(tmp_path) == cold
+        assert keyed == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=3),
+            dict(params=AttributionParams(m=17)),
+            dict(params=AttributionParams(m=16, keep_prob=0.6)),
+            dict(response="Bridge banana builds."),
+            dict(model="another-model"),
+            dict(doc=doc_from_sentences(_SYNTH_SENTENCES[:5] + ["Forest feijoa floods."] + _SYNTH_SENTENCES[6:])),
+        ],
+        ids=["seed", "m", "keep_prob", "response", "model", "one_edited_sentence"],
+    )
+    def test_a_changed_input_misses(self, tmp_path, monkeypatch, change):
+        from higen import attribution
+
+        self._cold(tmp_path)
+        run = dict(
+            doc=doc_from_sentences(_SYNTH_SENTENCES), response=self._RESPONSE, model="m", params=self._PARAMS, seed=2
+        )
+        run.update(change)
+        client = _client_with_scorer(tmp_path, overlap_scorer)
+        keyed = _count_calls(monkeypatch, attribution, "score_keys")
+        contextcite_attribute(client, run["doc"], run["response"], run["model"], run["params"], seed=run["seed"])
+        assert len(keyed) == 1
+        assert _packed_entry(tmp_path / "cache", **run).exists()
+
+    @pytest.mark.parametrize("value", [0.0, -math.inf])
+    def test_a_packed_logprob_without_a_logit_drops_the_same_sample(self, tmp_path, monkeypatch, value):
+        from higen import attribution
+
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
+        kept = int(masks[:, 2].sum())
+        assert 12 / 2 + 2 <= kept < self._PARAMS.m
+
+        def dropping(ctx, cont):
+            return overlap_scorer(ctx, cont) if _SYNTH_SENTENCES[2] in ctx else value
+
+        cold = self._cold(tmp_path, scorer=dropping)
+        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        logprobs = json.loads(path.read_text())["response"]["total_logprob"]
+        assert sum(logprob == value for logprob in logprobs) == self._PARAMS.m - kept
+        client = _client_with_scorer(tmp_path, dropping)
+        _forbid(monkeypatch, attribution, "score_keys")
+        packed = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
+        assert packed == cold and packed.num_ablations == kept
+        monkeypatch.undo()
+        path.unlink()
+        per_context = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
+        assert per_context == packed and client.backend_calls == 0
+
+    def test_a_scoring_failure_writes_no_packed_entry_and_a_healed_rerun_sends_only_the_missing_batches(
+        self, tmp_path
+    ):
+        from higen.errors import EndpointError
+
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        params = AttributionParams(m=4 * SCORE_BATCH)
+
+        def fail_on_third_batch(ctx, cont):
+            if failing.score_calls == 3:
+                raise EndpointError(500, "down")
+            return overlap_scorer(ctx, cont)
+
+        failing = MockBackend(score_fn=fail_on_third_batch)
+        with pytest.raises(AttributionError, match=f"mask {2 * SCORE_BATCH}:"):
+            contextcite_attribute(LLMClient(failing, cache_dir=tmp_path / "c"), doc, self._RESPONSE, "m", params)
+        assert len(list((tmp_path / "c").glob("*.json"))) == 2 * SCORE_BATCH
+        assert not _packed_entry(tmp_path / "c", doc, self._RESPONSE, "m", params, 0).exists()
+        healed = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(healed, cache_dir=tmp_path / "c")
+        resumed = contextcite_attribute(client, doc, self._RESPONSE, "m", params)
+        assert healed.score_calls == 2 and client.cache_hits == 2 * SCORE_BATCH
+        assert len(list((tmp_path / "c").glob("*.json"))) == params.m + 1
+        fresh = LLMClient(MockBackend(score_fn=overlap_scorer), cache_dir=tmp_path / "fresh")
+        assert resumed == contextcite_attribute(fresh, doc, self._RESPONSE, "m", params)
+
+    def test_too_few_usable_samples_write_no_packed_entry(self, tmp_path):
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        params = AttributionParams(m=16)
+
+        def drop_without_third(ctx, cont):
+            return overlap_scorer(ctx, cont) if _SYNTH_SENTENCES[2] in ctx else 0.0
+
+        client = _client_with_scorer(tmp_path, drop_without_third)
+        with pytest.raises(AttributionError, match="ablation samples usable"):
+            contextcite_attribute(client, doc, "resp", "m", params, seed=0)
+        assert len(list((tmp_path / "cache").glob("*.json"))) == params.m
+        assert not _packed_entry(tmp_path / "cache", doc, "resp", "m", params, 0).exists()
+
+    def test_the_dump_of_a_packed_hit_equals_the_cold_dump(self, tmp_path, monkeypatch):
+        from higen import attribution
+
+        self._cold(tmp_path, dump_path=tmp_path / "cold.jsonl")
+        _forbid(monkeypatch, attribution, "score_keys")
+        self._warm(tmp_path, dump_path=tmp_path / "warm.jsonl")
+        assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+
+    def test_each_attribution_logs_one_debug_line_without_text(self, tmp_path, caplog):
+        doc = doc_from_sentences(_SYNTH_SENTENCES, doc_id="doc-7")
+        with caplog.at_level(logging.DEBUG, logger="higen.attribution"):
+            cold = self._cold(tmp_path, doc=doc)
+            warm = self._warm(tmp_path, doc=doc)
+        assert [record.name for record in caplog.records] == ["higen.attribution"] * 2
+        assert [record.levelno for record in caplog.records] == [logging.DEBUG] * 2
+        first, second = (record.getMessage() for record in caplog.records)
+        for message, source in ((first, "per-context entries"), (second, "the packed entry")):
+            assert message.startswith("attribution of doc-7: n=12, 16/16 samples usable, lambda=")
+            assert f"{cold.iterations} iterations, converged={cold.converged}" in message
+            assert message.endswith(f"scores from {source}")
+            assert not any(word in message for word in ("Bridge", "banana", "Anchor", "apple"))
+        assert warm == cold
 
 
 class TestAttributionHighlights:

@@ -7,6 +7,7 @@ import threading
 import time
 from itertools import compress
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from higen.llm_client import (
     echo_first_k,
     json_escaped,
     overlap_scorer,
+    packed_score_key,
     prompt_hash,
     score_keys,
 )
@@ -269,6 +271,28 @@ class TestScoreKey:
             expected = [_plain_score_key(model, context, continuation) for context in ordered]
             assert score_keys(model, continuation, [json_escaped(context) for context in ordered]) == expected
         assert len(set(expected)) == len(contexts) >= 20
+
+    def test_the_packed_key_changes_whenever_a_per_context_key_would(self):
+        sentences = ["Ann: One two.", 'Three "four".', "Caf\u00e9 five.", "Six\nseven."]
+        masks = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=bool)
+        key = packed_score_key("m", "The draft.", sentences, masks)
+        assert packed_score_key("m", "The draft.", list(sentences), masks.copy()) == key
+        variants = [
+            packed_score_key("m2", "The draft.", sentences, masks),
+            packed_score_key("m", "The draft!", sentences, masks),
+            packed_score_key("m", "The draft.", sentences, masks[:2]),
+            # The same text split at another sentence boundary.
+            packed_score_key("m", "The draft.", ["Ann: One", 'two. Three "four".', *sentences[2:]], masks),
+        ]
+        for index in range(len(sentences)):
+            edited = list(sentences)
+            edited[index] += " More."
+            variants.append(packed_score_key("m", "The draft.", edited, masks))
+        for bit in np.ndindex(masks.shape):
+            flipped = masks.copy()
+            flipped[bit] = not flipped[bit]
+            variants.append(packed_score_key("m", "The draft.", sentences, flipped))
+        assert len({key, *variants}) == len(variants) + 1 == 21
 
     def test_a_given_key_is_used_and_not_compared(self, tmp_path):
         # score_many caches under the keys it is given; it never recomputes

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from pathlib import Path
@@ -42,8 +43,10 @@ def _config_dict(tmp_path, **overrides) -> dict:
 
 
 def _write_config(tmp_path, **overrides) -> Path:
+    """The config as JSON, which the YAML loader reads, with an infinite
+    number spelled as YAML spells it (JSON's Infinity is a string to YAML)."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_config_dict(tmp_path, **overrides)))
+    path.write_text(json.dumps(_config_dict(tmp_path, **overrides)).replace("Infinity", ".inf"))
     return path
 
 
@@ -209,6 +212,10 @@ class TestLoadConfig:
             ({"attribution": {"lambda_frac": True}}, r"in 'attribution': lambda_frac must be >= 0, got True"),
             ({"retry": {"base_delay": True}}, r"in 'retry': base_delay must be >= 0, got True"),
             ({"endpoint": {"timeout": True}}, r"in 'endpoint': timeout must be a number > 0, got True"),
+            # YAML's .inf loads as a float; no timeout, delay or rate is infinite.
+            ({"endpoint": {"timeout": math.inf}}, r"in 'endpoint': timeout must be a number > 0, got inf"),
+            ({"retry": {"base_delay": math.inf}}, r"in 'retry': base_delay must be >= 0, got inf"),
+            ({"attribution": {"lambda_frac": math.inf}}, r"in 'attribution': lambda_frac must be >= 0, got inf"),
             # A quoted seed would draw another sample than the integer.
             ({"dataset": {"path": "x", "shuffle_seed": "7"}}, r"in 'dataset': shuffle_seed must be an integer when set, got '7'"),
             ({"dataset": {"path": "x", "shuffle_seed": 2.5}}, r"in 'dataset': shuffle_seed must be an integer when set, got 2.5"),
