@@ -2,20 +2,25 @@
 
 Source sentences are ablated under random Bernoulli masks (an m x n boolean
 array, one row per ablated context), a fixed response is re-scored under each
-ablated context, ``SCORE_BATCH`` contexts per scoring request, and the
-resulting log-probabilities are mapped to logits. The masks are drawn in one
-call. Once all m contexts are scored, their m (total logprob, token count)
-pairs are cached again as one packed score entry, in mask order, under
-``llm_client.packed_score_key``: it covers the model, the response, every
-labelled sentence and the mask bits with their shape, so it changes whenever
-any per-context key would. A warm rerun reads that one entry and nothing
-else. When it misses (a cache filled before packed entries, a damaged
-entry, an attribution cut short), the contexts are scored as follows. The
-document's sentences are JSON-escaped once per attribution, and
-``llm_client.score_keys`` keys every ablated context from them in one pass
-over the masks; the context itself is built only when its key misses the
-cache, and the misses of a batch are sent in one request, so an interrupted
-attribution resumes batch by batch. The keys equal those of plain requests.
+ablated context, and the resulting log-probabilities are mapped to logits.
+The masks are drawn in one call. Scoring requests are sized by characters:
+the m masks are split, in mask order, into consecutive runs whose contexts
+add up to at most ``SCORE_REQUEST_CHARS`` characters (a longer context is a
+run of its own), and each run is one scoring request. A context's length
+comes from the mask bits and the sentence lengths, so sizing a request
+builds no context. Once all m contexts are scored, their m (total logprob,
+token count) pairs are cached again as one packed score entry, in mask
+order, under ``llm_client.packed_score_key``: it covers the model, the
+response, every labelled sentence and the mask bits with their shape, so it
+changes whenever any per-context key would. A warm rerun reads that one
+entry and nothing else, and sends no request. When it misses (a cache filled
+before packed entries, a damaged entry, an attribution cut short), the
+contexts are scored as follows. The document's sentences are JSON-escaped
+once per attribution, and ``llm_client.score_keys`` keys every ablated
+context from them in one pass over the masks; the context itself is built
+only when its key misses the cache, and the misses of a run are sent in one
+request, so an interrupted attribution resumes request by request. The keys
+equal those of plain requests, and do not depend on how the masks are split.
 An attribution that fails writes no packed entry. Logit filtering and the fit
 run on every call, from either source. The fit needs at least n/2 + 2 usable
 samples, so a document that m samples could never cover fails before any mask
@@ -37,10 +42,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,12 +56,13 @@ from .llm_client import LLMClient, ScoreRequest, ScoreResponse, json_escaped, pa
 _logger = logging.getLogger(__name__)
 
 
-# Ablated contexts scored per request. Each is about half the document, and the
-# response echoes every context with a logprob and an offset per token, so a
-# batch's request and response grow with it: on a 401-sentence transcript, 8
-# per request raised the HTTP benchmark's peak RSS by 8% over one per request,
-# 4 per request by 5%.
-SCORE_BATCH = 4
+# Ablated-context characters per scoring request. The response echoes every
+# context with a logprob and an offset per token, so a request's body and its
+# response grow with its characters, not with its count of contexts. 400,000
+# characters is about the largest request that four contexts per request sent
+# over the paper's 100-800-sentence range: the first one of an 800-sentence
+# document, its full text (about 160k characters) and three half-contexts.
+SCORE_REQUEST_CHARS = 400_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,10 @@ class AttributionResult:
     iterations: int = 0
     converged: bool = False
     kkt_residual: float = math.nan
+    # Scoring requests this attribution sent; 0 when every score was cached.
+    # It says how the scores were got, not what they are, so it takes no part
+    # in equality.
+    scoring_requests: int = field(default=0, compare=False)
 
 
 class LassoFit(NamedTuple):
@@ -128,6 +138,29 @@ def sample_masks(n: int, m: int, keep_prob: float, seed: int) -> np.ndarray:
             masks[row] = bits
             row += 1
     return masks
+
+
+def context_lengths(document: Document, masks: np.ndarray) -> np.ndarray:
+    """``len(ablate(document, mask))`` for each row of ``masks``, without
+    building any context: the kept sentences' characters, plus one separator
+    between each two of them."""
+    sentence_lengths = np.array([len(text) for text in document.labelled_sentences], dtype=np.int64)
+    return masks @ sentence_lengths + np.maximum(masks.sum(axis=1) - 1, 0)
+
+
+def request_runs(lengths: Sequence[int], budget: int) -> list[range]:
+    """Split contexts 0..len(lengths)-1, in order, into consecutive runs, each
+    as long as the next context still fits: a run's lengths add up to at most
+    ``budget``, unless it holds one context that alone is longer."""
+    runs: list[range] = []
+    first = total = 0
+    for index, length in enumerate(lengths):
+        if index > first and total + length > budget:
+            runs.append(range(first, index))
+            first, total = index, 0
+        total += length
+    runs.append(range(first, len(lengths)))
+    return runs
 
 
 def ablate(document: Document, mask: np.ndarray) -> str:
@@ -278,23 +311,31 @@ def fit_lasso(
 
 def _score_ablations(
     client: LLMClient, document: Document, response: str, model: str, masks: np.ndarray
-) -> list[ScoreResponse]:
+) -> tuple[list[ScoreResponse], list[int]]:
     """The score of ``response`` after each ablated context, in mask order,
-    SCORE_BATCH contexts per request, each cached under its own key. A
-    context is built only when its key misses the cache."""
+    each cached under its own key, and the context characters of each
+    request sent. Each run of ``request_runs`` over the contexts' lengths
+    and ``SCORE_REQUEST_CHARS`` is one request, for the contexts of the run
+    that miss the cache; a context is built only when its key misses."""
     escaped = [json_escaped(text) for text in document.labelled_sentences]
     keys = score_keys(model, response, (b" ".join(compress(escaped, bits.tolist())) for bits in masks))
+    lengths = context_lengths(document, masks).tolist()
     scores: list[ScoreResponse] = []
-    for first in range(0, len(masks), SCORE_BATCH):
+    sent: list[int] = []
+    for run in request_runs(lengths, SCORE_REQUEST_CHARS):
+        built: list[int] = []
+
+        def build(i: int) -> ScoreRequest:
+            built.append(lengths[run.start + i])
+            return ScoreRequest(model, ablate(document, masks[run.start + i]), response)
+
         try:
-            scores += client.score_many(
-                keys[first : first + SCORE_BATCH],
-                lambda i: ScoreRequest(model, ablate(document, masks[first + i]), response),
-                doc_id=document.id,
-            )
+            scores += client.score_many(keys[run.start : run.stop], build, doc_id=document.id)
         except HigenError as exc:
-            raise AttributionError(f"scoring failed on the batch from ablation mask {first}: {exc}") from exc
-    return scores
+            raise AttributionError(f"scoring failed on the batch from ablation mask {run.start}: {exc}") from exc
+        if built:
+            sent.append(sum(built))
+    return scores, sent
 
 
 def contextcite_attribute(
@@ -309,18 +350,20 @@ def contextcite_attribute(
     """Per-sentence influence weights for a fixed response.
 
     The scores come from the attribution's packed score entry when it hits
-    the cache; otherwise the ablated contexts are scored by the client
-    SCORE_BATCH at a time, one request per batch, each context cached on its
-    own, and the packed entry is written once the samples are known to
-    suffice. Logit-scaled totals are regressed on the mask bits with
-    lambda = lambda_frac * lambda_max. Samples without a finite logit
+    the cache; otherwise the ablated contexts are scored by the client in
+    requests of at most SCORE_REQUEST_CHARS context characters (or of one
+    longer context), each context cached on its own, and the packed entry is written once the samples are
+    known to suffice. The result counts the requests sent. Logit-scaled
+    totals are regressed on the mask bits with lambda = lambda_frac *
+    lambda_max. Samples without a finite logit
     (probability 1, or a non-finite logprob) are dropped; the fit requires at least n/2 + 2 surviving samples, and
     when params.m is below that it raises before sampling or scoring. The
     solver's iterations, convergence and KKT residual are reported on the
     result; a fit that does not converge is returned, not raised. Each
     attribution logs one DEBUG line on ``higen.attribution`` with the
     document id, n, the usable samples, lambda, r^2, the iterations, whether
-    the fit converged and where the scores came from. With dump_path set,
+    the fit converged, the scoring requests sent with the context characters
+    of the largest, and where the scores came from. With dump_path set,
     the (mask, logit) pairs are written as JSONL (masks as lists of 0/1) for
     offline refits.
     """
@@ -336,8 +379,9 @@ def contextcite_attribute(
     packed_key = packed_score_key(model, response, document.labelled_sentences, masks)
     scores = client.read_packed_scores(packed_key, len(masks))
     packed = scores is not None
+    sent: list[int] = []
     if scores is None:
-        scores = _score_ablations(client, document, response, model, masks)
+        scores, sent = _score_ablations(client, document, response, model, masks)
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
     for index, score in enumerate(scores):
@@ -360,7 +404,7 @@ def contextcite_attribute(
     fit = fit_lasso(rows, y, lam)
     _logger.debug(
         "attribution of %s: n=%d, %d/%d samples usable, lambda=%.6g, r2=%.6g, %d iterations, converged=%s, "
-        "scores from %s",
+        "%d scoring requests, the largest of %d context characters, scores from %s",
         document.id,
         n,
         len(rows),
@@ -369,6 +413,8 @@ def contextcite_attribute(
         fit.r_squared,
         fit.iterations,
         fit.converged,
+        len(sent),
+        max(sent, default=0),
         "the packed entry" if packed else "per-context entries",
     )
     return AttributionResult(
@@ -381,4 +427,5 @@ def contextcite_attribute(
         iterations=fit.iterations,
         converged=fit.converged,
         kkt_residual=fit.kkt_residual,
+        scoring_requests=len(sent),
     )

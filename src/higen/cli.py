@@ -170,6 +170,7 @@ def _cmd_attribute(args) -> int:
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "kkt_residual": result.kkt_residual,
+                "scoring_requests": result.scoring_requests,
                 "seed": result.seed,
                 "highlight_indices": [h.source_index for h in highlights.items],
             },

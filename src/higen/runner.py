@@ -15,6 +15,7 @@ import json
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -227,8 +228,10 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     none. An exception while writing (an interrupt, a full disk) cancels the
     tasks not yet started and propagates. Per-record failures are recorded,
     never raised. Once a document's last record is written, its cached
-    artifacts are released (``Document.release``), so a run holds those of
-    the documents in flight, not of the corpus. Returns the run directory.
+    artifacts are released (``Document.release``) and the run lets go of the
+    document itself, so it can be freed while later documents run; the
+    executor's queue holds each document not yet started. Returns the run
+    directory.
     """
     # Every config error (dataset, endpoint) is raised before anything is
     # written, so a failed start leaves no run or cache directory behind.
@@ -240,12 +243,15 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     outputs_path = run_dir / "outputs.jsonl"
 
     done = {(r.doc_id, r.method) for r in read_records(run_dir) if r.ok}
-    tasks = [
+    tasks = deque(
         (doc, method)
         for doc in documents
         for method in config.methods
         if (doc.id, method) not in done
-    ]
+    )
+    corpus_size = len(documents)
+    # From here on each document is held by its unwritten tasks alone.
+    del documents
 
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     wall_start = time.monotonic()
@@ -264,14 +270,15 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
             # run_method is looked up at call time, so a patch of it applies.
             # The map is no local: an exception here drops it, which cancels
             # the tasks not yet started.
-            for i, record in enumerate(pool.map(lambda task: run_method(client, *task, config), tasks)):
+            for record in pool.map(lambda task: run_method(client, *task, config), tasks):
                 out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
                 out.flush()
-                # A document's tasks are adjacent, so its last one is followed
-                # by another document's or by none.
-                document = tasks[i][0]
-                if i + 1 == len(tasks) or tasks[i + 1][0] is not document:
-                    document.release()
+                # The written task is tasks[0]. A document's tasks are
+                # adjacent, so its last one is followed by another
+                # document's or by none.
+                if len(tasks) == 1 or tasks[1][0] is not tasks[0][0]:
+                    tasks[0][0].release()
+                tasks.popleft()
 
     records = read_records(run_dir)
     counts: dict[str, dict[str, int]] = {}
@@ -288,7 +295,7 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
         "started": started,
         "finished": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "wall_seconds": round(time.monotonic() - wall_start, 3),
-        "corpus_size": len(documents),
+        "corpus_size": corpus_size,
         "counts": counts,
         "llm_calls": client.backend_calls,
         "cache_hits": client.cache_hits,

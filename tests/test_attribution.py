@@ -8,15 +8,18 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higen.attribution import (
-    SCORE_BATCH,
     AttributionParams,
     ablate,
+    context_lengths,
     contextcite_attribute,
     fit_lasso,
     lambda_max,
     logit_scale,
+    request_runs,
     sample_masks,
 )
 from higen.corpus import make_document
@@ -57,6 +60,24 @@ def _presence_scorer(doc, weight_fn):
 
 def _client_with_scorer(tmp_path, score_fn) -> LLMClient:
     return LLMClient(MockBackend(score_fn=score_fn), cache_dir=tmp_path / "cache")
+
+
+# A budget of about two synthetic-sentence contexts per scoring request.
+_SMALL_BUDGET = 300
+
+
+def _small_budget_runs(monkeypatch, doc, params, seed) -> list[range]:
+    """Set the scoring budget to ``_SMALL_BUDGET`` characters and return the
+    requests an attribution of ``doc`` then sends on a cold cache, as runs
+    of mask indices."""
+    from higen import attribution
+
+    monkeypatch.setattr(attribution, "SCORE_REQUEST_CHARS", _SMALL_BUDGET)
+    masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, seed)
+    runs = request_runs(context_lengths(doc, masks).tolist(), _SMALL_BUDGET)
+    # Runs of different sizes, so a request is not found by counting contexts.
+    assert len(runs) >= 4 and len({len(run) for run in runs}) > 1
+    return runs
 
 
 class TestSampleMasks:
@@ -152,6 +173,39 @@ class TestAblate:
         doc = doc_from_sentences(["Aa."])
         with pytest.raises(ValueError):
             ablate(doc, np.array([1, 0], bool))
+
+
+_WORDS = st.text(alphabet="abqz\u00e9\u00df\u4e2d\U0001f642\"\\\t", min_size=1, max_size=6)
+
+
+@st.composite
+def _documents(draw):
+    """Prose, or a transcript whose sentences carry speaker prefixes, with
+    non-ASCII text, quotes, backslashes and tabs."""
+    sentences = draw(st.lists(st.lists(_WORDS, min_size=1, max_size=5), min_size=1, max_size=10))
+    sentences = ["Q" + " ".join(words) + "." for words in sentences]
+    if draw(st.booleans()):
+        speakers = draw(st.lists(st.sampled_from(["Ann", "Bo\u00e9", "\u674e"]), min_size=len(sentences)))
+        text = "\n".join(f"{speaker}: {sentence}" for speaker, sentence in zip(speakers, sentences))
+        return make_document("t", text, kind="transcript")
+    return make_document("p", " ".join(sentences))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents(), st.data(), st.integers(min_value=0, max_value=300))
+def test_request_runs_split_the_masks_in_order_within_the_budget(document, data, budget):
+    n = len(document.sentences)
+    rows = st.lists(st.booleans(), min_size=n, max_size=n)
+    masks = np.array(data.draw(st.lists(rows, min_size=1, max_size=20)), dtype=bool)
+    lengths = context_lengths(document, masks).tolist()
+    assert lengths == [len(ablate(document, mask)) for mask in masks]
+    runs = request_runs(lengths, budget)
+    assert [index for run in runs for index in run] == list(range(len(masks)))
+    assert all(run.step == 1 and len(run) >= 1 for run in runs)
+    for run in runs:
+        assert sum(lengths[i] for i in run) <= budget or len(run) == 1
+    for run in runs[:-1]:
+        assert sum(lengths[i] for i in run) + lengths[run.stop] > budget
 
 
 class TestLogitScale:
@@ -409,39 +463,47 @@ class TestContextciteAttribute:
 
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         response = "Bridge banana builds. Garnet guava glints."
-        m = 3 * attribution.SCORE_BATCH + 2  # not a multiple of the batch size
+        m = 14
         params = AttributionParams(m=m)
-        batched_backend = RecordingBackend()
-        batched = contextcite_attribute(
-            LLMClient(batched_backend, cache_dir=tmp_path / "b"), doc, response, "m", params, seed=4
-        )
-        monkeypatch.setattr(attribution, "SCORE_BATCH", 1)
-        single_backend = RecordingBackend()
-        single = contextcite_attribute(
-            LLMClient(single_backend, cache_dir=tmp_path / "s"), doc, response, "m", params, seed=4
-        )
-        assert batched == single
-        assert batched_backend.score_calls == 4  # one request per batch, the last one short
-        assert single_backend.score_calls == m
-        assert batched_backend.requests == single_backend.requests
         masks = sample_masks(len(doc.sentences), m, params.keep_prob, 4)
-        assert [r.context for r in batched_backend.requests] == [prompt_hash(ablate(doc, mask)) for mask in masks]
 
-    def test_scoring_error_names_the_first_mask_of_the_failed_batch(self, tmp_path):
-        from higen.attribution import SCORE_BATCH
+        def attribute(name, budget):
+            monkeypatch.setattr(attribution, "SCORE_REQUEST_CHARS", budget)
+            backend = RecordingBackend()
+            result = contextcite_attribute(
+                LLMClient(backend, cache_dir=tmp_path / name), doc, response, "m", params, seed=4
+            )
+            assert result.scoring_requests == backend.score_calls
+            return result, backend
+
+        packed, packed_backend = attribute("packed", attribution.SCORE_REQUEST_CHARS)
+        small, small_backend = attribute("small", _SMALL_BUDGET)
+        single, single_backend = attribute("single", 1)
+        assert packed == small == single
+        assert packed_backend.score_calls == 1  # 14 short contexts fit in one request
+        runs = request_runs(context_lengths(doc, masks).tolist(), _SMALL_BUDGET)
+        assert small_backend.score_calls == len(runs) > 2
+        assert single_backend.score_calls == m  # every context is longer than one character
+        assert packed_backend.requests == small_backend.requests == single_backend.requests
+        assert [r.context for r in packed_backend.requests] == [prompt_hash(ablate(doc, mask)) for mask in masks]
+
+    def test_scoring_error_names_the_first_mask_of_the_failed_batch(self, tmp_path, monkeypatch):
         from higen.errors import EndpointError
 
         doc = doc_from_sentences(_SYNTH_SENTENCES)
+        params = AttributionParams(m=16)
+        runs = _small_budget_runs(monkeypatch, doc, params, 0)
 
-        def fail_on_third_batch(ctx, cont):
+        def fail_on_third_request(ctx, cont):
             if backend.score_calls == 3:
                 raise EndpointError(500, "down")
             return -1.0
 
-        backend = MockBackend(score_fn=fail_on_third_batch)
+        backend = MockBackend(score_fn=fail_on_third_request)
         client = LLMClient(backend, cache_dir=tmp_path / "c")
-        with pytest.raises(AttributionError, match=f"mask {2 * SCORE_BATCH}:"):
-            contextcite_attribute(client, doc, "resp", "m", AttributionParams(m=4 * SCORE_BATCH), seed=0)
+        with pytest.raises(AttributionError, match=f"mask {runs[2].start}:"):
+            contextcite_attribute(client, doc, "resp", "m", params, seed=0)
+        assert backend.score_calls == 3
 
     def test_empty_document_rejected(self, tmp_path):
         client = _client_with_scorer(tmp_path, lambda c, k: -1.0)
@@ -538,7 +600,8 @@ class TestContextciteAttribute:
         client = LLMClient(backend, cache_dir=tmp_path / "c")
         with pytest.raises(AttributionError, match=f"only {kept} of 16 ablation samples usable; need at least 8"):
             contextcite_attribute(client, doc, "resp", "m", params, seed=0)
-        assert backend.score_calls == 16 // SCORE_BATCH
+        assert backend.score_calls == 1  # all 16 contexts were scored, in one request
+        assert len(list((tmp_path / "c").glob("*.json"))) == 16
 
     def test_warm_rerun_builds_no_ablated_context(self, tmp_path, monkeypatch):
         from higen import attribution
@@ -719,27 +782,29 @@ class TestPackedScoreEntry:
         assert per_context == packed and client.backend_calls == 0
 
     def test_a_scoring_failure_writes_no_packed_entry_and_a_healed_rerun_sends_only_the_missing_batches(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         from higen.errors import EndpointError
 
         doc = doc_from_sentences(_SYNTH_SENTENCES)
-        params = AttributionParams(m=4 * SCORE_BATCH)
+        params = AttributionParams(m=16)
+        runs = _small_budget_runs(monkeypatch, doc, params, 0)
 
-        def fail_on_third_batch(ctx, cont):
+        def fail_on_third_request(ctx, cont):
             if failing.score_calls == 3:
                 raise EndpointError(500, "down")
             return overlap_scorer(ctx, cont)
 
-        failing = MockBackend(score_fn=fail_on_third_batch)
-        with pytest.raises(AttributionError, match=f"mask {2 * SCORE_BATCH}:"):
+        failing = MockBackend(score_fn=fail_on_third_request)
+        with pytest.raises(AttributionError, match=f"mask {runs[2].start}:"):
             contextcite_attribute(LLMClient(failing, cache_dir=tmp_path / "c"), doc, self._RESPONSE, "m", params)
-        assert len(list((tmp_path / "c").glob("*.json"))) == 2 * SCORE_BATCH
+        assert len(list((tmp_path / "c").glob("*.json"))) == runs[2].start
         assert not _packed_entry(tmp_path / "c", doc, self._RESPONSE, "m", params, 0).exists()
         healed = MockBackend(score_fn=overlap_scorer)
         client = LLMClient(healed, cache_dir=tmp_path / "c")
         resumed = contextcite_attribute(client, doc, self._RESPONSE, "m", params)
-        assert healed.score_calls == 2 and client.cache_hits == 2 * SCORE_BATCH
+        assert healed.score_calls == resumed.scoring_requests == len(runs) - 2
+        assert client.cache_hits == runs[2].start
         assert len(list((tmp_path / "c").glob("*.json"))) == params.m + 1
         fresh = LLMClient(MockBackend(score_fn=overlap_scorer), cache_dir=tmp_path / "fresh")
         assert resumed == contextcite_attribute(fresh, doc, self._RESPONSE, "m", params)
@@ -779,6 +844,27 @@ class TestPackedScoreEntry:
             assert message.endswith(f"scores from {source}")
             assert not any(word in message for word in ("Bridge", "banana", "Anchor", "apple"))
         assert warm == cold
+
+    def test_the_result_and_debug_line_count_the_requests_sent(self, tmp_path, monkeypatch, caplog):
+        doc = doc_from_sentences(_SYNTH_SENTENCES, doc_id="doc-7")
+        runs = _small_budget_runs(monkeypatch, doc, self._PARAMS, 2)
+        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
+        lengths = context_lengths(doc, masks)
+        largest = max(int(lengths[run.start : run.stop].sum()) for run in runs)
+        assert largest <= _SMALL_BUDGET
+        with caplog.at_level(logging.DEBUG, logger="higen.attribution"):
+            cold = self._cold(tmp_path, doc=doc)
+            warm = self._warm(tmp_path, doc=doc)
+            _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2).unlink()
+            per_context = self._warm(tmp_path, doc=doc)
+        assert cold.scoring_requests == len(runs)
+        assert warm.scoring_requests == per_context.scoring_requests == 0
+        assert cold == warm == per_context
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 3
+        assert f", {len(runs)} scoring requests, the largest of {largest} context characters, " in messages[0]
+        for message in messages[1:]:
+            assert ", 0 scoring requests, the largest of 0 context characters, " in message
 
 
 class TestAttributionHighlights:

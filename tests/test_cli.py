@@ -290,6 +290,21 @@ class TestAttributeCommand:
         assert all(type(bit) is int and bit in (0, 1) for p in pairs for bit in p["mask"])
         assert all(math.isfinite(p["logit"]) for p in pairs)
 
+    def test_attribute_prints_the_scoring_requests_it_sent(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")
+        response_path = tmp_path / "resp.txt"
+        response_path.write_text("Alpha one here.")
+        config = _write_config(tmp_path)
+        argv = ["attribute", "--doc", str(doc_path), "--response", str(response_path), "-c", str(config)]
+        payloads = []
+        for _ in range(2):
+            assert main(argv) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        # The 8 short contexts fit in one request; the rerun reads the packed entry.
+        assert [payload.pop("scoring_requests") for payload in payloads] == [1, 0]
+        assert payloads[0] == payloads[1]
+
     def test_attribute_on_an_empty_document_is_an_error_line_and_2(self, tmp_path, capsys):
         doc_path = tmp_path / "empty.txt"
         doc_path.write_text("  \n")

@@ -780,6 +780,20 @@ class TestBatchedScoring:
         assert scored == [(-1.0, 1), (-0.5, 1)]
         assert [sent["prompt"] for _, sent in session.posts] == [["ab cd", "abcd"], ["ab cd"]]
 
+    def test_a_packed_request_is_matched_by_index_and_resends_only_its_misaligned_item(self):
+        # Twelve contexts in one request; the choices come back shuffled, and
+        # the one of context 7 echoes one token across its seam.
+        reqs = [ScoreRequest("m", f"ctx{i}", " z") for i in range(12)]
+        choices = [_choice(i, [f"ctx{i}", " z"], [None, -float(i + 1)]) for i in range(12)]
+        choices[7] = _choice(7, ["ctx7 z"], [None])
+        order = [5, 11, 0, 7, 3, 9, 1, 10, 6, 2, 8, 4]
+        first = {"choices": [choices[i] for i in order]}
+        second = {"choices": [_choice(0, ["ctx7 ", "z"], [None, -0.5])]}
+        session = _FakeSession([_FakeResponse(200, first), _FakeResponse(200, second)])
+        scored = HTTPBackend("http://host", session=session).score_many(reqs)
+        assert scored == [(-float(i + 1), 1) if i != 7 else (-0.5, 1) for i in range(12)]
+        assert [sent["prompt"] for _, sent in session.posts] == [[f"ctx{i} z" for i in range(12)], ["ctx7  z"]]
+
     def test_partial_cache_hit_sends_only_the_misses(self, tmp_path):
         backend = _BatchRecorder()
         client = LLMClient(backend, cache_dir=tmp_path / "cache")

@@ -468,6 +468,43 @@ class TestRun:
         # released artifacts are rebuilt on the next read
         assert [len(doc.sentences) for doc in documents] == [5] * len(documents)
 
+    def test_a_finished_document_is_collectable_while_later_documents_run(self, tmp_path, monkeypatch):
+        import gc
+        import weakref
+
+        import higen.runner as runner_mod
+
+        refs: dict[str, weakref.ref] = {}
+        plain_load, plain_run_method = runner_mod._load_documents, runner_mod.run_method
+
+        def load(config):
+            documents = plain_load(config)
+            refs.update((doc.id, weakref.ref(doc)) for doc in documents)
+            return documents
+
+        collected_before_last = []
+
+        def run_method(client, document, method, params):
+            if document.id == max(refs) and not collected_before_last:
+                # The records of the earlier documents are written by the
+                # main thread while this task runs; wait for them.
+                earlier = [ref for doc_id, ref in sorted(refs.items()) if doc_id != document.id]
+                deadline = time.monotonic() + 5.0
+                while any(ref() is not None for ref in earlier) and time.monotonic() < deadline:
+                    gc.collect()
+                    time.sleep(0.01)
+                collected_before_last.append([ref() is None for ref in earlier])
+            return plain_run_method(client, document, method, params)
+
+        monkeypatch.setattr(runner_mod, "_load_documents", load)
+        monkeypatch.setattr(runner_mod, "run_method", run_method)
+        config = parse_config(_config_dict(tmp_path, methods=["direct", "e2e"], concurrency=1))
+        run(config)
+        assert collected_before_last == [[True] * 9]
+        assert len(read_records(config.run_dir)) == 20
+        manifest = json.loads((Path(config.run_dir) / "manifest.json").read_text())
+        assert manifest["corpus_size"] == 10
+
     def test_cache_dir_monotone_growth(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
         cache = Path(config.cache_dir)
