@@ -8,23 +8,22 @@ the m masks are split, in mask order, into consecutive runs whose contexts
 add up to at most ``SCORE_REQUEST_CHARS`` characters (a longer context is a
 run of its own), and each run is one scoring request. A context's length
 comes from the mask bits and the sentence lengths, so sizing a request
-builds no context. Once all m contexts are scored, their m (total logprob,
-token count) pairs are cached again as one packed score entry, in mask
-order, under ``llm_client.packed_score_key``: it covers the model, the
-response, every labelled sentence and the mask bits with their shape, so it
-changes whenever any per-context key would. A warm rerun reads that one
-entry and nothing else, and sends no request. When it misses (a cache filled
-before packed entries, a damaged entry, an attribution cut short), the
-contexts are scored as follows. The document's sentences are JSON-escaped
-once per attribution, and ``llm_client.score_keys`` keys every ablated
-context from them in one pass over the masks; the context itself is built
-only when its key misses the cache, and the misses of a run are sent in one
-request, so an interrupted attribution resumes request by request. The keys
-equal those of plain requests, and do not depend on how the masks are split.
-An attribution that fails writes no packed entry. Logit filtering and the fit
-run on every call, from either source. The fit needs at least n/2 + 2 usable
-samples, so a document that m samples could never cover fails before any mask
-is drawn or any request sent. A sparse linear surrogate is fit to the logits by LASSO, solved
+builds no context. Each request's scores are cached as one entry, in mask
+order, under ``llm_client.request_score_keys``: the model, the response and
+every labelled sentence, hashed once per attribution, and that request's
+masks. A request's contexts are built only when its entry misses, so an
+interrupted attribution resumes request by request, and a changed budget,
+which splits the masks at other rows, misses every request entry. Once all
+m contexts are scored, their m (total logprob, token count) pairs are cached
+again as one packed score entry under ``llm_client.packed_score_key``, which
+covers the model, the response, every labelled sentence and the mask bits
+with their shape. A warm rerun reads that one entry and nothing else, and
+sends no request; the request entries are read only when it misses (a
+damaged entry, an attribution cut short). An attribution that fails writes
+no packed entry. Logit filtering and the fit run on every call, from either
+source. The fit needs at least n/2 + 2 usable samples, so a document that m
+samples could never cover fails before any mask is drawn or any request
+sent. A sparse linear surrogate is fit to the logits by LASSO, solved
 with FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
 (O'Donoghue & Candes 2015) on the centered mask matrix, in matrix-vector
 form. The solver stops once the KKT residual is at most ``tol`` and reports
@@ -34,7 +33,8 @@ positive weights rank the sentences that form the content plan, through
 
 Beyond the boolean masks, an attribution holds one m x n float array at a
 time: ``lambda_max`` and ``fit_lasso`` each center one float copy of the
-masks in place, and the cache keys are built one mask row at a time.
+masks in place. The contexts of a scoring request are let go once it is
+sent, before the next request's are built.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError, is_number, require
-from .llm_client import LLMClient, ScoreRequest, ScoreResponse, json_escaped, packed_score_key, score_keys
+from .llm_client import LLMClient, ScoreRequest, ScoreResponse, packed_score_key, request_score_keys
 
 _logger = logging.getLogger(__name__)
 
@@ -313,28 +313,25 @@ def _score_ablations(
     client: LLMClient, document: Document, response: str, model: str, masks: np.ndarray
 ) -> tuple[list[ScoreResponse], list[int]]:
     """The score of ``response`` after each ablated context, in mask order,
-    each cached under its own key, and the context characters of each
-    request sent. Each run of ``request_runs`` over the contexts' lengths
-    and ``SCORE_REQUEST_CHARS`` is one request, for the contexts of the run
-    that miss the cache; a context is built only when its key misses."""
-    escaped = [json_escaped(text) for text in document.labelled_sentences]
-    keys = score_keys(model, response, (b" ".join(compress(escaped, bits.tolist())) for bits in masks))
+    and the context characters of each request sent. Each run of
+    ``request_runs`` over the contexts' lengths and ``SCORE_REQUEST_CHARS`` is
+    one scoring request, cached as one entry; its contexts are built only
+    when that entry misses."""
     lengths = context_lengths(document, masks).tolist()
+    runs = request_runs(lengths, SCORE_REQUEST_CHARS)
+    keys = request_score_keys(model, response, document.labelled_sentences, masks, runs)
     scores: list[ScoreResponse] = []
     sent: list[int] = []
-    for run in request_runs(lengths, SCORE_REQUEST_CHARS):
-        built: list[int] = []
+    for run, key in zip(runs, keys):
 
-        def build(i: int) -> ScoreRequest:
-            built.append(lengths[run.start + i])
-            return ScoreRequest(model, ablate(document, masks[run.start + i]), response)
+        def build(run: range = run) -> list[ScoreRequest]:
+            sent.append(sum(lengths[run.start : run.stop]))
+            return [ScoreRequest(model, ablate(document, mask), response) for mask in masks[run.start : run.stop]]
 
         try:
-            scores += client.score_many(keys[run.start : run.stop], build, doc_id=document.id)
+            scores += client.packed_scores(key, len(run), build, doc_id=document.id)
         except HigenError as exc:
             raise AttributionError(f"scoring failed on the batch from ablation mask {run.start}: {exc}") from exc
-        if built:
-            sent.append(sum(built))
     return scores, sent
 
 
@@ -352,10 +349,10 @@ def contextcite_attribute(
     The scores come from the attribution's packed score entry when it hits
     the cache; otherwise the ablated contexts are scored by the client in
     requests of at most SCORE_REQUEST_CHARS context characters (or of one
-    longer context), each context cached on its own, and the packed entry is written once the samples are
-    known to suffice. The result counts the requests sent. Logit-scaled
-    totals are regressed on the mask bits with lambda = lambda_frac *
-    lambda_max. Samples without a finite logit
+    longer context), each request cached as one entry, and the packed entry
+    is written once the samples are known to suffice. The result counts the
+    requests sent. Logit-scaled totals are regressed on the mask bits with
+    lambda = lambda_frac * lambda_max. Samples without a finite logit
     (probability 1, or a non-finite logprob) are dropped; the fit requires at least n/2 + 2 surviving samples, and
     when params.m is below that it raises before sampling or scoring. The
     solver's iterations, convergence and KKT residual are reported on the
@@ -377,7 +374,7 @@ def contextcite_attribute(
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
     packed_key = packed_score_key(model, response, document.labelled_sentences, masks)
-    scores = client.read_packed_scores(packed_key, len(masks))
+    scores = client.packed_scores(packed_key, len(masks))
     packed = scores is not None
     sent: list[int] = []
     if scores is None:
@@ -415,7 +412,7 @@ def contextcite_attribute(
         fit.converged,
         len(sent),
         max(sent, default=0),
-        "the packed entry" if packed else "per-context entries",
+        "the packed entry" if packed else "per-request entries",
     )
     return AttributionResult(
         scores=[float(w) for w in fit.weights],

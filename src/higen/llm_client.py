@@ -7,23 +7,22 @@ and teacher-forced log-probability scoring of a fixed continuation
 builds the requests of the distinct misses only, sends them to the backend in
 one call under the in-flight bound, retried on a transient failure (after the
 backoff, or the server's ``Retry-After`` delay when that is longer), counts
-every attempt and every hit, and caches each answer under its own key, so
+every HTTP post and every hit, and caches each answer under its own key, so
 interrupted experiments replay offline. ``generate`` is one key, under a
 per-key lock so concurrent identical generations share one backend call;
-``score_many`` is a batch, sent with an array ``prompt`` whose choices are
-mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS`` describe each
-route's cached response; a missing or damaged entry is a miss, and a hit
-is read in one open, read and close. The score-cache key format lives here
-alone: a context's key is the sha256 of the request's canonical JSON, which
-``score_keys`` builds from the context's ``json_escaped`` bytes; a caller that
-escapes each sentence once (as attribution does) keys any ablated context by
-joining its sentences' bytes, without building it. The packed score key lives
-here too: ``packed_score_key`` hashes the model, the continuation, every
-sentence and the masks (bits and shape) of one attribution, and
-``read_packed_scores``/``write_packed_scores`` keep that attribution's m
-scores, in mask order, in one entry beside the per-context ones, so a warm
-attribution reads one file instead of m. A deterministic mock
-backend makes the whole pipeline reproducible in tests and offline runs.
+``score_many`` is a batch of keys, sent with an array ``prompt`` whose
+choices are mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS``
+describe each route's cached response; a missing or damaged entry is a miss,
+and a hit is read in one open, read and close. The score-cache key formats
+live here alone. A single context's key is the sha256 of the request's
+canonical JSON. A packed entry holds many scores, one list per score field:
+``packed_scores`` reads, and on a miss sends, the scores of one scoring
+request of an attribution under a ``request_score_keys`` key (the model, the
+continuation, every sentence, and that request's masks); it also reads a
+whole attribution's scores under its ``packed_score_key``, which
+``write_packed_scores`` writes once they are known to fit, so a warm
+attribution reads one file. A deterministic mock backend makes the whole
+pipeline reproducible in tests and offline runs.
 """
 
 from __future__ import annotations
@@ -152,58 +151,45 @@ def _canonical_gen_key(req: GenRequest) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
-def json_escaped(text: str) -> bytes:
-    """The UTF-8 bytes of ``text`` as the inside of a JSON string literal,
-    escaped as ``json.dumps(..., ensure_ascii=False)`` escapes it. Escaping
-    works character by character and leaves a space as it is, so the escaped
-    form of a space-joined text is the space-joined escaped forms."""
-    return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
+def _canonical_score_key(req: ScoreRequest) -> str:
+    payload = {"kind": "score", "model": req.model, "context": req.context, "continuation": req.continuation}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
-def score_keys(model: str, continuation: str, escaped_contexts: Iterable[bytes]) -> list[str]:
-    """The cache keys of scoring ``continuation`` after each context, given
-    the contexts as ``json_escaped`` bytes: each the sha256 of
-    ``json.dumps({"kind": "score", "model", "context", "continuation"},
-    sort_keys=True, ensure_ascii=False)``, whose first member is the context.
-    The JSON after the context and the hash of the JSON before it are built
-    once for all the contexts."""
-    rest = {"continuation": continuation, "kind": "score", "model": model}
-    tail = b'", ' + json.dumps(rest, sort_keys=True, ensure_ascii=False)[1:].encode("utf-8")
-    head = hashlib.sha256(b'{"context": "')
-    keys = []
-    for escaped in escaped_contexts:
-        digest = head.copy()
-        digest.update(escaped)
-        digest.update(tail)
-        keys.append(digest.hexdigest())
-    return keys
+def _sentences_digest(kind: str, model: str, continuation: str, sentences: Sequence[str], **more):
+    """The sha256 of the canonical JSON of ``kind``, the model, the
+    continuation, every sentence and ``more``, ready for further updates."""
+    payload = {"kind": kind, "model": model, "continuation": continuation, "sentences": list(sentences), **more}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8"))
 
 
 def packed_score_key(model: str, continuation: str, sentences: Sequence[str], masks: np.ndarray) -> str:
     """The cache key of one attribution's packed scores: the sha256 of the
     canonical JSON of the model, the continuation, every sentence and the
     shape of the boolean ``masks``, followed by the mask bits, eight to a
-    byte. The score key of an ablated context depends only on the model, the
-    continuation and the sentences its mask keeps, so the packed key changes
-    whenever any of the per-context keys would."""
-    head = json.dumps(
-        {
-            "kind": "packed_score",
-            "model": model,
-            "continuation": continuation,
-            "sentences": list(sentences),
-            "shape": list(masks.shape),
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    digest = hashlib.sha256(head.encode("utf-8"))
+    byte. An ablated context depends only on the sentences its mask keeps,
+    so the key changes whenever any scored context would."""
+    digest = _sentences_digest("packed_score", model, continuation, sentences, shape=list(masks.shape))
     digest.update(np.packbits(masks).tobytes())
     return digest.hexdigest()
 
 
-def _canonical_score_key(req: ScoreRequest) -> str:
-    return score_keys(req.model, req.continuation, [json_escaped(req.context)])[0]
+def request_score_keys(
+    model: str, continuation: str, sentences: Sequence[str], masks: np.ndarray, runs: Iterable[range]
+) -> list[str]:
+    """The cache keys of an attribution's scoring requests, one per run of
+    mask rows: the canonical JSON of the model, the continuation and every
+    sentence, hashed once, followed by the run's row count and its mask
+    bits, eight to a byte. A key follows the masks its request holds, so
+    splitting the masks at other rows changes it."""
+    head = _sentences_digest("request_score", model, continuation, sentences)
+    keys = []
+    for run in runs:
+        digest = head.copy()
+        digest.update(b"%d:" % len(run))
+        digest.update(np.packbits(masks[run.start : run.stop]).tobytes())
+        keys.append(digest.hexdigest())
+    return keys
 
 
 def prompt_hash(prompt: str) -> str:
@@ -247,13 +233,22 @@ def _read_to_end(descriptor: int) -> bytes:
 # score field, each value of the field's type.
 _GEN_FIELDS = {"text": str, "prompt_tokens": int, "completion_tokens": int}
 _SCORE_FIELDS = {"total_logprob": (int, float), "token_count": int}
-_PACKED_FIELDS = dict.fromkeys(_SCORE_FIELDS, list)
 
 
 def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
     """Whether a cached value is a ``kind``; JSON's true and false load as
     bools, which are ints, but no cached count or logprob is a truth value."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_packed(column: object, kind: type | tuple[type, ...], count: int) -> bool:
+    """Whether a cached value is a list of ``count`` values, each a ``kind``."""
+    return isinstance(column, list) and len(column) == count and all(_is_a(value, kind) for value in column)
+
+
+# The HTTP posts of the current thread's backend call: ``_cached`` resets it
+# before each attempt, and ``HTTPBackend._post`` counts every post in it.
+_posts = threading.local()
 
 
 class LLMClient:
@@ -286,13 +281,16 @@ class LLMClient:
     def _cache_path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _cache_read(self, key: str, fields: dict[str, type | tuple[type, ...]]) -> list | None:
+    def _cache_read(
+        self, key: str, fields: dict[str, type | tuple[type, ...]], count: int | None = None
+    ) -> list | None:
         """The values of ``fields`` (name: type) in the cached response under
         ``key``, or None on a miss: no cache, no entry, or a damaged one (not
-        UTF-8 JSON, or a field missing or of another type). A damaged entry
-        is computed and written again. The entry is read through the bare
-        descriptor, with no file object: an entry that fits the first read
-        costs one open, one read and one close."""
+        UTF-8 JSON, or a field missing or of another type). With ``count``
+        the entry is packed, and each field holds a list of ``count`` values
+        of its type. A damaged entry is computed and written again. The entry
+        is read through the bare descriptor, with no file object: an entry
+        that fits the first read costs one open, one read and one close."""
         if self.cache_dir is None:
             return None
         try:
@@ -308,7 +306,11 @@ class LLMClient:
             values = [response[name] for name in fields]
         except (ValueError, KeyError, TypeError):
             return None
-        return values if all(map(_is_a, values, fields.values())) else None
+        if count is None:
+            usable = all(map(_is_a, values, fields.values()))
+        else:
+            usable = all(_is_packed(column, kind, count) for column, kind in zip(values, fields.values()))
+        return values if usable else None
 
     def _cache_write(self, key: str, request: dict, response: dict) -> None:
         if self.cache_dir is not None:
@@ -322,40 +324,48 @@ class LLMClient:
         kind: str,
         keys: Sequence[str],
         fields: dict[str, type | tuple[type, ...]],
-        build: Callable[[int], object],
+        build: Callable[[int], object] | None,
         send: Callable[[list], list],
         doc_id: str | None,
-    ) -> tuple[list[Sequence], int | None]:
+        count: int | None = None,
+    ) -> tuple[list[Sequence | None], int | None]:
         """The response values (``fields``, in order) under each of ``keys``,
         in key order, and the ms the backend call took (None when every key
-        hit the cache). ``build(i)`` makes the request of ``keys[i]``; it is
-        called only for a key that misses, once per distinct key. The misses
-        go to ``send`` as one batch under the in-flight bound, one backend
-        call per attempt; after a transient failure the next attempt waits
-        the jittered exponential backoff, or the failure's ``Retry-After``
-        (at most ``MAX_RETRY_AFTER``) when that is longer. Each answer is
-        cached under its own key."""
+        hit the cache). With ``count`` each entry is packed (see
+        ``_cache_read``) and its hit counts as ``count`` cache hits.
+        ``build(i)`` makes the request of ``keys[i]``; it is called only for
+        a key that misses, once per distinct key. Without ``build`` a miss is
+        None, and nothing is sent. Otherwise the misses go to ``send``
+        as one batch under the in-flight bound. Each attempt counts as one
+        backend call, or as the HTTP posts it sent when there were more;
+        after a transient failure the next attempt waits the jittered
+        exponential backoff, or the failure's ``Retry-After`` (at most
+        ``MAX_RETRY_AFTER``) when that is longer. Each answer is cached under
+        its own key."""
         found: dict[str, Sequence] = {}
         misses: dict[str, int] = {}
         for position, key in enumerate(keys):
-            hit = self._cache_read(key, fields)
+            hit = self._cache_read(key, fields, count)
             if hit is None:
                 misses.setdefault(key, position)
             else:
                 found[key] = hit
         with self._stats_lock:
-            self.cache_hits += sum(key in found for key in keys)
-        if not misses:
-            return [found[key] for key in keys], None
+            self.cache_hits += (count or 1) * sum(key in found for key in keys)
+        if not misses or build is None:
+            return [found.get(key) for key in keys], None
         batch = [build(position) for position in misses.values()]
         started = time.monotonic()
         last: _Retryable | None = None
         for attempt in range(self.retry.attempts):
             try:
                 with self._semaphore:
-                    with self._stats_lock:
-                        self.backend_calls += 1
-                    answers = send(batch)
+                    _posts.count = 0
+                    try:
+                        answers = send(batch)
+                    finally:
+                        with self._stats_lock:
+                            self.backend_calls += max(_posts.count, 1)
                 break
             except _Retryable as exc:
                 last = exc
@@ -395,30 +405,39 @@ class LLMClient:
     def score_many(
         self, keys: Sequence[str], build: Callable[[int], ScoreRequest], doc_id: str | None = None
     ) -> list[ScoreResponse]:
-        """Score the requests under ``keys``, in order. ``build(i)`` makes the
-        request ``keys[i]`` belongs to (see ``score_keys``); the misses go to the
-        backend in one request."""
+        """Score the requests under ``keys``, in order, each cached under its
+        own key. ``build(i)`` makes the request ``keys[i]`` belongs to; the
+        misses go to the backend in one request."""
         rows, _ = self._cached("score", keys, _SCORE_FIELDS, build, self.backend.score_many, doc_id)
         return [ScoreResponse(*row) for row in rows]
 
-    def read_packed_scores(self, key: str, count: int) -> list[ScoreResponse] | None:
-        """The ``count`` scores of the packed entry under ``key`` (see
-        ``packed_score_key``), in order, or None on a miss: no entry, a
-        damaged one, or one whose fields do not each hold ``count`` values of
-        a score's types. A hit counts as ``count`` cache hits, one per score."""
-        columns = self._cache_read(key, _PACKED_FIELDS)
-        if columns is None or any(len(column) != count for column in columns):
-            return None
-        for column, kind in zip(columns, _SCORE_FIELDS.values()):
-            if not all(_is_a(value, kind) for value in column):
-                return None
-        with self._stats_lock:
-            self.cache_hits += count
-        return [ScoreResponse(*row) for row in zip(*columns)]
+    def packed_scores(
+        self,
+        key: str,
+        count: int,
+        build: Callable[[], list[ScoreRequest]] | None = None,
+        doc_id: str | None = None,
+    ) -> list[ScoreResponse] | None:
+        """The ``count`` scores cached as one packed entry under ``key``, in
+        order: those of one scoring request (see ``request_score_keys``) or
+        of a whole attribution (see ``packed_score_key``). A hit counts as
+        ``count`` cache hits. On a miss, ``build()`` makes the ``count``
+        requests, which go to the backend as one request and are cached
+        under ``key``; without ``build`` a miss is None."""
+        [columns], _ = self._cached(
+            "packed_score",
+            [key],
+            _SCORE_FIELDS,
+            None if build is None else lambda _: build(),
+            lambda batch: [list(zip(*self.backend.score_many(*batch)))],
+            doc_id,
+            count,
+        )
+        return None if columns is None else [ScoreResponse(*row) for row in zip(*columns)]
 
     def write_packed_scores(self, key: str, scores: Sequence[ScoreResponse]) -> None:
         """Cache ``scores`` under ``key`` as one packed entry, one list per field."""
-        response = {name: [getattr(score, name) for score in scores] for name in _PACKED_FIELDS}
+        response = {name: [getattr(score, name) for score in scores] for name in _SCORE_FIELDS}
         self._cache_write(key, {"kind": "packed_score", "key": key}, response)
 
 
@@ -454,7 +473,9 @@ class HTTPBackend:
         self._transport_errors = (requests.Timeout, requests.ConnectionError)
 
     def _post(self, path: str, payload: dict, **decode) -> dict:
-        """POST a JSON payload; ``decode`` is passed on to the JSON decoder."""
+        """POST a JSON payload, counted in ``_posts``; ``decode`` is passed on
+        to the JSON decoder."""
+        _posts.count = getattr(_posts, "count", 0) + 1
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

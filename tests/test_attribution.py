@@ -27,7 +27,7 @@ from higen.errors import AttributionError, DomainError
 from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, packed_score_key, prompt_hash
 from higen.prompts import ranked_highlights
 
-from conftest import RecordingBackend, doc_from_sentences, score_requests, traced_peak
+from conftest import RecordingBackend, doc_from_sentences, traced_peak
 
 # 12 sentences with disjoint token sets so substring presence is unambiguous.
 _SYNTH_SENTENCES = [
@@ -528,7 +528,7 @@ class TestContextciteAttribute:
         assert results[0] == results[1]
         assert results[0].num_ablations == kept
 
-    def test_a_cache_filled_by_plain_requests_is_fully_hit(self, tmp_path):
+    def test_a_cache_of_request_entries_is_fully_hit(self, tmp_path):
         # Transcript sentences with speaker labels, quotes, backslashes, tabs,
         # a line break inside an utterance and non-ASCII text.
         text = (
@@ -542,18 +542,11 @@ class TestContextciteAttribute:
         assert any("\t" in s for s in doc.labelled_sentences) and any("\n" in s for s in doc.labelled_sentences)
         response = 'Ann said "stop" \\ Caf\u00e9.'
         params = AttributionParams(m=16)
-        masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, 3)
-        filler = MockBackend(score_fn=overlap_scorer)
-        score_requests(
-            LLMClient(filler, cache_dir=tmp_path / "c"),
-            [ScoreRequest(model="m", context=ablate(doc, mask), continuation=response) for mask in masks],
-        )
-        assert filler.calls == 1
-        cold = contextcite_attribute(
-            LLMClient(MockBackend(score_fn=overlap_scorer), cache_dir=tmp_path / "cold"), doc, response, "m", params, 3
-        )
+        cold = contextcite_attribute(_client_with_scorer(tmp_path, overlap_scorer), doc, response, "m", params, 3)
+        _packed_entry(tmp_path / "cache", doc, response, "m", params, 3).unlink()
+        assert len(list((tmp_path / "cache").glob("*.json"))) == cold.scoring_requests == 1
         backend = MockBackend(score_fn=overlap_scorer)
-        client = LLMClient(backend, cache_dir=tmp_path / "c")
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
         warm = contextcite_attribute(client, doc, response, "m", params, seed=3)
         assert backend.calls == 0 and client.backend_calls == 0
         assert client.cache_hits == params.m
@@ -601,7 +594,7 @@ class TestContextciteAttribute:
         with pytest.raises(AttributionError, match=f"only {kept} of 16 ablation samples usable; need at least 8"):
             contextcite_attribute(client, doc, "resp", "m", params, seed=0)
         assert backend.score_calls == 1  # all 16 contexts were scored, in one request
-        assert len(list((tmp_path / "c").glob("*.json"))) == 16
+        assert len(list((tmp_path / "c").glob("*.json"))) == 1  # cached as one entry
 
     def test_warm_rerun_builds_no_ablated_context(self, tmp_path, monkeypatch):
         from higen import attribution
@@ -689,16 +682,19 @@ class TestPackedScoreEntry:
         assert client.cache_hits == self._PARAMS.m
         return result
 
-    def test_a_cold_run_writes_m_plus_one_entries_and_a_warm_one_reads_one(self, tmp_path, monkeypatch):
+    def test_a_cold_run_writes_one_entry_per_request_plus_one_and_a_warm_one_reads_one(self, tmp_path, monkeypatch):
         from higen import attribution
 
+        runs = _small_budget_runs(monkeypatch, doc_from_sentences(_SYNTH_SENTENCES), self._PARAMS, 2)
         cold = self._cold(tmp_path)
-        assert len(list((tmp_path / "cache").glob("*.json"))) == self._PARAMS.m + 1
+        assert cold.scoring_requests == len(runs)
+        assert len(list((tmp_path / "cache").glob("*.json"))) == cold.scoring_requests + 1
         reads = _count_calls(monkeypatch, LLMClient, "_cache_read")
-        _forbid(monkeypatch, attribution, "score_keys")
+        _forbid(monkeypatch, attribution, "request_score_keys")
+        _forbid(monkeypatch, attribution, "ablate")
         assert self._warm(tmp_path) == cold
         assert len(reads) == 1
-        assert len(list((tmp_path / "cache").glob("*.json"))) == self._PARAMS.m + 1
+        assert len(list((tmp_path / "cache").glob("*.json"))) == cold.scoring_requests + 1
 
     @pytest.mark.parametrize(
         "damage",
@@ -712,7 +708,7 @@ class TestPackedScoreEntry:
         ],
         ids=["truncated", "a_logprob_short", "a_count_long", "a_bool_count", "a_string_logprob", "not_a_list"],
     )
-    def test_a_damaged_entry_falls_back_to_the_per_context_entries_and_is_rewritten(
+    def test_a_damaged_entry_falls_back_to_the_per_request_entries_and_is_rewritten(
         self, tmp_path, monkeypatch, damage
     ):
         from higen import attribution
@@ -722,7 +718,7 @@ class TestPackedScoreEntry:
         path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
         good = path.read_bytes()
         path.write_bytes(damage(good))
-        keyed = _count_calls(monkeypatch, attribution, "score_keys")
+        keyed = _count_calls(monkeypatch, attribution, "request_score_keys")
         assert self._warm(tmp_path) == cold
         assert len(keyed) == 1
         assert path.read_bytes() == good
@@ -751,7 +747,7 @@ class TestPackedScoreEntry:
         )
         run.update(change)
         client = _client_with_scorer(tmp_path, overlap_scorer)
-        keyed = _count_calls(monkeypatch, attribution, "score_keys")
+        keyed = _count_calls(monkeypatch, attribution, "request_score_keys")
         contextcite_attribute(client, run["doc"], run["response"], run["model"], run["params"], seed=run["seed"])
         assert len(keyed) == 1
         assert _packed_entry(tmp_path / "cache", **run).exists()
@@ -773,41 +769,105 @@ class TestPackedScoreEntry:
         logprobs = json.loads(path.read_text())["response"]["total_logprob"]
         assert sum(logprob == value for logprob in logprobs) == self._PARAMS.m - kept
         client = _client_with_scorer(tmp_path, dropping)
-        _forbid(monkeypatch, attribution, "score_keys")
+        _forbid(monkeypatch, attribution, "request_score_keys")
         packed = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
         assert packed == cold and packed.num_ablations == kept
         monkeypatch.undo()
         path.unlink()
-        per_context = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
-        assert per_context == packed and client.backend_calls == 0
+        per_request = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
+        assert per_request == packed and client.backend_calls == 0
 
+    @pytest.mark.parametrize("failed", [0, 2, -1], ids=["first", "third", "last"])
     def test_a_scoring_failure_writes_no_packed_entry_and_a_healed_rerun_sends_only_the_missing_batches(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, failed
     ):
         from higen.errors import EndpointError
 
         doc = doc_from_sentences(_SYNTH_SENTENCES)
-        params = AttributionParams(m=16)
-        runs = _small_budget_runs(monkeypatch, doc, params, 0)
+        runs = _small_budget_runs(monkeypatch, doc, self._PARAMS, 2)
+        failed %= len(runs)
 
-        def fail_on_third_request(ctx, cont):
-            if failing.score_calls == 3:
+        def fail_on_one_request(ctx, cont):
+            if broken.score_calls == failed + 1:
                 raise EndpointError(500, "down")
             return overlap_scorer(ctx, cont)
 
-        failing = MockBackend(score_fn=fail_on_third_request)
-        with pytest.raises(AttributionError, match=f"mask {runs[2].start}:"):
-            contextcite_attribute(LLMClient(failing, cache_dir=tmp_path / "c"), doc, self._RESPONSE, "m", params)
-        assert len(list((tmp_path / "c").glob("*.json"))) == runs[2].start
-        assert not _packed_entry(tmp_path / "c", doc, self._RESPONSE, "m", params, 0).exists()
-        healed = MockBackend(score_fn=overlap_scorer)
-        client = LLMClient(healed, cache_dir=tmp_path / "c")
-        resumed = contextcite_attribute(client, doc, self._RESPONSE, "m", params)
-        assert healed.score_calls == resumed.scoring_requests == len(runs) - 2
-        assert client.cache_hits == runs[2].start
-        assert len(list((tmp_path / "c").glob("*.json"))) == params.m + 1
-        fresh = LLMClient(MockBackend(score_fn=overlap_scorer), cache_dir=tmp_path / "fresh")
-        assert resumed == contextcite_attribute(fresh, doc, self._RESPONSE, "m", params)
+        broken = MockBackend(score_fn=fail_on_one_request)
+        with pytest.raises(AttributionError, match=f"mask {runs[failed].start}:"):
+            contextcite_attribute(
+                LLMClient(broken, cache_dir=tmp_path / "cache"), doc, self._RESPONSE, "m", self._PARAMS, seed=2
+            )
+        # One entry per request sent before the failed one, and no packed entry.
+        assert len(list((tmp_path / "cache").glob("*.json"))) == failed
+        assert not _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2).exists()
+        healed = RecordingBackend(score_fn=overlap_scorer)
+        client = LLMClient(healed, cache_dir=tmp_path / "cache")
+        resumed = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
+        assert healed.score_calls == resumed.scoring_requests == len(runs) - failed
+        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
+        resent = masks[runs[failed].start :]
+        assert [r.context for r in healed.requests] == [prompt_hash(ablate(doc, mask)) for mask in resent]
+        assert client.cache_hits == runs[failed].start
+        assert len(list((tmp_path / "cache").glob("*.json"))) == len(runs) + 1
+        assert resumed == self._cold(tmp_path / "fresh")
+
+    def test_a_changed_request_budget_resends_a_cold_attribution_but_not_a_packed_hit(self, tmp_path, monkeypatch):
+        from higen import attribution
+
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        cold = self._cold(tmp_path)
+        assert cold.scoring_requests == 1
+        runs = _small_budget_runs(monkeypatch, doc, self._PARAMS, 2)
+        assert attribution.SCORE_REQUEST_CHARS == _SMALL_BUDGET
+        assert self._warm(tmp_path) == cold
+        _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2).unlink()
+        backend = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        resent = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
+        assert backend.score_calls == resent.scoring_requests == len(runs)
+        assert client.cache_hits == 0
+        assert resent == cold
+
+    def test_a_cache_with_only_a_packed_entry_serves_a_warm_attribution(self, tmp_path):
+        # The layout a cache filled before per-request entries keeps once its
+        # per-context entries are deleted: the packed entry alone, written here
+        # field by field as it was then.
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
+        scored = MockBackend(score_fn=overlap_scorer).score_many(
+            [ScoreRequest("m", ablate(doc, mask), self._RESPONSE) for mask in masks]
+        )
+        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        path.parent.mkdir()
+        entry = {
+            "request": {"kind": "packed_score", "key": path.stem},
+            "response": {"total_logprob": [s for s, _ in scored], "token_count": [c for _, c in scored]},
+        }
+        path.write_text(json.dumps(entry, ensure_ascii=False))
+        assert self._warm(tmp_path) == self._cold(tmp_path / "fresh")
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+
+    def test_the_contexts_of_two_requests_are_never_alive_together(self, tmp_path, monkeypatch):
+        from higen import attribution
+
+        # Twelve long sentences; each request holds two to four half-documents.
+        words = [sentence.split()[1] for sentence in _SYNTH_SENTENCES]
+        doc = doc_from_sentences([" ".join([word] * 600).capitalize() + "." for word in words])
+        assert len(doc.sentences) == 12
+        budget = 2 * sum(len(text) for text in doc.labelled_sentences)
+        monkeypatch.setattr(attribution, "SCORE_REQUEST_CHARS", budget)
+        params = AttributionParams(m=16)
+        lengths = context_lengths(doc, sample_masks(len(doc.sentences), params.m, params.keep_prob, 1))
+        sizes = [int(lengths[run.start : run.stop].sum()) for run in request_runs(lengths.tolist(), budget)]
+        # Any two requests' contexts together exceed the bound below.
+        assert len(sizes) >= 4 and min(sizes) > max(sizes) / 2
+        scorer = lambda ctx, cont: -1.0  # noqa: E731
+        # A first attribution pays for what a process does once (imports, caches).
+        contextcite_attribute(_client_with_scorer(tmp_path / "first", scorer), doc, "The draft.", "m", params, 0)
+        client = _client_with_scorer(tmp_path, scorer)
+        result, peak = traced_peak(contextcite_attribute, client, doc, "The draft.", "m", params, 1)
+        assert result.scoring_requests == len(sizes)
+        assert peak < 1.5 * max(sizes)
 
     def test_too_few_usable_samples_write_no_packed_entry(self, tmp_path):
         doc = doc_from_sentences(_SYNTH_SENTENCES)
@@ -819,14 +879,14 @@ class TestPackedScoreEntry:
         client = _client_with_scorer(tmp_path, drop_without_third)
         with pytest.raises(AttributionError, match="ablation samples usable"):
             contextcite_attribute(client, doc, "resp", "m", params, seed=0)
-        assert len(list((tmp_path / "cache").glob("*.json"))) == params.m
+        assert len(list((tmp_path / "cache").glob("*.json"))) == client.backend_calls == 1
         assert not _packed_entry(tmp_path / "cache", doc, "resp", "m", params, 0).exists()
 
     def test_the_dump_of_a_packed_hit_equals_the_cold_dump(self, tmp_path, monkeypatch):
         from higen import attribution
 
         self._cold(tmp_path, dump_path=tmp_path / "cold.jsonl")
-        _forbid(monkeypatch, attribution, "score_keys")
+        _forbid(monkeypatch, attribution, "request_score_keys")
         self._warm(tmp_path, dump_path=tmp_path / "warm.jsonl")
         assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
 
@@ -838,7 +898,7 @@ class TestPackedScoreEntry:
         assert [record.name for record in caplog.records] == ["higen.attribution"] * 2
         assert [record.levelno for record in caplog.records] == [logging.DEBUG] * 2
         first, second = (record.getMessage() for record in caplog.records)
-        for message, source in ((first, "per-context entries"), (second, "the packed entry")):
+        for message, source in ((first, "per-request entries"), (second, "the packed entry")):
             assert message.startswith("attribution of doc-7: n=12, 16/16 samples usable, lambda=")
             assert f"{cold.iterations} iterations, converged={cold.converged}" in message
             assert message.endswith(f"scores from {source}")
@@ -856,10 +916,10 @@ class TestPackedScoreEntry:
             cold = self._cold(tmp_path, doc=doc)
             warm = self._warm(tmp_path, doc=doc)
             _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2).unlink()
-            per_context = self._warm(tmp_path, doc=doc)
+            per_request = self._warm(tmp_path, doc=doc)
         assert cold.scoring_requests == len(runs)
-        assert warm.scoring_requests == per_context.scoring_requests == 0
-        assert cold == warm == per_context
+        assert warm.scoring_requests == per_request.scoring_requests == 0
+        assert cold == warm == per_request
         messages = [record.getMessage() for record in caplog.records]
         assert len(messages) == 3
         assert f", {len(runs)} scoring requests, the largest of {largest} context characters, " in messages[0]

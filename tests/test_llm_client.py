@@ -5,6 +5,7 @@ import json
 import os
 import threading
 import time
+from dataclasses import asdict
 from itertools import compress
 
 import numpy as np
@@ -13,7 +14,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higen import llm_client
+from higen import llm_client, pipeline, runner
 from higen.corpus import make_document, normalize_text, segment_sentences
 from higen.errors import CapabilityError, ConfigError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
@@ -24,20 +25,20 @@ from higen.llm_client import (
     MockBackend,
     RetryPolicy,
     ScoreRequest,
+    ScoreResponse,
     _canonical_gen_key,
     _canonical_score_key,
     _GEN_FIELDS,
     _Retryable,
     backend_from_url,
     echo_first_k,
-    json_escaped,
     overlap_scorer,
     packed_score_key,
     prompt_hash,
-    score_keys,
+    request_score_keys,
 )
 
-from conftest import RecordingBackend, make_mock_client, per_token_scorer, score_requests
+from conftest import DATA_DIR, RecordingBackend, make_mock_client, per_token_scorer, score_requests
 
 
 def _gov_prompt(doc_text: str, k: int | None = None) -> str:
@@ -225,9 +226,19 @@ class TestCache:
 
 
 def _plain_score_key(model: str, context: str, continuation: str) -> str:
-    """The score-cache key as it was first defined, the oracle for score_keys."""
+    """The score-cache key as it was first defined, the oracle for a context's key."""
     payload = {"kind": "score", "model": model, "context": context, "continuation": continuation}
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+def _plain_packed_key(model: str, continuation: str, sentences: list[str], masks: np.ndarray) -> str:
+    """The packed score key as it was first defined, the oracle that keeps
+    packed entries written before per-request entries hitting."""
+    head = {"kind": "packed_score", "model": model, "continuation": continuation, "sentences": sentences}
+    head["shape"] = list(masks.shape)
+    digest = hashlib.sha256(json.dumps(head, sort_keys=True, ensure_ascii=False).encode("utf-8"))
+    digest.update(np.packbits(masks).tobytes())
+    return digest.hexdigest()
 
 
 # Characters JSON escapes (quote, backslash, every control character below
@@ -246,31 +257,39 @@ class TestScoreKey:
         model=_KEY_TEXT,
         continuation=_KEY_TEXT.filter(bool),
     )
-    def test_pre_escaped_join_equals_the_plain_formula(self, sentences, bits, model, continuation):
+    def test_the_context_and_packed_keys_equal_their_first_formulas(self, sentences, bits, model, continuation):
         mask = bits[: len(sentences)]
         context = " ".join(compress(sentences, mask))
-        escaped = b" ".join(compress([json_escaped(text) for text in sentences], mask))
         expected = _plain_score_key(model, context, continuation)
-        assert score_keys(model, continuation, [escaped])[0] == expected
         assert _canonical_score_key(ScoreRequest(model, context, continuation)) == expected
+        masks = np.array([[True] * len(sentences), mask], dtype=bool)
+        assert packed_score_key(model, continuation, sentences, masks) == _plain_packed_key(
+            model, continuation, sentences, masks
+        )
 
-    def test_the_batch_builder_keys_each_context_as_the_plain_formula(self):
-        sentences = [
-            "Plain text.",
-            "Caf\u00e9 \u4e2d\u6587 \U0001f642 na\u0308ive.",
-            'She said "no" twice.',
-            "A back\\slash and a slash / here.",
-            "Line one\nline two\ttabbed\r\x00end.",
-            "Speaker A: \u2028separator\u2029 and \x7f\x85.",
+    def test_a_request_key_follows_the_masks_of_its_own_request(self):
+        sentences = ["Ann: One two.", 'Three "four".', "Caf\u00e9 five.", "Six\nseven."]
+        masks = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=bool)
+        runs = [range(0, 1), range(1, 3), range(3, 5)]
+        keys = request_score_keys("m", "The draft.", sentences, masks, runs)
+        # Runs 1 and 2 hold the same two masks, so they are the same request.
+        assert keys[1] == keys[2] != keys[0]
+        assert keys == request_score_keys("m", "The draft.", list(sentences), masks.copy(), runs)
+        assert request_score_keys("m", "The draft.", sentences, masks, [range(1, 3)]) == [keys[1]]
+        flipped = masks.copy()
+        flipped[4, 0] = True
+        changed = request_score_keys("m", "The draft.", sentences, flipped, runs)
+        assert changed[:2] == keys[:2] and changed[2] not in keys
+        variants = [
+            *request_score_keys("m2", "The draft.", sentences, masks, runs[:2]),
+            *request_score_keys("m", "The draft!", sentences, masks, runs[:2]),
+            *request_score_keys("m", "The draft.", [*sentences[:3], "Six\nseven!"], masks, runs[:2]),
+            # The same masks split at other rows, and a shorter run.
+            *request_score_keys("m", "The draft.", sentences, masks, [range(0, 2), range(2, 3), range(1, 2)]),
+            # The packed key of the same masks.
+            packed_score_key("m", "The draft.", sentences, masks[1:3]),
         ]
-        contexts = [""] + [
-            " ".join(compress(sentences, [(row >> bit) & 1 for bit in range(len(sentences))])) for row in range(1, 24)
-        ]
-        model, continuation = "m\u00f6del \"x\"", 'The "draft" \\ says\nso \u4e2d.'
-        for ordered in (contexts, contexts[::-1]):
-            expected = [_plain_score_key(model, context, continuation) for context in ordered]
-            assert score_keys(model, continuation, [json_escaped(context) for context in ordered]) == expected
-        assert len(set(expected)) == len(contexts) >= 20
+        assert len({*keys, *variants}) == 2 + len(variants) == 12
 
     def test_the_packed_key_changes_whenever_a_per_context_key_would(self):
         sentences = ["Ann: One two.", 'Three "four".', "Caf\u00e9 five.", "Six\nseven."]
@@ -833,6 +852,69 @@ class TestBatchedScoring:
         assert session.posts[0][1] == session.posts[1][1]
         assert client.backend_calls == 2
 
+
+    def test_the_seam_retry_post_counts_as_a_backend_call(self, tmp_path):
+        first = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["abcd"], [None])]}
+        second = {"choices": [_choice(0, ["ab ", "cd"], [None, -0.5])]}
+        session = _FakeSession([_FakeResponse(200, first), _FakeResponse(200, second)])
+        client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
+        reqs = [ScoreRequest("m", "ab", " cd"), ScoreRequest("m", "ab", "cd")]
+        assert client.packed_scores("0" * 64, 2, lambda: reqs) == [ScoreResponse(-1.0, 1), ScoreResponse(-0.5, 1)]
+        assert len(session.posts) == client.backend_calls == 2
+
+    def test_the_manifest_counts_every_post_of_a_run(self, tmp_path, monkeypatch):
+        config = runner.parse_config(
+            {
+                "dataset": {"path": str(DATA_DIR / "minicorpus.jsonl"), "schema": "scrolls_govreport", "limit": 1},
+                "methods": ["two_stage_cc"],
+                "model": "mock-model",
+                "run_dir": str(tmp_path / "run"),
+                "cache_dir": str(tmp_path / "cache"),
+                "endpoint": {"base_url": "mock://"},
+                "k": 2,
+                "attribution": {"m": 16},
+            }
+        )
+        drafts = []
+        attribute = pipeline.contextcite_attribute
+
+        def capture_draft(client, document, response, *args, **kwargs):
+            drafts.append(response)
+            return attribute(client, document, response, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "contextcite_attribute", capture_draft)
+        runner.run(config)
+        [draft] = drafts
+        # Keep the generations; the rerun then only scores.
+        for path in (tmp_path / "cache").glob("*.json"):
+            if json.loads(path.read_text(encoding="utf-8"))["request"]["kind"] != "gen":
+                path.unlink()
+
+        class _Completions(_FakeSession):
+            """Scores each prompt as the mock does; the seam of the first
+            context of the first post falls inside its one echoed token."""
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                self.posts.append((url, json))
+                choices = []
+                for index, prompt in enumerate(json["prompt"]):
+                    seam = len(prompt) - len(draft)
+                    tokens, logprobs = [prompt[:seam], draft], [None, overlap_scorer(prompt[:seam], draft)]
+                    if len(self.posts) == 1 and index == 0:
+                        tokens, logprobs = [prompt], [None]
+                    choices.append(_choice(index, tokens, logprobs))
+                return _FakeResponse(200, {"choices": choices})
+
+        session = _Completions([])
+        client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
+        rerun = runner.parse_config({**asdict(config), "run_dir": str(tmp_path / "rerun")})
+        runner.run(rerun, client=client)
+        assert [url for url, _ in session.posts] == ["http://host/v1/completions"] * 2
+        assert len(session.posts[1][1]["prompt"]) == 1
+        assert client.backend_calls == 2
+        assert json.loads((tmp_path / "rerun" / "manifest.json").read_text())["llm_calls"] == 2
+        [first], [second] = runner.read_records(tmp_path / "run"), runner.read_records(tmp_path / "rerun")
+        assert second.ok and {**second.to_dict(), "wall_ms": 0} == {**first.to_dict(), "wall_ms": 0}
 
 class TestGenerateCoalescing:
     def test_concurrent_identical_requests_make_one_backend_call(self, tmp_path):
