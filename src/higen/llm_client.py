@@ -3,14 +3,14 @@
 Two capabilities are exposed: greedy text generation (chat-completions route)
 and teacher-forced log-probability scoring of a fixed continuation
 (completions route with echo + logprobs). Both go through one call path,
-``LLMClient._cached``: it reads each request's cache entry by a content hash,
-builds the requests of the distinct misses only, sends them to the backend in
-one call under the in-flight bound, retried on a transient failure (after the
-backoff, or the server's ``Retry-After`` delay when that is longer), counts
-every HTTP post and every hit, and caches each answer under its own key, so
-interrupted experiments replay offline. ``generate`` is one key, under a
-per-key lock so concurrent identical generations share one backend call;
-``score_many`` is a batch of keys, sent with an array ``prompt`` whose
+``LLMClient._cached``, which answers one cache key: it reads the key's entry;
+on a miss it builds the request once, sends it to the backend under the
+in-flight bound, retried on a transient failure (after the backoff, or the
+server's ``Retry-After`` delay when that is longer), counts every HTTP post
+and every hit, and caches the answer under the key, so interrupted
+experiments replay offline. ``generate`` holds a per-key lock, freed once
+its last caller leaves, so concurrent identical generations share one
+backend call. Scores go to the backend with an array ``prompt`` whose
 choices are mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS``
 describe each route's cached response; a missing or damaged entry is a miss,
 and a hit is read in one open, read and close. The score-cache key formats
@@ -272,7 +272,7 @@ class LLMClient:
         self._sleep = sleep
         self._semaphore = threading.BoundedSemaphore(concurrency)
         self._stats_lock = threading.Lock()
-        self._key_locks: dict[str, threading.Lock] = {}
+        self._key_locks: dict[str, list] = {}  # key: [its lock, the callers holding or awaiting it]
         self.backend_calls = 0
         self.cache_hits = 0
 
@@ -322,39 +322,31 @@ class LLMClient:
     def _cached(
         self,
         kind: str,
-        keys: Sequence[str],
+        key: str,
         fields: dict[str, type | tuple[type, ...]],
-        build: Callable[[int], object] | None,
-        send: Callable[[list], list],
+        build: Callable[[], object] | None,
+        send: Callable[[object], Sequence],
         doc_id: str | None,
         count: int | None = None,
-    ) -> tuple[list[Sequence | None], int | None]:
-        """The response values (``fields``, in order) under each of ``keys``,
-        in key order, and the ms the backend call took (None when every key
-        hit the cache). With ``count`` each entry is packed (see
-        ``_cache_read``) and its hit counts as ``count`` cache hits.
-        ``build(i)`` makes the request of ``keys[i]``; it is called only for
-        a key that misses, once per distinct key. Without ``build`` a miss is
-        None, and nothing is sent. Otherwise the misses go to ``send``
-        as one batch under the in-flight bound. Each attempt counts as one
-        backend call, or as the HTTP posts it sent when there were more;
+    ) -> tuple[Sequence | None, int | None]:
+        """The response values (``fields``, in order) under ``key``, and the
+        ms the backend call took (None on a hit). With ``count`` the entry is
+        packed (see ``_cache_read``) and a hit counts as ``count`` cache hits.
+        On a miss ``build()`` makes the request, once for all attempts, and
+        ``send`` takes it to the backend under the in-flight bound; without
+        ``build`` a miss is None and nothing is sent. Each attempt counts as
+        one backend call, or as the HTTP posts it sent when there were more;
         after a transient failure the next attempt waits the jittered
         exponential backoff, or the failure's ``Retry-After`` (at most
-        ``MAX_RETRY_AFTER``) when that is longer. Each answer is cached under
-        its own key."""
-        found: dict[str, Sequence] = {}
-        misses: dict[str, int] = {}
-        for position, key in enumerate(keys):
-            hit = self._cache_read(key, fields, count)
-            if hit is None:
-                misses.setdefault(key, position)
-            else:
-                found[key] = hit
-        with self._stats_lock:
-            self.cache_hits += (count or 1) * sum(key in found for key in keys)
-        if not misses or build is None:
-            return [found.get(key) for key in keys], None
-        batch = [build(position) for position in misses.values()]
+        ``MAX_RETRY_AFTER``) when that is longer. The answer is cached."""
+        values = self._cache_read(key, fields, count)
+        if values is not None:
+            with self._stats_lock:
+                self.cache_hits += count or 1
+            return values, None
+        if build is None:
+            return None, None
+        request = build()
         started = time.monotonic()
         last: _Retryable | None = None
         for attempt in range(self.retry.attempts):
@@ -362,7 +354,7 @@ class LLMClient:
                 with self._semaphore:
                     _posts.count = 0
                     try:
-                        answers = send(batch)
+                        answer = send(request)
                     finally:
                         with self._stats_lock:
                             self.backend_calls += max(_posts.count, 1)
@@ -378,14 +370,23 @@ class LLMClient:
         else:
             raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
         latency_ms = int((time.monotonic() - started) * 1000)
-        for key, answer in zip(misses, answers):
-            found[key] = answer
-            self._cache_write(key, {"kind": kind, "key": key}, dict(zip(fields, answer)))
-        return [found[key] for key in keys], latency_ms
+        self._cache_write(key, {"kind": kind, "key": key}, dict(zip(fields, answer)))
+        return answer, latency_ms
 
-    def _key_lock(self, key: str) -> threading.Lock:
+    @contextlib.contextmanager
+    def _key_lock(self, key: str):
+        """Hold ``key``'s lock; its entry is freed once its last caller leaves."""
         with self._stats_lock:
-            return self._key_locks.setdefault(key, threading.Lock())
+            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._stats_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     # -- public API --------------------------------------------------------
 
@@ -394,22 +395,18 @@ class LLMClient:
         request wait on its key, so the later ones read the first one's entry."""
         key = _canonical_gen_key(req)
         with self._key_lock(key):
-            rows, latency_ms = self._cached(
-                "gen", [key], _GEN_FIELDS, lambda _: req, lambda batch: [self.backend.complete(*batch)], doc_id
-            )
-        return GenResponse(*rows[0], latency_ms=latency_ms or 0, cached=latency_ms is None)
+            values, latency_ms = self._cached("gen", key, _GEN_FIELDS, lambda: req, self.backend.complete, doc_id)
+        return GenResponse(*values, latency_ms=latency_ms or 0, cached=latency_ms is None)
 
     def score_continuation(self, req: ScoreRequest, doc_id: str | None = None) -> ScoreResponse:
-        return self.score_many([_canonical_score_key(req)], lambda _: req, doc_id)[0]
+        """One context's score, cached under its ``_canonical_score_key``.
+        Bench-only: nothing in ``higen`` calls it; ``bench/layers.py`` patches it."""
 
-    def score_many(
-        self, keys: Sequence[str], build: Callable[[int], ScoreRequest], doc_id: str | None = None
-    ) -> list[ScoreResponse]:
-        """Score the requests under ``keys``, in order, each cached under its
-        own key. ``build(i)`` makes the request ``keys[i]`` belongs to; the
-        misses go to the backend in one request."""
-        rows, _ = self._cached("score", keys, _SCORE_FIELDS, build, self.backend.score_many, doc_id)
-        return [ScoreResponse(*row) for row in rows]
+        def send(one: ScoreRequest) -> tuple[float, int]:
+            return self.backend.score_many([one])[0]
+
+        values, _ = self._cached("score", _canonical_score_key(req), _SCORE_FIELDS, lambda: req, send, doc_id)
+        return ScoreResponse(*values)
 
     def packed_scores(
         self,
@@ -424,15 +421,11 @@ class LLMClient:
         ``count`` cache hits. On a miss, ``build()`` makes the ``count``
         requests, which go to the backend as one request and are cached
         under ``key``; without ``build`` a miss is None."""
-        [columns], _ = self._cached(
-            "packed_score",
-            [key],
-            _SCORE_FIELDS,
-            None if build is None else lambda _: build(),
-            lambda batch: [list(zip(*self.backend.score_many(*batch)))],
-            doc_id,
-            count,
-        )
+
+        def send(reqs: list[ScoreRequest]) -> list[tuple]:
+            return list(zip(*self.backend.score_many(reqs)))
+
+        columns, _ = self._cached("packed_score", key, _SCORE_FIELDS, build, send, doc_id, count)
         return None if columns is None else [ScoreResponse(*row) for row in zip(*columns)]
 
     def write_packed_scores(self, key: str, scores: Sequence[ScoreResponse]) -> None:
@@ -516,6 +509,7 @@ class HTTPBackend:
         return text, int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
 
     def score(self, req: ScoreRequest) -> tuple[float, int]:
+        """Bench-only ``score_many`` of one request: ``bench/layers.py`` patches it."""
         return self.score_many([req])[0]
 
     def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
@@ -733,6 +727,7 @@ class MockBackend:
         return text, len(req.user_prompt.split()), len(text.split())
 
     def score(self, req: ScoreRequest) -> tuple[float, int]:
+        """Bench-only ``score_many`` of one request: ``bench/layers.py`` patches it."""
         return self.score_many([req])[0]
 
     def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:

@@ -142,7 +142,8 @@ def _verify_in_chunks(statement: str, chunks: list[str], doc_id: str, client: LL
 
 def factscore(summary: str, document: Document, client: LLMClient, judge_model: str) -> FactReport:
     """The report of one summary: ``factscores`` of one item on one worker, so
-    its judge calls go out one at a time, in order."""
+    its judge calls go out one at a time, in order. Bench-only: nothing in
+    ``higen`` calls it, and ``bench/layers.py`` patches it."""
     return factscores([(summary, document)], client, judge_model, workers=1)[0]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from higen.corpus import Document, make_document
 from higen.errors import EndpointError
-from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, _canonical_score_key, prompt_hash
+from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, prompt_hash
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -48,8 +48,9 @@ def traced_peak(fn: Callable, *args, **kwargs):
 
 
 def score_requests(client: LLMClient, reqs: list[ScoreRequest]):
-    """Score plain requests through ``score_many``, each under its own canonical score key."""
-    return client.score_many([_canonical_score_key(req) for req in reqs], reqs.__getitem__)
+    """Score plain requests one at a time through ``score_continuation``, each
+    under its own canonical score key."""
+    return [client.score_continuation(req) for req in reqs]
 
 
 def per_token_scorer(context: str, continuation: str) -> float:

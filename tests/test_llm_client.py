@@ -164,15 +164,18 @@ class TestCache:
         # route's fields in order}, so caches written before keep hitting.
         client, _ = make_mock_client(tmp_path)
         gen = client.generate(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
-        [score] = client.score_many(["k1"], lambda _: ScoreRequest(model="m", context="c", continuation="a b"))
+        req = ScoreRequest(model="m", context="c", continuation="a b")
+        score, score_key = client.score_continuation(req), _canonical_score_key(req)
+        assert score_key == "b46da18f075c5d5eeb48cdfbef089dd82e3020a72663f7dff91c7924ef570e8e"
         gen_key = _canonical_gen_key(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
         assert (tmp_path / "cache" / f"{gen_key}.json").read_text(encoding="utf-8") == (
             f'{{"request": {{"kind": "gen", "key": "{gen_key}"}}, "response": '
             '{"text": "Summary: Alpha one. Beta two.", "prompt_tokens": 5, "completion_tokens": 5}}'
         )
         assert not gen.cached
-        assert (tmp_path / "cache" / "k1.json").read_text(encoding="utf-8") == (
-            '{"request": {"kind": "score", "key": "k1"}, "response": {"total_logprob": -1.0, "token_count": 2}}'
+        assert (tmp_path / "cache" / f"{score_key}.json").read_text(encoding="utf-8") == (
+            f'{{"request": {{"kind": "score", "key": "{score_key}"}}, "response": '
+            '{"total_logprob": -1.0, "token_count": 2}}'
         )
         assert score.total_logprob == -1.0 and score.token_count == 2
 
@@ -314,14 +317,12 @@ class TestScoreKey:
         assert len({key, *variants}) == len(variants) + 1 == 21
 
     def test_a_given_key_is_used_and_not_compared(self, tmp_path):
-        # score_many caches under the keys it is given; it never recomputes
-        # a key from the request that it builds.
+        # packed_scores caches under the key it is given; it never recomputes
+        # a key from the requests that it builds.
         client, backend = make_mock_client(tmp_path)
         plain = ScoreRequest(model="m", context="c", continuation="a b")
-        client.score_many(["0" * 64, _canonical_score_key(plain)], lambda _: plain)
-        assert sorted(path.stem for path in (tmp_path / "cache").glob("*.json")) == sorted(
-            ["0" * 64, _canonical_score_key(plain)]
-        )
+        client.packed_scores("0" * 64, 1, lambda: [plain])
+        assert [path.stem for path in (tmp_path / "cache").glob("*.json")] == ["0" * 64]
 
     def test_recording_backend_records_a_scored_context_by_its_hash(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
@@ -745,17 +746,6 @@ def _choice(index, tokens, logprobs):
     }
 
 
-class _BatchRecorder:
-    """Scoring backend that records each batch it is sent."""
-
-    def __init__(self):
-        self.batches: list[list[ScoreRequest]] = []
-
-    def score_many(self, reqs):
-        self.batches.append(list(reqs))
-        return [(-float(len(req.context)) - 1.0, 1) for req in reqs]
-
-
 class TestBatchedScoring:
     def test_batch_is_one_request_with_an_array_prompt(self):
         payload = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["xy", " cd"], [None, -2.0])]}
@@ -813,32 +803,11 @@ class TestBatchedScoring:
         assert scored == [(-float(i + 1), 1) if i != 7 else (-0.5, 1) for i in range(12)]
         assert [sent["prompt"] for _, sent in session.posts] == [[f"ctx{i} z" for i in range(12)], ["ctx7  z"]]
 
-    def test_partial_cache_hit_sends_only_the_misses(self, tmp_path):
-        backend = _BatchRecorder()
-        client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        reqs = [ScoreRequest("m", context, " z") for context in ("a", "bb", "ccc", "a")]
-        client.score_continuation(reqs[1])
-        built = []
-
-        def build(position):
-            built.append(position)
-            return reqs[position]
-
-        keys = [_canonical_score_key(req) for req in reqs]
-        scored = client.score_many(keys, build)
-        assert [r.total_logprob for r in scored] == [-2.0, -3.0, -4.0, -2.0]
-        assert backend.batches == [[reqs[1]], [reqs[0], reqs[2]]]  # a repeated miss is sent once
-        assert built == [0, 2]  # and built once; a hit is never built
-        assert client.cache_hits == 1
-        assert client.score_many(keys, build) == scored
-        assert len(backend.batches) == 2
-        assert built == [0, 2]
-
     def test_backend_calls_count_requests_not_items(self, tmp_path):
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(8)]}
         session = _FakeSession([_FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
-        scored = score_requests(client, [ScoreRequest("m", str(i), " z") for i in range(8)])
+        scored = client.packed_scores("0" * 64, 8, lambda: [ScoreRequest("m", str(i), " z") for i in range(8)])
         assert [s.total_logprob for s in scored] == [-1.0] * 8
         assert len(session.posts) == 1
         assert client.backend_calls == 1
@@ -847,11 +816,30 @@ class TestBatchedScoring:
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(2)]}
         session = _FakeSession([_FakeResponse(429), _FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), sleep=lambda _: None)
-        score_requests(client, [ScoreRequest("m", "0", " z"), ScoreRequest("m", "1", " z")])
+        client.packed_scores("0" * 64, 2, lambda: [ScoreRequest("m", "0", " z"), ScoreRequest("m", "1", " z")])
         assert len(session.posts) == 2
         assert session.posts[0][1] == session.posts[1][1]
         assert client.backend_calls == 2
 
+    def test_a_request_is_built_once_however_many_attempts_it_takes(self, tmp_path):
+        payload = {"choices": [_choice(0, ["0", " z"], [None, -1.0])]}
+        session = _FakeSession([_FakeResponse(429), _FakeResponse(429), _FakeResponse(200, payload)])
+        client = LLMClient(
+            HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache", sleep=lambda _: None
+        )
+        built = []
+
+        def build():
+            built.append(len(session.posts))
+            return [ScoreRequest("m", "0", " z")]
+
+        assert client.packed_scores("0" * 64, 1, build) == [ScoreResponse(-1.0, 1)]
+        assert built == [0]  # before the first attempt, and only then
+        assert len(session.posts) == client.backend_calls == 3
+        # A hit neither builds nor sends.
+        assert client.packed_scores("0" * 64, 1, build) == [ScoreResponse(-1.0, 1)]
+        assert built == [0] and len(session.posts) == client.backend_calls == 3
+        assert client.cache_hits == 1
 
     def test_the_seam_retry_post_counts_as_a_backend_call(self, tmp_path):
         first = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["abcd"], [None])]}
@@ -970,3 +958,33 @@ class TestGenerateCoalescing:
         assert len(texts) == 64
         assert backend.gen_calls == client.backend_calls == 4
         assert client.cache_hits == 60
+
+    def test_a_key_lock_is_freed_once_its_last_caller_leaves(self, tmp_path):
+        import sys
+
+        client, backend = make_mock_client(tmp_path, concurrency=4)
+        prompts = [GenRequest(model="m", user_prompt=f"Write a summary.\n\nReport:\nDoc {i}.") for i in range(50)]
+
+        def worker(offset: int) -> None:
+            for i in range(len(prompts)):
+                client.generate(prompts[(i + offset) % len(prompts)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.gen_calls == client.backend_calls == 50
+        assert client.cache_hits == 8 * 50 - 50
+        assert client._key_locks == {}
+        # A generation that fails frees its key's lock too.
+        failing = LLMClient(_FlakyBackend(failures=99, exc_factory=lambda: EndpointError(401, "denied")))
+        with pytest.raises(EndpointError):
+            failing.generate(GenRequest(model="m", user_prompt="p"))
+        assert failing._key_locks == {}
