@@ -26,8 +26,11 @@ samples could never cover fails before any mask is drawn or any request
 sent. A sparse linear surrogate is fit to the logits by LASSO, solved
 with FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
 (O'Donoghue & Candes 2015) on the centered mask matrix, in matrix-vector
-form. The solver stops once the KKT residual is at most ``tol`` and reports
-its iterations, whether it converged and the final residual. Strictly
+form. Its step constant starts at the centered Gram matrix's largest
+diagonal entry, within a factor n of its largest eigenvalue, and doubles
+whenever a step shows it too small: at most ceil(log2 n) times a fit. The
+solver stops once the KKT residual is at most ``tol`` and reports its
+iterations, whether it converged and the final residual. Strictly
 positive weights rank the sentences that form the content plan, through
 ``prompts.ranked_highlights("contextcite", ...)``.
 
@@ -202,26 +205,6 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(centered.T @ (y - y.mean())).max() / centered.shape[0])
 
 
-_POWER_ITERATIONS = 20
-
-
-def _lipschitz_estimate(centered: np.ndarray) -> float:
-    """Power-iteration estimate of the largest eigenvalue of Xc^T Xc / m, the
-    Lipschitz constant of the least-squares gradient, from matrix-vector
-    products only. It can fall short of the true value; fit_lasso backtracks
-    whenever a step shows that it does."""
-    m, n = centered.shape
-    v = np.random.default_rng(0).standard_normal(n)
-    estimate = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            break
-        v = centered.T @ (centered @ (v / norm)) / m
-        estimate = float(np.linalg.norm(v))
-    return estimate
-
-
 def fit_lasso(
     X: np.ndarray,
     y: np.ndarray,
@@ -237,13 +220,17 @@ def fit_lasso(
     w+ = soft_threshold(z - g(z)/L, lam/L), with g(z) = Xc^T (Xc z - yc) / m
     in matrix-vector form. The momentum restarts whenever
     (z - w+) . (w+ - w) > 0, and L doubles whenever a step breaks the bound
-    ||Xc d||^2 / m <= L ||d||^2 it relies on. Iteration stops once the KKT
-    residual -- max(|g_j| - lam, 0) where w_j = 0 and |g_j + lam sign(w_j)|
-    elsewhere, over the non-constant columns -- is at most tol, or after
-    max_iter steps; such a fit is returned with converged=False. Constant
-    columns keep weight exactly 0. The weight error is at most the residual
-    over the smallest eigenvalue of Xc^T Xc / m, so the default tol sits well
-    below the 1e-8 agreement the lambda = 0 fits owe the normal equations.
+    ||Xc d||^2 / m <= L ||d||^2 it relies on. L starts at the largest
+    diagonal entry of Xc^T Xc / m, which is at most its largest eigenvalue
+    (the bound's least constant) and at least 1/n of it (the trace), so L
+    doubles at most ceil(log2 n) times over a fit. Iteration stops once the
+    KKT residual -- max(|g_j| - lam, 0) where w_j = 0 and |g_j + lam sign(w_j)|
+    elsewhere -- is at most tol, or after max_iter steps; such a fit is
+    returned with converged=False. Constant columns are zeroed, so their g_j,
+    w_j and residual terms are exactly 0. The weight error is at most the
+    residual over the smallest eigenvalue of Xc^T Xc / m, so the default tol
+    sits well below the 1e-8 agreement the lambda = 0 fits owe the normal
+    equations.
 
     X may be a boolean mask array; it is centered in one float copy, and the
     caller's array is left as it is.
@@ -268,7 +255,7 @@ def fit_lasso(
 
     def kkt_residual(w: np.ndarray, g: np.ndarray) -> float:
         violation = np.where(w == 0.0, np.maximum(np.abs(g) - lam, 0.0), np.abs(g + lam * np.sign(w)))
-        return float(violation[varying].max(initial=0.0))
+        return float(violation.max(initial=0.0))
 
     # u = Xc w - yc is the negated residual and g = Xc^T u / m the gradient at w.
     w = np.zeros(n)
@@ -277,7 +264,7 @@ def fit_lasso(
     residual = kkt_residual(w, g)
     iterations = 0
     if residual > tol:
-        L = max(_lipschitz_estimate(Xc), np.finfo(float).tiny)
+        L = max(float(np.einsum("ij,ij->j", Xc, Xc).max()) / m, np.finfo(float).tiny)
         t, z, gz = 1.0, w, g
         while residual > tol and iterations < max_iter:
             iterations += 1
@@ -329,7 +316,7 @@ def _score_ablations(
             return [ScoreRequest(model, ablate(document, mask), response) for mask in masks[run.start : run.stop]]
 
         try:
-            scores += client.packed_scores(key, len(run), build, doc_id=document.id)
+            scores += client.packed_scores(key, len(run), build)
         except HigenError as exc:
             raise AttributionError(f"scoring failed on the batch from ablation mask {run.start}: {exc}") from exc
     return scores, sent

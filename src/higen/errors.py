@@ -65,12 +65,6 @@ class TransportError(HigenError):
 class OversizeError(HigenError):
     """The backend rejected a request for exceeding its context window."""
 
-    def __init__(self, message: str, doc_id: str | None = None):
-        self.doc_id = doc_id
-        if doc_id:
-            message = f"{message} (document {doc_id})"
-        super().__init__(message)
-
 
 class CapabilityError(HigenError):
     """The backend lacks a required capability (e.g. echoed token logprobs)."""

@@ -326,7 +326,6 @@ class LLMClient:
         fields: dict[str, type | tuple[type, ...]],
         build: Callable[[], object] | None,
         send: Callable[[object], Sequence],
-        doc_id: str | None,
         count: int | None = None,
     ) -> tuple[Sequence | None, int | None]:
         """The response values (``fields``, in order) under ``key``, and the
@@ -365,8 +364,6 @@ class LLMClient:
                     delay = self.retry.base_delay * BACKOFF_FACTOR**attempt
                     delay *= 1.0 + random.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
                     self._sleep(max(delay, min(exc.retry_after, MAX_RETRY_AFTER), 0.0))
-            except OversizeError as exc:
-                raise OversizeError(str(exc), doc_id=doc_id) if doc_id and not exc.doc_id else exc
         else:
             raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
         latency_ms = int((time.monotonic() - started) * 1000)
@@ -390,22 +387,22 @@ class LLMClient:
 
     # -- public API --------------------------------------------------------
 
-    def generate(self, req: GenRequest, doc_id: str | None = None) -> GenResponse:
+    def generate(self, req: GenRequest) -> GenResponse:
         """Generate, or replay the cached response. Concurrent callers of one
         request wait on its key, so the later ones read the first one's entry."""
         key = _canonical_gen_key(req)
         with self._key_lock(key):
-            values, latency_ms = self._cached("gen", key, _GEN_FIELDS, lambda: req, self.backend.complete, doc_id)
+            values, latency_ms = self._cached("gen", key, _GEN_FIELDS, lambda: req, self.backend.complete)
         return GenResponse(*values, latency_ms=latency_ms or 0, cached=latency_ms is None)
 
-    def score_continuation(self, req: ScoreRequest, doc_id: str | None = None) -> ScoreResponse:
+    def score_continuation(self, req: ScoreRequest) -> ScoreResponse:
         """One context's score, cached under its ``_canonical_score_key``.
         Bench-only: nothing in ``higen`` calls it; ``bench/layers.py`` patches it."""
 
         def send(one: ScoreRequest) -> tuple[float, int]:
             return self.backend.score_many([one])[0]
 
-        values, _ = self._cached("score", _canonical_score_key(req), _SCORE_FIELDS, lambda: req, send, doc_id)
+        values, _ = self._cached("score", _canonical_score_key(req), _SCORE_FIELDS, lambda: req, send)
         return ScoreResponse(*values)
 
     def packed_scores(
@@ -413,7 +410,6 @@ class LLMClient:
         key: str,
         count: int,
         build: Callable[[], list[ScoreRequest]] | None = None,
-        doc_id: str | None = None,
     ) -> list[ScoreResponse] | None:
         """The ``count`` scores cached as one packed entry under ``key``, in
         order: those of one scoring request (see ``request_score_keys``) or
@@ -425,7 +421,7 @@ class LLMClient:
         def send(reqs: list[ScoreRequest]) -> list[tuple]:
             return list(zip(*self.backend.score_many(reqs)))
 
-        columns, _ = self._cached("packed_score", key, _SCORE_FIELDS, build, send, doc_id, count)
+        columns, _ = self._cached("packed_score", key, _SCORE_FIELDS, build, send, count)
         return None if columns is None else [ScoreResponse(*row) for row in zip(*columns)]
 
     def write_packed_scores(self, key: str, scores: Sequence[ScoreResponse]) -> None:

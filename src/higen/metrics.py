@@ -122,15 +122,13 @@ def _chunk_text(text: str) -> list[str]:
     ]
 
 
-def _verify_in_chunks(statement: str, chunks: list[str], doc_id: str, client: LLMClient, judge_model: str) -> str:
+def _verify_in_chunks(statement: str, chunks: list[str], client: LLMClient, judge_model: str) -> str:
     """Verdict for one statement: supported once any of ``chunks`` supports it."""
     template = load_template("judge_verify_fact")
     saw_no = False
     for chunk in chunks:
         prompt = fill(template, {"document": chunk, "statement": statement})
-        response = client.generate(
-            GenRequest(model=judge_model, user_prompt=prompt, max_tokens=16), doc_id=doc_id
-        )
+        response = client.generate(GenRequest(model=judge_model, user_prompt=prompt, max_tokens=16))
         matches = list(_ANSWER_RE.finditer(response.text))
         if not matches:
             continue
@@ -178,7 +176,7 @@ def factscores(
 
         def verify(pair: tuple[str, str]) -> str | HigenError:
             doc_id, statement = pair
-            return _judged(_verify_in_chunks, statement, chunks[doc_id], doc_id, client, judge_model)
+            return _judged(_verify_in_chunks, statement, chunks[doc_id], client, judge_model)
 
         verdicts = dict(zip(pairs, pool.map(verify, pairs)))
     return [_report(facts_of[summary], document.id, verdicts) for summary, document in items]
@@ -260,7 +258,8 @@ def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
 
 
 def load_external_scores(path: str | Path, metric_name: str) -> dict[str, float]:
-    """Read {"doc_id": ..., "score": ...} JSONL rows into a doc_id -> score map."""
+    """Read {"doc_id": ..., "score": ...} JSONL rows into a doc_id -> score map;
+    a score must be a finite number, not a bool or a numeric string."""
     scores: dict[str, float] = {}
     for lineno, obj in read_jsonl(path):
         if "doc_id" not in obj or "score" not in obj:
@@ -269,7 +268,9 @@ def load_external_scores(path: str | Path, metric_name: str) -> dict[str, float]
         if doc_id in scores:
             raise DatasetError(f"{path}:{lineno}: duplicate doc_id {doc_id!r} in {metric_name} scores")
         try:
-            scores[doc_id] = float(obj["score"])
-        except (TypeError, ValueError):
+            if not is_number(obj["score"]):
+                raise ValueError
+            scores[doc_id] = float(obj["score"])  # an int past the float range overflows
+        except (OverflowError, ValueError):
             raise DatasetError(f"{path}:{lineno}: {metric_name} score {obj['score']!r} is not a number") from None
     return scores

@@ -111,7 +111,7 @@ def _generate(client: LLMClient, record: SummaryRecord, kind: str, prompt: str, 
     max_tokens = _DEFAULT_MAX_TOKENS[kind] if params.max_tokens is None else params.max_tokens
     request = GenRequest(model=params.model, user_prompt=prompt, max_tokens=max_tokens, seed=params.seed)
     record.error_prompt_hash = prompt_hash(prompt)
-    response = client.generate(request, doc_id=record.doc_id)
+    response = client.generate(request)
     record.raw_responses.append(response.text)
     record.prompt_tokens += response.prompt_tokens
     record.completion_tokens += response.completion_tokens

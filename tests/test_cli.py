@@ -365,6 +365,17 @@ class TestEvaluateAndReportCommands:
         assert capsys.readouterr().err.splitlines() == [f"config error: external scores file not found: {missing}"]
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
+    def test_evaluate_with_a_nan_external_score_is_2_and_writes_no_metrics(self, tmp_path, capsys):
+        scores_path = tmp_path / "scores.jsonl"
+        scores_path.write_text('{"doc_id": "gov_a", "score": NaN}\n')
+        config = _write_config(tmp_path, metrics={"external_scores": [{"name": "bertscore", "path": str(scores_path)}]})
+        assert main(["run", "-c", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "-c", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error: ") and "scores.jsonl:1: bertscore score nan is not a number" in err
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
     def test_evaluate_with_a_non_object_external_score_line_is_an_error_line_and_2(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.jsonl"
         scores_path.write_text('{"doc_id": "gov_a", "score": 0.5}\n5\n')

@@ -451,11 +451,12 @@ class TestRetry:
             client.generate(GenRequest(model="m", user_prompt="p"))
         assert backend.calls == 1
 
-    def test_oversize_error_names_document(self):
+    def test_oversize_error_not_retried(self):
         backend = _FlakyBackend(failures=99, exc_factory=lambda: OversizeError("too long"))
         client = LLMClient(backend, sleep=lambda _: None)
-        with pytest.raises(OversizeError, match="doc42"):
-            client.generate(GenRequest(model="m", user_prompt="p"), doc_id="doc42")
+        with pytest.raises(OversizeError, match="too long"):
+            client.generate(GenRequest(model="m", user_prompt="p"))
+        assert backend.calls == 1
 
 
 class _FakeResponse:

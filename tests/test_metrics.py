@@ -188,23 +188,23 @@ class TestFactScoring:
     def test_verify_yes(self, tmp_path):
         doc = doc_from_sentences(["The sky is blue."])
         client = _judge_client(["Answer: yes"], tmp_path)
-        assert _verify_in_chunks("sky is blue", _chunk_text(doc.normalized_text), doc.id, client, "judge") == SUPPORTED
+        assert _verify_in_chunks("sky is blue", _chunk_text(doc.normalized_text), client, "judge") == SUPPORTED
 
     def test_verify_no(self, tmp_path):
         doc = doc_from_sentences(["The sky is blue."])
         client = _judge_client(["Answer: no"], tmp_path)
-        assert _verify_in_chunks("sky is green", _chunk_text(doc.normalized_text), doc.id, client, "judge") == UNSUPPORTED
+        assert _verify_in_chunks("sky is green", _chunk_text(doc.normalized_text), client, "judge") == UNSUPPORTED
 
     def test_verify_unparseable(self, tmp_path):
         doc = doc_from_sentences(["The sky is blue."])
         client = _judge_client(["maybe"], tmp_path)
-        assert _verify_in_chunks("sky is blue", _chunk_text(doc.normalized_text), doc.id, client, "judge") == UNPARSEABLE
+        assert _verify_in_chunks("sky is blue", _chunk_text(doc.normalized_text), client, "judge") == UNPARSEABLE
 
     def test_placeholders_inside_the_document_stay_literal(self, tmp_path):
         doc = doc_from_sentences(["Quote {statement} and {document} verbatim."])
         backend = ScriptedBackend(["Answer: yes"])
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        assert _verify_in_chunks("FACT", _chunk_text(doc.normalized_text), doc.id, client, "judge") == SUPPORTED
+        assert _verify_in_chunks("FACT", _chunk_text(doc.normalized_text), client, "judge") == SUPPORTED
         prompt = backend.requests[0].user_prompt
         assert "Quote {statement} and {document} verbatim." in prompt
         assert prompt.count("FACT") == 1
@@ -267,7 +267,7 @@ class TestFactScoring:
         long_doc = doc_from_sentences(["Word number %d fills space." % i for i in range(20)])
         client = _judge_client(["Answer: no", "Answer: yes"], tmp_path)
         # chunking parameters are module constants read at call time
-        verdict = _verify_in_chunks("statement", _chunk_text(long_doc.normalized_text), long_doc.id, client, "judge")
+        verdict = _verify_in_chunks("statement", _chunk_text(long_doc.normalized_text), client, "judge")
         assert verdict == SUPPORTED
 
     def test_factscore_chunks_the_document_once(self, tmp_path, monkeypatch):
@@ -395,7 +395,7 @@ class TestExternalScores:
         with pytest.raises(DatasetError, match=":1:"):
             load_external_scores(path, "summac")
 
-    @pytest.mark.parametrize("score", ["null", '"high"'])
+    @pytest.mark.parametrize("score", ["null", '"high"', "NaN", "Infinity", "-Infinity", "true", '"0.5"', "1" + "0" * 400])
     def test_a_score_that_is_not_a_number(self, tmp_path, score):
         path = tmp_path / "s.jsonl"
         path.write_text('{"doc_id": "a", "score": 0.5}\n{"doc_id": "b", "score": %s}\n' % score)
