@@ -1,15 +1,7 @@
 """Highlight-guided summarization pipeline and evaluation harness."""
 
 from .corpus import Document, Sentence, load_dataset, make_document, normalize_text, segment_sentences
-from .llm_client import (
-    GenRequest,
-    GenResponse,
-    HTTPBackend,
-    LLMClient,
-    MockBackend,
-    ScoreRequest,
-    ScoreResponse,
-)
+from .llm_client import GenRequest, GenResponse, HTTPBackend, LLMClient, MockBackend
 from .pipeline import METHODS, PipelineParams, SummaryRecord, plan, run_method
 from .prompts import Highlight, HighlightSet, align, parse_highlights, parse_planned, render
 from .runner import ExperimentConfig, evaluate, load_config, run
@@ -28,8 +20,6 @@ __all__ = [
     "HTTPBackend",
     "LLMClient",
     "MockBackend",
-    "ScoreRequest",
-    "ScoreResponse",
     "METHODS",
     "PipelineParams",
     "SummaryRecord",

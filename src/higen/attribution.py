@@ -14,7 +14,7 @@ every labelled sentence, hashed once per attribution, and that request's
 masks. A request's contexts are built only when its entry misses, so an
 interrupted attribution resumes request by request, and a changed budget,
 which splits the masks at other rows, misses every request entry. Once all
-m contexts are scored, their m (total logprob, token count) pairs are cached
+m contexts are scored, their m total logprobs are cached
 again as one packed score entry under ``llm_client.packed_score_key``, which
 covers the model, the response, every labelled sentence and the mask bits
 with their shape. A warm rerun reads that one entry and nothing else, and
@@ -54,7 +54,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError, is_number, require
-from .llm_client import LLMClient, ScoreRequest, ScoreResponse, packed_score_key, request_score_keys
+from .llm_client import LLMClient, packed_score_key, request_score_keys
 
 _logger = logging.getLogger(__name__)
 
@@ -298,8 +298,8 @@ def fit_lasso(
 
 def _score_ablations(
     client: LLMClient, document: Document, response: str, model: str, masks: np.ndarray
-) -> tuple[list[ScoreResponse], list[int]]:
-    """The score of ``response`` after each ablated context, in mask order,
+) -> tuple[list[float], list[int]]:
+    """The total logprob of ``response`` after each ablated context, in mask order,
     and the context characters of each request sent. Each run of
     ``request_runs`` over the contexts' lengths and ``SCORE_REQUEST_CHARS`` is
     one scoring request, cached as one entry; its contexts are built only
@@ -307,13 +307,13 @@ def _score_ablations(
     lengths = context_lengths(document, masks).tolist()
     runs = request_runs(lengths, SCORE_REQUEST_CHARS)
     keys = request_score_keys(model, response, document.labelled_sentences, masks, runs)
-    scores: list[ScoreResponse] = []
+    scores: list[float] = []
     sent: list[int] = []
     for run, key in zip(runs, keys):
 
-        def build(run: range = run) -> list[ScoreRequest]:
+        def build(run: range = run) -> tuple[str, str, list[str]]:
             sent.append(sum(lengths[run.start : run.stop]))
-            return [ScoreRequest(model, ablate(document, mask), response) for mask in masks[run.start : run.stop]]
+            return model, response, [ablate(document, mask) for mask in masks[run.start : run.stop]]
 
         try:
             scores += client.packed_scores(key, len(run), build)
@@ -370,7 +370,7 @@ def contextcite_attribute(
     targets: list[float] = []
     for index, score in enumerate(scores):
         try:
-            targets.append(logit_scale(score.total_logprob))
+            targets.append(logit_scale(score))
         except DomainError:
             continue
         usable[index] = True

@@ -147,6 +147,8 @@ def _cmd_attribute(args) -> int:
     config = load_config(args.config)
     document = _document_from_file(args.doc, need_sentences=True)
     response_text = read_text(args.response, "response").strip()
+    if not response_text:
+        raise DatasetError(f"response {args.response} is empty")
     client = build_client(config)
     result = contextcite_attribute(
         client,

@@ -13,13 +13,17 @@ its last caller leaves, so concurrent identical generations share one
 backend call. Scores go to the backend with an array ``prompt`` whose
 choices are mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS``
 describe each route's cached response; a missing or damaged entry is a miss,
-and a hit is read in one open, read and close. The score-cache key formats
-live here alone. A single context's key is the sha256 of the request's
-canonical JSON. A packed entry holds many scores, one list per score field:
-``packed_scores`` reads, and on a miss sends, the scores of one scoring
-request of an attribution under a ``request_score_keys`` key (the model, the
-continuation, every sentence, and that request's masks); it also reads a
-whole attribution's scores under its ``packed_score_key``, which
+and a hit is read in one open, read and close. A score is one float, the
+continuation's total logprob, and a score entry holds total logprobs only.
+An entry written when scores also carried a token count still hits, its
+counts unread; an entry written now has no counts, so a version that still
+reads them misses it and scores again. The score-cache key formats live
+here alone. A single context's key is the sha256 of the canonical JSON of
+its model, context and continuation. A packed entry holds many scores as
+one list: ``packed_scores`` reads, and on a miss sends, the scores of one
+scoring request of an attribution under a ``request_score_keys`` key (the
+model, the continuation, every sentence, and that request's masks); it also
+reads a whole attribution's scores under its ``packed_score_key``, which
 ``write_packed_scores`` writes once they are known to fit, so a warm
 attribution reads one file. A deterministic mock backend makes the whole
 pipeline reproducible in tests and offline runs.
@@ -91,25 +95,6 @@ class GenResponse:
 
 
 @dataclass(frozen=True)
-class ScoreRequest:
-    """A continuation to score after a context."""
-
-    model: str
-    context: str
-    continuation: str
-
-    def __post_init__(self) -> None:
-        if not self.continuation:
-            raise ValueError("continuation must be non-empty")
-
-
-@dataclass(frozen=True)
-class ScoreResponse:
-    total_logprob: float
-    token_count: int
-
-
-@dataclass(frozen=True)
 class RetryPolicy:
     attempts: int = 5
     base_delay: float = 1.0
@@ -129,11 +114,15 @@ class _Retryable(Exception):
 
 
 class Backend(Protocol):
+    """What an ``LLMClient`` sends its requests to. A score is the one float
+    the attribution needs, the continuation's total logprob, and that is all
+    a score cache entry holds."""
+
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
         """Return (text, prompt_tokens, completion_tokens)."""
 
-    def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
-        """Return (total_logprob, token_count) of each continuation, in order."""
+    def score_many(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float]:
+        """Return the total logprob of ``continuation`` after each context, in order."""
 
 
 def _canonical_gen_key(req: GenRequest) -> str:
@@ -151,8 +140,8 @@ def _canonical_gen_key(req: GenRequest) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
-def _canonical_score_key(req: ScoreRequest) -> str:
-    payload = {"kind": "score", "model": req.model, "context": req.context, "continuation": req.continuation}
+def _canonical_score_key(model: str, context: str, continuation: str) -> str:
+    payload = {"kind": "score", "model": model, "context": context, "continuation": continuation}
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
@@ -232,7 +221,7 @@ def _read_to_end(descriptor: int) -> bytes:
 # with the types a usable entry holds. A packed score entry holds one list per
 # score field, each value of the field's type.
 _GEN_FIELDS = {"text": str, "prompt_tokens": int, "completion_tokens": int}
-_SCORE_FIELDS = {"total_logprob": (int, float), "token_count": int}
+_SCORE_FIELDS = {"total_logprob": (int, float)}
 
 
 def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
@@ -395,39 +384,39 @@ class LLMClient:
             values, latency_ms = self._cached("gen", key, _GEN_FIELDS, lambda: req, self.backend.complete)
         return GenResponse(*values, latency_ms=latency_ms or 0, cached=latency_ms is None)
 
-    def score_continuation(self, req: ScoreRequest) -> ScoreResponse:
-        """One context's score, cached under its ``_canonical_score_key``.
-        Bench-only: nothing in ``higen`` calls it; ``bench/layers.py`` patches it."""
+    def score_continuation(self, model: str, context: str, continuation: str) -> float:
+        """The total logprob of ``continuation`` after ``context``, cached under
+        its ``_canonical_score_key``. Bench-only: nothing in ``higen`` calls
+        it; ``bench/layers.py`` patches it."""
 
-        def send(one: ScoreRequest) -> tuple[float, int]:
-            return self.backend.score_many([one])[0]
+        def send(contexts: list[str]) -> list[float]:
+            return self.backend.score_many(model, continuation, contexts)
 
-        values, _ = self._cached("score", _canonical_score_key(req), _SCORE_FIELDS, lambda: req, send)
-        return ScoreResponse(*values)
+        key = _canonical_score_key(model, context, continuation)
+        [score], _ = self._cached("score", key, _SCORE_FIELDS, lambda: [context], send)
+        return score
 
     def packed_scores(
         self,
         key: str,
         count: int,
-        build: Callable[[], list[ScoreRequest]] | None = None,
-    ) -> list[ScoreResponse] | None:
-        """The ``count`` scores cached as one packed entry under ``key``, in
-        order: those of one scoring request (see ``request_score_keys``) or
-        of a whole attribution (see ``packed_score_key``). A hit counts as
-        ``count`` cache hits. On a miss, ``build()`` makes the ``count``
-        requests, which go to the backend as one request and are cached
-        under ``key``; without ``build`` a miss is None."""
+        build: Callable[[], tuple[str, str, list[str]]] | None = None,
+    ) -> list[float] | None:
+        """The ``count`` total logprobs cached as one packed entry under
+        ``key``, in order: those of one scoring request (see
+        ``request_score_keys``) or of a whole attribution (see
+        ``packed_score_key``). A hit counts as ``count`` cache hits. On a
+        miss, ``build()`` makes the (model, continuation, ``count`` contexts)
+        batch, which goes to the backend as one request and is cached under
+        ``key``; without ``build`` a miss is None."""
+        columns, _ = self._cached(
+            "packed_score", key, _SCORE_FIELDS, build, lambda batch: [self.backend.score_many(*batch)], count
+        )
+        return None if columns is None else columns[0]
 
-        def send(reqs: list[ScoreRequest]) -> list[tuple]:
-            return list(zip(*self.backend.score_many(reqs)))
-
-        columns, _ = self._cached("packed_score", key, _SCORE_FIELDS, build, send, count)
-        return None if columns is None else [ScoreResponse(*row) for row in zip(*columns)]
-
-    def write_packed_scores(self, key: str, scores: Sequence[ScoreResponse]) -> None:
-        """Cache ``scores`` under ``key`` as one packed entry, one list per field."""
-        response = {name: [getattr(score, name) for score in scores] for name in _SCORE_FIELDS}
-        self._cache_write(key, {"kind": "packed_score", "key": key}, response)
+    def write_packed_scores(self, key: str, scores: Sequence[float]) -> None:
+        """Cache the total logprobs ``scores`` under ``key`` as one packed entry."""
+        self._cache_write(key, {"kind": "packed_score", "key": key}, {"total_logprob": list(scores)})
 
 
 class HTTPBackend:
@@ -499,40 +488,39 @@ class HTTPBackend:
         data = self._post("/v1/chat/completions", payload)
         try:
             text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            usage = data.get("usage") or {}
+            counts = int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise EndpointError(200, f"unexpected completion payload: {exc}") from exc
-        usage = data.get("usage") or {}
-        return text, int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
+        if not isinstance(text, str):
+            raise EndpointError(200, f"completion content is {type(text).__name__}, not a string")
+        return text, *counts
 
-    def score(self, req: ScoreRequest) -> tuple[float, int]:
-        """Bench-only ``score_many`` of one request: ``bench/layers.py`` patches it."""
-        return self.score_many([req])[0]
+    def score(self, model: str, context: str, continuation: str) -> float:
+        """Bench-only ``score_many`` of one context: ``bench/layers.py`` patches it."""
+        return self.score_many(model, continuation, [context])[0]
 
-    def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
-        """Score a batch of one model in one completions request. An item whose
-        seam falls inside a token is tried once more, with a space inserted
-        at its seam (common BPE vocabularies start continuation tokens on the
-        space); only those items are sent again."""
-        model = reqs[0].model
-        if any(req.model != model for req in reqs):
-            raise ValueError("a scoring batch must use one model")
-        results = self._score_once([(req.context, req.continuation) for req in reqs], model)
+    def score_many(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float]:
+        """Score ``continuation`` after each context in one completions
+        request. A context whose seam falls inside a token is tried once
+        more, with a space inserted at its seam (common BPE vocabularies
+        start continuation tokens on the space); only those contexts are
+        sent again."""
+        results = self._score_once(model, continuation, contexts)
         misaligned = [i for i, result in enumerate(results) if isinstance(result, SeamAlignmentError)]
         if misaligned:
-            pairs = [(reqs[i].context + " ", reqs[i].continuation) for i in misaligned]
-            for i, result in zip(misaligned, self._score_once(pairs, model)):
+            spaced = [contexts[i] + " " for i in misaligned]
+            for i, result in zip(misaligned, self._score_once(model, continuation, spaced)):
                 if isinstance(result, SeamAlignmentError):
                     raise result
                 results[i] = result
         return results
 
-    def _score_once(
-        self, pairs: list[tuple[str, str]], model: str
-    ) -> list[tuple[float, int] | SeamAlignmentError]:
-        """Per (context, continuation) pair, the continuation's total logprob
-        and token count, or the SeamAlignmentError of a pair whose seam does
-        not fall on a token boundary. The prompts are sent as one array."""
-        prompts = [context + continuation for context, continuation in pairs]
+    def _score_once(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float | SeamAlignmentError]:
+        """Per context, the continuation's total logprob after it, or the
+        SeamAlignmentError of a context whose seam does not fall on a token
+        boundary. The prompts are sent as one array."""
+        prompts = [context + continuation for context in contexts]
         payload = {
             "model": model,
             "prompt": prompts,
@@ -552,10 +540,10 @@ class HTTPBackend:
             if not isinstance(index, int) or not 0 <= index < len(prompts) or ordered[index] is not None:
                 raise EndpointError(200, f"completions choice {position} has no distinct index in the batch")
             ordered[index] = choice
-        return [self._continuation_logprob(choice, len(context)) for choice, (context, _) in zip(ordered, pairs)]
+        return [self._continuation_logprob(choice, len(context)) for choice, context in zip(ordered, contexts)]
 
     @staticmethod
-    def _continuation_logprob(choice: dict, seam: int) -> tuple[float, int] | SeamAlignmentError:
+    def _continuation_logprob(choice: dict, seam: int) -> float | SeamAlignmentError:
         logprobs = choice.get("logprobs")
         if not logprobs or "token_logprobs" not in logprobs or "text_offset" not in logprobs:
             raise CapabilityError(
@@ -569,7 +557,7 @@ class HTTPBackend:
         tail = logprobs["token_logprobs"][start:]
         if not len(tail) or np.isnan(tail).any():
             return SeamAlignmentError("missing logprobs for continuation tokens")
-        return float(math.fsum(tail)), len(tail)
+        return math.fsum(tail)
 
 
 def _retry_after(resp: requests.Response) -> float:
@@ -722,17 +710,15 @@ class MockBackend:
         text = self.generate_fn(req)
         return text, len(req.user_prompt.split()), len(text.split())
 
-    def score(self, req: ScoreRequest) -> tuple[float, int]:
-        """Bench-only ``score_many`` of one request: ``bench/layers.py`` patches it."""
-        return self.score_many([req])[0]
+    def score(self, model: str, context: str, continuation: str) -> float:
+        """Bench-only ``score_many`` of one context: ``bench/layers.py`` patches it."""
+        return self.score_many(model, continuation, [context])[0]
 
-    def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
-        """One score call per batch, however many requests it holds."""
+    def score_many(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float]:
+        """One score call per batch, however many contexts it holds."""
         with self._lock:
             self.score_calls += 1
-        return [
-            (self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)) for req in reqs
-        ]
+        return [self.score_fn(context, continuation) for context in contexts]
 
 
 def backend_from_url(

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .attribution import AttributionParams
 from .corpus import FIELD_KEYS, SCHEMAS, Document, load_dataset, read_jsonl
-from .errors import ConfigError, is_number, require
+from .errors import ConfigError, DatasetError, is_number, require
 from .lexrank import LexRankParams
 from .llm_client import LLMClient, RetryPolicy, backend_from_url, write_atomically
 from .pipeline import METHODS, PipelineParams, SummaryRecord, run_method
@@ -389,7 +389,18 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
 
 
 def read_metric_rows(run_dir: str | Path) -> list[dict]:
+    """The rows of a run's metrics.jsonl. Every row needs a string doc_id and
+    method, and a row with a metric also a string metric and a finite number
+    value; any other row is a DatasetError naming its line. Warning rows pass
+    as they are."""
     path = Path(run_dir) / "metrics.jsonl"
     if not path.exists():
         raise ConfigError(f"no metrics.jsonl under {run_dir}; evaluate first")
-    return [row for _, row in read_jsonl(path)]
+    rows = []
+    for lineno, row in read_jsonl(path):
+        if not (isinstance(row.get("doc_id"), str) and isinstance(row.get("method"), str)):
+            raise DatasetError(f"{path}:{lineno}: a metric row needs a string doc_id and method")
+        if "metric" in row and not (isinstance(row["metric"], str) and is_number(row.get("value"))):
+            raise DatasetError(f"{path}:{lineno}: a metric row needs a string metric and a finite number value")
+        rows.append(row)
+    return rows

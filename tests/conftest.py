@@ -3,15 +3,14 @@ from __future__ import annotations
 import json
 import threading
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import pytest
 
 from higen.corpus import Document, make_document
 from higen.errors import EndpointError
-from higen.llm_client import GenRequest, LLMClient, MockBackend, ScoreRequest, prompt_hash
+from higen.llm_client import GenRequest, LLMClient, MockBackend, prompt_hash
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -47,10 +46,19 @@ def traced_peak(fn: Callable, *args, **kwargs):
     return result, peak
 
 
-def score_requests(client: LLMClient, reqs: list[ScoreRequest]):
-    """Score plain requests one at a time through ``score_continuation``, each
-    under its own canonical score key."""
-    return [client.score_continuation(req) for req in reqs]
+def score_requests(client: LLMClient, model: str, continuation: str, contexts: list[str]) -> list[float]:
+    """Score ``continuation`` after each context, one at a time through
+    ``score_continuation``, each under its own canonical score key."""
+    return [client.score_continuation(model, context, continuation) for context in contexts]
+
+
+# A score batch as a test backend records it: (model, continuation, contexts).
+ScoreBatch = tuple[str, str, list[str]]
+
+
+def scored_contexts(backend) -> list[str]:
+    """The contexts of every score batch ``backend`` recorded, in order."""
+    return [context for request in backend.requests if isinstance(request, tuple) for context in request[2]]
 
 
 def per_token_scorer(context: str, continuation: str) -> float:
@@ -59,23 +67,23 @@ def per_token_scorer(context: str, continuation: str) -> float:
 
 
 class RecordingBackend(MockBackend):
-    """A MockBackend that records every request it is sent, a scored one with
-    its context replaced by the context's ``prompt_hash``."""
+    """A MockBackend that records every request it is sent, a score batch
+    with each context replaced by the context's ``prompt_hash``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.requests: list[GenRequest | ScoreRequest] = []
+        self.requests: list[GenRequest | ScoreBatch] = []
 
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
         with self._lock:
             self.requests.append(req)
         return super().complete(req)
 
-    def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
-        recorded = [replace(req, context=prompt_hash(req.context)) for req in reqs]
+    def score_many(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float]:
+        recorded = (model, continuation, [prompt_hash(context) for context in contexts])
         with self._lock:
-            self.requests.extend(recorded)
-        return super().score_many(reqs)
+            self.requests.append(recorded)
+        return super().score_many(model, continuation, contexts)
 
 
 def make_mock_client(tmp_path, backend=None, **kwargs) -> tuple[LLMClient, RecordingBackend]:
@@ -91,7 +99,7 @@ class ScriptedBackend:
         self._responses = list(responses)
         self._index = 0
         self.score_fn = score_fn
-        self.requests: list[GenRequest | ScoreRequest] = []
+        self.requests: list[GenRequest | ScoreBatch] = []
         self._lock = threading.Lock()
 
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
@@ -103,9 +111,7 @@ class ScriptedBackend:
             self._index += 1
         return text, len(req.user_prompt.split()), len(text.split())
 
-    def score_many(self, reqs: list[ScoreRequest]) -> list[tuple[float, int]]:
+    def score_many(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float]:
         with self._lock:
-            self.requests.extend(reqs)
-        return [
-            (self.score_fn(req.context, req.continuation), max(len(req.continuation.split()), 1)) for req in reqs
-        ]
+            self.requests.append((model, continuation, list(contexts)))
+        return [self.score_fn(context, continuation) for context in contexts]

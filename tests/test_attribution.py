@@ -24,10 +24,10 @@ from higen.attribution import (
 )
 from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
-from higen.llm_client import LLMClient, MockBackend, ScoreRequest, overlap_scorer, packed_score_key, prompt_hash
+from higen.llm_client import LLMClient, MockBackend, overlap_scorer, packed_score_key, prompt_hash
 from higen.prompts import ranked_highlights
 
-from conftest import RecordingBackend, doc_from_sentences, traced_peak
+from conftest import RecordingBackend, doc_from_sentences, scored_contexts, traced_peak
 
 # 12 sentences with disjoint token sets so substring presence is unambiguous.
 _SYNTH_SENTENCES = [
@@ -490,8 +490,10 @@ class TestContextciteAttribute:
         runs = request_runs(context_lengths(doc, masks).tolist(), _SMALL_BUDGET)
         assert small_backend.score_calls == len(runs) > 2
         assert single_backend.score_calls == m  # every context is longer than one character
-        assert packed_backend.requests == small_backend.requests == single_backend.requests
-        assert [r.context for r in packed_backend.requests] == [prompt_hash(ablate(doc, mask)) for mask in masks]
+        backends = (packed_backend, small_backend, single_backend)
+        assert {batch[:2] for backend in backends for batch in backend.requests} == {("m", response)}
+        contexts = [prompt_hash(ablate(doc, mask)) for mask in masks]
+        assert [scored_contexts(backend) for backend in backends] == [contexts] * 3
 
     def test_scoring_error_names_the_first_mask_of_the_failed_batch(self, tmp_path, monkeypatch):
         from higen.errors import EndpointError
@@ -707,12 +709,10 @@ class TestPackedScoreEntry:
         [
             lambda good: good[: len(good) // 2],
             _edited_response(lambda response: response["total_logprob"].pop()),
-            _edited_response(lambda response: response["token_count"].append(1)),
-            _edited_response(lambda response: response["token_count"].__setitem__(3, True)),
             _edited_response(lambda response: response["total_logprob"].__setitem__(0, "-1.5")),
             _edited_response(lambda response: response.__setitem__("total_logprob", -1.5)),
         ],
-        ids=["truncated", "a_logprob_short", "a_count_long", "a_bool_count", "a_string_logprob", "not_a_list"],
+        ids=["truncated", "a_logprob_short", "a_string_logprob", "not_a_list"],
     )
     def test_a_damaged_entry_falls_back_to_the_per_request_entries_and_is_rewritten(
         self, tmp_path, monkeypatch, damage
@@ -812,7 +812,7 @@ class TestPackedScoreEntry:
         assert healed.score_calls == resumed.scoring_requests == len(runs) - failed
         masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
         resent = masks[runs[failed].start :]
-        assert [r.context for r in healed.requests] == [prompt_hash(ablate(doc, mask)) for mask in resent]
+        assert scored_contexts(healed) == [prompt_hash(ablate(doc, mask)) for mask in resent]
         assert client.cache_hits == runs[failed].start
         assert len(list((tmp_path / "cache").glob("*.json"))) == len(runs) + 1
         assert resumed == self._cold(tmp_path / "fresh")
@@ -840,18 +840,37 @@ class TestPackedScoreEntry:
         # field by field as it was then.
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
-        scored = MockBackend(score_fn=overlap_scorer).score_many(
-            [ScoreRequest("m", ablate(doc, mask), self._RESPONSE) for mask in masks]
-        )
+        scored = [overlap_scorer(ablate(doc, mask), self._RESPONSE) for mask in masks]
         path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
         path.parent.mkdir()
         entry = {
             "request": {"kind": "packed_score", "key": path.stem},
-            "response": {"total_logprob": [s for s, _ in scored], "token_count": [c for _, c in scored]},
+            "response": {"total_logprob": scored, "token_count": [len(self._RESPONSE.split())] * len(masks)},
         }
         path.write_text(json.dumps(entry, ensure_ascii=False))
         assert self._warm(tmp_path) == self._cold(tmp_path / "fresh")
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed_entry", "request_entry"])
+    def test_entries_that_also_hold_token_counts_hit_and_are_not_rewritten(self, tmp_path, packed):
+        # An entry written when scores also carried a token count holds a
+        # token_count list beside its total_logprob list; the counts go unread.
+        cold = self._cold(tmp_path)
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        packed_path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        if not packed:
+            packed_path.unlink()
+        written = {}
+        for path in (tmp_path / "cache").glob("*.json"):
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            logprobs = entry["response"]["total_logprob"]
+            entry["response"]["token_count"] = [len(self._RESPONSE.split())] * len(logprobs)
+            path.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
+            written[path] = path.read_bytes()
+        assert len(written) == cold.scoring_requests + packed
+        assert self._warm(tmp_path) == cold
+        assert {path: path.read_bytes() for path in written} == written
+        assert packed_path.exists()
 
     def test_the_contexts_of_two_requests_are_never_alive_together(self, tmp_path, monkeypatch):
         from higen import attribution

@@ -317,6 +317,18 @@ class TestAttributeCommand:
         assert captured.out == ""
         assert captured.err.startswith("dataset error: ") and "no sentences" in captured.err
 
+    def test_attribute_on_a_blank_response_is_an_error_line_and_2(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text("Alpha one here. Beta two there.")
+        response_path = tmp_path / "resp.txt"
+        response_path.write_text(" \n\t\n")
+        config = _write_config(tmp_path)
+        rc = main(["attribute", "--doc", str(doc_path), "--response", str(response_path), "-c", str(config)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dataset error: response {response_path} is empty\n"
+
     def test_attribute_needs_config(self, tmp_path):
         doc_path = tmp_path / "doc.txt"
         doc_path.write_text("Alpha.")
@@ -352,6 +364,35 @@ class TestEvaluateAndReportCommands:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: ") and f"metrics.jsonl:{len(lines)}: malformed JSON line" in line
         assert not (tmp_path / "run" / "report.md").exists()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"doc_id": "d2", "method": "direct", "metric": "rouge_l", "value": "abc"},
+            {"method": "direct", "metric": "rouge_l", "value": 0.5},
+            {"doc_id": "d2", "method": "direct", "metric": "rouge_l", "value": math.nan},
+            {"doc_id": "d2", "method": "direct", "metric": "rouge_l", "value": None},
+        ],
+        ids=["string_value", "no_doc_id", "nan_value", "null_value"],
+    )
+    def test_report_on_a_damaged_metric_row_is_an_error_line_and_2(self, tmp_path, capsys, row):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(json.dumps({"config": {"methods": ["direct"]}}))
+        good = [
+            {"doc_id": "d0", "method": "direct", "metric": "rouge_l", "value": 0.5},
+            {"doc_id": "d1", "method": "direct", "warning": "no reference summary; rouge_l skipped"},
+        ]
+        metrics_path = run_dir / "metrics.jsonl"
+        metrics_path.write_text("".join(json.dumps(r) + "\n" for r in good))
+        assert main(["report", "--run-dir", str(run_dir), "--format", "md"]) == 0
+        (run_dir / "report.md").unlink()
+        metrics_path.write_text("".join(json.dumps(r) + "\n" for r in [*good, row]))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run_dir)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("dataset error: ") and "metrics.jsonl:3: a metric row needs" in line
+        assert not (run_dir / "report.md").exists()
 
     def test_a_missing_external_scores_file_is_2_and_writes_no_metrics(self, tmp_path, capsys):
         missing = tmp_path / "absent.jsonl"

@@ -24,8 +24,6 @@ from higen.llm_client import (
     MAX_RETRY_AFTER,
     MockBackend,
     RetryPolicy,
-    ScoreRequest,
-    ScoreResponse,
     _canonical_gen_key,
     _canonical_score_key,
     _GEN_FIELDS,
@@ -93,14 +91,11 @@ class TestMockContract:
 
     def test_per_token_scorer_contract(self, tmp_path):
         client, _ = make_mock_client(tmp_path)
-        response = client.score_continuation(ScoreRequest(model="m", context="x", continuation="a b c"))
-        assert response.total_logprob == pytest.approx(-1.5)
-        assert response.token_count == 3
+        assert client.score_continuation("m", "x", "a b c") == pytest.approx(-1.5)
 
     def test_per_token_scorer_empty_context(self, tmp_path):
         client, _ = make_mock_client(tmp_path)
-        response = client.score_continuation(ScoreRequest(model="m", context="", continuation="a"))
-        assert response.total_logprob == pytest.approx(-0.5)
+        assert client.score_continuation("m", "", "a") == pytest.approx(-0.5)
 
     def test_score_additivity_over_prefixes(self):
         # per-token mock: score of the whole equals the sum of per-token increments
@@ -115,8 +110,6 @@ class TestMockContract:
     def test_request_invariants(self):
         with pytest.raises(ValueError):
             GenRequest(model="m", user_prompt="p", max_tokens=0)
-        with pytest.raises(ValueError):
-            ScoreRequest(model="m", context="c", continuation="")
 
 
 class TestCache:
@@ -164,8 +157,7 @@ class TestCache:
         # route's fields in order}, so caches written before keep hitting.
         client, _ = make_mock_client(tmp_path)
         gen = client.generate(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
-        req = ScoreRequest(model="m", context="c", continuation="a b")
-        score, score_key = client.score_continuation(req), _canonical_score_key(req)
+        score, score_key = client.score_continuation("m", "c", "a b"), _canonical_score_key("m", "c", "a b")
         assert score_key == "b46da18f075c5d5eeb48cdfbef089dd82e3020a72663f7dff91c7924ef570e8e"
         gen_key = _canonical_gen_key(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
         assert (tmp_path / "cache" / f"{gen_key}.json").read_text(encoding="utf-8") == (
@@ -175,9 +167,9 @@ class TestCache:
         assert not gen.cached
         assert (tmp_path / "cache" / f"{score_key}.json").read_text(encoding="utf-8") == (
             f'{{"request": {{"kind": "score", "key": "{score_key}"}}, "response": '
-            '{"total_logprob": -1.0, "token_count": 2}}'
+            '{"total_logprob": -1.0}}'
         )
-        assert score.total_logprob == -1.0 and score.token_count == 2
+        assert score == -1.0
 
     def test_a_large_generation_entry_round_trips(self, tmp_path):
         # 200 KB takes several reads of the entry; every byte must come back.
@@ -201,9 +193,8 @@ class TestCache:
 
     def test_score_requests_cached(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
-        req = ScoreRequest(model="m", context="c", continuation="a b")
-        client.score_continuation(req)
-        client.score_continuation(req)
+        client.score_continuation("m", "c", "a b")
+        client.score_continuation("m", "c", "a b")
         assert backend.score_calls == 1
         assert client.cache_hits == 1
 
@@ -264,7 +255,7 @@ class TestScoreKey:
         mask = bits[: len(sentences)]
         context = " ".join(compress(sentences, mask))
         expected = _plain_score_key(model, context, continuation)
-        assert _canonical_score_key(ScoreRequest(model, context, continuation)) == expected
+        assert _canonical_score_key(model, context, continuation) == expected
         masks = np.array([[True] * len(sentences), mask], dtype=bool)
         assert packed_score_key(model, continuation, sentences, masks) == _plain_packed_key(
             model, continuation, sentences, masks
@@ -320,23 +311,22 @@ class TestScoreKey:
         # packed_scores caches under the key it is given; it never recomputes
         # a key from the requests that it builds.
         client, backend = make_mock_client(tmp_path)
-        plain = ScoreRequest(model="m", context="c", continuation="a b")
-        client.packed_scores("0" * 64, 1, lambda: [plain])
+        client.packed_scores("0" * 64, 1, lambda: ("m", "a b", ["c"]))
         assert [path.stem for path in (tmp_path / "cache").glob("*.json")] == ["0" * 64]
 
     def test_recording_backend_records_a_scored_context_by_its_hash(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
         assert isinstance(backend, RecordingBackend)
         context = "A long ablated context. " * 50
-        score_requests(client, [ScoreRequest(model="m", context=context, continuation="a b")])
+        score_requests(client, "m", "a b", [context])
         [recorded] = backend.requests
-        assert recorded == ScoreRequest(model="m", context=prompt_hash(context), continuation="a b")
+        assert recorded == ("m", "a b", [prompt_hash(context)])
 
 
 _DAMAGED_BODIES = {
     "not_an_object": b"[1, 2]",
     "not_utf8": b"\xff\xfe{\xfa",
-    "missing_field": b'{"request": {}, "response": {"total_logprob": 1}}',
+    "missing_field": b'{"request": {}, "response": {"prompt_tokens": 1}}',
     "wrong_type": (
         b'{"request": {}, "response": {"total_logprob": "-1", "token_count": 1,'
         b' "text": 7, "prompt_tokens": 1, "completion_tokens": 1}}'
@@ -350,8 +340,7 @@ class TestDamagedCacheEntry:
     @pytest.mark.parametrize("kind", ["score", "gen"])
     def test_is_a_miss_that_is_written_again(self, tmp_path, kind, body):
         if kind == "score":
-            req = ScoreRequest(model="m", context="c", continuation="a b")
-            call = lambda client: score_requests(client, [req])[0]  # noqa: E731
+            call = lambda client: score_requests(client, "m", "a b", ["c"])[0]  # noqa: E731
         else:
             req = GenRequest(model="m", user_prompt="Summary please.\n\nReport:\nA. B.")
             call = lambda client: client.generate(req).text  # noqa: E731
@@ -562,9 +551,7 @@ class TestHTTPBackend:
         payload = _completions_payload(["ab", " cd", " ef"], [None, -1.5, -0.25], [0, 2, 5])
         session = _FakeSession([_FakeResponse(200, payload)])
         backend = HTTPBackend("http://host", session=session)
-        total, count = backend.score(ScoreRequest(model="m", context="ab", continuation=" cd ef"))
-        assert total == pytest.approx(-1.75)
-        assert count == 2
+        assert backend.score("m", "ab", " cd ef") == pytest.approx(-1.75)
         _, payload = session.posts[0]
         assert payload["echo"] is True
         assert payload["max_tokens"] == 0
@@ -577,9 +564,7 @@ class TestHTTPBackend:
         second = _FakeResponse(200, _completions_payload(["ab ", "cd"], [None, -0.5], [0, 3]))
         session = _FakeSession([first, second])
         backend = HTTPBackend("http://host", session=session)
-        total, count = backend.score(ScoreRequest(model="m", context="ab", continuation="cd"))
-        assert total == pytest.approx(-0.5)
-        assert count == 1
+        assert backend.score("m", "ab", "cd") == pytest.approx(-0.5)
         assert len(session.posts) == 2
         assert session.posts[1][1]["prompt"] == ["ab cd"]
 
@@ -590,8 +575,8 @@ class TestHTTPBackend:
         longer = _completions_payload(["ab", " cd", " ef"], [None, -1.5, -0.8], [0, 2, 5])
         backend_short = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, short)]))
         backend_long = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, longer)]))
-        total_short, _ = backend_short.score(ScoreRequest(model="m", context="ab", continuation=" cd"))
-        total_long, _ = backend_long.score(ScoreRequest(model="m", context="ab", continuation=" cd ef"))
+        total_short = backend_short.score("m", "ab", " cd")
+        total_long = backend_long.score("m", "ab", " cd ef")
         assert total_long <= total_short
         assert total_short <= 0.0
 
@@ -599,7 +584,7 @@ class TestHTTPBackend:
         session = _FakeSession([_FakeResponse(200, {"choices": [{"text": "x"}]})])
         backend = HTTPBackend("http://host", session=session)
         with pytest.raises(CapabilityError):
-            backend.score(ScoreRequest(model="m", context="a", continuation="b"))
+            backend.score("m", "a", "b")
 
     def test_oversize_rejection_detected(self):
         session = _FakeSession(
@@ -608,6 +593,26 @@ class TestHTTPBackend:
         backend = HTTPBackend("http://host", session=session)
         with pytest.raises(OversizeError):
             backend.complete(GenRequest(model="m", user_prompt="p"))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"choices": []},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": 42}}]},
+            {**_CHAT_OK, "usage": "7 and 3"},
+            {**_CHAT_OK, "usage": {"prompt_tokens": None, "completion_tokens": 3}},
+        ],
+        ids=["no_choice", "null_content", "number_content", "usage_not_a_mapping", "null_prompt_tokens"],
+    )
+    def test_a_chat_payload_it_cannot_read_is_an_endpoint_error_not_retried_or_cached(self, tmp_path, payload):
+        session = _FakeSession([_FakeResponse(200, payload), _FakeResponse(200, _CHAT_OK)])
+        client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
+        with pytest.raises(EndpointError) as err:
+            client.generate(GenRequest(model="m", user_prompt="p"))
+        assert err.value.status == 200
+        assert len(session.posts) == client.backend_calls == 1
+        assert list((tmp_path / "cache").iterdir()) == []
 
     def test_client_error_is_endpoint_error(self):
         session = _FakeSession([_FakeResponse(404, text="nope")])
@@ -752,8 +757,7 @@ class TestBatchedScoring:
         payload = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["xy", " cd"], [None, -2.0])]}
         session = _FakeSession([_FakeResponse(200, payload)])
         backend = HTTPBackend("http://host", session=session)
-        reqs = [ScoreRequest("m", "ab", " cd"), ScoreRequest("m", "xy", " cd")]
-        assert backend.score_many(reqs) == [(-1.0, 1), (-2.0, 1)]
+        assert backend.score_many("m", " cd", ["ab", "xy"]) == [-1.0, -2.0]
         [(url, sent)] = session.posts
         assert url == "http://host/v1/completions"
         assert sent["prompt"] == ["ab cd", "xy cd"]
@@ -764,52 +768,51 @@ class TestBatchedScoring:
             "choices": [
                 _choice(2, ["c", " z"], [None, -3.0]),
                 _choice(0, ["a", " z"], [None, -1.0]),
-                _choice(1, ["b", " z", " z"], [None, -2.0, -0.5]),
+                _choice(1, ["b", " ", "z"], [None, -2.0, -0.5]),
             ]
         }
         backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
-        reqs = [ScoreRequest("m", "a", " z"), ScoreRequest("m", "b", " z z"), ScoreRequest("m", "c", " z")]
-        assert backend.score_many(reqs) == [(-1.0, 1), (-2.5, 2), (-3.0, 1)]
+        assert backend.score_many("m", " z", ["a", "b", "c"]) == [-1.0, -2.5, -3.0]
 
     @pytest.mark.parametrize("indices", [[0], [0, 1, 2], [0, 0]])
     def test_wrong_choices_are_endpoint_errors(self, indices):
         payload = {"choices": [_choice(i, ["a", " z"], [None, -1.0]) for i in indices]}
         backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
         with pytest.raises(EndpointError) as err:
-            backend.score_many([ScoreRequest("m", "a", " z"), ScoreRequest("m", "b", " z")])
+            backend.score_many("m", " z", ["a", "b"])
         assert err.value.status == 200
 
     def test_only_the_misaligned_item_takes_the_seam_space_retry(self):
-        # "ab" + " cd" aligns at offset 2; "ab" + "cd" echoes one token "abcd",
-        # so only the second item is sent again, as "ab " + "cd".
-        first = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["abcd"], [None])]}
-        second = {"choices": [_choice(0, ["ab ", "cd"], [None, -0.5])]}
+        # "ab" + "cd" aligns at offset 2; "xy" + "cd" echoes one token "xycd",
+        # so only the second item is sent again, as "xy " + "cd".
+        first = {"choices": [_choice(0, ["ab", "cd"], [None, -1.0]), _choice(1, ["xycd"], [None])]}
+        second = {"choices": [_choice(0, ["xy ", "cd"], [None, -0.5])]}
         session = _FakeSession([_FakeResponse(200, first), _FakeResponse(200, second)])
         backend = HTTPBackend("http://host", session=session)
-        scored = backend.score_many([ScoreRequest("m", "ab", " cd"), ScoreRequest("m", "ab", "cd")])
-        assert scored == [(-1.0, 1), (-0.5, 1)]
-        assert [sent["prompt"] for _, sent in session.posts] == [["ab cd", "abcd"], ["ab cd"]]
+        scored = backend.score_many("m", "cd", ["ab", "xy"])
+        assert scored == [-1.0, -0.5]
+        assert [sent["prompt"] for _, sent in session.posts] == [["abcd", "xycd"], ["xy cd"]]
 
     def test_a_packed_request_is_matched_by_index_and_resends_only_its_misaligned_item(self):
         # Twelve contexts in one request; the choices come back shuffled, and
         # the one of context 7 echoes one token across its seam.
-        reqs = [ScoreRequest("m", f"ctx{i}", " z") for i in range(12)]
+        contexts = [f"ctx{i}" for i in range(12)]
         choices = [_choice(i, [f"ctx{i}", " z"], [None, -float(i + 1)]) for i in range(12)]
         choices[7] = _choice(7, ["ctx7 z"], [None])
         order = [5, 11, 0, 7, 3, 9, 1, 10, 6, 2, 8, 4]
         first = {"choices": [choices[i] for i in order]}
         second = {"choices": [_choice(0, ["ctx7 ", "z"], [None, -0.5])]}
         session = _FakeSession([_FakeResponse(200, first), _FakeResponse(200, second)])
-        scored = HTTPBackend("http://host", session=session).score_many(reqs)
-        assert scored == [(-float(i + 1), 1) if i != 7 else (-0.5, 1) for i in range(12)]
+        scored = HTTPBackend("http://host", session=session).score_many("m", " z", contexts)
+        assert scored == [-float(i + 1) if i != 7 else -0.5 for i in range(12)]
         assert [sent["prompt"] for _, sent in session.posts] == [[f"ctx{i} z" for i in range(12)], ["ctx7  z"]]
 
     def test_backend_calls_count_requests_not_items(self, tmp_path):
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(8)]}
         session = _FakeSession([_FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
-        scored = client.packed_scores("0" * 64, 8, lambda: [ScoreRequest("m", str(i), " z") for i in range(8)])
-        assert [s.total_logprob for s in scored] == [-1.0] * 8
+        scored = client.packed_scores("0" * 64, 8, lambda: ("m", " z", [str(i) for i in range(8)]))
+        assert scored == [-1.0] * 8
         assert len(session.posts) == 1
         assert client.backend_calls == 1
 
@@ -817,7 +820,7 @@ class TestBatchedScoring:
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(2)]}
         session = _FakeSession([_FakeResponse(429), _FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), sleep=lambda _: None)
-        client.packed_scores("0" * 64, 2, lambda: [ScoreRequest("m", "0", " z"), ScoreRequest("m", "1", " z")])
+        client.packed_scores("0" * 64, 2, lambda: ("m", " z", ["0", "1"]))
         assert len(session.posts) == 2
         assert session.posts[0][1] == session.posts[1][1]
         assert client.backend_calls == 2
@@ -832,23 +835,22 @@ class TestBatchedScoring:
 
         def build():
             built.append(len(session.posts))
-            return [ScoreRequest("m", "0", " z")]
+            return "m", " z", ["0"]
 
-        assert client.packed_scores("0" * 64, 1, build) == [ScoreResponse(-1.0, 1)]
+        assert client.packed_scores("0" * 64, 1, build) == [-1.0]
         assert built == [0]  # before the first attempt, and only then
         assert len(session.posts) == client.backend_calls == 3
         # A hit neither builds nor sends.
-        assert client.packed_scores("0" * 64, 1, build) == [ScoreResponse(-1.0, 1)]
+        assert client.packed_scores("0" * 64, 1, build) == [-1.0]
         assert built == [0] and len(session.posts) == client.backend_calls == 3
         assert client.cache_hits == 1
 
     def test_the_seam_retry_post_counts_as_a_backend_call(self, tmp_path):
-        first = {"choices": [_choice(0, ["ab", " cd"], [None, -1.0]), _choice(1, ["abcd"], [None])]}
-        second = {"choices": [_choice(0, ["ab ", "cd"], [None, -0.5])]}
+        first = {"choices": [_choice(0, ["ab", "cd"], [None, -1.0]), _choice(1, ["xycd"], [None])]}
+        second = {"choices": [_choice(0, ["xy ", "cd"], [None, -0.5])]}
         session = _FakeSession([_FakeResponse(200, first), _FakeResponse(200, second)])
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
-        reqs = [ScoreRequest("m", "ab", " cd"), ScoreRequest("m", "ab", "cd")]
-        assert client.packed_scores("0" * 64, 2, lambda: reqs) == [ScoreResponse(-1.0, 1), ScoreResponse(-0.5, 1)]
+        assert client.packed_scores("0" * 64, 2, lambda: ("m", "cd", ["ab", "xy"])) == [-1.0, -0.5]
         assert len(session.posts) == client.backend_calls == 2
 
     def test_the_manifest_counts_every_post_of_a_run(self, tmp_path, monkeypatch):
