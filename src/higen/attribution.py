@@ -14,14 +14,19 @@ every labelled sentence, hashed once per attribution, and that request's
 masks. A request's contexts are built only when its entry misses, so an
 interrupted attribution resumes request by request, and a changed budget,
 which splits the masks at other rows, misses every request entry. Once all
-m contexts are scored, their m total logprobs are cached
-again as one packed score entry under ``llm_client.packed_score_key``, which
-covers the model, the response, every labelled sentence and the mask bits
-with their shape. A warm rerun reads that one entry and nothing else, and
-sends no request; the request entries are read only when it misses (a
-damaged entry, an attribution cut short). An attribution that fails writes
-no packed entry. Logit filtering and the fit run on every call, from either
-source. The fit needs at least n/2 + 2 usable samples, so a document that m
+m contexts are scored and fit, their m total logprobs are cached again as
+one packed score entry under ``llm_client.packed_score_key``, which covers
+the model, the response, every labelled sentence and the mask bits with
+their shape, and the fit's n weights go beside them when it converged. A
+warm rerun reads that one entry and nothing else, and sends no request; the
+request entries are read only when it misses (a damaged entry, an
+attribution cut short). An attribution that fails writes no packed entry.
+Logit filtering runs on every call. The fit does not run when the cached
+weights pass the solver's own KKT certificate at this call's lambda
+(``fit_lasso`` from them with ``max_iter=0``): they are the result, with 0
+iterations. Weights that are absent, damaged or not optimal (a changed
+``lambda_frac``) are fit again from zero, and a warm hit never writes. The
+fit needs at least n/2 + 2 usable samples, so a document that m
 samples could never cover fails before any mask is drawn or any request
 sent. A sparse linear surrogate is fit to the logits by LASSO, solved
 with FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
@@ -88,7 +93,9 @@ class AttributionResult:
     num_ablations: int
     r_squared: float
     seed: int
-    iterations: int = 0
+    # FISTA iterations this attribution ran; 0 when it certified a cached
+    # solution. Like scoring_requests, it takes no part in equality.
+    iterations: int = field(default=0, compare=False)
     converged: bool = False
     kkt_residual: float = math.nan
     # Scoring requests this attribution sent; 0 when every score was cached.
@@ -211,6 +218,7 @@ def fit_lasso(
     lam: float,
     tol: float = 1e-11,
     max_iter: int = 10_000,
+    start: np.ndarray | Sequence[float] | None = None,
 ) -> LassoFit:
     """Minimize (1/2m)||y - b - Xw||^2 + lam*||w||_1; the intercept b is
     unpenalized.
@@ -232,6 +240,12 @@ def fit_lasso(
     sits well below the 1e-8 agreement the lambda = 0 fits owe the normal
     equations.
 
+    FISTA starts at zero, or at ``start`` (n finite weights; its entries on
+    constant columns are zeroed). A start that already meets tol is returned
+    as it is, with 0 iterations, so ``max_iter=0`` makes the call a pure
+    certificate of ``start``: converged says whether its KKT residual is at
+    most tol, and the intercept and r^2 are those at ``start``.
+
     X may be a boolean mask array; it is centered in one float copy, and the
     caller's array is left as it is.
     """
@@ -246,6 +260,9 @@ def fit_lasso(
         raise ValueError("need at least 2 samples")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    w = np.zeros(n) if start is None else np.array(start, dtype=float)
+    if w.shape != (n,) or not np.isfinite(w).all():
+        raise ValueError("start must hold n finite weights")
 
     x_mean = Xc.mean(axis=0)
     varying = Xc.max(axis=0) != Xc.min(axis=0)
@@ -258,8 +275,8 @@ def fit_lasso(
         return float(violation.max(initial=0.0))
 
     # u = Xc w - yc is the negated residual and g = Xc^T u / m the gradient at w.
-    w = np.zeros(n)
-    u = -yc
+    w[~varying] = 0.0
+    u = Xc @ w - yc
     g = Xc.T @ u / m
     residual = kkt_residual(w, g)
     iterations = 0
@@ -337,17 +354,21 @@ def contextcite_attribute(
     the cache; otherwise the ablated contexts are scored by the client in
     requests of at most SCORE_REQUEST_CHARS context characters (or of one
     longer context), each request cached as one entry, and the packed entry
-    is written once the samples are known to suffice. The result counts the
-    requests sent. Logit-scaled totals are regressed on the mask bits with
-    lambda = lambda_frac * lambda_max. Samples without a finite logit
-    (probability 1, or a non-finite logprob) are dropped; the fit requires at least n/2 + 2 surviving samples, and
+    is written after the fit, with its weights when it converged. The result
+    counts the requests sent. Logit-scaled totals are regressed on the mask
+    bits with lambda = lambda_frac * lambda_max; weights cached in a packed
+    hit that pass the KKT certificate are the fit, with 0 iterations, and
+    any others are fit again from zero, the entry left as it is. Samples
+    without a finite logit (probability 1, or a non-finite logprob) are
+    dropped; the fit requires at least n/2 + 2 surviving samples, and
     when params.m is below that it raises before sampling or scoring. The
     solver's iterations, convergence and KKT residual are reported on the
     result; a fit that does not converge is returned, not raised. Each
     attribution logs one DEBUG line on ``higen.attribution`` with the
     document id, n, the usable samples, lambda, r^2, the iterations, whether
     the fit converged, the scoring requests sent with the context characters
-    of the largest, and where the scores came from. With dump_path set,
+    of the largest, where the scores came from, and whether the weights are
+    a certified cached solution or a fit from zero. With dump_path set,
     the (mask, logit) pairs are written as JSONL (masks as lists of 0/1) for
     offline refits.
     """
@@ -361,11 +382,13 @@ def contextcite_attribute(
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
     packed_key = packed_score_key(model, response, document.labelled_sentences, masks)
-    scores = client.packed_scores(packed_key, len(masks))
-    packed = scores is not None
+    entry = client.packed_attribution(packed_key, len(masks), n)
     sent: list[int] = []
-    if scores is None:
+    if entry is None:
         scores, sent = _score_ablations(client, document, response, model, masks)
+        cached_weights = None
+    else:
+        scores, cached_weights = entry
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
     for index, score in enumerate(scores):
@@ -377,18 +400,24 @@ def contextcite_attribute(
     rows = masks[usable]
     if len(rows) < need:
         raise AttributionError(f"only {len(rows)} of {params.m} ablation samples usable; need at least {need}")
-    if not packed:
-        client.write_packed_scores(packed_key, scores)
+    y = np.array(targets, dtype=float)
+    lam = params.lambda_frac * lambda_max(rows, y)
+    certified = False
+    if cached_weights is not None:
+        fit = fit_lasso(rows, y, lam, start=cached_weights, max_iter=0)
+        certified = fit.converged
+    if not certified:
+        fit = fit_lasso(rows, y, lam)
+    weights = fit.weights.tolist()
+    if entry is None:
+        client.write_packed_attribution(packed_key, scores, weights if fit.converged else None)
     if dump_path is not None:
         with Path(dump_path).open("w", encoding="utf-8") as handle:
             for bits, logit in zip(rows, targets):
                 handle.write(json.dumps({"mask": bits.astype(int).tolist(), "logit": logit}) + "\n")
-    y = np.array(targets, dtype=float)
-    lam = params.lambda_frac * lambda_max(rows, y)
-    fit = fit_lasso(rows, y, lam)
     _logger.debug(
         "attribution of %s: n=%d, %d/%d samples usable, lambda=%.6g, r2=%.6g, %d iterations, converged=%s, "
-        "%d scoring requests, the largest of %d context characters, scores from %s",
+        "%d scoring requests, the largest of %d context characters, scores from %s, weights from %s",
         document.id,
         n,
         len(rows),
@@ -399,10 +428,11 @@ def contextcite_attribute(
         fit.converged,
         len(sent),
         max(sent, default=0),
-        "the packed entry" if packed else "per-request entries",
+        "per-request entries" if entry is None else "the packed entry",
+        "a certified cached solution" if certified else "a fit from zero",
     )
     return AttributionResult(
-        scores=[float(w) for w in fit.weights],
+        scores=weights,
         intercept=fit.intercept,
         lambda_=float(lam),
         num_ablations=len(rows),

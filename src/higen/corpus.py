@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, is_number
 
 _RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -300,7 +300,9 @@ def load_dataset(
     output}; ``generic_jsonl`` reads a caller-supplied field map {id_field,
     input_field, output_field} into prose documents.
     ``scrolls_qmsum`` additionally splits the query prefix off the input and
-    marks the document as a transcript.
+    marks the document as a transcript. The input must be a string, the
+    output a string or null (no reference summary), and the id a string or
+    an integer; any other value is a ``DatasetError`` naming ``path:line``.
     """
     if schema not in SCHEMAS:
         raise ConfigError(f"unknown dataset schema: {schema!r}")
@@ -326,12 +328,18 @@ def load_dataset(
             if fields[key] not in obj:
                 raise DatasetError(f"{path}:{lineno}: missing required field {fields[key]!r}")
 
-        doc_id, text, reference = (str(obj[fields[key]]) for key in FIELD_KEYS)
+        doc_id, text, reference = (obj[fields[key]] for key in FIELD_KEYS)
+        if not (isinstance(doc_id, str) or is_number(doc_id, int)):
+            raise DatasetError(f"{path}:{lineno}: field {fields['id_field']!r} must be a string or an integer")
+        if not isinstance(text, str):
+            raise DatasetError(f"{path}:{lineno}: field {fields['input_field']!r} must be a string")
+        if not (reference is None or isinstance(reference, str)):
+            raise DatasetError(f"{path}:{lineno}: field {fields['output_field']!r} must be a string or null")
         query, kind = None, "prose"
         if schema == "scrolls_qmsum":
             query, text = _split_query_prefix(text)
             kind = "transcript"
-        doc = make_document(doc_id, text, kind, query, reference)
+        doc = make_document(str(doc_id), text, kind, query, reference)
 
         if doc.id in seen_ids:
             raise DatasetError(f"{path}:{lineno}: duplicate document id {doc.id!r}")

@@ -22,11 +22,14 @@ here alone. A single context's key is the sha256 of the canonical JSON of
 its model, context and continuation. A packed entry holds many scores as
 one list: ``packed_scores`` reads, and on a miss sends, the scores of one
 scoring request of an attribution under a ``request_score_keys`` key (the
-model, the continuation, every sentence, and that request's masks); it also
-reads a whole attribution's scores under its ``packed_score_key``, which
-``write_packed_scores`` writes once they are known to fit, so a warm
-attribution reads one file. A deterministic mock backend makes the whole
-pipeline reproducible in tests and offline runs.
+model, the continuation, every sentence, and that request's masks).
+``packed_attribution`` reads a whole attribution's scores under its
+``packed_score_key``, with the fit's weights when the entry holds them,
+which ``write_packed_attribution`` writes after the fit, so a warm
+attribution reads one file. A reader of ``total_logprob`` alone, as every
+version before the weights were cached, still hits such an entry. A
+deterministic mock backend makes the whole pipeline reproducible in tests
+and offline runs.
 """
 
 from __future__ import annotations
@@ -271,13 +274,19 @@ class LLMClient:
         return os.path.join(self.cache_dir, f"{key}.json")
 
     def _cache_read(
-        self, key: str, fields: dict[str, type | tuple[type, ...]], count: int | None = None
+        self,
+        key: str,
+        fields: dict[str, type | tuple[type, ...]],
+        count: int | None = None,
+        extra: str | None = None,
     ) -> list | None:
         """The values of ``fields`` (name: type) in the cached response under
         ``key``, or None on a miss: no cache, no entry, or a damaged one (not
         UTF-8 JSON, or a field missing or of another type). With ``count``
         the entry is packed, and each field holds a list of ``count`` values
-        of its type. A damaged entry is computed and written again. The entry
+        of its type. With ``extra``, the value of that field follows, as
+        cached and unchecked (None when the entry has none); it never makes
+        a miss. A damaged entry is computed and written again. The entry
         is read through the bare descriptor, with no file object: an entry
         that fits the first read costs one open, one read and one close."""
         if self.cache_dir is None:
@@ -299,7 +308,9 @@ class LLMClient:
             usable = all(map(_is_a, values, fields.values()))
         else:
             usable = all(_is_packed(column, kind, count) for column, kind in zip(values, fields.values()))
-        return values if usable else None
+        if not usable:
+            return None
+        return values + [response.get(extra)] if extra else values
 
     def _cache_write(self, key: str, request: dict, response: dict) -> None:
         if self.cache_dir is not None:
@@ -313,27 +324,24 @@ class LLMClient:
         kind: str,
         key: str,
         fields: dict[str, type | tuple[type, ...]],
-        build: Callable[[], object] | None,
+        build: Callable[[], object],
         send: Callable[[object], Sequence],
         count: int | None = None,
-    ) -> tuple[Sequence | None, int | None]:
+    ) -> tuple[Sequence, int | None]:
         """The response values (``fields``, in order) under ``key``, and the
         ms the backend call took (None on a hit). With ``count`` the entry is
         packed (see ``_cache_read``) and a hit counts as ``count`` cache hits.
         On a miss ``build()`` makes the request, once for all attempts, and
-        ``send`` takes it to the backend under the in-flight bound; without
-        ``build`` a miss is None and nothing is sent. Each attempt counts as
-        one backend call, or as the HTTP posts it sent when there were more;
-        after a transient failure the next attempt waits the jittered
-        exponential backoff, or the failure's ``Retry-After`` (at most
-        ``MAX_RETRY_AFTER``) when that is longer. The answer is cached."""
+        ``send`` takes it to the backend under the in-flight bound. Each
+        attempt counts as one backend call, or as the HTTP posts it sent when
+        there were more; after a transient failure the next attempt waits the
+        jittered exponential backoff, or the failure's ``Retry-After`` (at
+        most ``MAX_RETRY_AFTER``) when that is longer. The answer is cached."""
         values = self._cache_read(key, fields, count)
         if values is not None:
             with self._stats_lock:
                 self.cache_hits += count or 1
             return values, None
-        if build is None:
-            return None, None
         request = build()
         started = time.monotonic()
         last: _Retryable | None = None
@@ -396,27 +404,41 @@ class LLMClient:
         [score], _ = self._cached("score", key, _SCORE_FIELDS, lambda: [context], send)
         return score
 
-    def packed_scores(
-        self,
-        key: str,
-        count: int,
-        build: Callable[[], tuple[str, str, list[str]]] | None = None,
-    ) -> list[float] | None:
-        """The ``count`` total logprobs cached as one packed entry under
-        ``key``, in order: those of one scoring request (see
-        ``request_score_keys``) or of a whole attribution (see
-        ``packed_score_key``). A hit counts as ``count`` cache hits. On a
-        miss, ``build()`` makes the (model, continuation, ``count`` contexts)
-        batch, which goes to the backend as one request and is cached under
-        ``key``; without ``build`` a miss is None."""
+    def packed_scores(self, key: str, count: int, build: Callable[[], tuple[str, str, list[str]]]) -> list[float]:
+        """The ``count`` total logprobs of one scoring request (see
+        ``request_score_keys``), cached as one packed entry under ``key``, in
+        order. A hit counts as ``count`` cache hits. On a miss, ``build()``
+        makes the (model, continuation, ``count`` contexts) batch, which goes
+        to the backend as one request and is cached under ``key``."""
         columns, _ = self._cached(
             "packed_score", key, _SCORE_FIELDS, build, lambda batch: [self.backend.score_many(*batch)], count
         )
-        return None if columns is None else columns[0]
+        return columns[0]
 
-    def write_packed_scores(self, key: str, scores: Sequence[float]) -> None:
-        """Cache the total logprobs ``scores`` under ``key`` as one packed entry."""
-        self._cache_write(key, {"kind": "packed_score", "key": key}, {"total_logprob": list(scores)})
+    def packed_attribution(self, key: str, count: int, n: int) -> tuple[list[float], list[float] | None] | None:
+        """A whole attribution's packed entry under ``key`` (see
+        ``packed_score_key``), read in one open: its ``count`` total logprobs
+        and the fit's ``n`` weights cached beside them, or None on a miss. The
+        weights are None when the entry holds none, or holds anything but a
+        list of ``n`` finite numbers; such an entry still hits. A hit counts
+        as ``count`` cache hits."""
+        values = self._cache_read(key, _SCORE_FIELDS, count, extra="weights")
+        if values is None:
+            return None
+        with self._stats_lock:
+            self.cache_hits += count
+        scores, weights = values
+        if not (_is_packed(weights, (int, float), n) and all(map(math.isfinite, weights))):
+            weights = None
+        return scores, weights
+
+    def write_packed_attribution(self, key: str, scores: Sequence[float], weights: Sequence[float] | None) -> None:
+        """Cache an attribution's total logprobs ``scores`` under ``key`` as
+        one packed entry, with the fit's ``weights`` unless they are None."""
+        response = {"total_logprob": list(scores)}
+        if weights is not None:
+            response["weights"] = list(weights)
+        self._cache_write(key, {"kind": "packed_score", "key": key}, response)
 
 
 class HTTPBackend:

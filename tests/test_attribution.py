@@ -24,7 +24,14 @@ from higen.attribution import (
 )
 from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
-from higen.llm_client import LLMClient, MockBackend, overlap_scorer, packed_score_key, prompt_hash
+from higen.llm_client import (
+    _SCORE_FIELDS,
+    LLMClient,
+    MockBackend,
+    overlap_scorer,
+    packed_score_key,
+    prompt_hash,
+)
 from higen.prompts import ranked_highlights
 
 from conftest import RecordingBackend, doc_from_sentences, scored_contexts, traced_peak
@@ -370,6 +377,97 @@ def test_fit_backtracks_from_an_underestimated_step_constant():
     assert violation.max() <= 1e-11
 
 
+def _kkt_violation(X, y, lam, fit) -> float:
+    """The largest KKT violation of ``fit``, on raw X with its intercept."""
+    w, b = fit.weights, fit.intercept
+    gradient = -(X.T @ (y - b - X @ w)) / X.shape[0]
+    violation = np.where(w == 0.0, np.maximum(np.abs(gradient) - lam, 0.0), np.abs(gradient + lam * np.sign(w)))
+    return float(violation.max())
+
+
+def _wide_problem() -> tuple[np.ndarray, np.ndarray, float]:
+    """The 64 x 300 problem of the max_iter test, with its lambda."""
+    rng = np.random.default_rng(17)
+    X = (rng.random((64, 300)) < 0.5).astype(float)
+    y = X[:, :5].sum(axis=1) + rng.normal(0.0, 0.1, 64)
+    return X, y, 0.01 * lambda_max(X, y)
+
+
+def _tall_problem() -> tuple[np.ndarray, np.ndarray, float]:
+    """A full-rank 200 x 40 problem (m > n), whose solution is unique, with its lambda."""
+    rng = np.random.default_rng(29)
+    X = (rng.random((200, 40)) < 0.5).astype(float)
+    assert np.linalg.matrix_rank(np.column_stack([np.ones(200), X])) == 41
+    y = X[:, :6] @ rng.normal(0.0, 2.0, 6) + rng.normal(0.0, 0.5, 200)
+    return X, y, 0.01 * lambda_max(X, y)
+
+
+class TestFitLassoStart:
+    @pytest.mark.parametrize("problem", [_wide_problem, _tall_problem], ids=["m_below_n", "m_above_n"])
+    @pytest.mark.parametrize("max_iter", [0, 10_000])
+    def test_a_cold_fits_weights_are_certified_bit_for_bit_with_no_iteration(self, problem, max_iter):
+        X, y, lam = problem()
+        cold = fit_lasso(X, y, lam)
+        assert cold.converged and cold.iterations > 0
+        # A start as the cache holds it: a list of Python floats.
+        for start in (cold.weights, cold.weights.tolist()):
+            warm = fit_lasso(X, y, lam, start=start, max_iter=max_iter)
+            assert warm.weights.tobytes() == cold.weights.tobytes()
+            assert (warm.intercept, warm.r_squared, warm.kkt_residual) == (
+                cold.intercept,
+                cold.r_squared,
+                cold.kkt_residual,
+            )
+            assert warm.iterations == 0 and warm.converged
+
+    @pytest.mark.parametrize("problem", [_wide_problem, _tall_problem], ids=["m_below_n", "m_above_n"])
+    @pytest.mark.parametrize("start", ["another_lambda", "random"])
+    def test_a_start_that_is_not_optimal_still_meets_tol(self, problem, start):
+        X, y, lam = problem()
+        n = X.shape[1]
+        if start == "another_lambda":
+            start = fit_lasso(X, y, 30 * lam).weights
+        else:
+            start = np.random.default_rng(3).normal(0.0, 1.0, n)
+        fit = fit_lasso(X, y, lam, start=start)
+        assert fit.converged and fit.iterations > 0
+        assert _kkt_violation(X, y, lam, fit) <= 1e-11
+        if problem is _tall_problem:
+            reference = fit_lasso(X, y, lam)
+            assert np.abs(fit.weights - reference.weights).max() < 1e-8
+            assert fit.intercept == pytest.approx(reference.intercept, abs=1e-8)
+
+    def test_max_iter_zero_at_a_start_that_is_not_optimal_reports_not_converged(self):
+        X, y, lam = _tall_problem()
+        start = fit_lasso(X, y, 30 * lam).weights
+        fit = fit_lasso(X, y, lam, start=start, max_iter=0)
+        assert fit.iterations == 0
+        assert not fit.converged
+        assert fit.kkt_residual > 1e-11
+        assert fit.weights.tobytes() == start.tobytes()
+        assert fit.intercept == pytest.approx(float(y.mean() - X.mean(axis=0) @ start), abs=1e-12)
+        residual = y - fit.intercept - X @ start
+        assert fit.r_squared == pytest.approx(1.0 - residual @ residual / ((y - y.mean()) @ (y - y.mean())))
+
+    def test_a_start_on_a_constant_column_is_zeroed(self):
+        X = np.column_stack([np.ones(8), (np.arange(8) % 2).astype(float)])
+        y = np.arange(8).astype(float)
+        cold = fit_lasso(X, y, lam=0.01)
+        fit = fit_lasso(X, y, lam=0.01, start=[5.0, cold.weights[1]], max_iter=0)
+        assert fit.converged and fit.weights[0] == 0.0
+        assert fit.weights.tobytes() == cold.weights.tobytes() and fit.intercept == cold.intercept
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.zeros(39), np.zeros(41), np.zeros((40, 1)), np.full(40, np.nan), np.r_[np.zeros(39), np.inf]],
+        ids=["short", "long", "a_column", "nan", "inf"],
+    )
+    def test_a_start_of_the_wrong_shape_or_not_finite_is_a_value_error(self, start):
+        X, y, lam = _tall_problem()
+        with pytest.raises(ValueError, match="start must hold n finite weights"):
+            fit_lasso(X, y, lam, start=start)
+
+
 def _mask_problem() -> tuple[np.ndarray, np.ndarray]:
     """A boolean 256 x 400 mask array and targets linear in a few of its bits."""
     masks = sample_masks(400, 256, 0.5, seed=41)
@@ -665,6 +763,12 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def _cache_state(cache_dir) -> dict:
+    """Each cache file's name, inode, mtime and bytes: an atomic rewrite
+    renames a new inode over the entry."""
+    return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes()) for path in cache_dir.iterdir()}
+
+
 def _forbid(monkeypatch, owner, name):
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{name} ran")
@@ -703,6 +807,82 @@ class TestPackedScoreEntry:
         assert self._warm(tmp_path) == cold
         assert len(reads) == 1
         assert len(list((tmp_path / "cache").glob("*.json"))) == cold.scoring_requests + 1
+
+    def test_a_warm_rerun_certifies_the_cached_weights_and_opens_one_file(self, tmp_path, monkeypatch):
+        import os
+
+        from higen import attribution
+
+        cold = self._cold(tmp_path)
+        assert cold.converged and cold.iterations > 0
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        cached = json.loads(path.read_text(encoding="utf-8"))["response"]
+        assert set(cached) == {"total_logprob", "weights"}
+        assert cached["weights"] == cold.scores
+        # A reader of total_logprob alone, as every version before the weights, still hits.
+        reader = _client_with_scorer(tmp_path, overlap_scorer)
+        assert reader._cache_read(path.stem, _SCORE_FIELDS, self._PARAMS.m) == [cached["total_logprob"]]
+        before = _cache_state(tmp_path / "cache")
+        opened = _count_calls(monkeypatch, os, "open")
+        fits = _count_calls(monkeypatch, attribution, "fit_lasso")
+        warm = self._warm(tmp_path)
+        assert [str(args[0]) for args in opened] == [str(path)]
+        assert len(fits) == 1
+        assert warm.iterations == 0 and warm.converged
+        assert warm == cold and warm.kkt_residual == cold.kkt_residual
+        assert _cache_state(tmp_path / "cache") == before
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda response: response.pop("weights"),
+            lambda response: response["weights"].pop(),
+            lambda response: response["weights"].append(0.0),
+            lambda response: response["weights"].__setitem__(0, True),
+            lambda response: response["weights"].__setitem__(0, "0.5"),
+            lambda response: response["weights"].__setitem__(0, math.nan),
+            lambda response: response["weights"].__setitem__(0, math.inf),
+            lambda response: response.__setitem__("weights", {"0": 0.5}),
+            lambda response: response.__setitem__("weights", [weight + 0.25 for weight in response["weights"]]),
+        ],
+        ids=["absent", "short", "long", "a_bool", "a_string", "nan", "inf", "not_a_list", "not_optimal"],
+    )
+    def test_an_entry_without_usable_weights_hits_fits_from_zero_and_is_not_rewritten(
+        self, tmp_path, monkeypatch, edit
+    ):
+        from higen import attribution
+
+        cold = self._cold(tmp_path)
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        path.write_bytes(_edited_response(edit)(path.read_bytes()))
+        before = _cache_state(tmp_path / "cache")
+        _forbid(monkeypatch, attribution, "request_score_keys")
+        warm = self._warm(tmp_path)
+        assert warm == cold
+        assert warm.iterations == cold.iterations > 0
+        assert _cache_state(tmp_path / "cache") == before
+
+    def test_a_changed_lambda_frac_refits_from_zero_and_leaves_the_entry(self, tmp_path, monkeypatch):
+        from higen import attribution
+
+        cold = self._cold(tmp_path)
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        before = _cache_state(tmp_path / "cache")
+        changed = AttributionParams(m=self._PARAMS.m, lambda_frac=0.05)
+        fresh = contextcite_attribute(
+            _client_with_scorer(tmp_path / "fresh", overlap_scorer), doc, self._RESPONSE, "m", changed, seed=2
+        )
+        _forbid(monkeypatch, attribution, "request_score_keys")
+        backend = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        refit = contextcite_attribute(client, doc, self._RESPONSE, "m", changed, seed=2)
+        assert backend.calls == 0 and client.cache_hits == self._PARAMS.m
+        assert refit == fresh and refit != cold
+        assert refit.iterations == fresh.iterations > 0
+        assert _cache_state(tmp_path / "cache") == before
+        assert self._warm(tmp_path).iterations == 0
 
     @pytest.mark.parametrize(
         "damage",
@@ -923,10 +1103,14 @@ class TestPackedScoreEntry:
         assert [record.name for record in caplog.records] == ["higen.attribution"] * 2
         assert [record.levelno for record in caplog.records] == [logging.DEBUG] * 2
         first, second = (record.getMessage() for record in caplog.records)
-        for message, source in ((first, "per-request entries"), (second, "the packed entry")):
+        assert cold.iterations > 0 and warm.iterations == 0
+        for message, iterations, source, fit in (
+            (first, cold.iterations, "per-request entries", "a fit from zero"),
+            (second, 0, "the packed entry", "a certified cached solution"),
+        ):
             assert message.startswith("attribution of doc-7: n=12, 16/16 samples usable, lambda=")
-            assert f"{cold.iterations} iterations, converged={cold.converged}" in message
-            assert message.endswith(f"scores from {source}")
+            assert f", {iterations} iterations, converged={cold.converged}" in message
+            assert message.endswith(f"scores from {source}, weights from {fit}")
             assert not any(word in message for word in ("Bridge", "banana", "Anchor", "apple"))
         assert warm == cold
 

@@ -75,6 +75,17 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "cache").exists()
 
+    def test_a_dataset_field_of_another_type_is_2_and_creates_no_directory(self, tmp_path, capsys):
+        data_path = tmp_path / "typed.jsonl"
+        data_path.write_text('{"id":"d1","input":["Alpha."],"output":"Alpha."}\n')
+        path = _write_config(tmp_path, dataset={"path": str(data_path), "schema": "scrolls_govreport"})
+        assert main(["run", "-c", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"dataset error: {data_path}:1: field 'input' must be a string"
+        ]
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "cache").exists()
+
     def test_a_bad_endpoint_is_2_and_creates_no_run_directory(self, tmp_path, capsys):
         path = _write_config(tmp_path, endpoint={"base_url": "mock://x"})
         assert main(["run", "-c", str(path)]) == 2
@@ -301,8 +312,11 @@ class TestAttributeCommand:
         for _ in range(2):
             assert main(argv) == 0
             payloads.append(json.loads(capsys.readouterr().out))
-        # The 8 short contexts fit in one request; the rerun reads the packed entry.
+        # The 8 short contexts fit in one request; the rerun reads the packed
+        # entry and certifies the weights cached in it, running no iteration.
         assert [payload.pop("scoring_requests") for payload in payloads] == [1, 0]
+        iterations = [payload.pop("iterations") for payload in payloads]
+        assert iterations[0] > 0 and iterations[1] == 0
         assert payloads[0] == payloads[1]
 
     def test_attribute_on_an_empty_document_is_an_error_line_and_2(self, tmp_path, capsys):

@@ -304,6 +304,55 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="'output'"):
             load_dataset(path, "scrolls_govreport")
 
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"id": "d1", "input": "A.", "output": None}, None),
+            ({"id": 7, "input": "A.", "output": "A."}, None),
+            ({"id": "d1", "input": None, "output": "A."}, "'input' must be a string"),
+            ({"id": "d1", "input": ["A."], "output": "A."}, "'input' must be a string"),
+            ({"id": "d1", "input": 12, "output": "A."}, "'input' must be a string"),
+            ({"id": "d1", "input": "A.", "output": ["A."]}, "'output' must be a string or null"),
+            ({"id": "d1", "input": "A.", "output": 1.5}, "'output' must be a string or null"),
+            ({"id": "d1", "input": "A.", "output": False}, "'output' must be a string or null"),
+            ({"id": True, "input": "A.", "output": "A."}, "'id' must be a string or an integer"),
+            ({"id": 1.0, "input": "A.", "output": "A."}, "'id' must be a string or an integer"),
+            ({"id": None, "input": "A.", "output": "A."}, "'id' must be a string or an integer"),
+            ({"id": {"n": 1}, "input": "A.", "output": "A."}, "'id' must be a string or an integer"),
+        ],
+        ids=[
+            "null_output",
+            "integer_id",
+            "null_input",
+            "list_input",
+            "number_input",
+            "list_output",
+            "number_output",
+            "bool_output",
+            "bool_id",
+            "float_id",
+            "null_id",
+            "object_id",
+        ],
+    )
+    def test_a_field_of_another_type_is_a_dataset_error_not_text(self, tmp_path, record, field):
+        path = tmp_path / "typed.jsonl"
+        path.write_text('{"id":"d0","input":"B.","output":"B."}\n' + json.dumps(record) + "\n")
+        if field is None:
+            doc = load_dataset(path, "scrolls_govreport")[1]
+            assert doc.id == str(record["id"]) and doc.normalized_text == "A."
+            assert doc.reference_summary == record["output"]
+            return
+        with pytest.raises(DatasetError, match=rf"typed\.jsonl:2: field {field}$"):
+            load_dataset(path, "scrolls_govreport")
+
+    def test_a_generic_field_of_another_type_is_named_as_mapped(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"key":"d","text":["A."],"summary":"A."}\n')
+        field_map = {"id_field": "key", "input_field": "text", "output_field": "summary"}
+        with pytest.raises(DatasetError, match=r"g\.jsonl:1: field 'text' must be a string$"):
+            load_dataset(path, "generic_jsonl", field_map=field_map)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text('{"id":"d","input":"A.","output":"A."}\n{"id":"d","input":"B.","output":"B."}\n')

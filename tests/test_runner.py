@@ -528,6 +528,16 @@ class TestEvaluate:
         assert {r["metric"] for r in value_rows} == {"rouge_l", "tokens", "tokens_alnum"}
         assert metrics_path.exists()
 
+    def test_a_null_output_is_no_reference_and_skips_rouge_l(self, tmp_path):
+        data_path = tmp_path / "null.jsonl"
+        data_path.write_text('{"id":"d1","input":"Alpha beta. Gamma delta.","output":null}\n')
+        config = parse_config(_config_dict(tmp_path, dataset={"path": str(data_path), "schema": "scrolls_govreport"}))
+        run(config)
+        evaluate(config)
+        rows = read_metric_rows(config.run_dir)
+        assert {"doc_id": "d1", "method": "direct", "warning": "no reference summary; rouge_l skipped"} in rows
+        assert not any(row.get("metric") == "rouge_l" for row in rows)
+
     def test_external_scores_joined(self, tmp_path):
         scores_path = tmp_path / "external.jsonl"
         lines = [json.dumps({"doc_id": f"doc{i:02d}", "score": i / 10}) for i in range(10)]
