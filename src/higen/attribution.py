@@ -1,43 +1,37 @@
 """Perturbation-based context attribution.
 
 Source sentences are ablated under random Bernoulli masks (an m x n boolean
-array, one row per ablated context), a fixed response is re-scored under each
-ablated context, and the resulting log-probabilities are mapped to logits.
-The masks are drawn in one call. Scoring requests are sized by characters:
-the m masks are split, in mask order, into consecutive runs whose contexts
-add up to at most ``SCORE_REQUEST_CHARS`` characters (a longer context is a
-run of its own), and each run is one scoring request. A context's length
-comes from the mask bits and the sentence lengths, so sizing a request
-builds no context. Each request's scores are cached as one entry, in mask
-order, under ``llm_client.request_score_keys``: the model, the response and
-every labelled sentence, hashed once per attribution, and that request's
-masks. A request's contexts are built only when its entry misses, so an
-interrupted attribution resumes request by request, and a changed budget,
-which splits the masks at other rows, misses every request entry. Once all
-m contexts are scored and fit, their m total logprobs are cached again as
-one packed score entry under ``llm_client.packed_score_key``, which covers
-the model, the response, every labelled sentence and the mask bits with
-their shape, and the fit's n weights go beside them when it converged. A
-warm rerun reads that one entry and nothing else, and sends no request; the
-request entries are read only when it misses (a damaged entry, an
-attribution cut short). An attribution that fails writes no packed entry.
-Logit filtering runs on every call. The fit does not run when the cached
-weights pass the solver's own KKT certificate at this call's lambda
-(``fit_lasso`` from them with ``max_iter=0``): they are the result, with 0
-iterations. Weights that are absent, damaged or not optimal (a changed
-``lambda_frac``) are fit again from zero, and a warm hit never writes. The
-fit needs at least n/2 + 2 usable samples, so a document that m
-samples could never cover fails before any mask is drawn or any request
-sent. A sparse linear surrogate is fit to the logits by LASSO, solved
-with FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
-(O'Donoghue & Candes 2015) on the centered mask matrix, in matrix-vector
-form. Its step constant starts at the centered Gram matrix's largest
-diagonal entry, within a factor n of its largest eigenvalue, and doubles
-whenever a step shows it too small: at most ceil(log2 n) times a fit. The
-solver stops once the KKT residual is at most ``tol`` and reports its
-iterations, whether it converged and the final residual. Strictly
-positive weights rank the sentences that form the content plan, through
-``prompts.ranked_highlights("contextcite", ...)``.
+array, one row per ablated context), a fixed response is re-scored under
+each ablated context, and the resulting log-probabilities are mapped to
+logits. The masks are drawn in one call. Scoring requests are sized by
+characters: the masks still to score are split, in mask order, into
+consecutive runs whose contexts add up to at most ``SCORE_REQUEST_CHARS``
+characters (a longer context is a run of its own), and each run is one
+scoring request. A context's length comes from the mask bits and the
+sentence lengths, so sizing a request builds no context. An attribution's
+scores are cached as one entry under ``llm_client.packed_score_key``, which
+covers the model, the response, every labelled sentence and the mask bits
+with their shape. The entry holds the scores so far in mask order and is
+rewritten after each request, so an interrupted attribution resumes after
+the scores it holds, whatever the budget; once all m are scored and the fit
+converged, the fit's n weights go beside them. A warm rerun reads that one
+entry, builds no context and sends no request. Logit filtering runs on every
+call. The fit does not run when the cached weights pass the solver's own KKT
+certificate at this call's lambda (``fit_lasso`` from them with
+``max_iter=0``): they are the result, with 0 iterations. Weights that are
+absent, damaged or not optimal (a changed ``lambda_frac``) are fit again
+from zero, and a warm hit never writes. The fit needs at least n/2 + 2
+usable samples, so a document that m samples could never cover fails before
+any mask is drawn or any request sent. A sparse linear surrogate is fit to
+the logits by LASSO, solved with FISTA (Beck & Teboulle 2009) with
+gradient-based adaptive restart (O'Donoghue & Candes 2015) on the centered
+mask matrix, in matrix-vector form. Its step constant starts at the centered
+Gram matrix's largest diagonal entry, within a factor n of its largest
+eigenvalue, and doubles whenever a step shows it too small: at most
+ceil(log2 n) times a fit. The solver stops once the KKT residual is at most
+``tol`` and reports its iterations, whether it converged and the final
+residual. Strictly positive weights rank the sentences that form the content
+plan, through ``prompts.ranked_highlights("contextcite", ...)``.
 
 Beyond the boolean masks, an attribution holds one m x n float array at a
 time: ``lambda_max`` and ``fit_lasso`` each center one float copy of the
@@ -59,7 +53,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import AttributionError, DomainError, HigenError, is_number, require
-from .llm_client import LLMClient, packed_score_key, request_score_keys
+from .llm_client import LLMClient, packed_score_key
 
 _logger = logging.getLogger(__name__)
 
@@ -161,7 +155,8 @@ def context_lengths(document: Document, masks: np.ndarray) -> np.ndarray:
 def request_runs(lengths: Sequence[int], budget: int) -> list[range]:
     """Split contexts 0..len(lengths)-1, in order, into consecutive runs, each
     as long as the next context still fits: a run's lengths add up to at most
-    ``budget``, unless it holds one context that alone is longer."""
+    ``budget``, unless it holds one context that alone is longer. No
+    lengths make no runs."""
     runs: list[range] = []
     first = total = 0
     for index, length in enumerate(lengths):
@@ -169,7 +164,8 @@ def request_runs(lengths: Sequence[int], budget: int) -> list[range]:
             runs.append(range(first, index))
             first, total = index, 0
         total += length
-    runs.append(range(first, len(lengths)))
+    if lengths:
+        runs.append(range(first, len(lengths)))
     return runs
 
 
@@ -314,29 +310,26 @@ def fit_lasso(
 
 
 def _score_ablations(
-    client: LLMClient, document: Document, response: str, model: str, masks: np.ndarray
-) -> tuple[list[float], list[int]]:
-    """The total logprob of ``response`` after each ablated context, in mask order,
-    and the context characters of each request sent. Each run of
-    ``request_runs`` over the contexts' lengths and ``SCORE_REQUEST_CHARS`` is
-    one scoring request, cached as one entry; its contexts are built only
-    when that entry misses."""
-    lengths = context_lengths(document, masks).tolist()
-    runs = request_runs(lengths, SCORE_REQUEST_CHARS)
-    keys = request_score_keys(model, response, document.labelled_sentences, masks, runs)
-    scores: list[float] = []
+    client: LLMClient, key: str, document: Document, response: str, model: str, masks: np.ndarray, scores: list[float]
+) -> list[int]:
+    """Score ``response`` after each ablated context past the ``scores`` cached
+    so far, appending to ``scores`` in mask order, and return the context
+    characters of each request sent. Each run of ``request_runs`` over the
+    remaining contexts' lengths and ``SCORE_REQUEST_CHARS`` is one scoring
+    request, whose contexts are built only when it is sent; after each, the
+    attribution's entry under ``key`` is rewritten with every score so far."""
+    done = len(scores)
+    lengths = context_lengths(document, masks[done:]).tolist()
     sent: list[int] = []
-    for run, key in zip(runs, keys):
-
-        def build(run: range = run) -> tuple[str, str, list[str]]:
-            sent.append(sum(lengths[run.start : run.stop]))
-            return model, response, [ablate(document, mask) for mask in masks[run.start : run.stop]]
-
+    for run in request_runs(lengths, SCORE_REQUEST_CHARS):
+        start, stop = done + run.start, done + run.stop
         try:
-            scores += client.packed_scores(key, len(run), build)
+            scores += client.score_batch(model, response, [ablate(document, mask) for mask in masks[start:stop]])
         except HigenError as exc:
-            raise AttributionError(f"scoring failed on the batch from ablation mask {run.start}: {exc}") from exc
-    return scores, sent
+            raise AttributionError(f"scoring failed on the batch from ablation mask {start}: {exc}") from exc
+        sent.append(sum(lengths[run.start : run.stop]))
+        client.write_attribution(key, scores)
+    return sent
 
 
 def contextcite_attribute(
@@ -350,27 +343,27 @@ def contextcite_attribute(
 ) -> AttributionResult:
     """Per-sentence influence weights for a fixed response.
 
-    The scores come from the attribution's packed score entry when it hits
-    the cache; otherwise the ablated contexts are scored by the client in
+    The scores come from the attribution's cache entry as far as it holds
+    them; the ablated contexts after those are scored by the client in
     requests of at most SCORE_REQUEST_CHARS context characters (or of one
-    longer context), each request cached as one entry, and the packed entry
-    is written after the fit, with its weights when it converged. The result
-    counts the requests sent. Logit-scaled totals are regressed on the mask
-    bits with lambda = lambda_frac * lambda_max; weights cached in a packed
-    hit that pass the KKT certificate are the fit, with 0 iterations, and
-    any others are fit again from zero, the entry left as it is. Samples
-    without a finite logit (probability 1, or a non-finite logprob) are
-    dropped; the fit requires at least n/2 + 2 surviving samples, and
-    when params.m is below that it raises before sampling or scoring. The
-    solver's iterations, convergence and KKT residual are reported on the
-    result; a fit that does not converge is returned, not raised. Each
-    attribution logs one DEBUG line on ``higen.attribution`` with the
-    document id, n, the usable samples, lambda, r^2, the iterations, whether
-    the fit converged, the scoring requests sent with the context characters
-    of the largest, where the scores came from, and whether the weights are
-    a certified cached solution or a fit from zero. With dump_path set,
-    the (mask, logit) pairs are written as JSONL (masks as lists of 0/1) for
-    offline refits.
+    longer context), the entry rewritten with every score so far after each
+    request and once more with the weights when the fit converged. The
+    result counts the requests sent. Logit-scaled totals are regressed on
+    the mask bits with lambda = lambda_frac * lambda_max; weights cached
+    beside all m scores that pass the KKT certificate are the fit, with 0
+    iterations, and any others are fit again from zero, the entry left as it
+    is. Samples without a finite logit (probability 1, or a non-finite
+    logprob) are dropped; the fit requires at least n/2 + 2 surviving
+    samples, and when params.m is below that it raises before sampling or
+    scoring. The solver's iterations, convergence and KKT residual are
+    reported on the result; a fit that does not converge is returned, not
+    raised. Each attribution logs one DEBUG line on ``higen.attribution``
+    with the document id, n, the usable samples, lambda, r^2, the
+    iterations, whether the fit converged, the scoring requests sent with
+    the context characters of the largest, how many scores were cached, and
+    whether the weights are a certified cached solution or a fit from zero.
+    With dump_path set, the (mask, logit) pairs are written as JSONL (masks
+    as lists of 0/1) for offline refits.
     """
     if not response:
         raise AttributionError("response must be non-empty")
@@ -381,14 +374,10 @@ def contextcite_attribute(
     if params.m < need:
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
     masks = sample_masks(n, params.m, params.keep_prob, seed)
-    packed_key = packed_score_key(model, response, document.labelled_sentences, masks)
-    entry = client.packed_attribution(packed_key, len(masks), n)
-    sent: list[int] = []
-    if entry is None:
-        scores, sent = _score_ablations(client, document, response, model, masks)
-        cached_weights = None
-    else:
-        scores, cached_weights = entry
+    key = packed_score_key(model, response, document.labelled_sentences, masks)
+    scores, cached_weights = client.read_attribution(key, params.m, n)
+    cached = len(scores)
+    sent = _score_ablations(client, key, document, response, model, masks, scores)
     usable = np.zeros(len(masks), dtype=bool)
     targets: list[float] = []
     for index, score in enumerate(scores):
@@ -409,15 +398,15 @@ def contextcite_attribute(
     if not certified:
         fit = fit_lasso(rows, y, lam)
     weights = fit.weights.tolist()
-    if entry is None:
-        client.write_packed_attribution(packed_key, scores, weights if fit.converged else None)
+    if sent and fit.converged:
+        client.write_attribution(key, scores, weights)
     if dump_path is not None:
         with Path(dump_path).open("w", encoding="utf-8") as handle:
             for bits, logit in zip(rows, targets):
                 handle.write(json.dumps({"mask": bits.astype(int).tolist(), "logit": logit}) + "\n")
     _logger.debug(
         "attribution of %s: n=%d, %d/%d samples usable, lambda=%.6g, r2=%.6g, %d iterations, converged=%s, "
-        "%d scoring requests, the largest of %d context characters, scores from %s, weights from %s",
+        "%d scoring requests, the largest of %d context characters, %d/%d scores cached, weights from %s",
         document.id,
         n,
         len(rows),
@@ -428,7 +417,8 @@ def contextcite_attribute(
         fit.converged,
         len(sent),
         max(sent, default=0),
-        "per-request entries" if entry is None else "the packed entry",
+        cached,
+        params.m,
         "a certified cached solution" if certified else "a fit from zero",
     )
     return AttributionResult(

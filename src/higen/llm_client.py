@@ -2,33 +2,24 @@
 
 Two capabilities are exposed: greedy text generation (chat-completions route)
 and teacher-forced log-probability scoring of a fixed continuation
-(completions route with echo + logprobs). Both go through one call path,
-``LLMClient._cached``, which answers one cache key: it reads the key's entry;
-on a miss it builds the request once, sends it to the backend under the
-in-flight bound, retried on a transient failure (after the backoff, or the
-server's ``Retry-After`` delay when that is longer), counts every HTTP post
-and every hit, and caches the answer under the key, so interrupted
-experiments replay offline. ``generate`` holds a per-key lock, freed once
-its last caller leaves, so concurrent identical generations share one
-backend call. Scores go to the backend with an array ``prompt`` whose
-choices are mapped back by ``index``. ``_GEN_FIELDS`` and ``_SCORE_FIELDS``
-describe each route's cached response; a missing or damaged entry is a miss,
-and a hit is read in one open, read and close. A score is one float, the
-continuation's total logprob, and a score entry holds total logprobs only.
-An entry written when scores also carried a token count still hits, its
-counts unread; an entry written now has no counts, so a version that still
-reads them misses it and scores again. The score-cache key formats live
-here alone. A single context's key is the sha256 of the canonical JSON of
-its model, context and continuation. A packed entry holds many scores as
-one list: ``packed_scores`` reads, and on a miss sends, the scores of one
-scoring request of an attribution under a ``request_score_keys`` key (the
-model, the continuation, every sentence, and that request's masks).
-``packed_attribution`` reads a whole attribution's scores under its
-``packed_score_key``, with the fit's weights when the entry holds them,
-which ``write_packed_attribution`` writes after the fit, so a warm
-attribution reads one file. A reader of ``total_logprob`` alone, as every
-version before the weights were cached, still hits such an entry. A
-deterministic mock backend makes the whole pipeline reproducible in tests
+(completions route with echo + logprobs). Every backend request goes through
+``LLMClient._send``: under the in-flight bound, retried on a transient
+failure (after the backoff, or the server's ``Retry-After`` delay when that
+is longer), with every HTTP post counted. ``_cached`` answers one cache key
+with it: it reads the key's entry and on a miss sends the request and caches
+the answer, so interrupted experiments replay offline. ``generate`` holds a
+per-key lock, freed once its last caller leaves, so concurrent identical
+generations share one backend call. Scores go to the backend with an array
+``prompt`` whose choices are mapped back by ``index``; a score is one float,
+the continuation's total logprob. A missing or damaged entry is a miss, and
+a hit is read in one open, read and close. The score-cache key formats live
+here alone: a single context's key is the sha256 of the canonical JSON of
+its model, context and continuation, and an attribution's is
+``packed_score_key``. An attribution's one entry holds its scores so far, in
+mask order, and the fit's weights once all are scored: ``score_batch`` sends
+a scoring request uncached, and the attribution rewrites its entry with
+``write_attribution`` after each one and reads it with ``read_attribution``.
+A deterministic mock backend makes the whole pipeline reproducible in tests
 and offline runs.
 """
 
@@ -45,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -148,40 +139,22 @@ def _canonical_score_key(model: str, context: str, continuation: str) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
-def _sentences_digest(kind: str, model: str, continuation: str, sentences: Sequence[str], **more):
-    """The sha256 of the canonical JSON of ``kind``, the model, the
-    continuation, every sentence and ``more``, ready for further updates."""
-    payload = {"kind": kind, "model": model, "continuation": continuation, "sentences": list(sentences), **more}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8"))
-
-
 def packed_score_key(model: str, continuation: str, sentences: Sequence[str], masks: np.ndarray) -> str:
-    """The cache key of one attribution's packed scores: the sha256 of the
-    canonical JSON of the model, the continuation, every sentence and the
-    shape of the boolean ``masks``, followed by the mask bits, eight to a
-    byte. An ablated context depends only on the sentences its mask keeps,
-    so the key changes whenever any scored context would."""
-    digest = _sentences_digest("packed_score", model, continuation, sentences, shape=list(masks.shape))
+    """The cache key of one attribution's scores: the sha256 of the canonical
+    JSON of the model, the continuation, every sentence and the shape of the
+    boolean ``masks``, followed by the mask bits, eight to a byte. An ablated
+    context depends only on the sentences its mask keeps, so the key changes
+    whenever any scored context would."""
+    payload = {
+        "kind": "packed_score",
+        "model": model,
+        "continuation": continuation,
+        "sentences": list(sentences),
+        "shape": list(masks.shape),
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8"))
     digest.update(np.packbits(masks).tobytes())
     return digest.hexdigest()
-
-
-def request_score_keys(
-    model: str, continuation: str, sentences: Sequence[str], masks: np.ndarray, runs: Iterable[range]
-) -> list[str]:
-    """The cache keys of an attribution's scoring requests, one per run of
-    mask rows: the canonical JSON of the model, the continuation and every
-    sentence, hashed once, followed by the run's row count and its mask
-    bits, eight to a byte. A key follows the masks its request holds, so
-    splitting the masks at other rows changes it."""
-    head = _sentences_digest("request_score", model, continuation, sentences)
-    keys = []
-    for run in runs:
-        digest = head.copy()
-        digest.update(b"%d:" % len(run))
-        digest.update(np.packbits(masks[run.start : run.stop]).tobytes())
-        keys.append(digest.hexdigest())
-    return keys
 
 
 def prompt_hash(prompt: str) -> str:
@@ -221,8 +194,7 @@ def _read_to_end(descriptor: int) -> bytes:
 
 
 # The fields of a cached response, in the order of the response's fields,
-# with the types a usable entry holds. A packed score entry holds one list per
-# score field, each value of the field's type.
+# with the types a usable entry holds.
 _GEN_FIELDS = {"text": str, "prompt_tokens": int, "completion_tokens": int}
 _SCORE_FIELDS = {"total_logprob": (int, float)}
 
@@ -233,12 +205,7 @@ def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _is_packed(column: object, kind: type | tuple[type, ...], count: int) -> bool:
-    """Whether a cached value is a list of ``count`` values, each a ``kind``."""
-    return isinstance(column, list) and len(column) == count and all(_is_a(value, kind) for value in column)
-
-
-# The HTTP posts of the current thread's backend call: ``_cached`` resets it
+# The HTTP posts of the current thread's backend call: ``_send`` resets it
 # before each attempt, and ``HTTPBackend._post`` counts every post in it.
 _posts = threading.local()
 
@@ -273,22 +240,13 @@ class LLMClient:
     def _cache_path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _cache_read(
-        self,
-        key: str,
-        fields: dict[str, type | tuple[type, ...]],
-        count: int | None = None,
-        extra: str | None = None,
-    ) -> list | None:
-        """The values of ``fields`` (name: type) in the cached response under
-        ``key``, or None on a miss: no cache, no entry, or a damaged one (not
-        UTF-8 JSON, or a field missing or of another type). With ``count``
-        the entry is packed, and each field holds a list of ``count`` values
-        of its type. With ``extra``, the value of that field follows, as
-        cached and unchecked (None when the entry has none); it never makes
-        a miss. A damaged entry is computed and written again. The entry
-        is read through the bare descriptor, with no file object: an entry
-        that fits the first read costs one open, one read and one close."""
+    def _cache_read(self, key: str, fields: dict[str, type | tuple[type, ...]]) -> dict | None:
+        """The response cached under ``key``, or None on a miss: no cache, no
+        entry, or a damaged one (not UTF-8 JSON, or a field of ``fields``
+        (name: type) missing or of another type). A damaged entry is computed
+        and written again. The entry is read through the bare descriptor,
+        with no file object: an entry that fits the first read costs one
+        open, one read and one close."""
         if self.cache_dir is None:
             return None
         try:
@@ -301,68 +259,55 @@ class LLMClient:
             os.close(descriptor)
         try:
             response = json.loads(data.decode("utf-8"))["response"]
-            values = [response[name] for name in fields]
+            usable = all(_is_a(response[name], kind) for name, kind in fields.items())
         except (ValueError, KeyError, TypeError):
             return None
-        if count is None:
-            usable = all(map(_is_a, values, fields.values()))
-        else:
-            usable = all(_is_packed(column, kind, count) for column, kind in zip(values, fields.values()))
-        if not usable:
-            return None
-        return values + [response.get(extra)] if extra else values
+        return response if usable else None
 
     def _cache_write(self, key: str, request: dict, response: dict) -> None:
         if self.cache_dir is not None:
             entry = json.dumps({"request": request, "response": response}, ensure_ascii=False)
             write_atomically(self._cache_path(key), entry)
 
-    # -- the one call path --------------------------------------------------
+    # -- the call paths ------------------------------------------------------
 
-    def _cached(
-        self,
-        kind: str,
-        key: str,
-        fields: dict[str, type | tuple[type, ...]],
-        build: Callable[[], object],
-        send: Callable[[object], Sequence],
-        count: int | None = None,
-    ) -> tuple[Sequence, int | None]:
-        """The response values (``fields``, in order) under ``key``, and the
-        ms the backend call took (None on a hit). With ``count`` the entry is
-        packed (see ``_cache_read``) and a hit counts as ``count`` cache hits.
-        On a miss ``build()`` makes the request, once for all attempts, and
-        ``send`` takes it to the backend under the in-flight bound. Each
+    def _send(self, call: Callable[[], Sequence]) -> Sequence:
+        """``call()``, a backend request, under the in-flight bound. Each
         attempt counts as one backend call, or as the HTTP posts it sent when
         there were more; after a transient failure the next attempt waits the
         jittered exponential backoff, or the failure's ``Retry-After`` (at
-        most ``MAX_RETRY_AFTER``) when that is longer. The answer is cached."""
-        values = self._cache_read(key, fields, count)
-        if values is not None:
-            with self._stats_lock:
-                self.cache_hits += count or 1
-            return values, None
-        request = build()
-        started = time.monotonic()
+        most ``MAX_RETRY_AFTER``) when that is longer."""
         last: _Retryable | None = None
         for attempt in range(self.retry.attempts):
             try:
                 with self._semaphore:
                     _posts.count = 0
                     try:
-                        answer = send(request)
+                        return call()
                     finally:
                         with self._stats_lock:
                             self.backend_calls += max(_posts.count, 1)
-                break
             except _Retryable as exc:
                 last = exc
                 if attempt + 1 < self.retry.attempts:
                     delay = self.retry.base_delay * BACKOFF_FACTOR**attempt
                     delay *= 1.0 + random.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
                     self._sleep(max(delay, min(exc.retry_after, MAX_RETRY_AFTER), 0.0))
-        else:
-            raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
+        raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
+
+    def _cached(
+        self, kind: str, key: str, fields: dict[str, type | tuple[type, ...]], call: Callable[[], Sequence]
+    ) -> tuple[Sequence, int | None]:
+        """The response values (``fields``, in order) under ``key``, and the
+        ms the backend call took (None on a hit). On a miss ``call`` is sent
+        (see ``_send``) and its answer cached."""
+        response = self._cache_read(key, fields)
+        if response is not None:
+            with self._stats_lock:
+                self.cache_hits += 1
+            return [response[name] for name in fields], None
+        started = time.monotonic()
+        answer = self._send(call)
         latency_ms = int((time.monotonic() - started) * 1000)
         self._cache_write(key, {"kind": kind, "key": key}, dict(zip(fields, answer)))
         return answer, latency_ms
@@ -389,52 +334,46 @@ class LLMClient:
         request wait on its key, so the later ones read the first one's entry."""
         key = _canonical_gen_key(req)
         with self._key_lock(key):
-            values, latency_ms = self._cached("gen", key, _GEN_FIELDS, lambda: req, self.backend.complete)
+            values, latency_ms = self._cached("gen", key, _GEN_FIELDS, lambda: self.backend.complete(req))
         return GenResponse(*values, latency_ms=latency_ms or 0, cached=latency_ms is None)
 
     def score_continuation(self, model: str, context: str, continuation: str) -> float:
         """The total logprob of ``continuation`` after ``context``, cached under
         its ``_canonical_score_key``. Bench-only: nothing in ``higen`` calls
         it; ``bench/layers.py`` patches it."""
-
-        def send(contexts: list[str]) -> list[float]:
-            return self.backend.score_many(model, continuation, contexts)
-
         key = _canonical_score_key(model, context, continuation)
-        [score], _ = self._cached("score", key, _SCORE_FIELDS, lambda: [context], send)
+        call = lambda: self.backend.score_many(model, continuation, [context])  # noqa: E731
+        [score], _ = self._cached("score", key, _SCORE_FIELDS, call)
         return score
 
-    def packed_scores(self, key: str, count: int, build: Callable[[], tuple[str, str, list[str]]]) -> list[float]:
-        """The ``count`` total logprobs of one scoring request (see
-        ``request_score_keys``), cached as one packed entry under ``key``, in
-        order. A hit counts as ``count`` cache hits. On a miss, ``build()``
-        makes the (model, continuation, ``count`` contexts) batch, which goes
-        to the backend as one request and is cached under ``key``."""
-        columns, _ = self._cached(
-            "packed_score", key, _SCORE_FIELDS, build, lambda batch: [self.backend.score_many(*batch)], count
-        )
-        return columns[0]
+    def score_batch(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float]:
+        """The total logprob of ``continuation`` after each context, in order:
+        one ``score_many`` request, sent and counted as ``_send`` does, and
+        not cached (the attribution caches its scores itself)."""
+        return self._send(lambda: self.backend.score_many(model, continuation, contexts))
 
-    def packed_attribution(self, key: str, count: int, n: int) -> tuple[list[float], list[float] | None] | None:
-        """A whole attribution's packed entry under ``key`` (see
-        ``packed_score_key``), read in one open: its ``count`` total logprobs
-        and the fit's ``n`` weights cached beside them, or None on a miss. The
-        weights are None when the entry holds none, or holds anything but a
-        list of ``n`` finite numbers; such an entry still hits. A hit counts
-        as ``count`` cache hits."""
-        values = self._cache_read(key, _SCORE_FIELDS, count, extra="weights")
-        if values is None:
-            return None
+    def read_attribution(self, key: str, m: int, n: int) -> tuple[list[float], list[float] | None]:
+        """The scores cached so far under an attribution's ``key`` (see
+        ``packed_score_key``), in mask order, at most ``m`` of them, and the
+        fit's ``n`` weights cached beside all ``m``, read in one open. A
+        missing or damaged entry (``total_logprob`` not a list of at most
+        ``m`` numbers) holds no scores. The weights are None unless the entry
+        holds all ``m`` scores and a list of ``n`` finite numbers beside
+        them. Each cached score counts as one cache hit."""
+        response = self._cache_read(key, {"total_logprob": list})
+        scores = [] if response is None else response["total_logprob"]
+        if len(scores) > m or not all(_is_a(score, (int, float)) for score in scores):
+            return [], None
         with self._stats_lock:
-            self.cache_hits += count
-        scores, weights = values
-        if not (_is_packed(weights, (int, float), n) and all(map(math.isfinite, weights))):
+            self.cache_hits += len(scores)
+        weights = response.get("weights") if len(scores) == m else None
+        if not (isinstance(weights, list) and len(weights) == n and all(map(is_number, weights))):
             weights = None
         return scores, weights
 
-    def write_packed_attribution(self, key: str, scores: Sequence[float], weights: Sequence[float] | None) -> None:
+    def write_attribution(self, key: str, scores: Sequence[float], weights: Sequence[float] | None = None) -> None:
         """Cache an attribution's total logprobs ``scores`` under ``key`` as
-        one packed entry, with the fit's ``weights`` unless they are None."""
+        one entry, with the fit's ``weights`` unless they are None."""
         response = {"total_logprob": list(scores)}
         if weights is not None:
             response["weights"] = list(weights)
@@ -598,12 +537,17 @@ def _compact_logprobs(obj: dict) -> dict:
     offsets (int array). The decoder calls it as soon as one choice's object is
     complete, so a batch's tokens are never all held as Python objects. On 8
     echoed contexts of a 401-sentence transcript the decoding peak fell from
-    4.5 to 2.3 MB."""
+    4.5 to 2.3 MB. An offset that is null or not a number, or a count of
+    offsets other than the count of logprobs, is an EndpointError."""
     if "token_logprobs" in obj and "text_offset" in obj:
-        return {
-            "token_logprobs": np.array(obj["token_logprobs"], dtype=float),
-            "text_offset": np.array(obj["text_offset"], dtype=np.int64),
-        }
+        try:
+            logprobs = np.array(obj["token_logprobs"], dtype=float)
+            offsets = np.array(obj["text_offset"], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise EndpointError(200, f"malformed echoed logprobs: {exc}") from exc
+        if offsets.ndim != 1 or logprobs.shape != offsets.shape:
+            raise EndpointError(200, f"{logprobs.size} echoed logprobs against {offsets.size} text offsets")
+        return {"token_logprobs": logprobs, "text_offset": offsets}
     return obj
 
 

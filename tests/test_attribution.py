@@ -25,7 +25,6 @@ from higen.attribution import (
 from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
 from higen.llm_client import (
-    _SCORE_FIELDS,
     LLMClient,
     MockBackend,
     overlap_scorer,
@@ -213,6 +212,12 @@ def test_request_runs_split_the_masks_in_order_within_the_budget(document, data,
         assert sum(lengths[i] for i in run) <= budget or len(run) == 1
     for run in runs[:-1]:
         assert sum(lengths[i] for i in run) + lengths[run.stop] > budget
+
+
+@pytest.mark.parametrize("budget", [0, 1, 400_000])
+def test_no_lengths_make_no_runs(budget):
+    # A fully cached attribution has no contexts left, so it sends no request.
+    assert request_runs([], budget) == []
 
 
 class TestLogitScale:
@@ -634,7 +639,7 @@ class TestContextciteAttribute:
         assert results[0] == results[1]
         assert results[0].num_ablations == kept
 
-    def test_a_cache_of_request_entries_is_fully_hit(self, tmp_path):
+    def test_an_entry_of_transcript_sentences_is_fully_hit(self, tmp_path):
         # Transcript sentences with speaker labels, quotes, backslashes, tabs,
         # a line break inside an utterance and non-ASCII text.
         text = (
@@ -649,8 +654,8 @@ class TestContextciteAttribute:
         response = 'Ann said "stop" \\ Caf\u00e9.'
         params = AttributionParams(m=16)
         cold = contextcite_attribute(_client_with_scorer(tmp_path, overlap_scorer), doc, response, "m", params, 3)
-        _packed_entry(tmp_path / "cache", doc, response, "m", params, 3).unlink()
-        assert len(list((tmp_path / "cache").glob("*.json"))) == cold.scoring_requests == 1
+        path = _packed_entry(tmp_path / "cache", doc, response, "m", params, 3)
+        assert list((tmp_path / "cache").glob("*.json")) == [path] and cold.scoring_requests == 1
         backend = MockBackend(score_fn=overlap_scorer)
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
         warm = contextcite_attribute(client, doc, response, "m", params, seed=3)
@@ -794,19 +799,64 @@ class TestPackedScoreEntry:
         assert client.cache_hits == self._PARAMS.m
         return result
 
-    def test_a_cold_run_writes_one_entry_per_request_plus_one_and_a_warm_one_reads_one(self, tmp_path, monkeypatch):
+    def _path(self, tmp_path, doc=None) -> Path:
+        doc = doc or doc_from_sentences(_SYNTH_SENTENCES)
+        return _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+
+    def _scores(self, stop: int) -> list[float]:
+        """``overlap_scorer``'s scores of the first ``stop`` ablated contexts."""
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
+        return [overlap_scorer(ablate(doc, mask), self._RESPONSE) for mask in masks[:stop]]
+
+    def test_a_cold_run_writes_one_entry_and_a_warm_one_reads_one(self, tmp_path, monkeypatch):
         from higen import attribution
 
         runs = _small_budget_runs(monkeypatch, doc_from_sentences(_SYNTH_SENTENCES), self._PARAMS, 2)
         cold = self._cold(tmp_path)
         assert cold.scoring_requests == len(runs)
-        assert len(list((tmp_path / "cache").glob("*.json"))) == cold.scoring_requests + 1
+        assert list((tmp_path / "cache").glob("*.json")) == [self._path(tmp_path)]
         reads = _count_calls(monkeypatch, LLMClient, "_cache_read")
-        _forbid(monkeypatch, attribution, "request_score_keys")
+        _forbid(monkeypatch, LLMClient, "score_batch")
         _forbid(monkeypatch, attribution, "ablate")
         assert self._warm(tmp_path) == cold
         assert len(reads) == 1
-        assert len(list((tmp_path / "cache").glob("*.json"))) == cold.scoring_requests + 1
+        assert list((tmp_path / "cache").glob("*.json")) == [self._path(tmp_path)]
+
+    def test_after_each_request_the_entry_holds_exactly_the_scores_so_far(self, tmp_path, monkeypatch):
+        runs = _small_budget_runs(monkeypatch, doc_from_sentences(_SYNTH_SENTENCES), self._PARAMS, 2)
+        path = self._path(tmp_path)
+        held = []
+        plain_batch = LLMClient.score_batch
+
+        def score_batch(client, *args):
+            held.append(json.loads(path.read_text(encoding="utf-8"))["response"] if path.exists() else None)
+            return plain_batch(client, *args)
+
+        monkeypatch.setattr(LLMClient, "score_batch", score_batch)
+        cold = self._cold(tmp_path)
+        # Before request i is sent, the entry holds the scores of requests 0..i-1.
+        assert held == [None] + [{"total_logprob": self._scores(run.stop)} for run in runs[:-1]]
+        final = json.loads(path.read_text(encoding="utf-8"))["response"]
+        assert final == {"total_logprob": self._scores(self._PARAMS.m), "weights": cold.scores}
+
+    def test_an_entry_written_as_before_the_growing_entry_hits_with_no_backend_call(self, tmp_path, monkeypatch):
+        # The bytes every earlier version wrote for a finished attribution:
+        # m scores and the converged fit's weights, in one entry.
+        fresh = self._cold(tmp_path / "fresh")
+        path = self._path(tmp_path)
+        path.parent.mkdir()
+        entry = {
+            "request": {"kind": "packed_score", "key": path.stem},
+            "response": {"total_logprob": self._scores(self._PARAMS.m), "weights": fresh.scores},
+        }
+        path.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
+        assert path.read_bytes() == self._path(tmp_path / "fresh").read_bytes()
+        before = _cache_state(tmp_path / "cache")
+        _forbid(monkeypatch, LLMClient, "score_batch")
+        warm = self._warm(tmp_path)
+        assert warm == fresh and warm.iterations == 0 and warm.scoring_requests == 0
+        assert _cache_state(tmp_path / "cache") == before
 
     def test_a_warm_rerun_certifies_the_cached_weights_and_opens_one_file(self, tmp_path, monkeypatch):
         import os
@@ -815,14 +865,11 @@ class TestPackedScoreEntry:
 
         cold = self._cold(tmp_path)
         assert cold.converged and cold.iterations > 0
-        doc = doc_from_sentences(_SYNTH_SENTENCES)
-        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        path = self._path(tmp_path)
         cached = json.loads(path.read_text(encoding="utf-8"))["response"]
         assert set(cached) == {"total_logprob", "weights"}
+        assert len(cached["total_logprob"]) == self._PARAMS.m
         assert cached["weights"] == cold.scores
-        # A reader of total_logprob alone, as every version before the weights, still hits.
-        reader = _client_with_scorer(tmp_path, overlap_scorer)
-        assert reader._cache_read(path.stem, _SCORE_FIELDS, self._PARAMS.m) == [cached["total_logprob"]]
         before = _cache_state(tmp_path / "cache")
         opened = _count_calls(monkeypatch, os, "open")
         fits = _count_calls(monkeypatch, attribution, "fit_lasso")
@@ -851,22 +898,17 @@ class TestPackedScoreEntry:
     def test_an_entry_without_usable_weights_hits_fits_from_zero_and_is_not_rewritten(
         self, tmp_path, monkeypatch, edit
     ):
-        from higen import attribution
-
         cold = self._cold(tmp_path)
-        doc = doc_from_sentences(_SYNTH_SENTENCES)
-        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        path = self._path(tmp_path)
         path.write_bytes(_edited_response(edit)(path.read_bytes()))
         before = _cache_state(tmp_path / "cache")
-        _forbid(monkeypatch, attribution, "request_score_keys")
+        _forbid(monkeypatch, LLMClient, "score_batch")
         warm = self._warm(tmp_path)
         assert warm == cold
         assert warm.iterations == cold.iterations > 0
         assert _cache_state(tmp_path / "cache") == before
 
     def test_a_changed_lambda_frac_refits_from_zero_and_leaves_the_entry(self, tmp_path, monkeypatch):
-        from higen import attribution
-
         cold = self._cold(tmp_path)
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         before = _cache_state(tmp_path / "cache")
@@ -874,7 +916,7 @@ class TestPackedScoreEntry:
         fresh = contextcite_attribute(
             _client_with_scorer(tmp_path / "fresh", overlap_scorer), doc, self._RESPONSE, "m", changed, seed=2
         )
-        _forbid(monkeypatch, attribution, "request_score_keys")
+        _forbid(monkeypatch, LLMClient, "score_batch")
         backend = MockBackend(score_fn=overlap_scorer)
         client = LLMClient(backend, cache_dir=tmp_path / "cache")
         refit = contextcite_attribute(client, doc, self._RESPONSE, "m", changed, seed=2)
@@ -888,29 +930,28 @@ class TestPackedScoreEntry:
         "damage",
         [
             lambda good: good[: len(good) // 2],
-            _edited_response(lambda response: response["total_logprob"].pop()),
+            _edited_response(lambda response: response["total_logprob"].append(-1.5)),
             _edited_response(lambda response: response["total_logprob"].__setitem__(0, "-1.5")),
+            _edited_response(lambda response: response["total_logprob"].__setitem__(0, False)),
             _edited_response(lambda response: response.__setitem__("total_logprob", -1.5)),
+            _edited_response(lambda response: response.pop("total_logprob")),
         ],
-        ids=["truncated", "a_logprob_short", "a_string_logprob", "not_a_list"],
+        ids=["truncated", "a_logprob_too_many", "a_string_logprob", "a_bool_logprob", "not_a_list", "absent"],
     )
-    def test_a_damaged_entry_falls_back_to_the_per_request_entries_and_is_rewritten(
-        self, tmp_path, monkeypatch, damage
-    ):
-        from higen import attribution
-
+    def test_a_damaged_entry_is_scored_again_and_rewritten(self, tmp_path, damage):
         cold = self._cold(tmp_path)
-        doc = doc_from_sentences(_SYNTH_SENTENCES)
-        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        path = self._path(tmp_path)
         good = path.read_bytes()
         path.write_bytes(damage(good))
-        keyed = _count_calls(monkeypatch, attribution, "request_score_keys")
-        assert self._warm(tmp_path) == cold
-        assert len(keyed) == 1
+        backend = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
+        rescored = contextcite_attribute(
+            client, doc_from_sentences(_SYNTH_SENTENCES), self._RESPONSE, "m", self._PARAMS, seed=2
+        )
+        assert rescored == cold and rescored.scoring_requests == backend.score_calls == cold.scoring_requests
+        assert client.cache_hits == 0
         assert path.read_bytes() == good
-        keyed.clear()
         assert self._warm(tmp_path) == cold
-        assert keyed == []
 
     @pytest.mark.parametrize(
         "change",
@@ -924,24 +965,21 @@ class TestPackedScoreEntry:
         ],
         ids=["seed", "m", "keep_prob", "response", "model", "one_edited_sentence"],
     )
-    def test_a_changed_input_misses(self, tmp_path, monkeypatch, change):
-        from higen import attribution
-
+    def test_a_changed_input_misses(self, tmp_path, change):
         self._cold(tmp_path)
         run = dict(
             doc=doc_from_sentences(_SYNTH_SENTENCES), response=self._RESPONSE, model="m", params=self._PARAMS, seed=2
         )
         run.update(change)
-        client = _client_with_scorer(tmp_path, overlap_scorer)
-        keyed = _count_calls(monkeypatch, attribution, "request_score_keys")
+        backend = MockBackend(score_fn=overlap_scorer)
+        client = LLMClient(backend, cache_dir=tmp_path / "cache")
         contextcite_attribute(client, run["doc"], run["response"], run["model"], run["params"], seed=run["seed"])
-        assert len(keyed) == 1
+        assert backend.score_calls == 1 and client.cache_hits == 0
         assert _packed_entry(tmp_path / "cache", **run).exists()
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
     @pytest.mark.parametrize("value", [0.0, -math.inf])
     def test_a_packed_logprob_without_a_logit_drops_the_same_sample(self, tmp_path, monkeypatch, value):
-        from higen import attribution
-
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
         kept = int(masks[:, 2].sum())
@@ -951,20 +989,17 @@ class TestPackedScoreEntry:
             return overlap_scorer(ctx, cont) if _SYNTH_SENTENCES[2] in ctx else value
 
         cold = self._cold(tmp_path, scorer=dropping)
-        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        path = self._path(tmp_path)
         logprobs = json.loads(path.read_text())["response"]["total_logprob"]
         assert sum(logprob == value for logprob in logprobs) == self._PARAMS.m - kept
         client = _client_with_scorer(tmp_path, dropping)
-        _forbid(monkeypatch, attribution, "request_score_keys")
+        _forbid(monkeypatch, LLMClient, "score_batch")
         packed = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
         assert packed == cold and packed.num_ablations == kept
-        monkeypatch.undo()
-        path.unlink()
-        per_request = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
-        assert per_request == packed and client.backend_calls == 0
+        assert client.backend_calls == 0
 
     @pytest.mark.parametrize("failed", [0, 2, -1], ids=["first", "third", "last"])
-    def test_a_scoring_failure_writes_no_packed_entry_and_a_healed_rerun_sends_only_the_missing_batches(
+    def test_a_scoring_failure_keeps_the_scores_so_far_and_a_healed_rerun_sends_only_the_rest(
         self, tmp_path, monkeypatch, failed
     ):
         from higen.errors import EndpointError
@@ -972,6 +1007,7 @@ class TestPackedScoreEntry:
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         runs = _small_budget_runs(monkeypatch, doc, self._PARAMS, 2)
         failed %= len(runs)
+        start = runs[failed].start
 
         def fail_on_one_request(ctx, cont):
             if broken.score_calls == failed + 1:
@@ -979,78 +1015,84 @@ class TestPackedScoreEntry:
             return overlap_scorer(ctx, cont)
 
         broken = MockBackend(score_fn=fail_on_one_request)
-        with pytest.raises(AttributionError, match=f"mask {runs[failed].start}:"):
+        with pytest.raises(AttributionError, match=f"mask {start}:"):
             contextcite_attribute(
                 LLMClient(broken, cache_dir=tmp_path / "cache"), doc, self._RESPONSE, "m", self._PARAMS, seed=2
             )
-        # One entry per request sent before the failed one, and no packed entry.
-        assert len(list((tmp_path / "cache").glob("*.json"))) == failed
-        assert not _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2).exists()
+        # The scores of the requests sent before the failed one, and no weights.
+        path = self._path(tmp_path)
+        if failed:
+            assert json.loads(path.read_text(encoding="utf-8"))["response"] == {"total_logprob": self._scores(start)}
+        assert path.exists() == bool(failed) and len(list((tmp_path / "cache").glob("*.json"))) == path.exists()
         healed = RecordingBackend(score_fn=overlap_scorer)
         client = LLMClient(healed, cache_dir=tmp_path / "cache")
         resumed = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
         assert healed.score_calls == resumed.scoring_requests == len(runs) - failed
         masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
-        resent = masks[runs[failed].start :]
-        assert scored_contexts(healed) == [prompt_hash(ablate(doc, mask)) for mask in resent]
-        assert client.cache_hits == runs[failed].start
-        assert len(list((tmp_path / "cache").glob("*.json"))) == len(runs) + 1
+        assert scored_contexts(healed) == [prompt_hash(ablate(doc, mask)) for mask in masks[start:]]
+        assert client.cache_hits == start
+        assert list((tmp_path / "cache").glob("*.json")) == [path]
         assert resumed == self._cold(tmp_path / "fresh")
 
-    def test_a_changed_request_budget_resends_a_cold_attribution_but_not_a_packed_hit(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 10**9], ids=["one_context_a_request", "one_request"])
+    def test_a_run_cut_short_resends_none_of_its_requests_under_a_changed_budget(self, tmp_path, monkeypatch, budget):
         from higen import attribution
+        from higen.errors import EndpointError
 
         doc = doc_from_sentences(_SYNTH_SENTENCES)
-        cold = self._cold(tmp_path)
-        assert cold.scoring_requests == 1
         runs = _small_budget_runs(monkeypatch, doc, self._PARAMS, 2)
-        assert attribution.SCORE_REQUEST_CHARS == _SMALL_BUDGET
-        assert self._warm(tmp_path) == cold
-        _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2).unlink()
-        backend = MockBackend(score_fn=overlap_scorer)
-        client = LLMClient(backend, cache_dir=tmp_path / "cache")
-        resent = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
-        assert backend.score_calls == resent.scoring_requests == len(runs)
-        assert client.cache_hits == 0
-        assert resent == cold
+        cut = 2
+        start = runs[cut].start
+
+        def cut_short(ctx, cont):
+            if broken.score_calls > cut:
+                raise EndpointError(500, "down")
+            return overlap_scorer(ctx, cont)
+
+        broken = MockBackend(score_fn=cut_short)
+        with pytest.raises(AttributionError):
+            contextcite_attribute(
+                LLMClient(broken, cache_dir=tmp_path / "cache"), doc, self._RESPONSE, "m", self._PARAMS, seed=2
+            )
+        monkeypatch.setattr(attribution, "SCORE_REQUEST_CHARS", budget)
+        healed = RecordingBackend(score_fn=overlap_scorer)
+        client = LLMClient(healed, cache_dir=tmp_path / "cache")
+        resumed = contextcite_attribute(client, doc, self._RESPONSE, "m", self._PARAMS, seed=2)
+        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
+        assert scored_contexts(healed) == [prompt_hash(ablate(doc, mask)) for mask in masks[start:]]
+        assert healed.score_calls == resumed.scoring_requests == (self._PARAMS.m - start if budget == 1 else 1)
+        assert client.cache_hits == start
+        assert resumed == self._cold(tmp_path / "fresh")
 
     def test_a_cache_with_only_a_packed_entry_serves_a_warm_attribution(self, tmp_path):
         # The layout a cache filled before per-request entries keeps once its
         # per-context entries are deleted: the packed entry alone, written here
         # field by field as it was then.
-        doc = doc_from_sentences(_SYNTH_SENTENCES)
-        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
-        scored = [overlap_scorer(ablate(doc, mask), self._RESPONSE) for mask in masks]
-        path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
+        path = self._path(tmp_path)
         path.parent.mkdir()
         entry = {
             "request": {"kind": "packed_score", "key": path.stem},
-            "response": {"total_logprob": scored, "token_count": [len(self._RESPONSE.split())] * len(masks)},
+            "response": {
+                "total_logprob": self._scores(self._PARAMS.m),
+                "token_count": [len(self._RESPONSE.split())] * self._PARAMS.m,
+            },
         }
         path.write_text(json.dumps(entry, ensure_ascii=False))
         assert self._warm(tmp_path) == self._cold(tmp_path / "fresh")
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
 
-    @pytest.mark.parametrize("packed", [True, False], ids=["packed_entry", "request_entry"])
-    def test_entries_that_also_hold_token_counts_hit_and_are_not_rewritten(self, tmp_path, packed):
+    def test_an_entry_that_also_holds_token_counts_hits_and_is_not_rewritten(self, tmp_path):
         # An entry written when scores also carried a token count holds a
         # token_count list beside its total_logprob list; the counts go unread.
         cold = self._cold(tmp_path)
-        doc = doc_from_sentences(_SYNTH_SENTENCES)
-        packed_path = _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2)
-        if not packed:
-            packed_path.unlink()
-        written = {}
-        for path in (tmp_path / "cache").glob("*.json"):
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            logprobs = entry["response"]["total_logprob"]
-            entry["response"]["token_count"] = [len(self._RESPONSE.split())] * len(logprobs)
-            path.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-            written[path] = path.read_bytes()
-        assert len(written) == cold.scoring_requests + packed
-        assert self._warm(tmp_path) == cold
-        assert {path: path.read_bytes() for path in written} == written
-        assert packed_path.exists()
+        path = self._path(tmp_path)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["response"]["token_count"] = [len(self._RESPONSE.split())] * self._PARAMS.m
+        path.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
+        before = _cache_state(tmp_path / "cache")
+        warm = self._warm(tmp_path)
+        assert warm == cold and warm.iterations == 0
+        assert _cache_state(tmp_path / "cache") == before
 
     def test_the_contexts_of_two_requests_are_never_alive_together(self, tmp_path, monkeypatch):
         from higen import attribution
@@ -1074,7 +1116,7 @@ class TestPackedScoreEntry:
         assert result.scoring_requests == len(sizes)
         assert peak < 1.5 * max(sizes)
 
-    def test_too_few_usable_samples_write_no_packed_entry(self, tmp_path):
+    def test_too_few_usable_samples_keep_the_scores_without_weights(self, tmp_path):
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         params = AttributionParams(m=16)
 
@@ -1084,14 +1126,20 @@ class TestPackedScoreEntry:
         client = _client_with_scorer(tmp_path, drop_without_third)
         with pytest.raises(AttributionError, match="ablation samples usable"):
             contextcite_attribute(client, doc, "resp", "m", params, seed=0)
-        assert len(list((tmp_path / "cache").glob("*.json"))) == client.backend_calls == 1
-        assert not _packed_entry(tmp_path / "cache", doc, "resp", "m", params, 0).exists()
+        path = _packed_entry(tmp_path / "cache", doc, "resp", "m", params, 0)
+        assert list((tmp_path / "cache").glob("*.json")) == [path] and client.backend_calls == 1
+        masks = sample_masks(len(doc.sentences), params.m, params.keep_prob, 0)
+        expected = [drop_without_third(ablate(doc, mask), "resp") for mask in masks]
+        assert json.loads(path.read_text(encoding="utf-8"))["response"] == {"total_logprob": expected}
+        before = _cache_state(tmp_path / "cache")
+        with pytest.raises(AttributionError, match="ablation samples usable"):
+            contextcite_attribute(client, doc, "resp", "m", params, seed=0)
+        assert client.backend_calls == 1 and client.cache_hits == params.m
+        assert _cache_state(tmp_path / "cache") == before
 
     def test_the_dump_of_a_packed_hit_equals_the_cold_dump(self, tmp_path, monkeypatch):
-        from higen import attribution
-
         self._cold(tmp_path, dump_path=tmp_path / "cold.jsonl")
-        _forbid(monkeypatch, attribution, "request_score_keys")
+        _forbid(monkeypatch, LLMClient, "score_batch")
         self._warm(tmp_path, dump_path=tmp_path / "warm.jsonl")
         assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
 
@@ -1104,13 +1152,13 @@ class TestPackedScoreEntry:
         assert [record.levelno for record in caplog.records] == [logging.DEBUG] * 2
         first, second = (record.getMessage() for record in caplog.records)
         assert cold.iterations > 0 and warm.iterations == 0
-        for message, iterations, source, fit in (
-            (first, cold.iterations, "per-request entries", "a fit from zero"),
-            (second, 0, "the packed entry", "a certified cached solution"),
+        for message, iterations, cached, fit in (
+            (first, cold.iterations, 0, "a fit from zero"),
+            (second, 0, 16, "a certified cached solution"),
         ):
             assert message.startswith("attribution of doc-7: n=12, 16/16 samples usable, lambda=")
             assert f", {iterations} iterations, converged={cold.converged}" in message
-            assert message.endswith(f"scores from {source}, weights from {fit}")
+            assert message.endswith(f", {cached}/16 scores cached, weights from {fit}")
             assert not any(word in message for word in ("Bridge", "banana", "Anchor", "apple"))
         assert warm == cold
 
@@ -1119,21 +1167,27 @@ class TestPackedScoreEntry:
         runs = _small_budget_runs(monkeypatch, doc, self._PARAMS, 2)
         masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
         lengths = context_lengths(doc, masks)
-        largest = max(int(lengths[run.start : run.stop].sum()) for run in runs)
-        assert largest <= _SMALL_BUDGET
+        sizes = [int(lengths[run.start : run.stop].sum()) for run in runs]
+        assert max(sizes) <= _SMALL_BUDGET
         with caplog.at_level(logging.DEBUG, logger="higen.attribution"):
             cold = self._cold(tmp_path, doc=doc)
             warm = self._warm(tmp_path, doc=doc)
-            _packed_entry(tmp_path / "cache", doc, self._RESPONSE, "m", self._PARAMS, 2).unlink()
-            per_request = self._warm(tmp_path, doc=doc)
-        assert cold.scoring_requests == len(runs)
-        assert warm.scoring_requests == per_request.scoring_requests == 0
-        assert cold == warm == per_request
+            # Keep the scores of every request but the last, and no weights.
+            path = self._path(tmp_path, doc)
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry["response"] = {"total_logprob": entry["response"]["total_logprob"][: runs[-1].start]}
+            path.write_text(json.dumps(entry), encoding="utf-8")
+            resumed = contextcite_attribute(
+                _client_with_scorer(tmp_path, overlap_scorer), doc, self._RESPONSE, "m", self._PARAMS, seed=2
+            )
+        assert (cold.scoring_requests, warm.scoring_requests, resumed.scoring_requests) == (len(runs), 0, 1)
+        assert cold == warm == resumed
         messages = [record.getMessage() for record in caplog.records]
         assert len(messages) == 3
-        assert f", {len(runs)} scoring requests, the largest of {largest} context characters, " in messages[0]
-        for message in messages[1:]:
-            assert ", 0 scoring requests, the largest of 0 context characters, " in message
+        assert f", {len(runs)} scoring requests, the largest of {max(sizes)} context characters, 0/16 " in messages[0]
+        assert ", 0 scoring requests, the largest of 0 context characters, 16/16 scores cached, " in messages[1]
+        resumed_line = f", 1 scoring requests, the largest of {sizes[-1]} context characters, {runs[-1].start}/16 "
+        assert resumed_line in messages[2]
 
 
 class TestAttributionHighlights:

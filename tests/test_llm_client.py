@@ -33,7 +33,6 @@ from higen.llm_client import (
     overlap_scorer,
     packed_score_key,
     prompt_hash,
-    request_score_keys,
 )
 
 from conftest import DATA_DIR, RecordingBackend, make_mock_client, per_token_scorer, score_requests
@@ -177,7 +176,7 @@ class TestCache:
         assert len(text.encode("utf-8")) > 200_000
         client, _ = make_mock_client(tmp_path)
         client._cache_write("big", {"kind": "gen", "key": "big"}, {"text": text, "prompt_tokens": 7, "completion_tokens": 9})
-        assert client._cache_read("big", _GEN_FIELDS) == [text, 7, 9]
+        assert client._cache_read("big", _GEN_FIELDS) == {"text": text, "prompt_tokens": 7, "completion_tokens": 9}
 
     def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         client, backend = make_mock_client(tmp_path)
@@ -227,7 +226,7 @@ def _plain_score_key(model: str, context: str, continuation: str) -> str:
 
 def _plain_packed_key(model: str, continuation: str, sentences: list[str], masks: np.ndarray) -> str:
     """The packed score key as it was first defined, the oracle that keeps
-    packed entries written before per-request entries hitting."""
+    the attribution entries of every earlier version hitting."""
     head = {"kind": "packed_score", "model": model, "continuation": continuation, "sentences": sentences}
     head["shape"] = list(masks.shape)
     digest = hashlib.sha256(json.dumps(head, sort_keys=True, ensure_ascii=False).encode("utf-8"))
@@ -261,30 +260,6 @@ class TestScoreKey:
             model, continuation, sentences, masks
         )
 
-    def test_a_request_key_follows_the_masks_of_its_own_request(self):
-        sentences = ["Ann: One two.", 'Three "four".', "Caf\u00e9 five.", "Six\nseven."]
-        masks = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=bool)
-        runs = [range(0, 1), range(1, 3), range(3, 5)]
-        keys = request_score_keys("m", "The draft.", sentences, masks, runs)
-        # Runs 1 and 2 hold the same two masks, so they are the same request.
-        assert keys[1] == keys[2] != keys[0]
-        assert keys == request_score_keys("m", "The draft.", list(sentences), masks.copy(), runs)
-        assert request_score_keys("m", "The draft.", sentences, masks, [range(1, 3)]) == [keys[1]]
-        flipped = masks.copy()
-        flipped[4, 0] = True
-        changed = request_score_keys("m", "The draft.", sentences, flipped, runs)
-        assert changed[:2] == keys[:2] and changed[2] not in keys
-        variants = [
-            *request_score_keys("m2", "The draft.", sentences, masks, runs[:2]),
-            *request_score_keys("m", "The draft!", sentences, masks, runs[:2]),
-            *request_score_keys("m", "The draft.", [*sentences[:3], "Six\nseven!"], masks, runs[:2]),
-            # The same masks split at other rows, and a shorter run.
-            *request_score_keys("m", "The draft.", sentences, masks, [range(0, 2), range(2, 3), range(1, 2)]),
-            # The packed key of the same masks.
-            packed_score_key("m", "The draft.", sentences, masks[1:3]),
-        ]
-        assert len({*keys, *variants}) == 2 + len(variants) == 12
-
     def test_the_packed_key_changes_whenever_a_per_context_key_would(self):
         sentences = ["Ann: One two.", 'Three "four".', "Caf\u00e9 five.", "Six\nseven."]
         masks = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=bool)
@@ -308,11 +283,12 @@ class TestScoreKey:
         assert len({key, *variants}) == len(variants) + 1 == 21
 
     def test_a_given_key_is_used_and_not_compared(self, tmp_path):
-        # packed_scores caches under the key it is given; it never recomputes
-        # a key from the requests that it builds.
+        # An attribution's entry is cached under the key it is given; nothing
+        # recomputes a key from the scores it holds.
         client, backend = make_mock_client(tmp_path)
-        client.packed_scores("0" * 64, 1, lambda: ("m", "a b", ["c"]))
+        client.write_attribution("0" * 64, [-1.0])
         assert [path.stem for path in (tmp_path / "cache").glob("*.json")] == ["0" * 64]
+        assert client.read_attribution("0" * 64, 2, 1) == ([-1.0], None)
 
     def test_recording_backend_records_a_scored_context_by_its_hash(self, tmp_path):
         client, backend = make_mock_client(tmp_path)
@@ -469,6 +445,26 @@ class _FakeSession:
         return self.responses.pop(0)
 
 
+class _EchoSession(_FakeSession):
+    """Answers the first posts with the statuses of ``failures``, then each
+    completions post as an endpoint that echoes every prompt as its context
+    and the continuation ``draft`` as two tokens, scored by ``overlap_scorer``."""
+
+    def __init__(self, draft: str, failures: list[int] = ()):
+        super().__init__([_FakeResponse(status) for status in failures])
+        self.draft = draft
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if self.responses:
+            return super().post(url, json, headers, timeout)
+        self.posts.append((url, json))
+        choices = []
+        for index, prompt in enumerate(json["prompt"]):
+            context = prompt[: len(prompt) - len(self.draft)]
+            choices.append(_choice(index, [context, self.draft], [None, overlap_scorer(context, self.draft)]))
+        return _FakeResponse(200, {"choices": choices})
+
+
 def _completions_payload(tokens, logprobs, offsets):
     return {
         "choices": [
@@ -585,6 +581,18 @@ class TestHTTPBackend:
         backend = HTTPBackend("http://host", session=session)
         with pytest.raises(CapabilityError):
             backend.score("m", "a", "b")
+
+    @pytest.mark.parametrize("offsets", [[0, None, 5], [0, 2]], ids=["a_null_offset", "an_offset_short"])
+    def test_malformed_echoed_logprobs_are_an_endpoint_error_not_retried_or_cached(self, tmp_path, offsets):
+        # Three tokens; an offset list with the last one missing would sum the wrong tail, -0.75.
+        payload = _completions_payload(["ab", " cd", " ef"], [None, -0.5, -0.25], offsets)
+        session = _FakeSession([_FakeResponse(200, payload)])
+        client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
+        with pytest.raises(EndpointError, match="echoed logprobs") as err:
+            client.score_continuation("m", "ab", " cd ef")
+        assert err.value.status == 200
+        assert len(session.posts) == client.backend_calls == 1
+        assert list((tmp_path / "cache").iterdir()) == []
 
     def test_oversize_rejection_detected(self):
         session = _FakeSession(
@@ -811,7 +819,7 @@ class TestBatchedScoring:
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(8)]}
         session = _FakeSession([_FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
-        scored = client.packed_scores("0" * 64, 8, lambda: ("m", " z", [str(i) for i in range(8)]))
+        scored = client.score_batch("m", " z", [str(i) for i in range(8)])
         assert scored == [-1.0] * 8
         assert len(session.posts) == 1
         assert client.backend_calls == 1
@@ -820,37 +828,44 @@ class TestBatchedScoring:
         payload = {"choices": [_choice(i, [str(i), " z"], [None, -1.0]) for i in range(2)]}
         session = _FakeSession([_FakeResponse(429), _FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), sleep=lambda _: None)
-        client.packed_scores("0" * 64, 2, lambda: ("m", " z", ["0", "1"]))
+        assert client.score_batch("m", " z", ["0", "1"]) == [-1.0, -1.0]
         assert len(session.posts) == 2
         assert session.posts[0][1] == session.posts[1][1]
         assert client.backend_calls == 2
 
-    def test_a_request_is_built_once_however_many_attempts_it_takes(self, tmp_path):
-        payload = {"choices": [_choice(0, ["0", " z"], [None, -1.0])]}
-        session = _FakeSession([_FakeResponse(429), _FakeResponse(429), _FakeResponse(200, payload)])
+    def test_a_request_is_built_once_however_many_attempts_it_takes(self, tmp_path, monkeypatch):
+        from higen import attribution
+        from higen.attribution import AttributionParams, contextcite_attribute
+
+        # One attribution's request of 8 contexts meets two 429s before it is answered.
+        doc = make_document("d", "Alpha one. Beta two. Gamma three.")
+        session = _EchoSession(" Alpha.", failures=[429, 429])
         client = LLMClient(
             HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache", sleep=lambda _: None
         )
         built = []
+        plain_ablate = attribution.ablate
 
-        def build():
+        def ablate(document, mask):
             built.append(len(session.posts))
-            return "m", " z", ["0"]
+            return plain_ablate(document, mask)
 
-        assert client.packed_scores("0" * 64, 1, build) == [-1.0]
-        assert built == [0]  # before the first attempt, and only then
+        monkeypatch.setattr(attribution, "ablate", ablate)
+        params = AttributionParams(m=8)
+        result = contextcite_attribute(client, doc, " Alpha.", "m", params)
+        assert built == [0] * 8  # before the first attempt, and only then
         assert len(session.posts) == client.backend_calls == 3
         # A hit neither builds nor sends.
-        assert client.packed_scores("0" * 64, 1, build) == [-1.0]
-        assert built == [0] and len(session.posts) == client.backend_calls == 3
-        assert client.cache_hits == 1
+        assert contextcite_attribute(client, doc, " Alpha.", "m", params) == result
+        assert built == [0] * 8 and len(session.posts) == client.backend_calls == 3
+        assert client.cache_hits == 8
 
     def test_the_seam_retry_post_counts_as_a_backend_call(self, tmp_path):
         first = {"choices": [_choice(0, ["ab", "cd"], [None, -1.0]), _choice(1, ["xycd"], [None])]}
         second = {"choices": [_choice(0, ["xy ", "cd"], [None, -0.5])]}
         session = _FakeSession([_FakeResponse(200, first), _FakeResponse(200, second)])
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
-        assert client.packed_scores("0" * 64, 2, lambda: ("m", "cd", ["ab", "xy"])) == [-1.0, -0.5]
+        assert client.score_batch("m", "cd", ["ab", "xy"]) == [-1.0, -0.5]
         assert len(session.posts) == client.backend_calls == 2
 
     def test_the_manifest_counts_every_post_of_a_run(self, tmp_path, monkeypatch):
