@@ -119,7 +119,8 @@ def _min_samples(n: int) -> int:
 def sample_masks(n: int, m: int, keep_prob: float, seed: int) -> np.ndarray:
     """An m x n boolean array of ablation masks over n sentences: the first row
     is all-ones (anchoring the unablated context), the rest are i.i.d.
-    Bernoulli(keep_prob) per bit with all-zero draws resampled."""
+    Bernoulli(keep_prob) per bit with all-zero draws resampled. The masks of
+    m are the first m rows of the masks of any larger m with the same seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 2:

@@ -5,22 +5,21 @@ and teacher-forced log-probability scoring of a fixed continuation
 (completions route with echo + logprobs). Every backend request goes through
 ``LLMClient._send``: under the in-flight bound, retried on a transient
 failure (after the backoff, or the server's ``Retry-After`` delay when that
-is longer), with every HTTP post counted. ``_cached`` answers one cache key
-with it: it reads the key's entry and on a miss sends the request and caches
-the answer, so interrupted experiments replay offline. ``generate`` holds a
-per-key lock, freed once its last caller leaves, so concurrent identical
-generations share one backend call. Scores go to the backend with an array
-``prompt`` whose choices are mapped back by ``index``; a score is one float,
-the continuation's total logprob. A missing or damaged entry is a miss, and
-a hit is read in one open, read and close. The score-cache key formats live
-here alone: a single context's key is the sha256 of the canonical JSON of
-its model, context and continuation, and an attribution's is
-``packed_score_key``. An attribution's one entry holds its scores so far, in
-mask order, and the fit's weights once all are scored: ``score_batch`` sends
-a scoring request uncached, and the attribution rewrites its entry with
+is longer), with every HTTP post counted. The cache holds two kinds of
+entry, both read by ``_cache_read`` and written by ``_cache_write``, so
+interrupted experiments replay offline. A ``gen`` entry is one generation:
+``generate`` reads it and on a miss sends the request and caches the answer,
+holding a per-key lock, freed once its last caller leaves, so concurrent
+identical generations share one backend call. A ``packed_score`` entry is one
+attribution's, under ``packed_score_key``: its scores so far, in mask order,
+and the fit's weights once all are scored. ``score_batch`` sends a scoring
+request uncached, and the attribution rewrites its entry with
 ``write_attribution`` after each one and reads it with ``read_attribution``.
-A deterministic mock backend makes the whole pipeline reproducible in tests
-and offline runs.
+A missing or damaged entry is a miss. Scores go to the backend with an array
+``prompt`` whose choices are mapped back by ``index``; a score is one float,
+the continuation's total logprob. ``score_continuation`` is an uncached
+one-context batch, kept for ``bench/layers.py``. A deterministic mock backend
+makes the whole pipeline reproducible in tests and offline runs.
 """
 
 from __future__ import annotations
@@ -109,8 +108,7 @@ class _Retryable(Exception):
 
 class Backend(Protocol):
     """What an ``LLMClient`` sends its requests to. A score is the one float
-    the attribution needs, the continuation's total logprob, and that is all
-    a score cache entry holds."""
+    the attribution needs, the continuation's total logprob."""
 
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
         """Return (text, prompt_tokens, completion_tokens)."""
@@ -131,11 +129,6 @@ def _canonical_gen_key(req: GenRequest) -> str:
         "max_tokens": req.max_tokens,
         "seed": req.seed,
     }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
-
-
-def _canonical_score_key(model: str, context: str, continuation: str) -> str:
-    payload = {"kind": "score", "model": model, "context": context, "continuation": continuation}
     return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
@@ -178,25 +171,9 @@ def write_atomically(path: str | Path, text: str) -> None:
         raise
 
 
-# The first read of a cache entry; a score entry is about 150 bytes.
-_READ_SIZE = 16384
-
-
-def _read_to_end(descriptor: int) -> bytes:
-    """The rest of a regular file: reads of doubling size until one comes back
-    short, which on a regular file means its end."""
-    size = _READ_SIZE
-    parts = [os.read(descriptor, size)]
-    while len(parts[-1]) == size:
-        size *= 2
-        parts.append(os.read(descriptor, size))
-    return b"".join(parts)
-
-
-# The fields of a cached response, in the order of the response's fields,
+# The fields of a cached generation, in the order of the response's fields,
 # with the types a usable entry holds.
 _GEN_FIELDS = {"text": str, "prompt_tokens": int, "completion_tokens": int}
-_SCORE_FIELDS = {"total_logprob": (int, float)}
 
 
 def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
@@ -237,30 +214,20 @@ class LLMClient:
 
     # -- cache ------------------------------------------------------------
 
-    def _cache_path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"{key}.json")
+    def _cache_path(self, key: str) -> Path:
+        return self.cache_dir / f"{key}.json"
 
-    def _cache_read(self, key: str, fields: dict[str, type | tuple[type, ...]]) -> dict | None:
+    def _cache_read(self, key: str, fields: dict[str, type]) -> dict | None:
         """The response cached under ``key``, or None on a miss: no cache, no
         entry, or a damaged one (not UTF-8 JSON, or a field of ``fields``
         (name: type) missing or of another type). A damaged entry is computed
-        and written again. The entry is read through the bare descriptor,
-        with no file object: an entry that fits the first read costs one
-        open, one read and one close."""
+        and written again."""
         if self.cache_dir is None:
             return None
         try:
-            descriptor = os.open(self._cache_path(key), os.O_RDONLY)
-        except FileNotFoundError:
-            return None
-        try:
-            data = _read_to_end(descriptor)
-        finally:
-            os.close(descriptor)
-        try:
-            response = json.loads(data.decode("utf-8"))["response"]
+            response = json.loads(self._cache_path(key).read_bytes().decode("utf-8"))["response"]
             usable = all(_is_a(response[name], kind) for name, kind in fields.items())
-        except (ValueError, KeyError, TypeError):
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
         return response if usable else None
 
@@ -295,23 +262,6 @@ class LLMClient:
                     self._sleep(max(delay, min(exc.retry_after, MAX_RETRY_AFTER), 0.0))
         raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
 
-    def _cached(
-        self, kind: str, key: str, fields: dict[str, type | tuple[type, ...]], call: Callable[[], Sequence]
-    ) -> tuple[Sequence, int | None]:
-        """The response values (``fields``, in order) under ``key``, and the
-        ms the backend call took (None on a hit). On a miss ``call`` is sent
-        (see ``_send``) and its answer cached."""
-        response = self._cache_read(key, fields)
-        if response is not None:
-            with self._stats_lock:
-                self.cache_hits += 1
-            return [response[name] for name in fields], None
-        started = time.monotonic()
-        answer = self._send(call)
-        latency_ms = int((time.monotonic() - started) * 1000)
-        self._cache_write(key, {"kind": kind, "key": key}, dict(zip(fields, answer)))
-        return answer, latency_ms
-
     @contextlib.contextmanager
     def _key_lock(self, key: str):
         """Hold ``key``'s lock; its entry is freed once its last caller leaves."""
@@ -330,21 +280,27 @@ class LLMClient:
     # -- public API --------------------------------------------------------
 
     def generate(self, req: GenRequest) -> GenResponse:
-        """Generate, or replay the cached response. Concurrent callers of one
+        """Generate, or replay the cached response. On a miss the request is
+        sent (see ``_send``) and its answer cached. Concurrent callers of one
         request wait on its key, so the later ones read the first one's entry."""
         key = _canonical_gen_key(req)
         with self._key_lock(key):
-            values, latency_ms = self._cached("gen", key, _GEN_FIELDS, lambda: self.backend.complete(req))
-        return GenResponse(*values, latency_ms=latency_ms or 0, cached=latency_ms is None)
+            response = self._cache_read(key, _GEN_FIELDS)
+            if response is not None:
+                with self._stats_lock:
+                    self.cache_hits += 1
+                return GenResponse(*(response[name] for name in _GEN_FIELDS), latency_ms=0, cached=True)
+            started = time.monotonic()
+            values = self._send(lambda: self.backend.complete(req))
+            latency_ms = int((time.monotonic() - started) * 1000)
+            self._cache_write(key, {"kind": "gen", "key": key}, dict(zip(_GEN_FIELDS, values)))
+        return GenResponse(*values, latency_ms=latency_ms, cached=False)
 
     def score_continuation(self, model: str, context: str, continuation: str) -> float:
-        """The total logprob of ``continuation`` after ``context``, cached under
-        its ``_canonical_score_key``. Bench-only: nothing in ``higen`` calls
-        it; ``bench/layers.py`` patches it."""
-        key = _canonical_score_key(model, context, continuation)
-        call = lambda: self.backend.score_many(model, continuation, [context])  # noqa: E731
-        [score], _ = self._cached("score", key, _SCORE_FIELDS, call)
-        return score
+        """The total logprob of ``continuation`` after ``context``: a
+        ``score_batch`` of one context, uncached. Bench-only: nothing in
+        ``higen`` calls it; ``bench/layers.py`` patches it."""
+        return self.score_batch(model, continuation, [context])[0]
 
     def score_batch(self, model: str, continuation: str, contexts: Sequence[str]) -> list[float]:
         """The total logprob of ``continuation`` after each context, in order:
@@ -455,6 +411,10 @@ class HTTPBackend:
             raise EndpointError(200, f"unexpected completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise EndpointError(200, f"completion content is {type(text).__name__}, not a string")
+        try:
+            text.encode("utf-8")  # a lone surrogate from a \u escape has no UTF-8 form to cache or record
+        except UnicodeEncodeError as exc:
+            raise EndpointError(200, f"completion content is not valid Unicode: {exc}") from exc
         return text, *counts
 
     def score(self, model: str, context: str, continuation: str) -> float:
@@ -537,14 +497,17 @@ def _compact_logprobs(obj: dict) -> dict:
     offsets (int array). The decoder calls it as soon as one choice's object is
     complete, so a batch's tokens are never all held as Python objects. On 8
     echoed contexts of a 401-sentence transcript the decoding peak fell from
-    4.5 to 2.3 MB. An offset that is null or not a number, or a count of
-    offsets other than the count of logprobs, is an EndpointError."""
+    4.5 to 2.3 MB. An offset that is not an integer (null, a fraction or a
+    string), or a count of offsets other than the count of logprobs, is an
+    EndpointError."""
     if "token_logprobs" in obj and "text_offset" in obj:
         try:
             logprobs = np.array(obj["token_logprobs"], dtype=float)
-            offsets = np.array(obj["text_offset"], dtype=np.int64)
+            offsets = np.array(obj["text_offset"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise EndpointError(200, f"malformed echoed logprobs: {exc}") from exc
+        if offsets.dtype.kind != "i":
+            raise EndpointError(200, f"malformed echoed logprobs: text offsets of dtype {offsets.dtype}, not integers")
         if offsets.ndim != 1 or logprobs.shape != offsets.shape:
             raise EndpointError(200, f"{logprobs.size} echoed logprobs against {offsets.size} text offsets")
         return {"token_logprobs": logprobs, "text_offset": offsets}

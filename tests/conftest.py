@@ -46,12 +46,6 @@ def traced_peak(fn: Callable, *args, **kwargs):
     return result, peak
 
 
-def score_requests(client: LLMClient, model: str, continuation: str, contexts: list[str]) -> list[float]:
-    """Score ``continuation`` after each context, one at a time through
-    ``score_continuation``, each under its own canonical score key."""
-    return [client.score_continuation(model, context, continuation) for context in contexts]
-
-
 # A score batch as a test backend records it: (model, continuation, contexts).
 ScoreBatch = tuple[str, str, list[str]]
 

@@ -108,6 +108,16 @@ class TestSampleMasks:
         masks = sample_masks(n=2, m=200, keep_prob=0.2, seed=3)
         assert all(any(tuple(m)) for m in masks)
 
+    @pytest.mark.parametrize("m", [2, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_masks_of_m_are_the_first_rows_of_the_masks_of_2m(self, n, m):
+        # A larger m extends the draw with the stream's next non-zero rows and
+        # never redraws the first m, all-zero replacements included.
+        for seed in range(50):
+            assert np.array_equal(
+                sample_masks(n, m, keep_prob=0.5, seed=seed), sample_masks(n, 2 * m, keep_prob=0.5, seed=seed)[:m]
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_masks(n=0, m=2, keep_prob=0.5, seed=0)
@@ -859,8 +869,6 @@ class TestPackedScoreEntry:
         assert _cache_state(tmp_path / "cache") == before
 
     def test_a_warm_rerun_certifies_the_cached_weights_and_opens_one_file(self, tmp_path, monkeypatch):
-        import os
-
         from higen import attribution
 
         cold = self._cold(tmp_path)
@@ -871,7 +879,7 @@ class TestPackedScoreEntry:
         assert len(cached["total_logprob"]) == self._PARAMS.m
         assert cached["weights"] == cold.scores
         before = _cache_state(tmp_path / "cache")
-        opened = _count_calls(monkeypatch, os, "open")
+        opened = _count_calls(monkeypatch, Path, "read_bytes")
         fits = _count_calls(monkeypatch, attribution, "fit_lasso")
         warm = self._warm(tmp_path)
         assert [str(args[0]) for args in opened] == [str(path)]

@@ -6,7 +6,6 @@ import os
 import threading
 import time
 from dataclasses import asdict
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from higen.llm_client import (
     MockBackend,
     RetryPolicy,
     _canonical_gen_key,
-    _canonical_score_key,
     _GEN_FIELDS,
     _Retryable,
     backend_from_url,
@@ -35,7 +33,7 @@ from higen.llm_client import (
     prompt_hash,
 )
 
-from conftest import DATA_DIR, RecordingBackend, make_mock_client, per_token_scorer, score_requests
+from conftest import DATA_DIR, RecordingBackend, make_mock_client, per_token_scorer
 
 
 def _gov_prompt(doc_text: str, k: int | None = None) -> str:
@@ -152,26 +150,19 @@ class TestCache:
         assert _canonical_gen_key(req) == "d4a05770aa192bba8c36d7721212cc2b08003002049566657d74c65f892c074e"
 
     def test_entry_bytes_are_pinned(self, tmp_path):
-        # One entry per request: {"request": {kind, key}, "response": the
+        # One entry per generation: {"request": {kind, key}, "response": the
         # route's fields in order}, so caches written before keep hitting.
         client, _ = make_mock_client(tmp_path)
         gen = client.generate(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
-        score, score_key = client.score_continuation("m", "c", "a b"), _canonical_score_key("m", "c", "a b")
-        assert score_key == "b46da18f075c5d5eeb48cdfbef089dd82e3020a72663f7dff91c7924ef570e8e"
         gen_key = _canonical_gen_key(GenRequest(model="m", user_prompt="Report:\nAlpha one. Beta two."))
         assert (tmp_path / "cache" / f"{gen_key}.json").read_text(encoding="utf-8") == (
             f'{{"request": {{"kind": "gen", "key": "{gen_key}"}}, "response": '
             '{"text": "Summary: Alpha one. Beta two.", "prompt_tokens": 5, "completion_tokens": 5}}'
         )
         assert not gen.cached
-        assert (tmp_path / "cache" / f"{score_key}.json").read_text(encoding="utf-8") == (
-            f'{{"request": {{"kind": "score", "key": "{score_key}"}}, "response": '
-            '{"total_logprob": -1.0}}'
-        )
-        assert score == -1.0
 
     def test_a_large_generation_entry_round_trips(self, tmp_path):
-        # 200 KB takes several reads of the entry; every byte must come back.
+        # Every byte of a 200 KB entry must come back.
         text = "".join(f"Sentence {i} says \u00e9\u4e2d\U0001f642 \"quoted\" \\ text.\n" for i in range(5000))
         assert len(text.encode("utf-8")) > 200_000
         client, _ = make_mock_client(tmp_path)
@@ -189,13 +180,6 @@ class TestCache:
             client.generate(GenRequest(model="m", user_prompt="Summary please.\n\nReport:\nA. B."))
         assert backend.gen_calls == 1
         assert list((tmp_path / "cache").iterdir()) == []
-
-    def test_score_requests_cached(self, tmp_path):
-        client, backend = make_mock_client(tmp_path)
-        client.score_continuation("m", "c", "a b")
-        client.score_continuation("m", "c", "a b")
-        assert backend.score_calls == 1
-        assert client.cache_hits == 1
 
     def test_offline_replay_with_dead_backend(self, tmp_path):
         # record once, then replay the golden cache with a backend that
@@ -216,12 +200,6 @@ class TestCache:
         replayed = replay_client.generate(req)
         assert replayed.cached
         assert replayed.text == recorded.text
-
-
-def _plain_score_key(model: str, context: str, continuation: str) -> str:
-    """The score-cache key as it was first defined, the oracle for a context's key."""
-    payload = {"kind": "score", "model": model, "context": context, "continuation": continuation}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
 def _plain_packed_key(model: str, continuation: str, sentences: list[str], masks: np.ndarray) -> str:
@@ -250,12 +228,8 @@ class TestScoreKey:
         model=_KEY_TEXT,
         continuation=_KEY_TEXT.filter(bool),
     )
-    def test_the_context_and_packed_keys_equal_their_first_formulas(self, sentences, bits, model, continuation):
-        mask = bits[: len(sentences)]
-        context = " ".join(compress(sentences, mask))
-        expected = _plain_score_key(model, context, continuation)
-        assert _canonical_score_key(model, context, continuation) == expected
-        masks = np.array([[True] * len(sentences), mask], dtype=bool)
+    def test_the_packed_key_equals_its_first_formula(self, sentences, bits, model, continuation):
+        masks = np.array([[True] * len(sentences), bits[: len(sentences)]], dtype=bool)
         assert packed_score_key(model, continuation, sentences, masks) == _plain_packed_key(
             model, continuation, sentences, masks
         )
@@ -294,7 +268,7 @@ class TestScoreKey:
         client, backend = make_mock_client(tmp_path)
         assert isinstance(backend, RecordingBackend)
         context = "A long ablated context. " * 50
-        score_requests(client, "m", "a b", [context])
+        client.score_batch("m", "a b", [context])
         [recorded] = backend.requests
         assert recorded == ("m", "a b", [prompt_hash(context)])
 
@@ -303,23 +277,16 @@ _DAMAGED_BODIES = {
     "not_an_object": b"[1, 2]",
     "not_utf8": b"\xff\xfe{\xfa",
     "missing_field": b'{"request": {}, "response": {"prompt_tokens": 1}}',
-    "wrong_type": (
-        b'{"request": {}, "response": {"total_logprob": "-1", "token_count": 1,'
-        b' "text": 7, "prompt_tokens": 1, "completion_tokens": 1}}'
-    ),
-    "truncated": b'{"request": {"kind": "score"}, "response": {"total_lo',
+    "wrong_type": b'{"request": {}, "response": {"text": 7, "prompt_tokens": 1, "completion_tokens": 1}}',
+    "truncated": b'{"request": {"kind": "gen"}, "response": {"text": "Summ',
 }
 
 
 class TestDamagedCacheEntry:
     @pytest.mark.parametrize("body", list(_DAMAGED_BODIES.values()), ids=list(_DAMAGED_BODIES))
-    @pytest.mark.parametrize("kind", ["score", "gen"])
-    def test_is_a_miss_that_is_written_again(self, tmp_path, kind, body):
-        if kind == "score":
-            call = lambda client: score_requests(client, "m", "a b", ["c"])[0]  # noqa: E731
-        else:
-            req = GenRequest(model="m", user_prompt="Summary please.\n\nReport:\nA. B.")
-            call = lambda client: client.generate(req).text  # noqa: E731
+    def test_is_a_miss_that_is_written_again(self, tmp_path, body):
+        req = GenRequest(model="m", user_prompt="Summary please.\n\nReport:\nA. B.")
+        call = lambda client: client.generate(req).text  # noqa: E731
         first, _ = make_mock_client(tmp_path)
         expected = call(first)
         [entry] = (tmp_path / "cache").glob("*.json")
@@ -582,16 +549,27 @@ class TestHTTPBackend:
         with pytest.raises(CapabilityError):
             backend.score("m", "a", "b")
 
-    @pytest.mark.parametrize("offsets", [[0, None, 5], [0, 2]], ids=["a_null_offset", "an_offset_short"])
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0, None, 5], [0, 2], [0, 2.9, 5], [0, "2", 5]],
+        ids=["a_null_offset", "an_offset_short", "a_fractional_offset", "a_string_offset"],
+    )
     def test_malformed_echoed_logprobs_are_an_endpoint_error_not_retried_or_cached(self, tmp_path, offsets):
+        from higen.attribution import AttributionParams, contextcite_attribute
+        from higen.errors import AttributionError
+
         # Three tokens; an offset list with the last one missing would sum the wrong tail, -0.75.
+        # The attribution's one request of 8 contexts is answered by the first such choice.
         payload = _completions_payload(["ab", " cd", " ef"], [None, -0.5, -0.25], offsets)
         session = _FakeSession([_FakeResponse(200, payload)])
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
-        with pytest.raises(EndpointError, match="echoed logprobs") as err:
-            client.score_continuation("m", "ab", " cd ef")
-        assert err.value.status == 200
+        doc = make_document("d", "Alpha one. Beta two. Gamma three.")
+        with pytest.raises(AttributionError, match="echoed logprobs") as err:
+            contextcite_attribute(client, doc, " cd ef", "m", AttributionParams(m=8))
+        assert isinstance(err.value.__cause__, EndpointError) and err.value.__cause__.status == 200
         assert len(session.posts) == client.backend_calls == 1
+        assert len(session.posts[0][1]["prompt"]) == 8
+        # No packed_score entry (the only cached scores) is written for the failed request.
         assert list((tmp_path / "cache").iterdir()) == []
 
     def test_oversize_rejection_detected(self):
@@ -610,8 +588,10 @@ class TestHTTPBackend:
             {"choices": [{"message": {"content": 42}}]},
             {**_CHAT_OK, "usage": "7 and 3"},
             {**_CHAT_OK, "usage": {"prompt_tokens": None, "completion_tokens": 3}},
+            # Valid JSON, but text with no UTF-8 form to cache or record.
+            {"choices": [{"message": {"content": "Summary: ok \ud83d"}}]},
         ],
-        ids=["no_choice", "null_content", "number_content", "usage_not_a_mapping", "null_prompt_tokens"],
+        ids=["no_choice", "null_content", "number_content", "usage_not_a_mapping", "null_prompt_tokens", "lone_surrogate"],
     )
     def test_a_chat_payload_it_cannot_read_is_an_endpoint_error_not_retried_or_cached(self, tmp_path, payload):
         session = _FakeSession([_FakeResponse(200, payload), _FakeResponse(200, _CHAT_OK)])
