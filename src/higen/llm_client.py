@@ -20,6 +20,13 @@ A missing or damaged entry is a miss. Scores go to the backend with an array
 the continuation's total logprob. ``score_continuation`` is an uncached
 one-context batch, kept for ``bench/layers.py``. A deterministic mock backend
 makes the whole pipeline reproducible in tests and offline runs.
+
+Both cache keys are the sha256 of the same canonical JSON as ever
+(``json.dumps(..., sort_keys=True, ensure_ascii=False)`` in UTF-8), so every
+earlier entry still hits; the document-length strings in it (the prompt, the
+sentences) are escaped on their UTF-8 bytes with ``bytes.replace`` and fed to
+the digest in pieces, not built by ``json.dumps``. A cached entry's scores and
+weights are checked by the set of their types and ``math.isfinite``, in C.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
@@ -117,19 +125,53 @@ class Backend(Protocol):
         """Return the total logprob of ``continuation`` after each context, in order."""
 
 
+# The C0 controls JSON escapes as ``\b``, ``\f``, ``\r`` or ``\u00XX``: all but tab and newline.
+_JSON_ESCAPED_CONTROLS = bytes(range(0x20)).translate(None, b"\t\n")
+# How JSON escapes the other characters it escapes, backslash first, then the
+# NULs that join the texts into the separators between their JSON strings.
+_JSON_ESCAPES = ((b"\\", b"\\\\"), (b'"', b'\\"'), (b"\n", b"\\n"), (b"\t", b"\\t"), (b"\x00", b'", "'))
+
+
+def _hash_json_strings(digest, texts: Sequence[str]) -> None:
+    """Feed ``digest`` what ``json.dumps(list(texts), ensure_ascii=False)``
+    holds between its brackets, in UTF-8: each text as a JSON string, joined
+    by ``", "``. The texts are escaped in one pass over their bytes, joined by
+    NULs: when the only C0 controls are tab, newline and those NULs, escaping
+    is five ``bytes.replace`` calls, each freeing the copy before it, so at
+    most two copies of the texts are alive at once. Otherwise ``json.dumps``
+    escapes each text."""
+    if not texts:
+        return
+    data = "\x00".join(texts).encode("utf-8")
+    if len(data) - len(data.translate(None, _JSON_ESCAPED_CONTROLS)) != len(texts) - 1:
+        digest.update(", ".join(json.dumps(text, ensure_ascii=False) for text in texts).encode("utf-8"))
+        return
+    for char, escaped in _JSON_ESCAPES:
+        data = data.replace(char, escaped)
+    digest.update(b'"')
+    digest.update(data)
+    digest.update(b'"')
+
+
 def _canonical_gen_key(req: GenRequest) -> str:
+    """The sha256 of the request's canonical JSON (``json.dumps`` with
+    ``sort_keys=True, ensure_ascii=False``, in UTF-8). ``user_prompt`` sorts
+    last, so the prompt's JSON string is hashed after the other fields' JSON."""
     # Requests carry no system prompt and always sample at temperature 0; the
     # payload keeps both as constants so existing gen caches still hit.
-    payload = {
+    head = {
         "kind": "gen",
         "model": req.model,
         "system_prompt": None,
-        "user_prompt": req.user_prompt,
         "temperature": 0.0,
         "max_tokens": req.max_tokens,
         "seed": req.seed,
     }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(json.dumps(head, sort_keys=True, ensure_ascii=False)[:-1].encode("utf-8"))
+    digest.update(b', "user_prompt": ')
+    _hash_json_strings(digest, [req.user_prompt])
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def packed_score_key(model: str, continuation: str, sentences: Sequence[str], masks: np.ndarray) -> str:
@@ -137,15 +179,13 @@ def packed_score_key(model: str, continuation: str, sentences: Sequence[str], ma
     JSON of the model, the continuation, every sentence and the shape of the
     boolean ``masks``, followed by the mask bits, eight to a byte. An ablated
     context depends only on the sentences its mask keeps, so the key changes
-    whenever any scored context would."""
-    payload = {
-        "kind": "packed_score",
-        "model": model,
-        "continuation": continuation,
-        "sentences": list(sentences),
-        "shape": list(masks.shape),
-    }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8"))
+    whenever any scored context would. The payload's keys sort as continuation,
+    kind, model, sentences, shape, so its JSON is hashed in those pieces."""
+    head = {"kind": "packed_score", "model": model, "continuation": continuation}
+    digest = hashlib.sha256(json.dumps(head, sort_keys=True, ensure_ascii=False)[:-1].encode("utf-8"))
+    digest.update(b', "sentences": [')
+    _hash_json_strings(digest, sentences)
+    digest.update(f'], "shape": {json.dumps(list(masks.shape))}}}'.encode("utf-8"))
     digest.update(np.packbits(masks).tobytes())
     return digest.hexdigest()
 
@@ -180,6 +220,21 @@ def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
     """Whether a cached value is a ``kind``; JSON's true and false load as
     bools, which are ints, but no cached count or logprob is a truth value."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# The types of a cached number: JSON numbers load as exactly these, and its
+# true and false as bools, which are neither.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _all_finite(values: list) -> bool:
+    """Whether every cached value is a finite number: the type of each is
+    checked against a set and its value with ``math.isfinite``, both in C.
+    An integer too large for a float is not finite."""
+    try:
+        return _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
+    except OverflowError:
+        return False
 
 
 # The HTTP posts of the current thread's backend call: ``_send`` resets it
@@ -318,12 +373,12 @@ class LLMClient:
         them. Each cached score counts as one cache hit."""
         response = self._cache_read(key, {"total_logprob": list})
         scores = [] if response is None else response["total_logprob"]
-        if len(scores) > m or not all(_is_a(score, (int, float)) for score in scores):
+        if len(scores) > m or not _NUMBER_TYPES.issuperset(map(type, scores)):
             return [], None
         with self._stats_lock:
             self.cache_hits += len(scores)
         weights = response.get("weights") if len(scores) == m else None
-        if not (isinstance(weights, list) and len(weights) == n and all(map(is_number, weights))):
+        if not (isinstance(weights, list) and len(weights) == n and _all_finite(weights)):
             weights = None
         return scores, weights
 
@@ -498,8 +553,8 @@ def _compact_logprobs(obj: dict) -> dict:
     complete, so a batch's tokens are never all held as Python objects. On 8
     echoed contexts of a 401-sentence transcript the decoding peak fell from
     4.5 to 2.3 MB. An offset that is not an integer (null, a fraction or a
-    string), or a count of offsets other than the count of logprobs, is an
-    EndpointError."""
+    string), a count of offsets other than the count of logprobs, or a true
+    or false among either, is an EndpointError."""
     if "token_logprobs" in obj and "text_offset" in obj:
         try:
             logprobs = np.array(obj["token_logprobs"], dtype=float)
@@ -510,6 +565,9 @@ def _compact_logprobs(obj: dict) -> dict:
             raise EndpointError(200, f"malformed echoed logprobs: text offsets of dtype {offsets.dtype}, not integers")
         if offsets.ndim != 1 or logprobs.shape != offsets.shape:
             raise EndpointError(200, f"{logprobs.size} echoed logprobs against {offsets.size} text offsets")
+        # numpy reads [0, true, 5] as [0, 1, 5]; ``in`` scans the two lists' types in C.
+        if bool in map(type, chain(obj["text_offset"], obj["token_logprobs"])):
+            raise EndpointError(200, "malformed echoed logprobs: true or false in place of a number")
         return {"token_logprobs": logprobs, "text_offset": offsets}
     return obj
 

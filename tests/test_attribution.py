@@ -898,10 +898,11 @@ class TestPackedScoreEntry:
             lambda response: response["weights"].__setitem__(0, "0.5"),
             lambda response: response["weights"].__setitem__(0, math.nan),
             lambda response: response["weights"].__setitem__(0, math.inf),
+            lambda response: response["weights"].__setitem__(0, 10**400),
             lambda response: response.__setitem__("weights", {"0": 0.5}),
             lambda response: response.__setitem__("weights", [weight + 0.25 for weight in response["weights"]]),
         ],
-        ids=["absent", "short", "long", "a_bool", "a_string", "nan", "inf", "not_a_list", "not_optimal"],
+        ids=["absent", "short", "long", "a_bool", "a_string", "nan", "inf", "an_integer_past_float", "not_a_list", "not_optimal"],
     )
     def test_an_entry_without_usable_weights_hits_fits_from_zero_and_is_not_rewritten(
         self, tmp_path, monkeypatch, edit

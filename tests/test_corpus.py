@@ -3,22 +3,44 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen.corpus import (
+    _CONTROL_RE,
     ABBREVIATIONS,
+    STOPWORDS,
+    TokenIndex,
     _is_protected,
     _prose_spans,
     _transcript_turns,
     load_dataset,
     normalize_text,
     segment_sentences,
+    tokenize,
 )
 from higen.errors import ConfigError, DatasetError
 
 from conftest import DATA_DIR, load_jsonl
+
+
+def _regex_normalize(raw: str) -> str:
+    """Oracle: normalization as one regex over every character, the formula
+    before ASCII text took its bytes path."""
+    return _CONTROL_RE.sub("", raw.replace("\r\n", "\n").replace("\r", "\n"))
+
+
+# Every C0 control, DEL, the C1 controls (U+0085 among them) and the
+# newline pairs, among ordinary ASCII and non-ASCII characters.
+_CONTROLS = [chr(c) for c in range(0x20)] + [chr(c) for c in range(0x7F, 0xA0)]
+_NORMALIZE_ASCII = st.lists(
+    st.sampled_from([c for c in _CONTROLS if c.isascii()] + ["\r\n", "\n\r", "a", " ", "Z.", "~"]), max_size=40
+).map("".join)
+_NORMALIZE_TEXTS = st.lists(
+    st.sampled_from(_CONTROLS + ["\r\n", "\r\r\n", "a", " ", "é", "\u2028", "中", "🙂", "\xa0"]), max_size=40
+).map("".join)
 
 
 class TestNormalize:
@@ -36,6 +58,17 @@ class TestNormalize:
 
     def test_lone_carriage_return(self):
         assert normalize_text("a\rb") == "a\nb"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_NORMALIZE_ASCII, _NORMALIZE_TEXTS))
+    def test_equals_the_regex_formula(self, raw):
+        assert normalize_text(raw) == _regex_normalize(raw)
+
+    def test_every_ascii_control_but_tab_and_newline_is_stripped(self):
+        raw = "".join(map(chr, range(0x80))) + "\r\n\r"
+        assert raw.isascii()
+        printable = "".join(map(chr, range(0x20, 0x7F)))
+        assert normalize_text(raw) == _regex_normalize(raw) == "\t\n\n" + printable + "\n\n"
 
 
 class TestProseSegmentation:
@@ -100,6 +133,15 @@ class TestSegmentationProperties:
         assert len(second) == len(first)
 
 
+def _walk_back_is_protected(text: str, dot_pos: int) -> bool:
+    """Oracle: the abbreviation check as a walk back, one character at a
+    time, to the whitespace before the token that the period ends."""
+    start = dot_pos
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    return text[start : dot_pos + 1].lstrip("([{\"'") in ABBREVIATIONS
+
+
 def _loop_prose_spans(text: str, offset: int = 0) -> list[tuple[int, int]]:
     """Oracle: the character loop that segmented prose before the regex.
 
@@ -122,7 +164,7 @@ def _loop_prose_spans(text: str, offset: int = 0) -> list[tuple[int, int]]:
                 while t < n and text[t].isspace():
                     t += 1
                 next_starts = t < n and (text[t].isupper() or text[t].isdigit())
-                protected = i == j and text[i] == "." and _is_protected(text, i)
+                protected = i == j and text[i] == "." and _walk_back_is_protected(text, i)
                 if next_starts and not protected:
                     spans.append((start, j + 1))
                     start = t
@@ -168,9 +210,11 @@ _TERMINAL_RUNS = [".", "!", "?", "..", "...", "?!", "!!", ".?"]
 # superscript and fraction characters show which ones do not.
 _WORD_STARTS = ["A", "word", "Word", "É", "Ω", "Ж", "ß", "é", "1", "42", "٣", "²", "½", "x.y", "-", ")"]
 _SPEAKER_LINES = ["\nAlice: ", "\nProject Manager: ", "\nGrad A: ", "\n=====\n"]
+# Abbreviations behind openers, and glued to a word or to more openers than
+# fit in the window that the abbreviation check reads.
 _ABBREVIATION_TOKENS = st.builds(
     lambda lead, abbreviation: lead + abbreviation,
-    st.sampled_from(["", "(", "[", "{", '"', "'", '("']),
+    st.sampled_from(["", "(", "[", "{", '"', "'", '("', "((((", "x", "pre-", "([{\"'(", "x((((((("]),
     st.sampled_from(sorted(ABBREVIATIONS)),
 )
 _SEGMENTATION_TEXTS = st.lists(
@@ -208,6 +252,33 @@ class TestRegexSegmenterMatchesLoopOracle:
             assert doc.sentences
             assert _sentences(doc.normalized_text, doc.kind) == _oracle_sentences(doc.normalized_text, doc.kind)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "((((Dr. Smith came.",
+            "xMr. Smith came.",
+            "pre-U.S. Army units left.",
+            "Dr. Smith came.",
+            "approx. Ten left.",
+            "(approx. Ten left.",
+            "xapprox. Ten left.",
+            "It rained. Mr. Smith came. Then xMr. Jones left. The U.S. Army and the pre-U.S. Army met.",
+            'He said "(Dr. No" and ((((((((Prof. Doe agreed. Fine! U.S. Done? Yes.',
+            "\u3000Dr. Smith\u2003e.g. Ten\x85etc. Nine",
+        ],
+    )
+    def test_abbreviation_windows_equal_oracle(self, text):
+        assert _prose_spans(text) == _loop_prose_spans(text)
+        for kind in ("prose", "transcript"):
+            assert _sentences(text, kind) == _oracle_sentences(text, kind)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SEGMENTATION_TEXTS)
+    def test_is_protected_equals_the_walk_back_at_every_period(self, text):
+        for pos, char in enumerate(text):
+            if char == ".":
+                assert _is_protected(text, pos) == _walk_back_is_protected(text, pos), (text, pos)
+
     def test_long_runs_of_marks_split_in_linear_time(self):
         # Runs of 20,000 marks that whitespace does not follow: a regex that
         # retries a run from each of its marks takes seconds on each.
@@ -218,6 +289,43 @@ class TestRegexSegmenterMatchesLoopOracle:
         assert spans == _loop_prose_spans(text)
         assert len(spans) == 3
         assert elapsed < 1.0, f"segmenting {len(text)} characters took {elapsed:.2f} s"
+
+
+def _loop_token_index(texts: list[str]) -> tuple[dict[str, int], list[int], list[int], list[bool]]:
+    """Oracle: (vocab, ids, lengths, stop) of the token index, built by the
+    dict loop that assigned ids before the defaultdict lookup."""
+    vocab: dict[str, int] = {}
+    ids: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        tokens = tokenize(text)
+        ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
+        lengths.append(len(tokens))
+    return vocab, ids, lengths, [token in STOPWORDS for token in vocab]
+
+
+def _assert_index_equals_oracle(texts: list[str]) -> None:
+    index = TokenIndex.build(texts)
+    vocab, ids, lengths, stop = _loop_token_index(texts)
+    # A plain dict: a defaultdict would add every token a later caller looks up.
+    assert type(index.vocab) is dict and list(index.vocab.items()) == list(vocab.items())
+    assert index.ids.dtype == np.int32 and index.ids.tolist() == ids
+    assert index.lengths.dtype == np.int64 and index.lengths.tolist() == lengths
+    assert index.stop.tolist() == stop
+
+
+class TestTokenIndexMatchesLoopOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["the", "The", "of", "Budget", "budget", "42", "x-9", "É", ""])).map(" ".join)))
+    def test_texts_equal_oracle(self, texts):
+        _assert_index_equals_oracle(texts)
+
+    @pytest.mark.parametrize(
+        "name, schema", [("minicorpus.jsonl", "scrolls_govreport"), ("qmsum_record.jsonl", "scrolls_qmsum")]
+    )
+    def test_dataset_documents_equal_oracle(self, name, schema):
+        for doc in load_dataset(DATA_DIR / name, schema):
+            _assert_index_equals_oracle([s.text for s in doc.sentences])
 
 
 class TestTranscriptSegmentation:
@@ -345,6 +453,30 @@ class TestLoadDataset:
             return
         with pytest.raises(DatasetError, match=rf"typed\.jsonl:2: field {field}$"):
             load_dataset(path, "scrolls_govreport")
+
+    @pytest.mark.parametrize(
+        "schema, record, field",
+        [
+            ("scrolls_govreport", {"id": "d1", "input": "Emoji \ud83d here.", "output": "A."}, "input"),
+            ("scrolls_govreport", {"id": "d1", "input": "A.", "output": "Tail \udc00"}, "output"),
+            ("scrolls_govreport", {"id": "d\ud800", "input": "A.", "output": "A."}, "id"),
+            ("scrolls_qmsum", {"id": "q1", "input": "Why \ud83d?\n=====\nAnn: We met.", "output": "A."}, "input"),
+        ],
+        ids=["input", "output", "id", "qmsum_query"],
+    )
+    def test_a_lone_surrogate_is_a_dataset_error_naming_its_field(self, tmp_path, schema, record, field):
+        # A JSON "\ud83d" escape loads as a lone surrogate, which no prompt,
+        # cache key or record can encode as UTF-8.
+        path = tmp_path / "lone.jsonl"
+        path.write_text('{"id":"d0","input":"B.","output":"B."}\n' + json.dumps(record) + "\n")
+        with pytest.raises(DatasetError, match=rf"lone\.jsonl:2: field '{field}' holds a lone surrogate"):
+            load_dataset(path, schema)
+
+    def test_a_surrogate_pair_escape_is_one_character_and_loads(self, tmp_path):
+        path = tmp_path / "pair.jsonl"
+        path.write_text('{"id":"d1","input":"Smile \\ud83d\\ude42 here.","output":"\\u00e9"}\n')
+        [doc] = load_dataset(path, "scrolls_govreport")
+        assert doc.normalized_text == "Smile \U0001f642 here." and doc.reference_summary == "\u00e9"
 
     def test_a_generic_field_of_another_type_is_named_as_mapped(self, tmp_path):
         path = tmp_path / "g.jsonl"

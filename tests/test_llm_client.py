@@ -25,6 +25,7 @@ from higen.llm_client import (
     RetryPolicy,
     _canonical_gen_key,
     _GEN_FIELDS,
+    _hash_json_strings,
     _Retryable,
     backend_from_url,
     echo_first_k,
@@ -218,6 +219,66 @@ def _plain_packed_key(model: str, continuation: str, sentences: list[str], masks
 _KEY_ALPHABET = [chr(c) for c in range(0x20)] + list('"\\/ .:aZ9\x7f\x85\u2028\u2029\ufeffé中\u0301🙂')
 _KEY_TEXT = st.text(alphabet=st.sampled_from(_KEY_ALPHABET), max_size=24)
 _KEY_SENTENCE = st.one_of(_KEY_TEXT, st.builds(lambda speaker, text: f"{speaker}: {text}", _KEY_TEXT, _KEY_TEXT))
+
+
+def _plain_gen_key(req: GenRequest) -> str:
+    """The generation key as json.dumps of its whole payload, the oracle
+    that keeps the generation entries of every earlier version hitting."""
+    payload = {
+        "kind": "gen",
+        "model": req.model,
+        "system_prompt": None,
+        "user_prompt": req.user_prompt,
+        "temperature": 0.0,
+        "max_tokens": req.max_tokens,
+        "seed": req.seed,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+def _assert_strings_hash_as_json_dumps(texts: list[str]) -> None:
+    digest = hashlib.sha256()
+    _hash_json_strings(digest, texts)
+    assert digest.hexdigest() == hashlib.sha256(json.dumps(texts, ensure_ascii=False)[1:-1].encode("utf-8")).hexdigest()
+
+
+# A document-length text of every character kind the byte path escapes or passes.
+_LONG_TEXT = "".join(f'Line {i}:\t"q" \\ back/slash \u2028\u2029\x7f é中🙂.\n' for i in range(3000))
+
+
+class TestKeyEscapes:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=_KEY_TEXT,
+        prompt=st.one_of(_KEY_TEXT, st.lists(_KEY_SENTENCE, max_size=6).map("".join)),
+        max_tokens=st.integers(min_value=1, max_value=10**6),
+        seed=st.one_of(st.none(), st.integers(min_value=-(2**63), max_value=2**63)),
+    )
+    def test_the_gen_key_equals_its_json_formula(self, model, prompt, max_tokens, seed):
+        req = GenRequest(model=model, user_prompt=prompt, max_tokens=max_tokens, seed=seed)
+        assert _canonical_gen_key(req) == _plain_gen_key(req)
+
+    def test_a_document_length_prompt_keeps_its_json_key(self):
+        req = GenRequest(model="m", user_prompt=_LONG_TEXT, max_tokens=1200, seed=0)
+        assert len(req.user_prompt) > 100_000
+        assert _canonical_gen_key(req) == _plain_gen_key(req)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_KEY_SENTENCE, max_size=8))
+    def test_the_strings_equal_json_dumps_of_their_list(self, texts):
+        _assert_strings_hash_as_json_dumps(texts)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [[], [""], ["", ""], ["a\x00b"], ["\x00"], ["a", "b\x00"], [_LONG_TEXT, "", _LONG_TEXT[:99]], ["\r\n"]],
+        ids=["none", "one_empty", "two_empty", "a_nul", "only_a_nul", "a_nul_in_the_last", "long", "a_carriage_return"],
+    )
+    def test_the_strings_of_edge_lists_equal_json_dumps(self, texts):
+        _assert_strings_hash_as_json_dumps(texts)
+
+    def test_a_lone_surrogate_still_has_no_key(self):
+        with pytest.raises(UnicodeEncodeError):
+            _canonical_gen_key(GenRequest(model="m", user_prompt="Emoji \ud83d here."))
 
 
 class TestScoreKey:
@@ -551,8 +612,8 @@ class TestHTTPBackend:
 
     @pytest.mark.parametrize(
         "offsets",
-        [[0, None, 5], [0, 2], [0, 2.9, 5], [0, "2", 5]],
-        ids=["a_null_offset", "an_offset_short", "a_fractional_offset", "a_string_offset"],
+        [[0, None, 5], [0, 2], [0, 2.9, 5], [0, "2", 5], [0, True, 5]],
+        ids=["a_null_offset", "an_offset_short", "a_fractional_offset", "a_string_offset", "a_true_offset"],
     )
     def test_malformed_echoed_logprobs_are_an_endpoint_error_not_retried_or_cached(self, tmp_path, offsets):
         from higen.attribution import AttributionParams, contextcite_attribute
@@ -571,6 +632,13 @@ class TestHTTPBackend:
         assert len(session.posts[0][1]["prompt"]) == 8
         # No packed_score entry (the only cached scores) is written for the failed request.
         assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_a_true_logprob_is_an_endpoint_error(self):
+        # numpy reads true as 1.0, which would score the continuation as -0.5 + 1.0.
+        payload = _completions_payload(["ab", " cd", " ef"], [None, -0.5, True], [0, 2, 5])
+        backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
+        with pytest.raises(EndpointError, match="true or false in place of a number"):
+            backend.score("m", "ab", " cd ef")
 
     def test_oversize_rejection_detected(self):
         session = _FakeSession(

@@ -876,6 +876,19 @@ class TestFailureBoundary:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["counts"]["two_stage_cc"]["failed"] == 1
 
+    def test_a_lone_surrogate_in_a_document_fails_the_run_before_any_record(self, tmp_path):
+        # Every prompt and cache key of the document would be UTF-8 it has no
+        # form in; the dataset line is named instead of failing each record.
+        data_path = tmp_path / "lone.jsonl"
+        normal = (DATA_DIR / "minicorpus.jsonl").read_text().splitlines()[0]
+        data_path.write_text(normal + "\n" + json.dumps({"id": "bad", "input": "Emoji \ud83d here.", "output": "A."}) + "\n")
+        config = parse_config(
+            _config_dict(tmp_path, dataset={"path": str(data_path), "schema": "scrolls_govreport"}, methods=["direct"])
+        )
+        with pytest.raises(DatasetError, match=r"lone\.jsonl:2: field 'input' holds a lone surrogate"):
+            run(config)
+        assert not (tmp_path / "run").exists() and not (tmp_path / "cache").exists()
+
     def test_non_higen_exception_becomes_failed_record(self, tmp_path, monkeypatch):
         def broken_highlighter(*args, **kwargs):
             raise RuntimeError("highlighter bug")
