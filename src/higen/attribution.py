@@ -33,10 +33,11 @@ ceil(log2 n) times a fit. The solver stops once the KKT residual is at most
 residual. Strictly positive weights rank the sentences that form the content
 plan, through ``prompts.ranked_highlights("contextcite", ...)``.
 
-Beyond the boolean masks, an attribution holds one m x n float array at a
-time: ``lambda_max`` and ``fit_lasso`` each center one float copy of the
-masks in place. The contexts of a scoring request are let go once it is
-sent, before the next request's are built.
+The logits of all the scores are computed at once, one array per branch of
+``logit_scale``. Beyond the boolean masks, an attribution holds one m x n
+float array: the ``center`` of its usable masks, which ``lambda_max``, the
+certificate and a fit from zero all read. The contexts of a scoring request
+are let go once it is sent, before the next request's are built.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ class AttributionResult:
     # It says how the scores were got, not what they are, so it takes no part
     # in equality.
     scoring_requests: int = field(default=0, compare=False)
+
+
+class Centered(NamedTuple):
+    """A float copy of an (m, n) matrix with every column centered and each
+    constant column zeroed, with the column means and which columns vary."""
+
+    X: np.ndarray
+    mean: np.ndarray
+    varying: np.ndarray
 
 
 class LassoFit(NamedTuple):
@@ -178,6 +188,26 @@ def ablate(document: Document, mask: np.ndarray) -> str:
     return " ".join(compress(document.labelled_sentences, np.asarray(mask).tolist()))
 
 
+def _mapped(function, values: np.ndarray) -> np.ndarray:
+    """``function`` of each value, mapped over the array in C."""
+    return np.fromiter(map(function, values.tolist()), dtype=float, count=len(values))
+
+
+def logit_scales(scores: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``logit_scale`` of every score that has a finite logit, in order,
+    and the boolean mask of those scores. Each branch maps the same ``math``
+    functions over all of its scores at once, so every logit equals
+    ``logit_scale``'s bit for bit. The scores must be numbers in float range."""
+    values = np.array(scores, dtype=float)
+    usable = np.isfinite(values) & (values < 0.0)
+    logprobs = values[usable]
+    upper = logprobs > -math.log(2.0)
+    log1mexp = np.empty_like(logprobs)
+    log1mexp[upper] = _mapped(math.log, -_mapped(math.expm1, logprobs[upper]))
+    log1mexp[~upper] = _mapped(math.log1p, -_mapped(math.exp, logprobs[~upper]))
+    return logprobs - log1mexp, usable
+
+
 def logit_scale(total_logprob: float) -> float:
     """Map log p to log(p / (1 - p)) stably in log space.
 
@@ -199,18 +229,36 @@ def logit_scale(total_logprob: float) -> float:
     return total_logprob - log1mexp
 
 
-def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
+def center(X: np.ndarray) -> Centered:
+    """X (a boolean mask array or floats: finite, m x n, m >= 2) centered in
+    one float copy; the caller's array is left as it is. ``lambda_max`` and
+    ``fit_lasso`` take the result in place of X, so that calls on one X share
+    one copy."""
+    Xc = np.array(X, dtype=float)
+    if not np.isfinite(Xc).all():
+        raise ValueError("non-finite values in LASSO input")
+    if Xc.ndim != 2:
+        raise ValueError("X must be (m, n) and y length m")
+    if Xc.shape[0] < 2:
+        raise ValueError("need at least 2 samples")
+    mean = Xc.mean(axis=0)
+    varying = Xc.max(axis=0) != Xc.min(axis=0)
+    Xc -= mean
+    Xc[:, ~varying] = 0.0
+    return Centered(Xc, mean, varying)
+
+
+def lambda_max(X: np.ndarray | Centered, y: np.ndarray) -> float:
     """Smallest penalty shrinking every weight to zero: max |X~^T (y - mean y)| / m
-    over centered columns. X (a boolean mask array or floats) is centered in
-    one float copy; the caller's array is left as it is."""
-    centered = np.array(X, dtype=float)
-    centered -= centered.mean(axis=0)
+    over the columns of ``center(X)``, whose constant columns count zero, as
+    in ``fit_lasso``."""
+    Xc = (X if isinstance(X, Centered) else center(X)).X
     y = np.asarray(y, dtype=float)
-    return float(np.abs(centered.T @ (y - y.mean())).max() / centered.shape[0])
+    return float(np.abs(Xc.T @ (y - y.mean())).max() / Xc.shape[0])
 
 
 def fit_lasso(
-    X: np.ndarray,
+    X: np.ndarray | Centered,
     y: np.ndarray,
     lam: float,
     tol: float = 1e-11,
@@ -243,28 +291,22 @@ def fit_lasso(
     certificate of ``start``: converged says whether its KKT residual is at
     most tol, and the intercept and r^2 are those at ``start``.
 
-    X may be a boolean mask array; it is centered in one float copy, and the
-    caller's array is left as it is.
+    X may be a boolean mask array, which is centered in one float copy (the
+    caller's array is left as it is), or that copy, ``center(X)``.
     """
-    Xc = np.array(X, dtype=float)
+    Xc, x_mean, varying = X if isinstance(X, Centered) else center(X)
     y = np.asarray(y, dtype=float)
-    if not (np.isfinite(Xc).all() and np.isfinite(y).all()):
+    if not np.isfinite(y).all():
         raise ValueError("non-finite values in LASSO input")
-    if Xc.ndim != 2 or y.ndim != 1 or Xc.shape[0] != y.shape[0]:
+    if y.ndim != 1 or Xc.shape[0] != y.shape[0]:
         raise ValueError("X must be (m, n) and y length m")
     m, n = Xc.shape
-    if m < 2:
-        raise ValueError("need at least 2 samples")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     w = np.zeros(n) if start is None else np.array(start, dtype=float)
     if w.shape != (n,) or not np.isfinite(w).all():
         raise ValueError("start must hold n finite weights")
 
-    x_mean = Xc.mean(axis=0)
-    varying = Xc.max(axis=0) != Xc.min(axis=0)
-    Xc -= x_mean
-    Xc[:, ~varying] = 0.0
     yc = y - y.mean()
 
     def kkt_residual(w: np.ndarray, g: np.ndarray) -> float:
@@ -320,6 +362,8 @@ def _score_ablations(
     request, whose contexts are built only when it is sent; after each, the
     attribution's entry under ``key`` is rewritten with every score so far."""
     done = len(scores)
+    if done == len(masks):
+        return []
     lengths = context_lengths(document, masks[done:]).tolist()
     sent: list[int] = []
     for run in request_runs(lengths, SCORE_REQUEST_CHARS):
@@ -379,31 +423,24 @@ def contextcite_attribute(
     scores, cached_weights = client.read_attribution(key, params.m, n)
     cached = len(scores)
     sent = _score_ablations(client, key, document, response, model, masks, scores)
-    usable = np.zeros(len(masks), dtype=bool)
-    targets: list[float] = []
-    for index, score in enumerate(scores):
-        try:
-            targets.append(logit_scale(score))
-        except DomainError:
-            continue
-        usable[index] = True
+    y, usable = logit_scales(scores)
     rows = masks[usable]
     if len(rows) < need:
         raise AttributionError(f"only {len(rows)} of {params.m} ablation samples usable; need at least {need}")
-    y = np.array(targets, dtype=float)
-    lam = params.lambda_frac * lambda_max(rows, y)
+    centered = center(rows)
+    lam = params.lambda_frac * lambda_max(centered, y)
     certified = False
     if cached_weights is not None:
-        fit = fit_lasso(rows, y, lam, start=cached_weights, max_iter=0)
+        fit = fit_lasso(centered, y, lam, start=cached_weights, max_iter=0)
         certified = fit.converged
     if not certified:
-        fit = fit_lasso(rows, y, lam)
+        fit = fit_lasso(centered, y, lam)
     weights = fit.weights.tolist()
     if sent and fit.converged:
         client.write_attribution(key, scores, weights)
     if dump_path is not None:
         with Path(dump_path).open("w", encoding="utf-8") as handle:
-            for bits, logit in zip(rows, targets):
+            for bits, logit in zip(rows, y.tolist()):
                 handle.write(json.dumps({"mask": bits.astype(int).tolist(), "logit": logit}) + "\n")
     _logger.debug(
         "attribution of %s: n=%d, %d/%d samples usable, lambda=%.6g, r2=%.6g, %d iterations, converged=%s, "

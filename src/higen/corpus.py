@@ -13,22 +13,28 @@ and tokenized into a token index shared by the lexical kernels, on first use
 and once until ``Document.release`` drops these artifacts.
 
 The text kernels run at C speed on document-length text, with the results of
-their plain forms: ASCII text is normalized in one pass over its bytes; the
-split regex scans for a literal period in a copy of the text whose ``!`` and
-``?`` are periods (same length, same offsets); an abbreviation is looked up in
-a window as long as the longest one; and the token index assigns vocabulary
-ids through a ``defaultdict`` in one ``map`` per sentence.
+their plain forms: ASCII text is normalized in one pass over its bytes, and
+only text holding a ``\r`` has its newlines rewritten. A document is
+segmented in one pass of each regex over one copy of all its regions (the
+whole text, or every speaker turn), of the same length and offsets: one scan
+of the reversed copy finds every period an abbreviation protects, since a
+literal period leads its pattern; the copy maps ``!`` and ``?`` to ``.`` and
+those protected periods to ``#``; and the split regex, which admits only an
+ASCII uppercase or digit head or a non-ASCII one, then finds nothing but
+boundaries, so the spans come straight from its matches. The token index
+assigns vocabulary ids through a ``defaultdict`` in one ``map`` per sentence.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cache, cached_property
+from itertools import accumulate, chain, count, islice, pairwise, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,14 +55,16 @@ _SPEAKER_RE = re.compile(r"^([A-Za-z][\w .'\-]{0,63}?)\s*:\s?(.*)$")
 # Fence line separating the query prefix from the transcript body.
 _DELIMITER_RE = re.compile(r"^={4,}\s*$")
 
-# A terminal run and the whitespace after it, where non-whitespace follows:
-# a candidate sentence boundary, matched in a copy of the text whose ``!``
-# and ``?`` are periods. ``\s`` matches exactly what ``str.isspace`` accepts.
-# The lookbehind lets a match start only at the first mark of a run, so a
-# long run that no whitespace follows is scanned once, not once per mark; the
-# leading literal keeps the regex's fast search for a first character, about
-# five times faster than a scan for a character class.
-_SPLIT_RE = re.compile(r"(\.(?<!\.\.)\.*)\s+(?=\S)")
+# A terminal run and the whitespace after it (groups 1 and 2), where an ASCII
+# uppercase letter or digit, or a non-ASCII character that is not whitespace,
+# follows: a sentence boundary, matched in a copy of the text whose ``!`` and
+# ``?`` are periods and whose protected periods are ``#``. ``\s`` matches
+# exactly what ``str.isspace`` accepts. The lookbehind lets a match start only
+# at the first mark of a run, so a long run that no whitespace follows is
+# scanned once, not once per mark; the leading literal keeps the regex's fast
+# search for a first character, about five times faster than a scan for a
+# character class.
+_SPLIT_RE = re.compile(r"(\.(?<!\.\.)\.*)(\s+)(?=[0-9A-Z]|(?!\s)[^\x00-\x7f])")
 
 # The characters stripped off the front of a token before the abbreviation lookup.
 _OPENERS = "([{\"'"
@@ -83,7 +91,6 @@ def _load_word_list(name: str) -> frozenset[str]:
 
 ABBREVIATIONS = _load_word_list("abbreviations.txt")
 STOPWORDS = _load_word_list("stopwords.txt")
-_LONGEST_ABBREVIATION = max(map(len, ABBREVIATIONS))
 
 
 def tokenize(text: str) -> list[str]:
@@ -197,51 +204,82 @@ class Document:
 
 def normalize_text(raw: str) -> str:
     """Canonicalize newlines and strip control characters other than newline/tab.
-    ASCII text (``str.isascii`` is O(1)) does both on its bytes, in C."""
+    Only text that holds a ``\r`` has its newlines rewritten; ASCII text
+    (``str.isascii`` is O(1)) is stripped on its bytes, in C."""
+    if "\r" in raw:
+        raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     if raw.isascii():
-        data = raw.encode("ascii").replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return data.translate(None, _ASCII_CONTROLS).decode("ascii")
-    text = raw.replace("\r\n", "\n").replace("\r", "\n")
-    return _CONTROL_RE.sub("", text)
+        return raw.encode("ascii").translate(None, _ASCII_CONTROLS).decode("ascii")
+    return _CONTROL_RE.sub("", raw)
 
 
-def _is_protected(text: str, dot_pos: int) -> bool:
-    """True when the period at dot_pos ends a known abbreviation token: the
-    characters after the last whitespace before it, less leading openers.
-    Only the last ``_LONGEST_ABBREVIATION`` characters can hold such a token;
-    the walk back to the whitespace runs only when they hold an abbreviation
-    and no whitespace, so the token may begin before them."""
-    start = max(dot_pos + 1 - _LONGEST_ABBREVIATION, 0)
-    token = text[start : dot_pos + 1].rsplit(None, 1)[-1]
-    if token.lstrip(_OPENERS) not in ABBREVIATIONS:
-        return False
-    if start and len(token) == dot_pos + 1 - start:
-        while start > 0 and not text[start - 1].isspace():
-            start -= 1
-        token = text[start : dot_pos + 1]
-    return token.lstrip(_OPENERS) in ABBREVIATIONS
+def _alternation(words: list[str]) -> str:
+    """A regex group that matches exactly ``words``, factored by leading
+    character as a trie, so that a failing match tests each character once
+    against the branches it could still take."""
+    branches: dict[str, list[str]] = {}
+    for word in sorted(words):
+        branches.setdefault(word[:1], []).append(word[1:])
+    return "(?:" + "|".join(re.escape(head) + _alternation(rest) if head else "" for head, rest in branches.items()) + ")"
 
 
-def _prose_spans(text: str, offset: int = 0) -> list[tuple[int, int]]:
-    """Sentence spans for prose: split after a terminal run followed by
-    whitespace and an uppercase/digit start, unless an abbreviation protects
-    a lone period. A split leaves both sides trimmed, so only the text's own
-    leading and trailing whitespace is stripped."""
-    spans: list[tuple[int, int]] = []
-    start = len(text) - len(text.lstrip())
-    for match in _SPLIT_RE.finditer(text.replace("!", ".").replace("?", ".")):
-        head = text[match.end()]
-        if not (head.isupper() or head.isdigit()):
-            continue
-        run_start, run_end = match.span(1)
-        if text[run_start:run_end] == "." and _is_protected(text, run_start):
-            continue
-        spans.append((start + offset, run_end + offset))
-        start = match.end()
-    end = len(text.rstrip())
-    if start < end:
-        spans.append((start + offset, end + offset))
-    return spans
+@cache
+def _protected_re() -> re.Pattern[str]:
+    """A period that ends an abbreviation token, matched in the reversed text:
+    the abbreviation, then any openers, then whitespace or the start of the
+    text. Every abbreviation ends with a letter and a period, so a protected
+    period is the first mark of its run. Compiled on first use."""
+    reversed_abbreviations = [abbreviation[-2::-1] for abbreviation in ABBREVIATIONS]
+    return re.compile(rf"\.(?={_alternation(reversed_abbreviations)}[{re.escape(_OPENERS)}]*(?!\S))")
+
+
+def _protected_periods(text: str) -> list[int]:
+    """The offsets, ascending, of the periods that end an abbreviation token:
+    the characters after the last whitespace before the period, less leading
+    openers, are an abbreviation. One scan of the reversed text."""
+    top = len(text) - 1
+    return [top - match.start() for match in _protected_re().finditer(text[::-1])][::-1]
+
+
+def _sentence_bounds(text: str, regions: Sequence[tuple[str | None, int, int]]) -> list[int]:
+    """``[start, end, start, end, ...]`` of the sentences of ``regions``, the
+    (speaker, start, end) ranges of ``text`` in order, each next one at least
+    two characters past the last (a line start and a turn's label). Each
+    region is split after a terminal run followed by whitespace and an
+    uppercase/digit start, unless an abbreviation protects a lone period
+    (``_protected_periods``). A split leaves both sides trimmed, so only a
+    region's own leading and trailing whitespace is stripped, and a blank
+    region has no sentence.
+
+    Each regex runs once, over one copy of every region at its own offsets:
+    a gap between regions is ``#``s and one space, which let no boundary or
+    abbreviation token cross it."""
+    pieces: list[str] = []
+    bounds: list[int] = []
+    last = 0
+    for _, start, end in regions:
+        region = text[start:end]
+        if start > last:
+            pieces.append("#" * (start - last - 1) + " ")
+        pieces.append(region)
+        lead, trail = start + len(region) - len(region.lstrip()), start + len(region.rstrip())
+        if lead < trail:
+            bounds += (lead, trail)
+        last = end
+    copy = "".join(pieces)
+    protected = _protected_periods(copy)
+    copy = copy.replace("!", ".").replace("?", ".")
+    copy = "#".join([copy[a + 1 : b] for a, b in pairwise([-1, *protected, len(copy)])])
+    # The split leaves the text before each boundary, its run and its
+    # whitespace: their running lengths are each run's start, end and head.
+    cuts = list(accumulate(map(len, _SPLIT_RE.split(copy))))
+    del cuts[::3]
+    if not text.isascii():
+        kept = [(end, head) for end, head in zip(cuts[0::2], cuts[1::2]) if text[head].isupper() or text[head].isdigit()]
+        cuts = list(chain.from_iterable(kept))
+    # A region's sentences run from its lead to its trail, cut at each run
+    # end and head inside it: one sorted list of both, merged from their runs.
+    return sorted(bounds + cuts)
 
 
 def _transcript_turns(text: str) -> list[tuple[str, int, int]]:
@@ -286,11 +324,16 @@ def segment_sentences(text: str, kind: str = "prose") -> list[Sentence]:
     if kind not in KINDS:
         raise ValueError(f"unknown document kind: {kind!r}")
     regions = [(None, 0, len(text))] if kind == "prose" else _transcript_turns(text)
-    sentences: list[Sentence] = []
-    for speaker, start, end in regions:
-        for s, e in _prose_spans(text[start:end], offset=start):
-            sentences.append(Sentence(len(sentences), text[s:e], (s, e), speaker=speaker))
-    return sentences
+    bounds = _sentence_bounds(text, regions)
+    starts, ends = bounds[0::2], bounds[1::2]
+    speakers = repeat(None)
+    if kind == "transcript":
+        region_starts = [start for _, start, _ in regions]
+        speakers = [regions[bisect_right(region_starts, start) - 1][0] for start in starts]
+    texts = [text[start:end] for start, end in zip(starts, ends)]
+    # ``tuple.__new__`` builds each Sentence in C, where ``Sentence(...)``
+    # would call the named tuple's Python-level ``__new__`` once a sentence.
+    return list(map(tuple.__new__, repeat(Sentence), zip(count(), texts, zip(starts, ends), speakers)))
 
 
 def make_document(

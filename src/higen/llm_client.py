@@ -227,14 +227,24 @@ def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _all_finite(values: list) -> bool:
-    """Whether every cached value is a finite number: the type of each is
-    checked against a set and its value with ``math.isfinite``, both in C.
-    An integer too large for a float is not finite."""
-    try:
-        return _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
-    except OverflowError:
+def _all_floats(values: list) -> bool:
+    """Whether every cached value is a number in float range: the type of
+    each is checked against a set, and an integer converted to a float, both
+    in C. An integer too large for a float is damage, not a number."""
+    types = set(map(type, values))
+    if not _NUMBER_TYPES.issuperset(types):
         return False
+    if int in types:
+        try:
+            list(map(float, values))
+        except OverflowError:
+            return False
+    return True
+
+
+def _all_finite(values: list) -> bool:
+    """Whether every cached value is a finite number in float range."""
+    return _all_floats(values) and all(map(math.isfinite, values))
 
 
 # The HTTP posts of the current thread's backend call: ``_send`` resets it
@@ -368,12 +378,14 @@ class LLMClient:
         ``packed_score_key``), in mask order, at most ``m`` of them, and the
         fit's ``n`` weights cached beside all ``m``, read in one open. A
         missing or damaged entry (``total_logprob`` not a list of at most
-        ``m`` numbers) holds no scores. The weights are None unless the entry
-        holds all ``m`` scores and a list of ``n`` finite numbers beside
-        them. Each cached score counts as one cache hit."""
+        ``m`` numbers in float range) holds no scores, so it is scored again
+        and rewritten; a non-finite score is kept, a sample without a logit.
+        The weights are None unless the entry holds all ``m`` scores and a
+        list of ``n`` finite numbers beside them. Each cached score counts as
+        one cache hit."""
         response = self._cache_read(key, {"total_logprob": list})
         scores = [] if response is None else response["total_logprob"]
-        if len(scores) > m or not _NUMBER_TYPES.issuperset(map(type, scores)):
+        if len(scores) > m or not _all_floats(scores):
             return [], None
         with self._stats_lock:
             self.cache_hits += len(scores)

@@ -9,11 +9,11 @@ two_stage_cc      attribution over a draft summary selects the plan, then summar
 ``run_method`` is the only entry point and the one failure boundary. It
 builds the ``SummaryRecord`` first, and the method fills it in as it runs:
 each call's raw response, tokens and latency, then the plan and the fallback
-flag. Meanwhile ``error_stage`` holds the current stage and
-``error_prompt_hash`` the hash of the last prompt sent; an ok record clears
-both, and any exception leaves them, with the plan reached so far, on a
-failed record. An exception that is not a ``HigenError`` is a bug, not an
-expected failure: its traceback is also logged at WARNING on the
+flag. Meanwhile ``error_stage`` holds the current stage and the record
+keeps the last prompt sent, unhashed; an ok record clears the stage, and any
+exception leaves it, the hash of that prompt as ``error_prompt_hash`` and
+the plan reached so far on a failed record. An exception that is not a
+``HigenError`` is a bug, not an expected failure: its traceback is also logged at WARNING on the
 ``higen.pipeline`` logger, with the prompt's hash only. The stages are
 ``direct`` and ``e2e`` for the one-call methods; ``stage1`` (generative,
 lexrank) or ``draft`` then ``attribution`` (contextcite) while ``plan``
@@ -92,6 +92,10 @@ class SummaryRecord:
     error: str | None = None
     error_stage: str | None = None
     error_prompt_hash: str | None = None
+    # The last prompt sent while ``run_method`` runs, hashed into
+    # error_prompt_hash only if the record fails. Not a field, so no record
+    # line holds it.
+    _last_prompt = None
 
     @property
     def ok(self) -> bool:
@@ -110,7 +114,7 @@ class SummaryRecord:
 def _generate(client: LLMClient, record: SummaryRecord, kind: str, prompt: str, params: PipelineParams) -> GenResponse:
     max_tokens = _DEFAULT_MAX_TOKENS[kind] if params.max_tokens is None else params.max_tokens
     request = GenRequest(model=params.model, user_prompt=prompt, max_tokens=max_tokens, seed=params.seed)
-    record.error_prompt_hash = prompt_hash(prompt)
+    record._last_prompt = prompt
     response = client.generate(request)
     record.raw_responses.append(response.text)
     record.prompt_tokens += response.prompt_tokens
@@ -206,11 +210,14 @@ def run_method(client: LLMClient, document: Document, method: str, params: Pipel
         record.summary = _summarize(client, document, params, record)
     except Exception as exc:
         record.error = str(exc) or type(exc).__name__
+        if record._last_prompt is not None:
+            record.error_prompt_hash = prompt_hash(record._last_prompt)
         if not isinstance(exc, HigenError):
             _logger.warning(
                 "unexpected %s in %s on document %s at stage %s (last prompt %s)",
                 type(exc).__name__, method, document.id, record.error_stage, record.error_prompt_hash, exc_info=True,
             )
     else:
-        record.error_stage = record.error_prompt_hash = None
+        record.error_stage = None
+    record._last_prompt = None
     return record

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from higen.attribution import (
     AttributionParams,
     ablate,
+    center,
     context_lengths,
     contextcite_attribute,
     fit_lasso,
     lambda_max,
     logit_scale,
+    logit_scales,
     request_runs,
     sample_masks,
 )
@@ -261,6 +263,47 @@ class TestLogitScale:
             assert got == pytest.approx(expected, rel=1e-10)
 
 
+# Scores on both sides of logit_scale's branch point at -ln 2 and at it,
+# tiny and huge negatives, integers, and every kind it rejects.
+_SCORES = st.one_of(
+    st.floats(min_value=-math.log(2.0), max_value=-math.log(2.0) / 2),
+    st.floats(max_value=-math.log(2.0), allow_infinity=False, allow_nan=False),
+    st.floats(min_value=-1e-300, max_value=0.0),
+    st.sampled_from([-math.log(2.0), math.nextafter(-math.log(2.0), 0.0), math.nextafter(-math.log(2.0), -math.inf)]),
+    st.sampled_from([-5e-324, -1e-320, -1.7976931348623157e308, 0.0, -0.0]),
+    st.integers(min_value=-10**6, max_value=1),
+    st.floats(),
+)
+
+
+def _logit_or_none(score: float) -> float | None:
+    try:
+        return logit_scale(score)
+    except DomainError:
+        return None
+
+
+class TestLogitScales:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SCORES, max_size=40))
+    def test_equal_logit_scale_bit_for_bit_and_mark_every_rejected_score(self, scores):
+        expected = [_logit_or_none(score) for score in scores]
+        logits, usable = logit_scales(scores)
+        assert usable.dtype == bool and usable.tolist() == [logit is not None for logit in expected]
+        assert logits.dtype == float
+        assert logits.tobytes() == np.array([logit for logit in expected if logit is not None], dtype=float).tobytes()
+
+    def test_both_branches_are_taken(self):
+        scores = [-1e-9, -0.5, -math.log(2.0), -0.7, -3.0, -1234, 0, 0.5, math.nan, -math.inf]
+        logits, usable = logit_scales(scores)
+        assert usable.tolist() == [True] * 6 + [False] * 4
+        assert logits.tolist() == [logit_scale(score) for score in scores[:6]]
+
+    def test_no_scores(self):
+        logits, usable = logit_scales([])
+        assert logits.shape == usable.shape == (0,)
+
+
 def _random_instance(rng, full_rank=False):
     while True:
         m = int(rng.integers(8, 65))
@@ -489,6 +532,21 @@ def _mask_problem() -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(41)
     y = masks[:, :6] @ rng.normal(0.0, 2.0, 6) + rng.normal(0.0, 0.5, 256)
     return masks, y
+
+
+@pytest.mark.parametrize("problem", [_mask_problem, _wide_problem], ids=["boolean_masks", "floats"])
+def test_lambda_max_and_fit_lasso_of_the_centered_copy_equal_those_of_x(problem):
+    X, y, *_ = problem()
+    before = np.array(X, copy=True)
+    centered = center(X)
+    lam = lambda_max(centered, y)
+    assert lam == lambda_max(X, y)
+    for start, max_iter in [(None, 10_000), (fit_lasso(X, y, 0.01 * lam).weights, 0)]:
+        shared = fit_lasso(centered, y, 0.01 * lam, start=start, max_iter=max_iter)
+        plain = fit_lasso(X, y, 0.01 * lam, start=start, max_iter=max_iter)
+        assert shared.weights.tobytes() == plain.weights.tobytes() and shared[1:] == plain[1:]
+    assert (np.asarray(X) == before).all()
+    assert centered.X.tobytes() == center(X).X.tobytes()  # no fit wrote into the shared copy
 
 
 def test_lambda_max_and_fit_lasso_hold_one_float_copy_of_a_boolean_mask():
@@ -888,6 +946,20 @@ class TestPackedScoreEntry:
         assert warm == cold and warm.kkt_residual == cold.kkt_residual
         assert _cache_state(tmp_path / "cache") == before
 
+    @pytest.mark.parametrize("weights", ["cached", "not_optimal"])
+    def test_a_warm_rerun_centers_one_copy_and_sizes_no_request(self, tmp_path, monkeypatch, weights):
+        from higen import attribution
+
+        cold = self._cold(tmp_path)
+        if weights == "not_optimal":
+            path = self._path(tmp_path)
+            path.write_bytes(_edited_response(lambda response: response["weights"].__setitem__(0, 9.0))(path.read_bytes()))
+        centers = _count_calls(monkeypatch, attribution, "center")
+        _forbid(monkeypatch, attribution, "context_lengths")
+        warm = self._warm(tmp_path)
+        assert len(centers) == 1
+        assert warm == cold and warm.iterations == (0 if weights == "cached" else cold.iterations)
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -944,8 +1016,17 @@ class TestPackedScoreEntry:
             _edited_response(lambda response: response["total_logprob"].__setitem__(0, False)),
             _edited_response(lambda response: response.__setitem__("total_logprob", -1.5)),
             _edited_response(lambda response: response.pop("total_logprob")),
+            _edited_response(lambda response: response["total_logprob"].__setitem__(3, 10**400)),
         ],
-        ids=["truncated", "a_logprob_too_many", "a_string_logprob", "a_bool_logprob", "not_a_list", "absent"],
+        ids=[
+            "truncated",
+            "a_logprob_too_many",
+            "a_string_logprob",
+            "a_bool_logprob",
+            "not_a_list",
+            "absent",
+            "an_integer_past_float",
+        ],
     )
     def test_a_damaged_entry_is_scored_again_and_rewritten(self, tmp_path, damage):
         cold = self._cold(tmp_path)

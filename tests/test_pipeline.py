@@ -266,6 +266,27 @@ def test_a_ruled_out_attribution_keeps_its_stage_and_draft(tmp_path):
     assert backend.gen_calls == 1 and backend.score_calls == 0
 
 
+def test_an_ok_record_hashes_no_prompt(tmp_path, monkeypatch):
+    hashed = []
+    monkeypatch.setattr("higen.pipeline.prompt_hash", lambda prompt: hashed.append(prompt) or prompt_hash(prompt))
+    sentences = ["Anchor apple arrives.", "Bridge banana builds.", "Canyon cherry crosses.", "Desert damson drifts."]
+    doc = doc_from_sentences(sentences)
+    backend = RecordingBackend(score_fn=lambda context, continuation: -1.0 - (sentences[3] not in context))
+    client = LLMClient(backend, cache_dir=tmp_path / "cache")
+    record = run_method(client, doc, "two_stage_cc", _params(attribution=AttributionParams(m=16)))
+    assert record.ok and record.highlights.items and not record.fallback_used
+    assert hashed == [] and record.error_prompt_hash is None
+    assert "_last_prompt" not in record.to_dict()
+
+
+def test_an_attribution_failure_keeps_the_hash_of_the_draft_prompt(tmp_path):
+    doc = doc_from_sentences([f"Sentence number {i} stands here." for i in range(12)])
+    client, _ = make_mock_client(tmp_path)
+    record = run_method(client, doc, "two_stage_cc", _params(attribution=AttributionParams(m=7)))
+    assert not record.ok and record.error_stage == "attribution"
+    assert record.error_prompt_hash == prompt_hash(render("direct_gov", doc))
+
+
 class TestFailureLogging:
     def test_a_bug_logs_its_traceback_with_the_prompt_hash_only(self, tmp_path, doc, monkeypatch, caplog):
         def broken_parser(text):
