@@ -1,43 +1,13 @@
-"""Perturbation-based context attribution.
+"""Perturbation-based context attribution, in the style of ContextCite.
 
-Source sentences are ablated under random Bernoulli masks (an m x n boolean
-array, one row per ablated context), a fixed response is re-scored under
-each ablated context, and the resulting log-probabilities are mapped to
-logits. The masks are drawn in one call. Scoring requests are sized by
-characters: the masks still to score are split, in mask order, into
-consecutive runs whose contexts add up to at most ``SCORE_REQUEST_CHARS``
-characters (a longer context is a run of its own), and each run is one
-scoring request. A context's length comes from the mask bits and the
-sentence lengths, so sizing a request builds no context. An attribution's
-scores are cached as one entry under ``llm_client.packed_score_key``, which
-covers the model, the response, every labelled sentence and the mask bits
-with their shape. The entry holds the scores so far in mask order and is
-rewritten after each request, so an interrupted attribution resumes after
-the scores it holds, whatever the budget; once all m are scored and the fit
-converged, the fit's n weights go beside them. A warm rerun reads that one
-entry, builds no context and sends no request. Logit filtering runs on every
-call. The fit does not run when the cached weights pass the solver's own KKT
-certificate at this call's lambda (``fit_lasso`` from them with
-``max_iter=0``): they are the result, with 0 iterations. Weights that are
-absent, damaged or not optimal (a changed ``lambda_frac``) are fit again
-from zero, and a warm hit never writes. The fit needs at least n/2 + 2
-usable samples, so a document that m samples could never cover fails before
-any mask is drawn or any request sent. A sparse linear surrogate is fit to
-the logits by LASSO, solved with FISTA (Beck & Teboulle 2009) with
-gradient-based adaptive restart (O'Donoghue & Candes 2015) on the centered
-mask matrix, in matrix-vector form. Its step constant starts at the centered
-Gram matrix's largest diagonal entry, within a factor n of its largest
-eigenvalue, and doubles whenever a step shows it too small: at most
-ceil(log2 n) times a fit. The solver stops once the KKT residual is at most
-``tol`` and reports its iterations, whether it converged and the final
-residual. Strictly positive weights rank the sentences that form the content
-plan, through ``prompts.ranked_highlights("contextcite", ...)``.
-
-The logits of all the scores are computed at once, one array per branch of
-``logit_scale``. Beyond the boolean masks, an attribution holds one m x n
-float array: the ``center`` of its usable masks, which ``lambda_max``, the
-certificate and a fit from zero all read. The contexts of a scoring request
-are let go once it is sent, before the next request's are built.
+An attribution runs in two stages. ``score_ablations`` does the I/O: it
+ablates the source sentences under random Bernoulli masks (an m x n boolean
+array, one row per ablated context) and scores a fixed response after each
+ablated context, through one cache entry. ``fit_plan`` is pure: it fits a
+sparse linear surrogate to the logits of those scores by LASSO (``fit_lasso``).
+``contextcite_attribute`` composes the two. Strictly positive weights rank
+the sentences that form the content plan, through
+``prompts.ranked_highlights("contextcite", ...)``.
 """
 
 from __future__ import annotations
@@ -265,8 +235,9 @@ def fit_lasso(
     max_iter: int = 10_000,
     start: np.ndarray | Sequence[float] | None = None,
 ) -> LassoFit:
-    """Minimize (1/2m)||y - b - Xw||^2 + lam*||w||_1; the intercept b is
-    unpenalized.
+    """Minimize (1/2m)||y - b - Xw||^2 + lam*||w||_1, the intercept b
+    unpenalized, by FISTA (Beck & Teboulle 2009) with gradient-based adaptive
+    restart (O'Donoghue & Candes 2015).
 
     The problem is solved on centered X and y, so b = mean(y) - mean(X) . w.
     Each FISTA step goes from the extrapolated point z to
@@ -352,20 +323,38 @@ def fit_lasso(
     return LassoFit(w, intercept, r_squared, iterations, residual <= tol, residual)
 
 
-def _score_ablations(
-    client: LLMClient, key: str, document: Document, response: str, model: str, masks: np.ndarray, scores: list[float]
-) -> list[int]:
-    """Score ``response`` after each ablated context past the ``scores`` cached
-    so far, appending to ``scores`` in mask order, and return the context
-    characters of each request sent. Each run of ``request_runs`` over the
-    remaining contexts' lengths and ``SCORE_REQUEST_CHARS`` is one scoring
-    request, whose contexts are built only when it is sent; after each, the
-    attribution's entry under ``key`` is rewritten with every score so far."""
+class Ablations(NamedTuple):
+    """The masks and cache key of ``score_ablations``, every score in mask order,
+    the entry's weights and count of scores, and each request's characters."""
+
+    masks: np.ndarray
+    key: str
+    scores: list[float]
+    cached_weights: list[float] | None
+    cached: int
+    sent: list[int]
+
+
+def score_ablations(
+    client: LLMClient, document: Document, response: str, model: str, params: AttributionParams, seed: int
+) -> Ablations:
+    """Score ``response`` after each ablated context of ``params.m`` masks.
+
+    The scores are cached as one entry under ``packed_score_key``, which covers
+    the model, the response, every labelled sentence and the mask bits with
+    their shape. Only the contexts past the scores the entry holds are scored:
+    each run of ``request_runs`` over their lengths, taken from the mask bits
+    and sentence lengths, and ``SCORE_REQUEST_CHARS`` is one scoring request.
+    A request's contexts are built when it is sent and let go before the next
+    one's. The entry is rewritten with every score so far after each request,
+    so an interrupted attribution resumes after the scores it holds, whatever
+    the budget; a warm rerun reads the one entry and builds no context."""
+    masks = sample_masks(len(document.sentences), params.m, params.keep_prob, seed)
+    key = packed_score_key(model, response, document.labelled_sentences, masks)
+    scores, cached_weights = client.read_attribution(key, *masks.shape)
     done = len(scores)
-    if done == len(masks):
-        return []
-    lengths = context_lengths(document, masks[done:]).tolist()
     sent: list[int] = []
+    lengths = context_lengths(document, masks[done:]).tolist() if done < params.m else []
     for run in request_runs(lengths, SCORE_REQUEST_CHARS):
         start, stop = done + run.start, done + run.stop
         try:
@@ -374,7 +363,28 @@ def _score_ablations(
             raise AttributionError(f"scoring failed on the batch from ablation mask {start}: {exc}") from exc
         sent.append(sum(lengths[run.start : run.stop]))
         client.write_attribution(key, scores)
-    return sent
+    return Ablations(masks, key, scores, cached_weights, done, sent)
+
+
+def fit_plan(
+    rows: np.ndarray, y: np.ndarray, lambda_frac: float, cached_weights: Sequence[float] | None = None
+) -> tuple[LassoFit, float, bool]:
+    """The LASSO fit of the logits ``y`` on the mask ``rows`` at lambda =
+    lambda_frac * lambda_max, that lambda, and whether the fit is
+    ``cached_weights``, certified. It takes no client.
+
+    One float copy, ``center(rows)``, serves lambda_max, the certificate and a
+    fit from zero. Cached weights that pass the solver's own KKT certificate at
+    this lambda (``fit_lasso`` from them with ``max_iter=0``) are the fit, with
+    0 iterations; absent weights or weights that are not optimal (say, under a
+    changed lambda_frac) are fit again from zero."""
+    centered = center(rows)
+    lam = lambda_frac * lambda_max(centered, y)
+    if cached_weights is not None:
+        fit = fit_lasso(centered, y, lam, start=cached_weights, max_iter=0)
+        if fit.converged:
+            return fit, lam, True
+    return fit_lasso(centered, y, lam), lam, False
 
 
 def contextcite_attribute(
@@ -386,29 +396,17 @@ def contextcite_attribute(
     seed: int = 0,
     dump_path: str | Path | None = None,
 ) -> AttributionResult:
-    """Per-sentence influence weights for a fixed response.
+    """Per-sentence influence weights for a fixed response: ``fit_plan`` of the
+    ``score_ablations`` that have a finite logit (a probability-1 or
+    non-finite score has none, and its sample is dropped).
 
-    The scores come from the attribution's cache entry as far as it holds
-    them; the ablated contexts after those are scored by the client in
-    requests of at most SCORE_REQUEST_CHARS context characters (or of one
-    longer context), the entry rewritten with every score so far after each
-    request and once more with the weights when the fit converged. The
-    result counts the requests sent. Logit-scaled totals are regressed on
-    the mask bits with lambda = lambda_frac * lambda_max; weights cached
-    beside all m scores that pass the KKT certificate are the fit, with 0
-    iterations, and any others are fit again from zero, the entry left as it
-    is. Samples without a finite logit (probability 1, or a non-finite
-    logprob) are dropped; the fit requires at least n/2 + 2 surviving
-    samples, and when params.m is below that it raises before sampling or
-    scoring. The solver's iterations, convergence and KKT residual are
-    reported on the result; a fit that does not converge is returned, not
-    raised. Each attribution logs one DEBUG line on ``higen.attribution``
-    with the document id, n, the usable samples, lambda, r^2, the
-    iterations, whether the fit converged, the scoring requests sent with
-    the context characters of the largest, how many scores were cached, and
-    whether the weights are a certified cached solution or a fit from zero.
-    With dump_path set, the (mask, logit) pairs are written as JSONL (masks
-    as lists of 0/1) for offline refits.
+    The fit needs at least n/2 + 2 usable samples; when params.m is below
+    that, it raises before any mask is drawn or request sent. When this call
+    sent a request and the fit converged, the weights go into the entry beside
+    the m scores. A fit that does not converge is returned, not raised. Each
+    attribution logs one DEBUG line on ``higen.attribution``, which holds no
+    text. With dump_path set, the usable (mask, logit) pairs are written as
+    JSONL, masks as lists of 0/1, which ``fit_plan`` refits offline.
     """
     if not response:
         raise AttributionError("response must be non-empty")
@@ -418,26 +416,15 @@ def contextcite_attribute(
     need = _min_samples(n)
     if params.m < need:
         raise AttributionError(f"{params.m} ablation samples for {n} sentences; need at least {need} usable")
-    masks = sample_masks(n, params.m, params.keep_prob, seed)
-    key = packed_score_key(model, response, document.labelled_sentences, masks)
-    scores, cached_weights = client.read_attribution(key, params.m, n)
-    cached = len(scores)
-    sent = _score_ablations(client, key, document, response, model, masks, scores)
-    y, usable = logit_scales(scores)
-    rows = masks[usable]
+    ablations = score_ablations(client, document, response, model, params, seed)
+    y, usable = logit_scales(ablations.scores)
+    rows = ablations.masks[usable]
     if len(rows) < need:
         raise AttributionError(f"only {len(rows)} of {params.m} ablation samples usable; need at least {need}")
-    centered = center(rows)
-    lam = params.lambda_frac * lambda_max(centered, y)
-    certified = False
-    if cached_weights is not None:
-        fit = fit_lasso(centered, y, lam, start=cached_weights, max_iter=0)
-        certified = fit.converged
-    if not certified:
-        fit = fit_lasso(centered, y, lam)
+    fit, lam, certified = fit_plan(rows, y, params.lambda_frac, ablations.cached_weights)
     weights = fit.weights.tolist()
-    if sent and fit.converged:
-        client.write_attribution(key, scores, weights)
+    if ablations.sent and fit.converged:
+        client.write_attribution(ablations.key, ablations.scores, weights)
     if dump_path is not None:
         with Path(dump_path).open("w", encoding="utf-8") as handle:
             for bits, logit in zip(rows, y.tolist()):
@@ -453,9 +440,9 @@ def contextcite_attribute(
         fit.r_squared,
         fit.iterations,
         fit.converged,
-        len(sent),
-        max(sent, default=0),
-        cached,
+        len(ablations.sent),
+        max(ablations.sent, default=0),
+        ablations.cached,
         params.m,
         "a certified cached solution" if certified else "a fit from zero",
     )
@@ -469,5 +456,5 @@ def contextcite_attribute(
         iterations=fit.iterations,
         converged=fit.converged,
         kkt_residual=fit.kkt_residual,
-        scoring_requests=len(sent),
+        scoring_requests=len(ablations.sent),
     )

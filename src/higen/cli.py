@@ -84,6 +84,16 @@ def _document_from_file(path: str, need_sentences: bool = False):
     return document
 
 
+def _check_writable(path: str | None, what: str) -> None:
+    """Open a dump path to append, which keeps what it holds, before any other
+    work; one that cannot be written is a ConfigError naming ``what`` and it."""
+    try:
+        if path is not None:
+            Path(path).open("a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"could not write {what} file {path}: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     run_dir = run(config)
@@ -125,6 +135,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_highlight(args) -> int:
+    _check_writable(args.dump_similarity, "similarity dump")
     document = _document_from_file(args.doc, need_sentences=args.method == "contextcite")
     config = load_config(args.config) if args.config else None
     if config is None and args.method != "lexrank":
@@ -142,6 +153,7 @@ def _cmd_highlight(args) -> int:
 
 
 def _cmd_attribute(args) -> int:
+    _check_writable(args.dump_ablations, "ablation dump")
     if not args.config:
         raise ConfigError("attribute needs a config with an endpoint and model")
     config = load_config(args.config)

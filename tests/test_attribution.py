@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -18,11 +19,13 @@ from higen.attribution import (
     context_lengths,
     contextcite_attribute,
     fit_lasso,
+    fit_plan,
     lambda_max,
     logit_scale,
     logit_scales,
     request_runs,
     sample_masks,
+    score_ablations,
 )
 from higen.corpus import make_document
 from higen.errors import AttributionError, DomainError
@@ -568,6 +571,60 @@ def test_lambda_max_and_fit_lasso_hold_one_float_copy_of_a_boolean_mask():
     assert (masks == masks_before).all() and (floats == floats_before).all()
 
 
+def _plan_problem() -> tuple[np.ndarray, np.ndarray]:
+    """A boolean 48 x 30 mask array and logits linear in a few of its bits."""
+    masks = sample_masks(30, 48, 0.5, seed=7)
+    rng = np.random.default_rng(7)
+    return masks, masks[:, :4] @ rng.normal(0.0, 2.0, 4) + rng.normal(0.0, 0.3, 48)
+
+
+class TestFitPlan:
+    """``fit_plan`` is pure: none of these tests builds a client."""
+
+    def _cold(self):
+        rows, y = _plan_problem()
+        return fit_lasso(rows, y, 0.01 * lambda_max(rows, y))
+
+    @staticmethod
+    def _same(fit, reference):
+        assert fit.weights.tobytes() == reference.weights.tobytes() and fit[1:] == reference[1:]
+
+    def test_a_cold_call_is_fit_lasso_at_lambda_frac_of_lambda_max(self):
+        rows, y = _plan_problem()
+        fit, lam, certified = fit_plan(rows, y, 0.01)
+        assert lam == 0.01 * lambda_max(rows, y) and not certified
+        self._same(fit, self._cold())
+        assert fit.iterations > 0 and fit.converged
+
+    @pytest.mark.parametrize("as_cached", [lambda w: w, lambda w: w.tolist()], ids=["array", "list"])
+    def test_the_cold_fits_own_weights_are_certified_with_no_iteration(self, as_cached):
+        rows, y = _plan_problem()
+        cold = self._cold()
+        fit, lam, certified = fit_plan(rows, y, 0.01, as_cached(cold.weights))
+        assert certified and fit.iterations == 0 and fit.converged
+        assert fit.weights.tobytes() == cold.weights.tobytes()
+        assert (fit.intercept, fit.r_squared) == (cold.intercept, cold.r_squared)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [lambda w: w + 0.25, lambda w: np.zeros_like(w), lambda w: fit_plan(*_plan_problem(), 0.3)[0].weights],
+        ids=["shifted", "zeros", "another_lambda_frac"],
+    )
+    def test_weights_that_are_not_optimal_give_the_cold_fit(self, weights):
+        rows, y = _plan_problem()
+        cold = self._cold()
+        fit, lam, certified = fit_plan(rows, y, 0.01, weights(cold.weights))
+        assert not certified
+        self._same(fit, cold)
+        assert lam == 0.01 * lambda_max(rows, y)
+
+    def test_rows_and_logits_are_left_as_they_are(self):
+        rows, y = _plan_problem()
+        before = rows.copy(), y.copy()
+        fit_plan(rows, y, 0.01, self._cold().weights)
+        assert rows.dtype == bool and (rows == before[0]).all() and y.tobytes() == before[1].tobytes()
+
+
 class TestContextciteAttribute:
     def test_single_cause_sentence_recovered(self, tmp_path):
         doc = doc_from_sentences(_SYNTH_SENTENCES[:6])
@@ -876,6 +933,47 @@ class TestPackedScoreEntry:
         doc = doc_from_sentences(_SYNTH_SENTENCES)
         masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
         return [overlap_scorer(ablate(doc, mask), self._RESPONSE) for mask in masks[:stop]]
+
+    # Recorded before ``score_ablations`` and ``fit_plan`` split the
+    # attribution, from ``_cold`` and ``_warm`` of the synthetic document: the
+    # packed entry's key, the sha256 of its bytes after a cold call (which a
+    # warm one leaves as they are) and both DEBUG lines.
+    _KEY = "e1e6af33272e5e67bfdf8cde182c455ad967f2e609752148d94fbdf427645aff"
+    _ENTRY_SHA256 = "12ab44d1d0cb79285b1fa6d8084f0f40ead0b04181212fd55586daf139076a16"
+    _DEBUG_LINES = [
+        "attribution of doc: n=12, 16/16 samples usable, lambda=0.00149107, r2=0.998879, 97 iterations,"
+        " converged=True, 1 scoring requests, the largest of 2179 context characters, 0/16 scores cached,"
+        " weights from a fit from zero",
+        "attribution of doc: n=12, 16/16 samples usable, lambda=0.00149107, r2=0.998879, 0 iterations,"
+        " converged=True, 0 scoring requests, the largest of 0 context characters, 16/16 scores cached,"
+        " weights from a certified cached solution",
+    ]
+
+    def test_the_key_the_entry_bytes_and_the_debug_lines_are_pinned(self, tmp_path, caplog):
+        path = self._path(tmp_path)
+        assert path.stem == self._KEY
+        with caplog.at_level(logging.DEBUG, logger="higen.attribution"):
+            self._cold(tmp_path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self._ENTRY_SHA256
+            self._warm(tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self._ENTRY_SHA256
+        assert [record.getMessage() for record in caplog.records] == self._DEBUG_LINES
+
+    def test_score_ablations_reads_the_entry_and_sends_only_what_it_lacks(self, tmp_path):
+        doc = doc_from_sentences(_SYNTH_SENTENCES)
+        masks = sample_masks(len(doc.sentences), self._PARAMS.m, self._PARAMS.keep_prob, 2)
+        client = _client_with_scorer(tmp_path / "scores_only", overlap_scorer)
+        cold = score_ablations(client, doc, self._RESPONSE, "m", self._PARAMS, 2)
+        assert (cold.masks == masks).all() and cold.key == self._KEY
+        assert cold.scores == self._scores(self._PARAMS.m) and cold.cached_weights is None
+        assert cold.cached == 0 and cold.sent == [int(context_lengths(doc, masks).sum())]
+        # The entry of a finished attribution holds the weights beside the scores.
+        fit = self._cold(tmp_path)
+        backend = MockBackend(score_fn=overlap_scorer)
+        warm = score_ablations(LLMClient(backend, cache_dir=tmp_path / "cache"), doc, self._RESPONSE, "m", self._PARAMS, 2)
+        assert backend.calls == 0
+        assert (warm.key, warm.scores, warm.cached_weights) == (cold.key, cold.scores, fit.scores)
+        assert warm.cached == self._PARAMS.m and warm.sent == []
 
     def test_a_cold_run_writes_one_entry_and_a_warm_one_reads_one(self, tmp_path, monkeypatch):
         from higen import attribution

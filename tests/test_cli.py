@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from higen.attribution import AttributionParams, fit_plan
 from higen.cli import main
 from higen.llm_client import LLMClient, MockBackend
 
@@ -294,12 +296,37 @@ class TestAttributeCommand:
         assert isinstance(payload["iterations"], int)
         assert payload["converged"] is True
         assert 0.0 <= payload["kkt_residual"] <= 1e-9
-        # dumped pairs support offline refits
         pairs = [json.loads(line) for line in dump.read_text().splitlines()]
         assert len(pairs) == 8
         assert all(len(p["mask"]) == 3 for p in pairs)
         assert all(type(bit) is int and bit in (0, 1) for p in pairs for bit in p["mask"])
         assert all(math.isfinite(p["logit"]) for p in pairs)
+        # The dumped pairs refit offline to the printed scores, bit for bit.
+        rows = np.array([p["mask"] for p in pairs], dtype=bool)
+        y = np.array([p["logit"] for p in pairs])
+        fit, lam, certified = fit_plan(rows, y, AttributionParams().lambda_frac)
+        assert [w.hex() for w in fit.weights.tolist()] == [w.hex() for w in payload["scores"]]
+        assert (lam, fit.intercept, fit.r_squared) == (payload["lambda"], payload["intercept"], payload["r_squared"])
+        assert not certified
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attribute", "--doc", "{doc}", "--response", "{doc}", "-c", "{config}", "--dump-ablations", "{dump}"],
+            ["highlight", "--method", "lexrank", "--doc", "{doc}", "--dump-similarity", "{dump}"],
+        ],
+        ids=["ablations", "similarity"],
+    )
+    def test_an_unwritable_dump_path_is_a_config_error_before_any_work(self, tmp_path, capsys, argv):
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")
+        names = {"doc": str(doc_path), "config": str(_write_config(tmp_path)), "dump": str(tmp_path / "no" / "x")}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error: could not write ") and names["dump"] in line
+        assert not (tmp_path / "cache").exists() and not (tmp_path / "no").exists()
 
     def test_attribute_prints_the_scoring_requests_it_sent(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.txt"
