@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -84,12 +85,24 @@ def _document_from_file(path: str, need_sentences: bool = False):
     return document
 
 
-def _check_writable(path: str | None, what: str) -> None:
-    """Open a dump path to append, which keeps what it holds, before any other
-    work; one that cannot be written is a ConfigError naming ``what`` and it."""
+def _same_file(path: str, other: str) -> bool:
     try:
-        if path is not None:
-            Path(path).open("a", encoding="utf-8").close()
+        return os.path.samefile(path, other)
+    except OSError:  # either one is missing
+        return False
+
+
+def _check_writable(path: str | None, what: str, inputs: dict[str, str | None]) -> None:
+    """Before any other work, refuse a dump path that is the same file as one
+    of ``inputs`` (option: path), then open it to append, which keeps what it
+    holds; either failure is a ConfigError naming ``what`` and the path."""
+    if path is None:
+        return
+    for option, other in inputs.items():
+        if other is not None and _same_file(path, other):
+            raise ConfigError(f"{what} file {path} is the {option} file {other}; the dump would overwrite it")
+    try:
+        Path(path).open("a", encoding="utf-8").close()
     except OSError as exc:
         raise ConfigError(f"could not write {what} file {path}: {exc}") from exc
 
@@ -135,7 +148,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_highlight(args) -> int:
-    _check_writable(args.dump_similarity, "similarity dump")
+    _check_writable(args.dump_similarity, "similarity dump", {"--doc": args.doc, "-c": args.config})
     document = _document_from_file(args.doc, need_sentences=args.method == "contextcite")
     config = load_config(args.config) if args.config else None
     if config is None and args.method != "lexrank":
@@ -153,7 +166,8 @@ def _cmd_highlight(args) -> int:
 
 
 def _cmd_attribute(args) -> int:
-    _check_writable(args.dump_ablations, "ablation dump")
+    inputs = {"--doc": args.doc, "--response": args.response, "-c": args.config}
+    _check_writable(args.dump_ablations, "ablation dump", inputs)
     if not args.config:
         raise ConfigError("attribute needs a config with an endpoint and model")
     config = load_config(args.config)

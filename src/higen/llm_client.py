@@ -18,8 +18,10 @@ request uncached, and the attribution rewrites its entry with
 A missing or damaged entry is a miss. Scores go to the backend with an array
 ``prompt`` whose choices are mapped back by ``index``; a score is one float,
 the continuation's total logprob. ``score_continuation`` is an uncached
-one-context batch, kept for ``bench/layers.py``. A deterministic mock backend
-makes the whole pipeline reproducible in tests and offline runs.
+one-context batch, kept for ``bench/layers.py``. ``HTTPBackend`` posts over
+``_ConnectionPool``, pooled keep-alive ``http.client`` connections. A
+deterministic mock backend makes the whole pipeline reproducible in tests and
+offline runs.
 
 Both cache keys are the sha256 of the same canonical JSON as ever
 (``json.dumps(..., sort_keys=True, ensure_ascii=False)`` in UTF-8), so every
@@ -31,6 +33,7 @@ weights are checked by the set of their types and ``math.isfinite``, in C.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import json
@@ -38,12 +41,17 @@ import math
 import os
 import random
 import re
+import select
 import threading
 import time
+import urllib.parse
+import weakref
+import zlib
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -59,9 +67,6 @@ from .errors import (
     require,
 )
 from .prompts import numbered_items
-
-if TYPE_CHECKING:
-    import requests
 
 DEFAULT_TIMEOUT = 120.0
 # The longest wait a Retry-After header can impose before the next attempt.
@@ -403,36 +408,253 @@ class LLMClient:
         self._cache_write(key, {"kind": "packed_score", "key": key}, response)
 
 
+class _Response:
+    """An answer read whole, as the backend uses a ``requests`` response: the
+    status, the headers (looked up in any case), the body decoded from gzip or
+    deflate, its text and its JSON."""
+
+    def __init__(self, status_code: int, headers, content: bytes):
+        self.status_code, self.headers, self.content = status_code, headers, content
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", "replace")
+
+    def json(self, **decode):
+        return json.loads(self.content, **decode)
+
+
+# What ``requests`` sends a ``json=`` payload as: ``json.dumps`` with allow_nan=False.
+_JSON_BODY = json.JSONEncoder(allow_nan=False)
+
+
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+
+
+def _netrc_auth(host: str) -> str | None:
+    """The Basic credentials ``.netrc`` holds for ``host``, looked up as
+    requests does: in the file ``NETRC`` names, else ``~/.netrc`` or
+    ``~/_netrc``. None when there is no file or entry, or it does not parse."""
+    import netrc
+
+    names = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
+    path = next((path for path in map(os.path.expanduser, names) if os.path.exists(path)), None)
+    try:
+        entry = netrc.netrc(path).authenticators(host) if path else None
+    except (netrc.NetrcParseError, OSError):
+        return None
+    return _basic_auth(entry[0] or entry[1], entry[2]) if entry else None
+
+
+def _environment_proxy(scheme: str, netloc: str) -> str | None:
+    """The proxy the environment names for ``scheme``: ``<scheme>_proxy``,
+    else ``all_proxy`` (lower case first), unless ``no_proxy`` is ``*`` or
+    holds a suffix of the host."""
+    import urllib.request
+
+    proxies = urllib.request.getproxies_environment()
+    if urllib.request.proxy_bypass_environment(netloc, proxies):
+        return None
+    return proxies.get(scheme) or proxies.get("all")
+
+
+def _ssl_context(base_url: str):
+    """A verifying TLS context that trusts ``REQUESTS_CA_BUNDLE``, else
+    ``CURL_CA_BUNDLE``, else certifi's bundle, as requests does; a bundle
+    that does not load is a ConfigError."""
+    import ssl
+
+    import certifi
+
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or certifi.where()
+    try:
+        return ssl.create_default_context(**{"capath" if os.path.isdir(bundle) else "cafile": bundle})
+    except OSError as exc:
+        raise ConfigError(f"could not load the CA bundle {bundle} for {base_url}: {exc}") from exc
+
+
+def _proxy_address(proxy: str, base_url: str) -> tuple[str, int, dict]:
+    """The host, port and Proxy-Authorization header of an ``http://`` proxy
+    URL (one without a scheme is one); any other proxy URL is a ConfigError."""
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        port = parts.port or 80
+    except ValueError as exc:
+        raise ConfigError(f"proxy {proxy!r} for {base_url}: {exc}") from exc
+    if parts.scheme != "http" or not parts.hostname:
+        raise ConfigError(f"proxy {proxy!r} for {base_url} is not an http:// proxy URL")
+    headers = {}
+    if parts.username is not None:
+        credentials = map(urllib.parse.unquote, (parts.username, parts.password or ""))
+        headers["Proxy-Authorization"] = _basic_auth(*credentials)
+    return parts.hostname, port, headers
+
+
+def _dropped(sock) -> bool:
+    """Whether an idle connection's socket is readable: its server closed it,
+    or sent what was not asked for. Either way it is not reused."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _exchange(conn, target: str, body: bytes, headers: dict, timeout: float | None) -> _Response:
+    """Send one POST on ``conn`` (connecting it if it is closed) and read the
+    whole answer, its body decoded from gzip or deflate."""
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    conn.request("POST", target, body, headers)
+    response = conn.getresponse()
+    content = response.read()
+    encoding = (response.getheader("Content-Encoding") or "").strip().lower()
+    try:
+        if encoding in ("gzip", "x-gzip"):
+            content = zlib.decompress(content, 16 + zlib.MAX_WBITS)
+        elif encoding == "deflate":
+            try:
+                content = zlib.decompress(content)
+            except zlib.error:  # raw deflate, as some servers send it
+                content = zlib.decompress(content, -zlib.MAX_WBITS)
+    except zlib.error as exc:
+        import http.client
+
+        raise http.client.HTTPException(f"undecodable {encoding} body: {exc}") from exc
+    return _Response(response.status, response.msg, content)
+
+
+class _ConnectionPool:
+    """The ``session`` of an HTTPBackend given none: keep-alive
+    ``http.client`` connections to the endpoint's origin, at most ``size``
+    of them kept idle, reused newest first, each checked for a close by its
+    server before reuse. If a reused one turns out closed before an answer
+    came, the post is sent once more on a new connection; that is not a
+    retry. The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``,
+    ``NO_PROXY``; CONNECT for HTTPS), the CA bundle and the ``.netrc``
+    credentials are read from the environment here, once. A ``.netrc`` entry
+    is sent only on a post without an Authorization header. Redirects are
+    not followed. A pool that is closed or dropped closes its idle
+    connections."""
+
+    def __init__(self, base_url: str, size: int):
+        import http.client
+
+        parts = urllib.parse.urlsplit(base_url)
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise ConfigError(f"endpoint URL {base_url!r}: {exc}") from exc
+        if parts.scheme not in ("http", "https") or not parts.hostname or parts.username is not None:
+            raise ConfigError(f"endpoint URL {base_url!r} is not an http:// or https:// URL without credentials")
+        self._origin = f"{parts.scheme}://{parts.netloc}"
+        self._size = size
+        self._headers = {"Accept-Encoding": "gzip, deflate"}
+        self._auth = _netrc_auth(parts.hostname)
+        tls = {"context": _ssl_context(base_url)} if parts.scheme == "https" else {}
+        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        proxy = _environment_proxy(parts.scheme, parts.netloc)
+        address, proxy_headers = (parts.hostname, port), {}
+        if proxy is not None:
+            *address, proxy_headers = _proxy_address(proxy, base_url)
+        self._connection = partial(connection, *address, **tls)
+        # Through a proxy, HTTPS goes through a CONNECT tunnel, HTTP to an absolute-form target.
+        self._tunnel = (parts.hostname, port or 443, proxy_headers) if proxy and tls else None
+        self._absolute_form = bool(proxy) and not tls
+        if self._absolute_form:
+            self._headers.update(proxy_headers)
+        self._lock = threading.Lock()
+        self._idle: list = []
+        weakref.finalize(self, _close_idle, self._idle, self._lock)
+
+    def _checkout(self):
+        """The newest idle connection its server has not closed, and True; or
+        a new, unconnected one, and False."""
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not _dropped(conn.sock):
+                    return conn, True
+                conn.close()
+        conn = self._connection()
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn, False
+
+    def _checkin(self, conn) -> None:
+        with self._lock:
+            if conn.sock is not None and len(self._idle) < self._size:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def post(self, url: str, json=None, headers: dict | None = None, timeout: float | None = None) -> _Response:
+        """POST ``json`` to ``url``, a URL of the pool's origin, and read the answer."""
+        if not url.startswith(self._origin):
+            raise ValueError(f"{url} is not a URL of {self._origin}")
+        target = url if self._absolute_form else url[len(self._origin) :] or "/"
+        body = _JSON_BODY.encode(json).encode("utf-8")
+        headers = {**self._headers, **(headers or {})}
+        if self._auth and "Authorization" not in headers:
+            headers["Authorization"] = self._auth
+        conn, reused = self._checkout()
+        try:
+            try:
+                response = _exchange(conn, target, body, headers, timeout)
+            except (BrokenPipeError, ConnectionResetError):
+                if not reused:
+                    raise
+                conn.close()
+                response = _exchange(conn, target, body, headers, timeout)
+        except BaseException:
+            conn.close()
+            raise
+        self._checkin(conn)
+        return response
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        _close_idle(self._idle, self._lock)
+
+
+def _close_idle(idle: list, lock: threading.Lock) -> None:
+    with lock:
+        conns, idle[:] = idle[:], []
+    for conn in conns:
+        conn.close()
+
+
 class HTTPBackend:
     """OpenAI-compatible HTTP backend: chat completions for generation,
-    echoed completions with logprobs for teacher-forced scoring. ``requests``
-    is imported here, so a process without an HTTP endpoint never loads it.
-
-    A session the backend builds itself reads the endpoint's proxy (with
-    ``NO_PROXY``), CA bundle and ``.netrc`` credentials from the environment
-    once, here, as requests would on every request; an injected session is
-    used as it is."""
+    echoed completions with logprobs for teacher-forced scoring. Without a
+    ``session`` (anything with the ``post`` of ``requests.Session``) it posts
+    over a ``_ConnectionPool`` of ``concurrency`` connections. Any 3xx, 4xx
+    or 5xx answer but a transient one is an EndpointError."""
 
     def __init__(
         self,
         base_url: str,
         api_key: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
-        session: requests.Session | None = None,
+        session=None,
+        concurrency: int = 4,
     ):
-        import requests
+        import http.client
 
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        if session is None:
-            session = requests.Session()
-            settings = session.merge_environment_settings(self.base_url, {}, None, None, None)
-            session.proxies, session.verify = settings["proxies"], settings["verify"]
-            session.auth = requests.utils.get_netrc_auth(self.base_url)
-            session.trust_env = False
-        self.session = session
-        self._transport_errors = (requests.Timeout, requests.ConnectionError)
+        self.session = _ConnectionPool(self.base_url, concurrency) if session is None else session
+        # requests' exceptions are OSErrors too, so an injected requests session's are caught.
+        self._transport_errors = (OSError, http.client.HTTPException)
+
+    def close(self) -> None:
+        """Close the session's idle connections, if it has a ``close``."""
+        close = getattr(self.session, "close", None)
+        if close is not None:
+            close()
 
     def _post(self, path: str, payload: dict, **decode) -> dict:
         """POST a JSON payload, counted in ``_posts``; ``decode`` is passed on
@@ -450,14 +672,14 @@ class HTTPBackend:
         if resp.status_code in (429, 500, 502, 503, 504):
             wait = _retry_after(resp) if resp.status_code in (429, 503) else 0.0
             raise _Retryable(f"HTTP {resp.status_code}", wait)
-        if resp.status_code >= 400:
+        if resp.status_code >= 300:
             excerpt = resp.text[:200]
             if resp.status_code == 400 and _OVERSIZE_RE.search(excerpt):
                 raise OversizeError(f"backend rejected oversize request: {excerpt}")
             raise EndpointError(resp.status_code, excerpt)
         try:
             return resp.json(**decode)
-        except ValueError as exc:  # requests.JSONDecodeError
+        except ValueError as exc:
             raise EndpointError(resp.status_code, f"malformed JSON body: {resp.text[:200]}") from exc
 
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
@@ -548,7 +770,7 @@ class HTTPBackend:
         return math.fsum(tail)
 
 
-def _retry_after(resp: requests.Response) -> float:
+def _retry_after(resp) -> float:
     """The delta-seconds of a response's ``Retry-After`` header; 0 when it is
     missing or not a number (an HTTP-date is not honoured)."""
     try:
@@ -731,11 +953,4 @@ def backend_from_url(
         if generator not in ("", "echo_first_k") or query not in ("", "scorer=overlap"):
             raise ConfigError(f"unknown mock endpoint {base_url!r}; the mock is 'mock://echo_first_k?scorer=overlap'")
         return MockBackend()
-    from requests.adapters import HTTPAdapter
-
-    backend = HTTPBackend(base_url, api_key=api_key, timeout=timeout)
-    adapter = HTTPAdapter(pool_maxsize=concurrency)
-    backend.session.mount("http://", adapter)
-    backend.session.mount("https://", adapter)
-    return backend
-
+    return HTTPBackend(base_url, api_key=api_key, timeout=timeout, concurrency=concurrency)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -110,8 +112,14 @@ def extract_facts(summary: str, client: LLMClient, judge_model: str) -> list[str
 
 def _chunk_text(text: str) -> list[str]:
     """Overlapping judge windows of ``text``, sized by the module constants as
-    they are at call time."""
-    spans = [m.span() for m in TOKEN_RE.finditer(text.lower())]
+    they are at call time. Tokens are found in ``text.lower()``; where that is
+    longer (U+0130 lowercases to two characters), each token's span is mapped
+    back to the characters of ``text`` it came from."""
+    lowered = text.lower()
+    spans = [m.span() for m in TOKEN_RE.finditer(lowered)]
+    if len(lowered) != len(text):
+        ends = list(accumulate(len(char.lower()) for char in text))
+        spans = [(bisect_right(ends, start), bisect_left(ends, end) + 1) for start, end in spans]
     if len(spans) <= VERIFY_CHUNK_TOKENS:
         return [text]
     # Windows start every (tokens - overlap) tokens; the last is the first

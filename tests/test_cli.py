@@ -328,6 +328,39 @@ class TestAttributeCommand:
         assert line.startswith("config error: could not write ") and names["dump"] in line
         assert not (tmp_path / "cache").exists() and not (tmp_path / "no").exists()
 
+    _ATTRIBUTE = ["attribute", "--doc", "{doc}", "--response", "{response}", "-c", "{config}", "--dump-ablations"]
+    _HIGHLIGHT = ["highlight", "--method", "lexrank", "--doc", "{doc}", "-c", "{config}", "--dump-similarity"]
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (_ATTRIBUTE + ["{doc}"], "--doc"),
+            (_ATTRIBUTE + ["{response}"], "--response"),
+            (_ATTRIBUTE + ["{config}"], "-c"),
+            (_ATTRIBUTE + ["{link}"], "--response"),
+            (_HIGHLIGHT + ["{doc}"], "--doc"),
+            (_HIGHLIGHT + ["{config}"], "-c"),
+        ],
+        ids=["ablations-doc", "ablations-response", "ablations-config", "ablations-link", "similarity-doc", "similarity-config"],
+    )
+    def test_a_dump_path_that_is_an_input_is_a_config_error(self, tmp_path, capsys, argv, option):
+        # ``link`` is a symbolic link to the response: the same file by another name.
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")
+        response_path = tmp_path / "resp.txt"
+        response_path.write_text("Alpha one here.")
+        (tmp_path / "link.txt").symlink_to(response_path)
+        names = {"doc": str(doc_path), "response": str(response_path), "config": str(_write_config(tmp_path))}
+        before = {name: Path(path).read_bytes() for name, path in names.items()}
+        names["link"] = str(tmp_path / "link.txt")
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error: ") and f" is the {option} file " in line
+        assert {name: Path(names[name]).read_bytes() for name in before} == before
+        assert not (tmp_path / "cache").exists()
+
     def test_attribute_prints_the_scoring_requests_it_sent(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.txt"
         doc_path.write_text("Alpha one here. Beta two there. Gamma three everywhere.")
@@ -489,7 +522,9 @@ import higen, higen.cli, higen.llm_client, higen.runner
 loaded = lambda: [name for name in ("requests", "yaml") if name in sys.modules]
 steps = {"import": loaded()}
 higen.llm_client.backend_from_url("http://localhost:8000")
-steps["backend_from_url"] = loaded()
+steps["http backend"] = loaded()
+higen.llm_client.backend_from_url("https://localhost:8000")
+steps["https backend"] = loaded()
 higen.runner.load_config(sys.argv[1])
 steps["load_config"] = loaded()
 print(json.dumps(steps))
@@ -504,8 +539,4 @@ class TestImportFootprint:
         done = subprocess.run(
             [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(config)], env=env, capture_output=True, text=True, check=True
         )
-        assert json.loads(done.stdout) == {
-            "import": [],
-            "backend_from_url": ["requests"],
-            "load_config": ["requests", "yaml"],
-        }
+        assert json.loads(done.stdout) == {"import": [], "http backend": [], "https backend": [], "load_config": ["yaml"]}

@@ -9,7 +9,6 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -680,95 +679,13 @@ class TestHTTPBackend:
     def test_malformed_200_body_is_endpoint_error(self):
         class _NotJSON(_FakeResponse):
             def json(self):
-                raise requests.JSONDecodeError("Expecting value", self.text, 0)
+                raise json.JSONDecodeError("Expecting value", self.text, 0)
 
         session = _FakeSession([_NotJSON(200, text="<html>gateway</html>")])
         backend = HTTPBackend("http://host", session=session)
         with pytest.raises(EndpointError, match="malformed JSON") as err:
             backend.complete(GenRequest(model="m", user_prompt="p"))
         assert err.value.status == 200
-
-
-class _CannedAdapter(requests.adapters.BaseAdapter):
-    """A transport adapter that answers every request with ``_CHAT_OK`` and
-    records the proxies, CA setting and Authorization header it was sent."""
-
-    def __init__(self):
-        super().__init__()
-        self.sent: list[tuple[dict, object, str | None]] = []
-
-    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
-        self.sent.append((dict(proxies or {}), verify, request.headers.get("Authorization")))
-        response = requests.Response()
-        response.status_code = 200
-        response._content = json.dumps(_CHAT_OK).encode("utf-8")
-        response.request, response.url = request, request.url
-        return response
-
-    def close(self):
-        pass
-
-
-class TestEnvironmentSettings:
-    """A backend that builds its own session reads the endpoint's proxy, CA
-    bundle and netrc credentials once, and its posts carry what a plain
-    requests session would have read from the environment on each one."""
-
-    @pytest.fixture(autouse=True)
-    def environment(self, monkeypatch, tmp_path):
-        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "ALL_PROXY", "CURL_CA_BUNDLE"):
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("HTTP_PROXY", "http://proxy.example:3128")
-        monkeypatch.setenv("HTTPS_PROXY", "http://proxy.example:3128")
-        monkeypatch.setenv("NO_PROXY", "direct.example")
-        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
-        netrc = tmp_path / "netrc"
-        netrc.write_text("machine direct.example login user password secret\n", encoding="utf-8")
-        monkeypatch.setenv("NETRC", str(netrc))
-
-    @staticmethod
-    def _sent(session: requests.Session, base_url: str) -> list:
-        adapter = _CannedAdapter()
-        session.mount("http://", adapter)
-        backend = HTTPBackend(base_url, session=session)
-        for _ in range(2):
-            assert backend.complete(GenRequest(model="m", user_prompt="p"))[0] == "Summary: fine"
-        return adapter.sent
-
-    @pytest.mark.parametrize("base_url", ["http://proxied.example", "http://direct.example/api"])
-    def test_posts_carry_the_settings_a_plain_session_reads(self, base_url, monkeypatch):
-        expected = self._sent(requests.Session(), base_url)
-        backend = HTTPBackend(base_url)
-        adapter = _CannedAdapter()
-        backend.session.mount("http://", adapter)
-        lookups: list[str] = []
-
-        def counted(name):
-            real = getattr(requests.sessions, name)
-
-            def lookup(*args, **kwargs):
-                lookups.append(name)
-                return real(*args, **kwargs)
-
-            return lookup
-
-        for name in ("get_environ_proxies", "get_netrc_auth"):
-            monkeypatch.setattr(requests.sessions, name, counted(name))
-        for _ in range(2):
-            assert backend.complete(GenRequest(model="m", user_prompt="p"))[0] == "Summary: fine"
-        assert adapter.sent == expected
-        assert lookups == []
-
-    def test_the_settings_are_the_environments(self, tmp_path):
-        proxied = self._sent(requests.Session(), "http://proxied.example")[0]
-        direct = self._sent(requests.Session(), "http://direct.example")[0]
-        assert proxied[0]["http"] == "http://proxy.example:3128" and proxied[2] is None
-        assert direct[1] == str(tmp_path / "ca.pem") and direct[2].startswith("Basic ")
-
-    def test_an_injected_session_is_left_alone(self):
-        session = requests.Session()
-        HTTPBackend("http://proxied.example", session=session)
-        assert session.trust_env is True and session.proxies == {} and session.auth is None
 
 
 class TestBackendFromUrl:
@@ -791,12 +708,6 @@ class TestBackendFromUrl:
         backend = backend_from_url("http://localhost:8000")
         assert isinstance(backend, HTTPBackend)
         assert backend.base_url == "http://localhost:8000"
-
-    def test_http_pool_holds_one_connection_per_worker(self):
-        backend = backend_from_url("http://localhost:8000", concurrency=32)
-        for url in ("http://localhost:8000", "https://example.org"):
-            adapter = backend.session.get_adapter(url)
-            assert adapter.poolmanager.connection_pool_kw["maxsize"] == 32
 
 
 def _choice(index, tokens, logprobs):

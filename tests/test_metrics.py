@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higen.corpus import TOKEN_RE
 from higen.errors import DatasetError
 from higen.llm_client import LLMClient, MockBackend
 from higen.metrics import (
@@ -288,6 +289,62 @@ class TestFactScoring:
         assert [v for _, v in report.facts] == [SUPPORTED, UNSUPPORTED]
         assert len(backend.requests) == 2 + windows
         assert windows > 1
+
+
+def _windows_of_old(text: str, size: int, overlap: int) -> list[str]:
+    """The judge windows as they were cut before the U+0130 fix: token spans
+    of ``text.lower()`` used to slice ``text``."""
+    spans = [m.span() for m in TOKEN_RE.finditer(text.lower())]
+    if len(spans) <= size:
+        return [text]
+    return [
+        text[spans[start][0] : spans[min(start + size, len(spans)) - 1][1]]
+        for start in range(0, len(spans) - overlap, size - overlap)
+    ]
+
+
+def _windows_by_characters(text: str, size: int, overlap: int) -> list[str]:
+    """The judge windows by their definition: each token of ``text.lower()``
+    is held by the characters of ``text`` it was lowercased from, and a
+    window is the slice of ``text`` from its first token's first character
+    to its last token's last."""
+    source = [i for i, char in enumerate(text) for _ in char.lower()]
+    spans = [(source[m.start()], source[m.end() - 1] + 1) for m in TOKEN_RE.finditer(text.lower())]
+    if len(spans) <= size:
+        return [text]
+    starts = range(0, len(spans) - overlap, size - overlap)
+    return [text[spans[start][0] : spans[min(start + size, len(spans)) - 1][1]] for start in starts]
+
+
+_CHUNK_ALPHABET = "ab9 .,\nİıKΣßé"
+
+
+class TestChunkText:
+    @pytest.fixture(autouse=True)
+    def small_windows(self, monkeypatch):
+        import higen.metrics as metrics_mod
+
+        monkeypatch.setattr(metrics_mod, "VERIFY_CHUNK_TOKENS", 4)
+        monkeypatch.setattr(metrics_mod, "VERIFY_CHUNK_OVERLAP", 1)
+
+    def test_windows_after_a_dotted_capital_i_hold_whole_tokens(self):
+        # Each U+0130 lowercases to "i" and a combining dot: one token, two characters.
+        text = "İİİİ alpha beta gamma delta epsilon zeta eta theta"
+        assert _chunk_text(text) == ["İİİİ", "İ alpha beta gamma", "gamma delta epsilon zeta", "zeta eta theta"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=_CHUNK_ALPHABET, max_size=60))
+    def test_each_window_is_the_slice_that_holds_exactly_its_tokens(self, text):
+        windows = _chunk_text(text)
+        assert windows == _windows_by_characters(text, 4, 1)
+        if len(windows) > 1:
+            tokens = tokenize(text)
+            assert [tokenize(window) for window in windows] == [tokens[start : start + 4] for start in range(0, len(tokens) - 1, 3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=_CHUNK_ALPHABET.replace("İ", ""), max_size=60))
+    def test_text_without_a_dotted_capital_i_is_cut_as_before(self, text):
+        assert _chunk_text(text) == _windows_of_old(text, 4, 1)
 
 
 class TestPairedTTest:
