@@ -408,22 +408,6 @@ class LLMClient:
         self._cache_write(key, {"kind": "packed_score", "key": key}, response)
 
 
-class _Response:
-    """An answer read whole, as the backend uses a ``requests`` response: the
-    status, the headers (looked up in any case), the body decoded from gzip or
-    deflate, its text and its JSON."""
-
-    def __init__(self, status_code: int, headers, content: bytes):
-        self.status_code, self.headers, self.content = status_code, headers, content
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", "replace")
-
-    def json(self, **decode):
-        return json.loads(self.content, **decode)
-
-
 # What ``requests`` sends a ``json=`` payload as: ``json.dumps`` with allow_nan=False.
 _JSON_BODY = json.JSONEncoder(allow_nan=False)
 
@@ -501,12 +485,10 @@ def _dropped(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
-def _exchange(conn, target: str, body: bytes, headers: dict, timeout: float | None) -> _Response:
+def _exchange(conn, target: str, body: bytes, headers: dict) -> tuple[int, object, bytes]:
     """Send one POST on ``conn`` (connecting it if it is closed) and read the
-    whole answer, its body decoded from gzip or deflate."""
-    conn.timeout = timeout
-    if conn.sock is not None:
-        conn.sock.settimeout(timeout)
+    whole answer: its status, its headers and its body, decoded from gzip or
+    deflate."""
     conn.request("POST", target, body, headers)
     response = conn.getresponse()
     content = response.read()
@@ -523,23 +505,22 @@ def _exchange(conn, target: str, body: bytes, headers: dict, timeout: float | No
         import http.client
 
         raise http.client.HTTPException(f"undecodable {encoding} body: {exc}") from exc
-    return _Response(response.status, response.msg, content)
+    return response.status, response.msg, content
 
 
 class _ConnectionPool:
-    """The ``session`` of an HTTPBackend given none: keep-alive
-    ``http.client`` connections to the endpoint's origin, at most ``size``
-    of them kept idle, reused newest first, each checked for a close by its
-    server before reuse. If a reused one turns out closed before an answer
-    came, the post is sent once more on a new connection; that is not a
-    retry. The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``,
-    ``NO_PROXY``; CONNECT for HTTPS), the CA bundle and the ``.netrc``
-    credentials are read from the environment here, once. A ``.netrc`` entry
-    is sent only on a post without an Authorization header. Redirects are
-    not followed. A pool that is closed or dropped closes its idle
-    connections."""
+    """Keep-alive ``http.client`` connections to the origin of ``base_url``
+    (a URL without a trailing slash), at most ``size`` kept idle, reused
+    newest first, each checked for a close by its server before reuse. If a
+    reused one turns out closed before an answer came, the post is sent once
+    more on a new connection; that is not a retry. The proxy (``HTTP_PROXY``,
+    ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``; CONNECT for HTTPS) and the
+    CA bundle are read from the environment here, once. Every post must carry
+    ``headers`` (the encodings the pool decodes, a proxy's credentials).
+    Redirects are not followed. A pool that is closed or dropped closes its
+    idle connections."""
 
-    def __init__(self, base_url: str, size: int):
+    def __init__(self, base_url: str, size: int, timeout: float):
         import http.client
 
         parts = urllib.parse.urlsplit(base_url)
@@ -549,22 +530,21 @@ class _ConnectionPool:
             raise ConfigError(f"endpoint URL {base_url!r}: {exc}") from exc
         if parts.scheme not in ("http", "https") or not parts.hostname or parts.username is not None:
             raise ConfigError(f"endpoint URL {base_url!r} is not an http:// or https:// URL without credentials")
-        self._origin = f"{parts.scheme}://{parts.netloc}"
         self._size = size
-        self._headers = {"Accept-Encoding": "gzip, deflate"}
-        self._auth = _netrc_auth(parts.hostname)
+        self.headers = {"Accept-Encoding": "gzip, deflate"}
         tls = {"context": _ssl_context(base_url)} if parts.scheme == "https" else {}
         connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
         proxy = _environment_proxy(parts.scheme, parts.netloc)
         address, proxy_headers = (parts.hostname, port), {}
         if proxy is not None:
             *address, proxy_headers = _proxy_address(proxy, base_url)
-        self._connection = partial(connection, *address, **tls)
+        self._connection = partial(connection, *address, timeout=timeout, **tls)
         # Through a proxy, HTTPS goes through a CONNECT tunnel, HTTP to an absolute-form target.
         self._tunnel = (parts.hostname, port or 443, proxy_headers) if proxy and tls else None
-        self._absolute_form = bool(proxy) and not tls
-        if self._absolute_form:
-            self._headers.update(proxy_headers)
+        self._prefix = parts.path
+        if proxy and not tls:
+            self._prefix = base_url
+            self.headers.update(proxy_headers)
         self._lock = threading.Lock()
         self._idle: list = []
         weakref.finalize(self, _close_idle, self._idle, self._lock)
@@ -590,29 +570,25 @@ class _ConnectionPool:
                 return
         conn.close()
 
-    def post(self, url: str, json=None, headers: dict | None = None, timeout: float | None = None) -> _Response:
-        """POST ``json`` to ``url``, a URL of the pool's origin, and read the answer."""
-        if not url.startswith(self._origin):
-            raise ValueError(f"{url} is not a URL of {self._origin}")
-        target = url if self._absolute_form else url[len(self._origin) :] or "/"
-        body = _JSON_BODY.encode(json).encode("utf-8")
-        headers = {**self._headers, **(headers or {})}
-        if self._auth and "Authorization" not in headers:
-            headers["Authorization"] = self._auth
+    def post(self, path: str, body: bytes, headers: dict) -> tuple[int, object, bytes]:
+        """POST ``body`` to the route ``path`` under the base URL, with
+        ``headers`` (``self.headers`` among them), and read the answer: its
+        status, its headers and its body."""
+        target = self._prefix + path
         conn, reused = self._checkout()
         try:
             try:
-                response = _exchange(conn, target, body, headers, timeout)
+                answer = _exchange(conn, target, body, headers)
             except (BrokenPipeError, ConnectionResetError):
                 if not reused:
                     raise
                 conn.close()
-                response = _exchange(conn, target, body, headers, timeout)
+                answer = _exchange(conn, target, body, headers)
         except BaseException:
             conn.close()
             raise
         self._checkin(conn)
-        return response
+        return answer
 
     def close(self) -> None:
         """Close the idle connections."""
@@ -628,10 +604,11 @@ def _close_idle(idle: list, lock: threading.Lock) -> None:
 
 class HTTPBackend:
     """OpenAI-compatible HTTP backend: chat completions for generation,
-    echoed completions with logprobs for teacher-forced scoring. Without a
-    ``session`` (anything with the ``post`` of ``requests.Session``) it posts
-    over a ``_ConnectionPool`` of ``concurrency`` connections. Any 3xx, 4xx
-    or 5xx answer but a transient one is an EndpointError."""
+    echoed completions with logprobs for teacher-forced scoring. Each post is
+    ``session.post(path, body, headers) -> (status, headers, body)``, by
+    default over a ``_ConnectionPool`` of ``concurrency`` connections, with
+    headers fixed here: ``Authorization`` is the API key's, else ``.netrc``'s.
+    Any 3xx, 4xx or 5xx answer but a transient one is an EndpointError."""
 
     def __init__(
         self,
@@ -645,42 +622,37 @@ class HTTPBackend:
 
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
-        self.timeout = timeout
-        self.session = _ConnectionPool(self.base_url, concurrency) if session is None else session
-        # requests' exceptions are OSErrors too, so an injected requests session's are caught.
+        self.session = _ConnectionPool(self.base_url, concurrency, timeout) if session is None else session
+        self._headers = {**self.session.headers, "Content-Type": "application/json"}
+        auth = f"Bearer {api_key}" if api_key else _netrc_auth(urllib.parse.urlsplit(self.base_url).hostname)
+        if auth:
+            self._headers["Authorization"] = auth
         self._transport_errors = (OSError, http.client.HTTPException)
 
     def close(self) -> None:
-        """Close the session's idle connections, if it has a ``close``."""
-        close = getattr(self.session, "close", None)
-        if close is not None:
-            close()
+        """Close the session's idle connections."""
+        self.session.close()
 
     def _post(self, path: str, payload: dict, **decode) -> dict:
         """POST a JSON payload, counted in ``_posts``; ``decode`` is passed on
-        to the JSON decoder."""
+        to the JSON decoder. Only an error's body is decoded as text."""
         _posts.count = getattr(_posts, "count", 0) + 1
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = _JSON_BODY.encode(payload).encode("utf-8")
         try:
-            resp = self.session.post(
-                f"{self.base_url}{path}", json=payload, headers=headers, timeout=self.timeout
-            )
+            status, headers, content = self.session.post(path, body, self._headers)
         except self._transport_errors as exc:
             raise _Retryable(f"transport failure: {exc}") from exc
-        if resp.status_code in (429, 500, 502, 503, 504):
-            wait = _retry_after(resp) if resp.status_code in (429, 503) else 0.0
-            raise _Retryable(f"HTTP {resp.status_code}", wait)
-        if resp.status_code >= 300:
-            excerpt = resp.text[:200]
-            if resp.status_code == 400 and _OVERSIZE_RE.search(excerpt):
+        if status in (429, 500, 502, 503, 504):
+            raise _Retryable(f"HTTP {status}", _retry_after(headers) if status in (429, 503) else 0.0)
+        if status >= 300:
+            excerpt = content.decode("utf-8", "replace")[:200]
+            if status == 400 and _OVERSIZE_RE.search(excerpt):
                 raise OversizeError(f"backend rejected oversize request: {excerpt}")
-            raise EndpointError(resp.status_code, excerpt)
+            raise EndpointError(status, excerpt)
         try:
-            return resp.json(**decode)
+            return json.loads(content, **decode)
         except ValueError as exc:
-            raise EndpointError(resp.status_code, f"malformed JSON body: {resp.text[:200]}") from exc
+            raise EndpointError(status, f"malformed JSON body: {content.decode('utf-8', 'replace')[:200]}") from exc
 
     def complete(self, req: GenRequest) -> tuple[str, int, int]:
         payload: dict = {
@@ -695,9 +667,11 @@ class HTTPBackend:
         try:
             text = data["choices"][0]["message"]["content"]
             usage = data.get("usage") or {}
-            counts = int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
-        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+            counts = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise EndpointError(200, f"unexpected completion payload: {exc}") from exc
+        if not all(is_number(count, int) and count >= 0 for count in counts):
+            raise EndpointError(200, f"usage token counts {counts} are not integers >= 0")
         if not isinstance(text, str):
             raise EndpointError(200, f"completion content is {type(text).__name__}, not a string")
         try:
@@ -747,7 +721,7 @@ class HTTPBackend:
         ordered: list[dict | None] = [None] * len(prompts)
         for position, choice in enumerate(choices):
             index = choice.get("index", position) if isinstance(choice, dict) else None
-            if not isinstance(index, int) or not 0 <= index < len(prompts) or ordered[index] is not None:
+            if not is_number(index, int) or not 0 <= index < len(prompts) or ordered[index] is not None:
                 raise EndpointError(200, f"completions choice {position} has no distinct index in the batch")
             ordered[index] = choice
         return [self._continuation_logprob(choice, len(context)) for choice, context in zip(ordered, contexts)]
@@ -770,11 +744,11 @@ class HTTPBackend:
         return math.fsum(tail)
 
 
-def _retry_after(resp) -> float:
-    """The delta-seconds of a response's ``Retry-After`` header; 0 when it is
+def _retry_after(headers) -> float:
+    """The delta-seconds of an answer's ``Retry-After`` header; 0 when it is
     missing or not a number (an HTTP-date is not honoured)."""
     try:
-        seconds = float(resp.headers.get("Retry-After", ""))
+        seconds = float(headers.get("Retry-After", ""))
     except ValueError:
         return 0.0
     return seconds if 0.0 <= seconds < math.inf else 0.0

@@ -192,11 +192,17 @@ class TestPlainHTTP:
 
     def test_the_body_is_what_requests_sends(self):
         # A json= argument as requests encodes it: json.dumps, so ASCII only.
-        payload = {"model": "m", "messages": [{"role": "user", "content": "café\n\"x\""}], "temperature": 0.0}
+        content = "café\n\"x\""
+        payload = {"model": "m", "messages": [{"role": "user", "content": content}], "temperature": 0.0, "max_tokens": 9}
         with _serving() as server, _backend(server.url) as backend:
-            response = backend.session.post(f"{server.url}/v1/chat/completions", json=payload, headers={}, timeout=5)
-        assert response.status_code == 200 and response.json() == _CHAT_OK
+            assert backend.complete(GenRequest(model="m", user_prompt=content, max_tokens=9)) == ("Summary: fine", 7, 3)
         assert server.seen[0][2] == json.dumps(payload).encode("ascii")
+
+    @pytest.mark.parametrize("path", ["/api", "/api/"])
+    def test_a_base_url_path_prefixes_each_route(self, path):
+        with _serving() as server, _backend(server.url + path) as backend:
+            backend.complete(_REQUEST)
+        assert [target for target, _, _ in server.seen] == ["/api/v1/chat/completions"]
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_concurrency_threads_never_hold_more_than_concurrency_connections(self, concurrency):
@@ -227,8 +233,15 @@ class TestPlainHTTP:
             backend.close()
             assert backend.session._idle == []
 
-    def test_a_dropped_connection_is_replaced_without_a_retry(self):
+    @pytest.mark.parametrize("poll", [True, False], ids=["poll", "select_fallback"])
+    def test_a_dropped_connection_is_replaced_without_a_retry(self, monkeypatch, poll):
         # The server closes each connection after answering, without saying so.
+        # Without select.poll, the check before each reuse calls select.select.
+        checks: list = []
+        if not poll:
+            real_select = select.select
+            monkeypatch.delattr(select, "poll")
+            monkeypatch.setattr(select, "select", lambda *args: checks.append(args) or real_select(*args))
         with _serving() as server, _backend(server.url) as backend:
             server.drop = True
             sleeps: list[float] = []
@@ -237,6 +250,17 @@ class TestPlainHTTP:
                 assert client.generate(GenRequest(model="m", user_prompt=str(i))).text == "Summary: fine"
         assert sleeps == [] and client.backend_calls == 3
         assert len(server.seen) == server.connections == 3
+        assert len(checks) == (0 if poll else 2)
+
+    @pytest.mark.parametrize("poll", [True, False], ids=["poll", "select_fallback"])
+    def test_the_close_check_sees_a_closed_peer(self, monkeypatch, poll):
+        if not poll:
+            monkeypatch.delattr(select, "poll")
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            assert not llm_client._dropped(ours)
+            theirs.close()
+            assert llm_client._dropped(ours)
 
     def test_a_connection_closed_after_the_check_is_sent_on_again(self, monkeypatch):
         # The close arrives between the check and the send: the post goes out

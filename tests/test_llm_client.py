@@ -451,24 +451,27 @@ class TestRetry:
         assert backend.calls == 1
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, payload: dict | None = None, text: str = "", headers: dict | None = None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = text or "body"
-        self.headers = headers or {}
+class _FakeResponse(tuple):
+    """An answer as a session's ``post`` returns it: (status, headers, body),
+    the body ``text`` if given, else the payload's JSON."""
 
-    def json(self, **kwargs):
-        return json.loads(json.dumps(self._payload), **kwargs)
+    def __new__(cls, status: int, payload: dict | None = None, text: str = "", headers: dict | None = None):
+        body = text.encode("utf-8") if text else json.dumps(payload or {}).encode("utf-8")
+        return super().__new__(cls, (status, headers or {}, body))
 
 
 class _FakeSession:
+    """Answers its posts with ``responses`` in turn, recording each post's
+    route path and decoded payload."""
+
+    headers: dict = {}
+
     def __init__(self, responses: list[_FakeResponse]):
         self.responses = list(responses)
         self.posts: list[tuple[str, dict]] = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append((url, json))
+    def post(self, path, body, headers):
+        self.posts.append((path, json.loads(body)))
         return self.responses.pop(0)
 
 
@@ -481,12 +484,13 @@ class _EchoSession(_FakeSession):
         super().__init__([_FakeResponse(status) for status in failures])
         self.draft = draft
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def post(self, path, body, headers):
         if self.responses:
-            return super().post(url, json, headers, timeout)
-        self.posts.append((url, json))
+            return super().post(path, body, headers)
+        payload = json.loads(body)
+        self.posts.append((path, payload))
         choices = []
-        for index, prompt in enumerate(json["prompt"]):
+        for index, prompt in enumerate(payload["prompt"]):
             context = prompt[: len(prompt) - len(self.draft)]
             choices.append(_choice(index, [context, self.draft], [None, overlap_scorer(context, self.draft)]))
         return _FakeResponse(200, {"choices": choices})
@@ -564,8 +568,8 @@ class TestHTTPBackend:
         backend = HTTPBackend("http://host/api", api_key="k", session=session)
         text, pt, ct = backend.complete(GenRequest(model="m", user_prompt="p", seed=5))
         assert (text, pt, ct) == ("Summary: fine", 7, 3)
-        url, payload = session.posts[0]
-        assert url == "http://host/api/v1/chat/completions"
+        path, payload = session.posts[0]
+        assert path == "/v1/chat/completions"
         assert payload["temperature"] == 0.0
         assert payload["seed"] == 5
 
@@ -655,10 +659,26 @@ class TestHTTPBackend:
             {"choices": [{"message": {"content": 42}}]},
             {**_CHAT_OK, "usage": "7 and 3"},
             {**_CHAT_OK, "usage": {"prompt_tokens": None, "completion_tokens": 3}},
+            # A count int() would take: a bool, a numeric string, a negative or a fraction.
+            {**_CHAT_OK, "usage": {"prompt_tokens": True, "completion_tokens": 3}},
+            {**_CHAT_OK, "usage": {"prompt_tokens": 7, "completion_tokens": "12"}},
+            {**_CHAT_OK, "usage": {"prompt_tokens": -5, "completion_tokens": 3}},
+            {**_CHAT_OK, "usage": {"prompt_tokens": 7, "completion_tokens": 7.9}},
             # Valid JSON, but text with no UTF-8 form to cache or record.
             {"choices": [{"message": {"content": "Summary: ok \ud83d"}}]},
         ],
-        ids=["no_choice", "null_content", "number_content", "usage_not_a_mapping", "null_prompt_tokens", "lone_surrogate"],
+        ids=[
+            "no_choice",
+            "null_content",
+            "number_content",
+            "usage_not_a_mapping",
+            "null_prompt_tokens",
+            "true_prompt_tokens",
+            "string_completion_tokens",
+            "negative_prompt_tokens",
+            "fractional_completion_tokens",
+            "lone_surrogate",
+        ],
     )
     def test_a_chat_payload_it_cannot_read_is_an_endpoint_error_not_retried_or_cached(self, tmp_path, payload):
         session = _FakeSession([_FakeResponse(200, payload), _FakeResponse(200, _CHAT_OK)])
@@ -669,6 +689,16 @@ class TestHTTPBackend:
         assert len(session.posts) == client.backend_calls == 1
         assert list((tmp_path / "cache").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "usage, counts",
+        [(None, (0, 0)), ({"prompt_tokens": 7}, (7, 0))],
+        ids=["no_usage", "no_completion_tokens"],
+    )
+    def test_an_absent_usage_count_is_zero(self, usage, counts):
+        payload = {"choices": _CHAT_OK["choices"], **({} if usage is None else {"usage": usage})}
+        backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
+        assert backend.complete(GenRequest(model="m", user_prompt="p")) == ("Summary: fine", *counts)
+
     def test_client_error_is_endpoint_error(self):
         session = _FakeSession([_FakeResponse(404, text="nope")])
         backend = HTTPBackend("http://host", session=session)
@@ -677,11 +707,7 @@ class TestHTTPBackend:
         assert err.value.status == 404
 
     def test_malformed_200_body_is_endpoint_error(self):
-        class _NotJSON(_FakeResponse):
-            def json(self):
-                raise json.JSONDecodeError("Expecting value", self.text, 0)
-
-        session = _FakeSession([_NotJSON(200, text="<html>gateway</html>")])
+        session = _FakeSession([_FakeResponse(200, text="<html>gateway</html>")])
         backend = HTTPBackend("http://host", session=session)
         with pytest.raises(EndpointError, match="malformed JSON") as err:
             backend.complete(GenRequest(model="m", user_prompt="p"))
@@ -725,8 +751,8 @@ class TestBatchedScoring:
         session = _FakeSession([_FakeResponse(200, payload)])
         backend = HTTPBackend("http://host", session=session)
         assert backend.score_many("m", " cd", ["ab", "xy"]) == [-1.0, -2.0]
-        [(url, sent)] = session.posts
-        assert url == "http://host/v1/completions"
+        [(path, sent)] = session.posts
+        assert path == "/v1/completions"
         assert sent["prompt"] == ["ab cd", "xy cd"]
         assert sent["echo"] is True and sent["max_tokens"] == 0
 
@@ -741,7 +767,8 @@ class TestBatchedScoring:
         backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
         assert backend.score_many("m", " z", ["a", "b", "c"]) == [-1.0, -2.5, -3.0]
 
-    @pytest.mark.parametrize("indices", [[0], [0, 1, 2], [0, 0]])
+    # [False, True] would map to [0, 1] if a bool were taken for an index.
+    @pytest.mark.parametrize("indices", [[0], [0, 1, 2], [0, 0], [False, True]])
     def test_wrong_choices_are_endpoint_errors(self, indices):
         payload = {"choices": [_choice(i, ["a", " z"], [None, -1.0]) for i in indices]}
         backend = HTTPBackend("http://host", session=_FakeSession([_FakeResponse(200, payload)]))
@@ -859,10 +886,11 @@ class TestBatchedScoring:
             """Scores each prompt as the mock does; the seam of the first
             context of the first post falls inside its one echoed token."""
 
-            def post(self, url, json=None, headers=None, timeout=None):
-                self.posts.append((url, json))
+            def post(self, path, body, headers):
+                payload = json.loads(body)
+                self.posts.append((path, payload))
                 choices = []
-                for index, prompt in enumerate(json["prompt"]):
+                for index, prompt in enumerate(payload["prompt"]):
                     seam = len(prompt) - len(draft)
                     tokens, logprobs = [prompt[:seam], draft], [None, overlap_scorer(prompt[:seam], draft)]
                     if len(self.posts) == 1 and index == 0:
@@ -874,7 +902,7 @@ class TestBatchedScoring:
         client = LLMClient(HTTPBackend("http://host", session=session), cache_dir=tmp_path / "cache")
         rerun = runner.parse_config({**asdict(config), "run_dir": str(tmp_path / "rerun")})
         runner.run(rerun, client=client)
-        assert [url for url, _ in session.posts] == ["http://host/v1/completions"] * 2
+        assert [path for path, _ in session.posts] == ["/v1/completions"] * 2
         assert len(session.posts[1][1]["prompt"]) == 1
         assert client.backend_calls == 2
         assert json.loads((tmp_path / "rerun" / "manifest.json").read_text())["llm_calls"] == 2
