@@ -329,7 +329,7 @@ class LLMClient:
                 if attempt + 1 < self.retry.attempts:
                     delay = self.retry.base_delay * BACKOFF_FACTOR**attempt
                     delay *= 1.0 + random.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
-                    self._sleep(max(delay, min(exc.retry_after, MAX_RETRY_AFTER), 0.0))
+                    self._sleep(max(delay, exc.retry_after, 0.0))
         raise TransportError(f"retries exhausted after {self.retry.attempts} attempts: {last}")
 
     @contextlib.contextmanager
@@ -485,11 +485,21 @@ def _dropped(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
-def _exchange(conn, target: str, body: bytes, headers: dict) -> tuple[int, object, bytes]:
+def _exchange(conn, target: str, body: bytes, headers: dict, quickack: tuple | None) -> tuple[int, object, bytes]:
     """Send one POST on ``conn`` (connecting it if it is closed) and read the
     whole answer: its status, its headers and its body, decoded from gzip or
-    deflate."""
+    deflate.
+
+    Once the request is out, the socket option ``quickack`` (if any) puts the
+    socket in quick-ACK mode, so the answer's first segment is acknowledged
+    at once. A server that writes the headers and the body in two sends with
+    Nagle's algorithm on (Python's ``http.server`` does) holds the body back
+    until that ACK comes, which a delayed ACK puts off by up to 40 ms. The
+    kernel does not keep the mode: our next send re-arms delayed ACKs, so it
+    is set on every post."""
     conn.request("POST", target, body, headers)
+    if quickack is not None:
+        conn.sock.setsockopt(*quickack)
     response = conn.getresponse()
     content = response.read()
     encoding = (response.getheader("Content-Encoding") or "").strip().lower()
@@ -517,11 +527,14 @@ class _ConnectionPool:
     ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``; CONNECT for HTTPS) and the
     CA bundle are read from the environment here, once. Every post must carry
     ``headers`` (the encodings the pool decodes, a proxy's credentials).
-    Redirects are not followed. A pool that is closed or dropped closes its
-    idle connections."""
+    After each request is sent its socket is set to acknowledge at once
+    (``TCP_QUICKACK``, on Linux), so an answer is not held up by a delayed
+    ACK. Redirects are not followed. A pool that is closed or dropped closes
+    its idle connections."""
 
     def __init__(self, base_url: str, size: int, timeout: float):
         import http.client
+        import socket
 
         parts = urllib.parse.urlsplit(base_url)
         try:
@@ -545,6 +558,9 @@ class _ConnectionPool:
         if proxy and not tls:
             self._prefix = base_url
             self.headers.update(proxy_headers)
+        # TCP_QUICKACK is Linux's; elsewhere each answer may wait on a delayed ACK.
+        quickack = getattr(socket, "TCP_QUICKACK", None)
+        self._quickack = None if quickack is None else (socket.IPPROTO_TCP, quickack, 1)
         self._lock = threading.Lock()
         self._idle: list = []
         weakref.finalize(self, _close_idle, self._idle, self._lock)
@@ -578,12 +594,12 @@ class _ConnectionPool:
         conn, reused = self._checkout()
         try:
             try:
-                answer = _exchange(conn, target, body, headers)
+                answer = _exchange(conn, target, body, headers, self._quickack)
             except (BrokenPipeError, ConnectionResetError):
                 if not reused:
                     raise
                 conn.close()
-                answer = _exchange(conn, target, body, headers)
+                answer = _exchange(conn, target, body, headers, self._quickack)
         except BaseException:
             conn.close()
             raise
@@ -745,13 +761,22 @@ class HTTPBackend:
 
 
 def _retry_after(headers) -> float:
-    """The delta-seconds of an answer's ``Retry-After`` header; 0 when it is
-    missing or not a number (an HTTP-date is not honoured)."""
+    """The wait an answer's ``Retry-After`` header asks for, in seconds: its
+    delta-seconds, or the time left until its HTTP-date (RFC 9110 §10.2.3),
+    at most ``MAX_RETRY_AFTER``. 0 when the header is missing or unreadable,
+    or its date has passed."""
+    value = headers.get("Retry-After", "")
     try:
-        seconds = float(headers.get("Retry-After", ""))
+        seconds = float(value)
     except ValueError:
-        return 0.0
-    return seconds if 0.0 <= seconds < math.inf else 0.0
+        import email.utils
+
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return 0.0
+        seconds = when.timestamp() - time.time()
+    return min(seconds, MAX_RETRY_AFTER) if 0.0 <= seconds < math.inf else 0.0
 
 
 def _compact_logprobs(obj: dict) -> dict:

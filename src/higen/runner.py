@@ -6,6 +6,8 @@ metrics.jsonl (one row per document x method x metric), and manifest.json
 (config snapshot plus bookkeeping). Re-invoking a run skips the pairs that
 already have an ok record and retries the failed ones, so interrupted
 experiments resume for free; readers see only the latest record of a pair.
+A rerun under other pipeline params (model, k, ...) is refused, since its
+records would be mixed with the earlier ones.
 """
 
 from __future__ import annotations
@@ -215,32 +217,61 @@ def read_records(run_dir: str | Path) -> list[SummaryRecord]:
     return list(latest.values())
 
 
+def _refuse_another_config(run_dir: Path, config: ExperimentConfig) -> None:
+    """Raise a ConfigError if ``run_dir``'s manifest was written under other
+    pipeline params (model, k, max_tokens, seed, attribution, lexrank): its
+    records would be taken as this config's. The methods, the dataset, the
+    endpoint, concurrency, retry, cache_dir and judge_model may change."""
+    path = run_dir / "manifest.json"
+    if not path.exists():
+        return
+    current = asdict(config)
+    try:
+        previous = json.loads(read_text(path, "manifest"))["config"]
+        changed = [f.name for f in fields(PipelineParams) if previous.get(f.name) != current[f.name]]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"could not read the config in {path}: {exc}") from None
+    if changed:
+        diffs = "; ".join(f"{name} {previous.get(name)!r} -> {current[name]!r}" for name in changed)
+        raise ConfigError(f"{run_dir} holds records made under another config ({diffs}); use a new run_dir")
+
+
 def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     """Produce a SummaryRecord for every (document, method) pair without an ok
     one: a pair whose latest record failed is tried again.
 
-    Records append to run_dir/outputs.jsonl in task order (document id, then
-    config method order) at any concurrency, each flushed as it is written;
-    the manifest is replaced whole at the end. A record that finishes behind a
-    slower one waits in memory until that one is written: a crash before
-    then loses it, and resume redoes it, from cache_dir without a backend
-    call when there is a cache and with all its calls again when there is
-    none. An exception while writing (an interrupt, a full disk) cancels the
-    tasks not yet started and propagates. Per-record failures are recorded,
-    never raised. Once a document's last record is written, its cached
-    artifacts are released (``Document.release``) and the run lets go of the
-    document itself, so it can be freed while later documents run; the
-    executor's queue holds each document not yet started. Returns the run
-    directory.
+    A run directory whose manifest holds other pipeline params is refused
+    with a ConfigError before anything is written. The manifest (config and
+    start time) is written when the run starts and replaced whole at the
+    end. Records append to run_dir/outputs.jsonl in task order (document id,
+    then config method order) at any concurrency, each flushed as it is
+    written. A record that finishes behind a slower one waits in memory
+    until that one is written: a crash before then loses it, and resume
+    redoes it, from cache_dir without a backend call when there is a cache
+    and with all its calls again when there is none. An exception while
+    writing (an interrupt, a full disk) cancels the tasks not yet started
+    and propagates. Per-record failures are recorded, never raised. Once a
+    document's last record is written, its cached artifacts are released
+    (``Document.release``) and the run lets go of the document itself, so it
+    can be freed while later documents run; the executor's queue holds each
+    document not yet started. Returns the run directory.
     """
-    # Every config error (dataset, endpoint) is raised before anything is
-    # written, so a failed start leaves no run or cache directory behind.
+    # Every config error (dataset, endpoint, a run directory of another
+    # config) is raised before anything is written, so a failed start leaves
+    # no run or cache directory behind.
     documents = sorted(_load_documents(config), key=lambda d: d.id)
     if client is None:
         client = build_client(config)
     run_dir = Path(config.run_dir)
+    _refuse_another_config(run_dir, config)
     run_dir.mkdir(parents=True, exist_ok=True)
     outputs_path = run_dir / "outputs.jsonl"
+    manifest = {
+        "artifact_version": ARTIFACT_VERSION,
+        "config": asdict(config),
+        "started": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+    }
+    write_atomically(run_dir / "manifest.json", json.dumps(manifest, ensure_ascii=False, indent=2))
 
     done = {(r.doc_id, r.method) for r in read_records(run_dir) if r.ok}
     tasks = deque(
@@ -253,7 +284,6 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     # From here on each document is held by its unwritten tasks alone.
     del documents
 
-    started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     wall_start = time.monotonic()
 
     if tasks:
@@ -289,17 +319,14 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
             "failed": sum(1 for r in method_records if not r.ok),
             "fallback": sum(1 for r in method_records if r.fallback_used),
         }
-    manifest = {
-        "artifact_version": ARTIFACT_VERSION,
-        "config": asdict(config),
-        "started": started,
-        "finished": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "wall_seconds": round(time.monotonic() - wall_start, 3),
-        "corpus_size": corpus_size,
-        "counts": counts,
-        "llm_calls": client.backend_calls,
-        "cache_hits": client.cache_hits,
-    }
+    manifest.update(
+        finished=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+        wall_seconds=round(time.monotonic() - wall_start, 3),
+        corpus_size=corpus_size,
+        counts=counts,
+        llm_calls=client.backend_calls,
+        cache_hits=client.cache_hits,
+    )
     write_atomically(run_dir / "manifest.json", json.dumps(manifest, ensure_ascii=False, indent=2))
     return run_dir
 

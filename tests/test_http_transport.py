@@ -307,6 +307,26 @@ class TestPlainHTTP:
         assert err.value.status == 307
 
 
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="the platform has no TCP_QUICKACK")
+class TestQuickAck:
+    """``_Handler`` writes an answer's headers and body in two sends with
+    Nagle's algorithm on, so the body waits for the ACK of the headers; if
+    that ACK is delayed, a post on a reused connection takes about 44 ms."""
+
+    @pytest.mark.parametrize("tls", [False, True], ids=["plain", "tls"])
+    def test_a_post_on_a_reused_connection_does_not_wait_for_a_delayed_ack(self, monkeypatch, tls):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(CERT))
+        walls = []
+        with _serving(tls=tls) as server, _backend(server.url) as backend:
+            for _ in range(12):
+                start = time.perf_counter()
+                assert backend.complete(_REQUEST) == ("Summary: fine", 7, 3)
+                walls.append(time.perf_counter() - start)
+        assert server.connections == 1 and len(server.seen) == 12
+        walls = sorted(walls[1:])
+        assert walls[len(walls) // 2] < 0.010, f"posts 2-12 took a median of {walls[len(walls) // 2] * 1e3:.1f} ms"
+
+
 class TestNetrc:
     @pytest.fixture(autouse=True)
     def netrc_file(self, monkeypatch, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import datetime
+import email.utils
 import hashlib
 import json
 import os
@@ -515,7 +517,8 @@ _CHAT_OK = {
 
 class TestRetryAfter:
     """The wait after a 429 or 503 is the larger of the backoff and the
-    Retry-After delta-seconds, the header's part capped at MAX_RETRY_AFTER."""
+    Retry-After delay (delta-seconds, or the time until an HTTP-date), the
+    header's part capped at MAX_RETRY_AFTER."""
 
     @staticmethod
     def _first_wait(status: int, retry_after: str | None, base_delay: float = 1.0) -> float:
@@ -547,6 +550,16 @@ class TestRetryAfter:
     @pytest.mark.parametrize("value", [None, "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-5", "nan", ""])
     def test_a_missing_header_or_one_that_is_not_a_number_keeps_the_backoff(self, value):
         assert self._first_wait(429, value) == 1.0
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_an_http_date_is_waited_until(self, status):
+        # An HTTP-date has whole seconds, so up to one of the 30 has passed.
+        when = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(seconds=30)
+        assert 28.5 < self._first_wait(status, email.utils.format_datetime(when, usegmt=True)) <= 30.0
+
+    def test_an_http_date_is_capped(self):
+        when = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(hours=1)
+        assert self._first_wait(429, email.utils.format_datetime(when, usegmt=True)) == MAX_RETRY_AFTER
 
     def test_other_transient_statuses_ignore_the_header(self):
         assert self._first_wait(502, "7") == 1.0

@@ -11,7 +11,7 @@ import pytest
 from higen.corpus import load_dataset
 from higen.errors import ConfigError, DatasetError
 from higen.llm_client import GenRequest, LLMClient, MockBackend, echo_first_k
-from higen.pipeline import METHODS
+from higen.pipeline import METHODS, SummaryRecord
 from higen.runner import (
     build_client,
     evaluate,
@@ -514,6 +514,76 @@ class TestRun:
         run(config2)
         second = len(list(cache.glob("*.json")))
         assert second >= first > 0
+
+
+def _files(*directories) -> dict:
+    return {path: path.read_bytes() for directory in directories for path in Path(directory).rglob("*") if path.is_file()}
+
+
+class TestResumeUnderAnotherConfig:
+    def test_a_rerun_with_another_model_and_k_is_refused_and_writes_nothing(self, tmp_path):
+        methods = ["direct", "two_stage_lexrank"]
+        first = parse_config(_config_dict(tmp_path, methods=methods, model="a", k=30))
+        run(first)
+        before = _files(first.run_dir, first.cache_dir)
+        changed = parse_config(_config_dict(tmp_path, methods=methods, model="b", k=5))
+        backend = MockBackend()
+        with pytest.raises(ConfigError, match=r"another config \(model 'a' -> 'b'; k 30 -> 5\)"):
+            run(changed, client=LLMClient(backend, cache_dir=changed.cache_dir))
+        assert backend.calls == 0 and _files(first.run_dir, first.cache_dir) == before
+        assert {r.model for r in read_records(first.run_dir)} == {"a"}
+
+    def test_a_run_killed_before_its_end_is_checked_too(self, tmp_path, monkeypatch):
+        def interrupt(record):
+            raise KeyboardInterrupt
+
+        config = parse_config(_config_dict(tmp_path, concurrency=1))
+        with monkeypatch.context() as patch:
+            patch.setattr(SummaryRecord, "to_dict", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run(config)
+        manifest = json.loads((Path(config.run_dir) / "manifest.json").read_text())
+        assert set(manifest) == {"artifact_version", "config", "started"}
+        with pytest.raises(ConfigError, match=r"another config \(k 2 -> 3\)"):
+            run(parse_config(_config_dict(tmp_path, k=3)))
+        run(config)
+        assert json.loads((Path(config.run_dir) / "manifest.json").read_text())["counts"]["direct"]["ok"] == 10
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"model": "b"}, {"k": 3}, {"max_tokens": 100}, {"seed": 1}, {"attribution": {"m": 16}}, {"lexrank": {"threshold": 0.2}}],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_each_pipeline_param_is_compared(self, tmp_path, change):
+        run(parse_config(_config_dict(tmp_path)))
+        with pytest.raises(ConfigError, match=rf"another config \({next(iter(change))} "):
+            run(parse_config(_config_dict(tmp_path, **change)))
+
+    def test_more_methods_a_larger_limit_and_other_run_settings_resume(self, tmp_path):
+        run(parse_config(_config_dict(tmp_path, dataset={**_config_dict(tmp_path)["dataset"], "limit": 5})))
+        wider = parse_config(
+            _config_dict(
+                tmp_path,
+                methods=["direct", "e2e"],
+                concurrency=1,
+                judge_model="another-judge",
+                cache_dir=str(tmp_path / "another-cache"),
+                retry={"attempts": 2},
+            )
+        )
+        backend = MockBackend()
+        run(wider, client=LLMClient(backend, cache_dir=wider.cache_dir))
+        assert backend.gen_calls == 5 + 10  # direct for the 5 new documents, e2e for all 10
+        assert len(read_records(wider.run_dir)) == 20
+
+    @pytest.mark.parametrize("text", ["not json", "[]", '{"config": []}', "{}"])
+    def test_a_manifest_without_a_readable_config_is_refused(self, tmp_path, text):
+        config = parse_config(_config_dict(tmp_path))
+        Path(config.run_dir).mkdir()
+        (Path(config.run_dir) / "manifest.json").write_text(text)
+        with pytest.raises(ConfigError, match="could not read the config in"):
+            run(config)
+        assert sorted(path.name for path in Path(config.run_dir).iterdir()) == ["manifest.json"]
 
 
 class TestEvaluate:
