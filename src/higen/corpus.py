@@ -21,8 +21,10 @@ of the reversed copy finds every period an abbreviation protects, since a
 literal period leads its pattern; the copy maps ``!`` and ``?`` to ``.`` and
 those protected periods to ``#``; and the split regex, which admits only an
 ASCII uppercase or digit head or a non-ASCII one, then finds nothing but
-boundaries, so the spans come straight from its matches. The token index
-assigns vocabulary ids through a ``defaultdict`` in one ``map`` per sentence.
+boundaries, so the spans come straight from its matches. ``tokenize`` splits
+one ``bytes.translate`` of the lowercase's UTF-8 bytes, which blanks every
+byte but ``[a-z0-9]``, into ``TOKEN_RE``'s tokens. The token index assigns
+vocabulary ids through a ``defaultdict`` in one ``map`` per sentence.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ _OPENERS = "([{\"'"
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+# A ``bytes.translate`` table mapping every byte but ``[a-z0-9]`` to a space.
+_TOKEN_BYTES = bytes(byte if chr(byte) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for byte in range(256))
+
 # The keys of a field map: the fields every dataset line must carry, in the
 # order they are checked.
 FIELD_KEYS = ("id_field", "input_field", "output_field")
@@ -93,9 +98,20 @@ ABBREVIATIONS = _load_word_list("abbreviations.txt")
 STOPWORDS = _load_word_list("stopwords.txt")
 
 
+def token_bytes(text: str) -> bytes:
+    """The UTF-8 bytes of ``text``'s lowercase with every byte but
+    ``[a-z0-9]`` a space, so its whitespace-separated words are the
+    ``TOKEN_RE`` tokens of that lowercase: UTF-8 spells every other character
+    (a lone surrogate too, through ``surrogatepass``) in bytes above 0x7f. The
+    text is lowercased before it is encoded, since a non-ASCII letter may
+    lowercase to ASCII (KELVIN SIGN to ``k``)."""
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES)
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric tokens; punctuation splits and is dropped."""
-    return TOKEN_RE.findall(text.lower())
+    """Lowercase alphanumeric tokens, ``TOKEN_RE``'s matches in the
+    lowercase; punctuation splits and is dropped."""
+    return token_bytes(text).decode().split()
 
 
 class Sentence(NamedTuple):

@@ -817,6 +817,17 @@ _JUDGE_VERIFY_OPENING = "You are given a document and a statement."
 _MOCK_SUPPORT_SHARE = 0.8
 
 
+def _missing_words(text: str, words: list[str]) -> int:
+    """How many of ``words`` (tokens, repeats counted) are not tokens of
+    ``text``. A word is a token of the text exactly when it occurs, with a
+    space on each side, in the space-padded ``corpus.token_bytes`` of the
+    text, so each distinct word is one substring search and the text is never
+    split into tokens."""
+    padded = b" " + corpus.token_bytes(text) + b" "
+    absent = {word for word in set(words) if f" {word} ".encode() not in padded}
+    return sum(word in absent for word in words)
+
+
 def _mock_document_body(prompt: str) -> str:
     fences = list(_FENCE_RE.finditer(prompt))
     if len(fences) >= 2:
@@ -850,9 +861,8 @@ def _mock_judge(prompt: str) -> str | None:
         return "\n".join(f"{i}. {sentence.text}" for i, sentence in enumerate(sentences, start=1))
     if prompt.startswith(_JUDGE_VERIFY_OPENING):
         document, _, statement = prompt.rpartition("\n\nStatement:\n")
-        known = set(corpus.tokenize(document))
         words = corpus.tokenize(statement)
-        supported = words and sum(word in known for word in words) >= _MOCK_SUPPORT_SHARE * len(words)
+        supported = words and len(words) - _missing_words(document, words) >= _MOCK_SUPPORT_SHARE * len(words)
         return "Answer: yes" if supported else "Answer: no"
     return None
 
@@ -899,8 +909,8 @@ def _first_sentences(body: str, count: int) -> list[str]:
 def overlap_scorer(context: str, continuation: str) -> float:
     """Mock scorer sensitive to ablations: the more continuation tokens are
     missing from the context, the lower the logprob."""
-    words, known = corpus.tokenize(continuation), set(corpus.tokenize(context))
-    return -1.0 - sum(word not in known for word in words) / len(words) if words else -1.0
+    words = corpus.tokenize(continuation)
+    return -1.0 - _missing_words(context, words) / len(words) if words else -1.0
 
 
 class MockBackend:

@@ -28,7 +28,7 @@ and 1200 tokens, a transcript the ``*_qmsum`` templates and 256.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .attribution import AttributionParams, contextcite_attribute
 from .corpus import Document
@@ -102,7 +102,15 @@ class SummaryRecord:
         return self.error is None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, the plan and its items as nested
+        dicts: what ``dataclasses.asdict`` gives, without its recursive deep
+        copy of every highlight."""
+        plan = self.highlights
+        return {
+            **{f.name: getattr(self, f.name) for f in fields(self)},
+            "highlights": {**vars(plan), "items": tuple(vars(item).copy() for item in plan.items)},
+            "raw_responses": list(self.raw_responses),
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SummaryRecord":

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import string
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from higen.corpus import (
     _CONTROL_RE,
     ABBREVIATIONS,
     STOPWORDS,
+    TOKEN_RE,
     TokenIndex,
     _protected_periods,
     _sentence_bounds,
@@ -359,6 +361,59 @@ class TestTokenIndexMatchesLoopOracle:
     def test_dataset_documents_equal_oracle(self, name, schema):
         for doc in load_dataset(DATA_DIR / name, schema):
             _assert_index_equals_oracle([s.text for s in doc.sentences])
+
+
+def _regex_tokenize(text: str) -> list[str]:
+    """Oracle: the tokens as one regex over the lowercase, the formula before
+    tokenize split the translation of its UTF-8 bytes."""
+    return TOKEN_RE.findall(text.lower())
+
+
+# ASCII pieces among characters whose lowercase is ASCII (KELVIN SIGN), grows
+# (U+0130 lowercases to "i" and a combining dot), is another letter (É, ß, ſ)
+# or is no token at all (NBSP, full-width digits, a lone surrogate).
+_TOKENIZE_TEXTS = st.lists(
+    st.one_of(
+        st.text(alphabet=string.ascii_letters + string.digits + string.punctuation + string.whitespace, max_size=8),
+        st.sampled_from(["\u212a", "\u0130", "\xc9", "\xdf", "\u017f", "\xa0", "\uff11\uff12", "\ud800"]),
+    ),
+    max_size=30,
+).map("".join)
+
+
+class TestTokenizeMatchesRegexOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_TOKENIZE_TEXTS)
+    def test_texts_equal_oracle(self, text):
+        assert tokenize(text) == _regex_tokenize(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("Budget \u212aelvin", ["budget", "kelvin"]),
+            ("\u0130stanbul x", ["i", "stanbul", "x"]),
+            ("caf\xe9 A1-b2_c\xa0\uff11", ["caf", "a1", "b2", "c"]),
+            ("ab\ud800cd \udfff", ["ab", "cd"]),
+            ("", []),
+        ],
+    )
+    def test_non_ascii_characters(self, text, tokens):
+        assert tokenize(text) == _regex_tokenize(text) == tokens
+
+    @pytest.mark.parametrize(
+        "name, schema", [("minicorpus.jsonl", "scrolls_govreport"), ("qmsum_record.jsonl", "scrolls_qmsum")]
+    )
+    def test_dataset_sentences_and_documents_equal_oracle(self, name, schema):
+        for doc in load_dataset(DATA_DIR / name, schema):
+            for text in [doc.normalized_text, *(s.text for s in doc.sentences)]:
+                assert tokenize(text) == _regex_tokenize(text)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_govreport_length_text_equals_oracle(self, seed):
+        # The text holds non-ASCII whitespace; its ASCII part is tested too.
+        text = _govreport_length_text(seed)
+        for variant in (text, text.encode("ascii", "ignore").decode()):
+            assert tokenize(variant) == _regex_tokenize(variant)
 
 
 class TestTranscriptSegmentation:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen import llm_client, pipeline, runner
-from higen.corpus import make_document, normalize_text, segment_sentences
+from higen.corpus import TOKEN_RE, make_document, normalize_text, segment_sentences
 from higen.errors import CapabilityError, ConfigError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
     GenRequest,
@@ -34,6 +34,7 @@ from higen.llm_client import (
     packed_score_key,
     prompt_hash,
 )
+from higen.prompts import fill, load_template
 
 from conftest import DATA_DIR, RecordingBackend, make_mock_client, per_token_scorer
 
@@ -109,6 +110,79 @@ class TestMockContract:
     def test_request_invariants(self):
         with pytest.raises(ValueError):
             GenRequest(model="m", user_prompt="p", max_tokens=0)
+
+
+def _set_missing(context: str, continuation: str) -> tuple[int, int]:
+    """Oracle: (missing, words) of the continuation's regex tokens against the
+    context's token set, the formula before the mock searched the context's
+    bytes."""
+    words, known = TOKEN_RE.findall(continuation.lower()), set(TOKEN_RE.findall(context.lower()))
+    return sum(word not in known for word in words), len(words)
+
+
+def _set_overlap_score(context: str, continuation: str) -> float:
+    missing, words = _set_missing(context, continuation)
+    return -1.0 - missing / words if words else -1.0
+
+
+def _judge_verdict(document: str, statement: str) -> tuple[str, str]:
+    """(the mock judge's answer, the set formula's) to one verify prompt."""
+    prompt = fill(load_template("judge_verify_fact"), {"document": document, "statement": statement})
+    answer = echo_first_k(GenRequest(model="judge", user_prompt=prompt))
+    missing, words = _set_missing(prompt.rpartition("\n\nStatement:\n")[0], statement)
+    supported = words and words - missing >= llm_client._MOCK_SUPPORT_SHARE * words
+    return answer, "Answer: yes" if supported else "Answer: no"
+
+
+_MANY_WORDS = " ".join(f"w{i}" for i in range(100))
+
+# (context, continuation, the overlap score).
+_WORD_CASES = [
+    pytest.param("We concatenate the files.", "cat files", -1.5, id="only-inside-a-longer-token"),
+    pytest.param("Alpha, beta; GAMMA", "alpha gamma", -1.0, id="at-the-first-and-last-character"),
+    pytest.param("alpha beta", "alp beta ta", -1.0 - 2 / 3, id="a-prefix-and-a-suffix"),
+    pytest.param("snake_case x-ray 42abc", "snake case x ray 42abc 42 abc", -1.0 - 2 / 7, id="next-to-_-and-digits"),
+    pytest.param("Le caf\xe9 ouvre", "caf cafe ouvre", -1.0 - 1 / 3, id="next-to-a-non-ascii-letter"),
+    pytest.param("one two", "one one three three three", -1.6, id="repeated-words"),
+    pytest.param("anything at all", "", -1.0, id="an-empty-continuation"),
+    pytest.param("anything at all", "... --", -1.0, id="a-continuation-without-tokens"),
+    pytest.param("the \u212aelvin scale", "k kelvin", -1.5, id="kelvin-sign-lowercases-to-ascii"),
+    pytest.param("\u0130stanbul and Z\xfcrich", "i stanbul z rich zurich", -1.2, id="a-non-ascii-context"),
+    pytest.param("ab\ud800cd", "ab cd abcd", -1.0 - 1 / 3, id="a-lone-surrogate"),
+    pytest.param(" ".join(f"w{i}" for i in range(0, 100, 2)), _MANY_WORDS, -1.5, id="many-distinct-words"),
+]
+
+_WORD_TEXTS = st.lists(
+    st.sampled_from(["cat", "concatenate", "Cat", "a1", "1", "x_y", "x-y", "caf\xe9", "\u212a", "\u0130", "\ud800", "_", " ", ".", "\n"]),
+    max_size=20,
+).map("".join)
+
+
+class TestMockWordTestsMatchTheSetFormula:
+    @pytest.mark.parametrize("context, continuation, score", _WORD_CASES)
+    def test_overlap_scorer(self, context, continuation, score):
+        assert overlap_scorer(context, continuation) == _set_overlap_score(context, continuation)
+        assert overlap_scorer(context, continuation) == pytest.approx(score)
+
+    @pytest.mark.parametrize("context, continuation, score", _WORD_CASES)
+    def test_judge_verdict(self, context, continuation, score):
+        answer, oracle = _judge_verdict(context, continuation)
+        assert answer == oracle
+
+    @pytest.mark.parametrize(
+        "statement, answer",
+        [("alpha beta gamma delta epsilon", "Answer: yes"), ("alpha beta gamma delta zeta eta", "Answer: no")],
+    )
+    def test_judge_verdict_at_the_support_share(self, statement, answer):
+        # 4 of 5 words is the support share; 4 of 6 falls short.
+        assert _judge_verdict("Alpha beta, gamma and delta.", statement) == (answer, answer)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WORD_TEXTS, _WORD_TEXTS)
+    def test_drawn_texts(self, context, continuation):
+        assert overlap_scorer(context, continuation) == _set_overlap_score(context, continuation)
+        answer, oracle = _judge_verdict(context, continuation)
+        assert answer == oracle
 
 
 class TestCache:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import asdict
 
 import pytest
 
@@ -390,3 +391,17 @@ class TestSerialization:
         ok.wall_ms = failed.wall_ms = 7  # a measured duration, fixed here
         assert json.dumps(ok.to_dict()) == self._OK_LINE
         assert json.dumps(failed.to_dict()) == self._FAILED_LINE
+
+    def test_to_dict_equals_asdict(self, tmp_path):
+        doc = doc_from_sentences([f"Sentence {i} names the {i}th finding." for i in range(40)])
+        client, _ = make_mock_client(tmp_path)
+        ok = run_method(client, doc, "two_stage_lexrank", _params(k=30))
+        empty = run_method(client, doc, "direct", _params())
+        failed_client = LLMClient(ScriptedBackend(["broken output", "still broken"]), cache_dir=tmp_path / "b")
+        failed = run_method(failed_client, doc, "two_stage_lexrank", _params(k=30))
+        assert ok.ok and len(ok.highlights.items) == 30 and empty.ok and not empty.highlights.items and not failed.ok
+        for record in (ok, empty, failed):
+            record._last_prompt = "a prompt held while the method runs"
+            assert record.to_dict() == asdict(record)
+            assert json.dumps(record.to_dict()) == json.dumps(asdict(record))
+            assert "_last_prompt" not in record.to_dict() and record._last_prompt not in json.dumps(record.to_dict())
