@@ -10,7 +10,10 @@ form the content plan.
 The weights are the one n x n float64 array a ranking holds (5 MB at 800
 sentences, 32 MB at 2,000): each row is thresholded as it is computed, and
 the iteration normalizes by the row sums on the fly instead of building a
-transition matrix.
+transition matrix. The matrix is symmetric, so each similarity is computed
+once: row i only from column i on (the half row), copied into column i. Every
+cell is still the sum of its products in term order from zero, so the matrix
+is bit-identical to the full rows', and no product starts a BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -69,16 +72,20 @@ def build_similarity_graph(index: TokenIndex, threshold: float = 0.1) -> np.ndar
     term = (np.cumsum(shared) - 1)[term[entry]]
     columns = np.zeros((int(shared.sum()), n))
     columns[term, sentence] = weight
-    # Row i of T @ T.T sums the columns of i's terms scaled by its weights:
-    # exactly symmetric (sums in term order), and no BLAS thread pool whose
-    # idle workers spin on the CPU after a dense product.
+    # Row i of T @ T.T sums the columns of i's terms scaled by its weights.
+    # Cell (i, j) sums the products of the terms i and j share, in term order,
+    # whichever of the two rows computes it, so the half row from column i on,
+    # written to row i and to column i, gives the full rows' matrix bit for
+    # bit. einsum without ``optimize`` adds the products in its own loop: no
+    # BLAS thread pool whose idle workers spin on the CPU after a dense product.
     bounds = np.searchsorted(sentence, np.arange(n + 1))
     weights = np.empty((n, n))
     for i in range(n):
         entries = slice(bounds[i], bounds[i + 1])
-        row = (columns[term[entries]] * weight[entries, None]).sum(axis=0)
+        row = np.einsum("k,kn->n", weight[entries], columns[term[entries], i:])
         row[row < threshold] = 0.0
-        weights[i] = row
+        weights[i, i:] = row
+        weights[i:, i] = row
     # 1 >= threshold, so setting the diagonal after thresholding gives the same matrix
     np.fill_diagonal(weights, 1.0)
     return weights

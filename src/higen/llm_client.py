@@ -808,8 +808,15 @@ def _compact_logprobs(obj: dict) -> dict:
 # -- mock backend ----------------------------------------------------------
 
 _KEY_SENTENCES_RE = re.compile(r"list of (\d+) key sentences", re.IGNORECASE)
+# The same search in the lowercase of an ASCII prompt, where case cannot differ.
+_LOWER_KEY_SENTENCES_RE = re.compile(r"list of (\d+) key sentences")
 _FENCE_RE = re.compile(r"^={4,}\s*$", re.MULTILINE)
 _KEY_POINTS_MARKER = "key points:"
+# The last marker in any case: the greedy prefix backtracks from the end.
+_LAST_KEY_POINTS_RE = re.compile(r"(?s:.*)" + _KEY_POINTS_MARKER, re.IGNORECASE)
+# An ASCII byte as a space where ``str.split()`` splits (\t-\r, \x1c-\x1f
+# and the space), else as an "x".
+_WORD_MARKS = bytes(0x20 if chr(byte).isspace() else 0x78 for byte in range(128)) + b"x" * 128
 # The opening sentences of the two FactScore judge prompts
 # (resources/templates/judge_extract_facts.txt and judge_verify_fact.txt).
 _JUDGE_EXTRACT_OPENING = "You are given a summary. Decompose it into atomic facts."
@@ -828,8 +835,18 @@ def _missing_words(text: str, words: list[str]) -> int:
     return sum(word in absent for word in words)
 
 
+def _word_count(text: str) -> int:
+    """``len(text.split())``. An ASCII text's words are counted by their
+    starts in one byte translation, without building the words."""
+    if not text.isascii():
+        return len(text.split())
+    marks = text.encode("ascii").translate(_WORD_MARKS)
+    return marks.count(b" x") + marks.startswith(b"x")
+
+
 def _mock_document_body(prompt: str) -> str:
-    fences = list(_FENCE_RE.finditer(prompt))
+    # A fence line holds "====", so a prompt without it has no fence to find.
+    fences = list(_FENCE_RE.finditer(prompt)) if "====" in prompt else []
     if len(fences) >= 2:
         return prompt[fences[0].end() : fences[1].start()].strip()
     marker = "Report:"
@@ -843,12 +860,17 @@ def _mock_document_body(prompt: str) -> str:
     return prompt.strip()
 
 
-def _mock_key_points(prompt: str) -> list[str]:
-    low = prompt.lower()
-    idx = low.rfind(_KEY_POINTS_MARKER)
-    if idx < 0:
-        return []
-    return numbered_items(prompt[idx + len(_KEY_POINTS_MARKER) :])
+def _mock_key_points(prompt: str, low: str | None) -> list[str]:
+    """The numbered items after the prompt's last "key points:", in any case.
+    ``low`` is the lowercase of an ASCII prompt, whose offsets are the
+    prompt's, or None for any other prompt, which is searched
+    case-insensitively itself: its lowercase may be longer (U+0130 lowercases
+    to two characters), so an offset found there may miss the marker."""
+    if low is not None:
+        start = low.rfind(_KEY_POINTS_MARKER)
+        return numbered_items(prompt[start + len(_KEY_POINTS_MARKER) :]) if start >= 0 else []
+    match = _LAST_KEY_POINTS_RE.match(prompt)
+    return numbered_items(prompt[match.end() :]) if match else []
 
 
 def _mock_judge(prompt: str) -> str | None:
@@ -881,12 +903,16 @@ def echo_first_k(req: GenRequest) -> str:
     if judged is not None:
         return judged
     body = _mock_document_body(prompt)
-    k_match = _KEY_SENTENCES_RE.search(prompt)
+    # One lowercase copy of an ASCII prompt serves both searches. Any other
+    # prompt keeps the IGNORECASE search, which also matches ſ, ı and İ where
+    # lower() leaves them non-ASCII.
+    low = prompt.lower() if prompt.isascii() else None
+    k_match = _KEY_SENTENCES_RE.search(prompt) if low is None else _LOWER_KEY_SENTENCES_RE.search(low)
     if k_match:
         chosen = _first_sentences(body, int(k_match.group(1)))
         numbered = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(chosen))
         return f"Key Sentences:\n{numbered}\nSummary: {' '.join(chosen)}"
-    points = _mock_key_points(prompt)
+    points = _mock_key_points(prompt, low)
     if points:
         return "Summary: " + " ".join(points)
     return "Summary: " + " ".join(_first_sentences(body, 2) or ["ok."])
@@ -938,7 +964,7 @@ class MockBackend:
         with self._lock:
             self.gen_calls += 1
         text = self.generate_fn(req)
-        return text, len(req.user_prompt.split()), len(text.split())
+        return text, _word_count(req.user_prompt), len(text.split())
 
     def score(self, model: str, context: str, continuation: str) -> float:
         """Bench-only ``score_many`` of one context: ``bench/layers.py`` patches it."""

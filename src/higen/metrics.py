@@ -15,6 +15,7 @@ import re
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
@@ -63,6 +64,23 @@ def summary_tokens(text: str) -> int:
     return len(tokenize(text))
 
 
+def _bit_table(tokens: list[str]) -> dict[str, int]:
+    """Each distinct token's positions in ``tokens``, as the bits of an int."""
+    positions: dict[str, int] = {}
+    for i, item in enumerate(tokens):
+        positions[item] = positions.get(item, 0) | (1 << i)
+    return positions
+
+
+def _lcs_bits(positions: dict[str, int], length: int, b: list[str]) -> int:
+    full = (1 << length) - 1
+    v = full
+    for item in b:
+        u = v & positions.get(item, 0)
+        v = ((v + u) | (v - u)) & full
+    return length - v.bit_count()
+
+
 def lcs_length(a: list[str], b: list[str]) -> int:
     """Longest common subsequence length by the bit-parallel recurrence of
     Allison & Dix (1986) and Hyyro (2004): bit i of the Python int ``v`` is
@@ -70,25 +88,35 @@ def lcs_length(a: list[str], b: list[str]) -> int:
     all positions at once, and the zero bits of ``v`` count the LCS."""
     if len(a) < len(b):
         a, b = b, a
-    positions: dict[str, int] = {}
-    for i, item in enumerate(a):
-        positions[item] = positions.get(item, 0) | (1 << i)
-    full = (1 << len(a)) - 1
-    v = full
-    for item in b:
-        u = v & positions.get(item, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    return _lcs_bits(_bit_table(a), len(a), b)
 
 
-def rouge_l(candidate: str, reference: str) -> RougeScore:
+class RougeReference:
+    """A reference summary's tokens, and their bit table once a shorter
+    candidate needs it, so that the records of one document share both."""
+
+    def __init__(self, reference: str):
+        self.tokens = tokenize(reference)
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        return _bit_table(self.tokens)
+
+    def lcs_length(self, cand: list[str]) -> int:
+        """``lcs_length(cand, self.tokens)``, with the same orientation."""
+        if len(cand) >= len(self.tokens):
+            return lcs_length(cand, self.tokens)
+        return _lcs_bits(self.positions, len(self.tokens), cand)
+
+
+def rouge_l(candidate: str, reference: str | RougeReference) -> RougeScore:
+    ref = reference if isinstance(reference, RougeReference) else RougeReference(reference)
     cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand or not ref:
+    if not cand or not ref.tokens:
         return RougeScore(0.0, 0.0, 0.0)
-    lcs = lcs_length(cand, ref)
+    lcs = ref.lcs_length(cand)
     precision = lcs / len(cand)
-    recall = lcs / len(ref)
+    recall = lcs / len(ref.tokens)
     if precision + recall == 0:
         return RougeScore(0.0, 0.0, 0.0)
     f1 = 2 * precision * recall / (precision + recall)

@@ -18,8 +18,9 @@ import os
 import random
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -248,13 +249,15 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
     written. A record that finishes behind a slower one waits in memory
     until that one is written: a crash before then loses it, and resume
     redoes it, from cache_dir without a backend call when there is a cache
-    and with all its calls again when there is none. An exception while
-    writing (an interrupt, a full disk) cancels the tasks not yet started
-    and propagates. Per-record failures are recorded, never raised. Once a
-    document's last record is written, its cached artifacts are released
-    (``Document.release``) and the run lets go of the document itself, so it
-    can be freed while later documents run; the executor's queue holds each
-    document not yet started. Returns the run directory.
+    and with all its calls again when there is none. At most 2 x
+    ``concurrency`` tasks are submitted ahead of the writer, so no more
+    finished records than that wait. An exception while writing (an
+    interrupt, a full disk) cancels the submitted tasks not yet started and
+    propagates; the tasks never submitted never start. Per-record failures
+    are recorded, never raised. Once a document's last record is written,
+    its cached artifacts are released (``Document.release``) and the run
+    lets go of the document itself, so it can be freed while later documents
+    run. Returns the run directory.
     """
     # Every config error (dataset, endpoint, a run directory of another
     # config) is raised before anything is written, so a failed start leaves
@@ -297,18 +300,29 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
                     tail.seek(-1, os.SEEK_END)
                     if tail.read(1) != b"\n":
                         out.write("\n")
-            # run_method is looked up at call time, so a patch of it applies.
-            # The map is no local: an exception here drops it, which cancels
-            # the tasks not yet started.
-            for record in pool.map(lambda task: run_method(client, *task, config), tasks):
-                out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-                out.flush()
-                # The written task is tasks[0]. A document's tasks are
-                # adjacent, so its last one is followed by another
-                # document's or by none.
-                if len(tasks) == 1 or tasks[1][0] is not tasks[0][0]:
-                    tasks[0][0].release()
-                tasks.popleft()
+            # The futures of tasks[0], tasks[1], ...: at most ``ahead`` tasks
+            # are submitted and not yet written, so no more records than that
+            # wait in memory behind a slow one.
+            ahead = 2 * config.concurrency
+            submitted: deque[Future] = deque()
+            try:
+                while tasks:
+                    for task in islice(tasks, len(submitted), ahead):
+                        # run_method is looked up at submit time, so a patch of it applies.
+                        submitted.append(pool.submit(run_method, client, *task, config))
+                    record = submitted.popleft().result()
+                    out.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+                    out.flush()
+                    # The written task is tasks[0]. A document's tasks are
+                    # adjacent, so its last one is followed by another
+                    # document's or by none.
+                    if len(tasks) == 1 or tasks[1][0] is not tasks[0][0]:
+                        tasks[0][0].release()
+                    tasks.popleft()
+            finally:
+                # After an exception, the submitted tasks not yet started never start.
+                for future in submitted:
+                    future.cancel()
 
     records = read_records(run_dir)
     counts: dict[str, dict[str, int]] = {}
@@ -334,14 +348,15 @@ def run(config: ExperimentConfig, client: LLMClient | None = None) -> Path:
 def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client: LLMClient | None = None) -> Path:
     """Compute metric rows for every completed record into metrics.jsonl.
 
-    ROUGE-L and token counts always, on the calling thread; FactScore when
-    enabled, for every ok record whose document is present, in one
-    ``metrics.factscores`` call whose ``concurrency`` workers judge each
-    distinct summary and fact once; external scores joined by doc_id. Rows
-    are sorted by (doc_id, method, metric) so repeated evaluation of the same
-    outputs is byte-identical, whatever the worker count. The external scores
-    files are read before any of this starts: a missing one is a ConfigError,
-    a damaged one a DatasetError.
+    ROUGE-L (each reference tokenized once per document) and token counts
+    always, on the calling thread; FactScore when enabled, for every ok
+    record whose document is present, in one ``metrics.factscores`` call
+    whose ``concurrency`` workers judge each distinct summary and fact once;
+    external scores joined by doc_id. Rows are sorted by (doc_id, method,
+    metric) so repeated evaluation of the same outputs is byte-identical,
+    whatever the worker count. The external scores files are read before any
+    of this starts: a missing one is a ConfigError, a damaged one a
+    DatasetError.
     """
     run_dir = Path(run_dir or config.run_dir)
     outputs_path = run_dir / "outputs.jsonl"
@@ -362,6 +377,7 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
     rows: list[dict] = []
     judged: list[dict] = []  # the row base of each item FactScore judges
     items: list[tuple[str, Document]] = []
+    references: dict[str, metrics_mod.RougeReference] = {}  # tokenized once per document
     for record in records:
         base = {"doc_id": record.doc_id, "method": record.method}
         if not record.ok:
@@ -373,7 +389,9 @@ def evaluate(config: ExperimentConfig, run_dir: str | Path | None = None, client
             continue
 
         if document.reference_summary:
-            score = metrics_mod.rouge_l(record.summary, document.reference_summary)
+            if record.doc_id not in references:
+                references[record.doc_id] = metrics_mod.RougeReference(document.reference_summary)
+            score = metrics_mod.rouge_l(record.summary, references[record.doc_id])
             rows.append({**base, "metric": "rouge_l", "value": score.f1})
         else:
             rows.append({**base, "warning": "no reference summary; rouge_l skipped"})

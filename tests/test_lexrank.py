@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from higen.corpus import STOPWORDS, TokenIndex, tokenize
+from higen.corpus import STOPWORDS, TokenIndex, load_dataset, make_document, tokenize
 from higen.lexrank import (
     LexRankParams,
     build_similarity_graph,
@@ -16,7 +18,8 @@ from higen.lexrank import (
     tfidf,
 )
 
-from conftest import doc_from_sentences, traced_peak
+from conftest import DATA_DIR, doc_from_sentences, traced_peak
+from test_corpus import _govreport_length_text
 
 
 def _tfidf_rows(texts: list[str]) -> list[dict[str, float]]:
@@ -125,6 +128,68 @@ class TestModifiedCosine:
             np.fill_diagonal(expected, 1.0)
             assert np.abs(weights - np.where(expected < threshold, 0.0, expected)).max() < 1e-12
             assert (weights == weights.T).all()
+
+
+def _row_form_graph(index: TokenIndex, threshold: float) -> np.ndarray:
+    """Oracle: the graph as it was built before the half rows, every row in
+    full, each from a gather-multiply and a sum over axis 0."""
+    n = len(index.lengths)
+    sentence, term, weight = tfidf(index)
+    norms = np.sqrt(np.bincount(sentence, weights=weight * weight, minlength=n))
+    shared = np.bincount(term, minlength=len(index.vocab)) >= 2
+    entry = shared[term]
+    sentence, weight = sentence[entry], weight[entry] / norms[sentence[entry]]
+    term = (np.cumsum(shared) - 1)[term[entry]]
+    columns = np.zeros((int(shared.sum()), n))
+    columns[term, sentence] = weight
+    bounds = np.searchsorted(sentence, np.arange(n + 1))
+    weights = np.empty((n, n))
+    for i in range(n):
+        entries = slice(bounds[i], bounds[i + 1])
+        row = (columns[term[entries]] * weight[entries, None]).sum(axis=0)
+        row[row < threshold] = 0.0
+        weights[i] = row
+    np.fill_diagonal(weights, 1.0)
+    return weights
+
+
+def _assert_equals_row_form(index: TokenIndex) -> None:
+    for threshold in (0.0, 0.1, 1.0):
+        got = build_similarity_graph(index, threshold=threshold)
+        assert got.tobytes() == _row_form_graph(index, threshold).tobytes()
+
+
+class TestHalfRowsEqualTheRowForm:
+    @pytest.mark.parametrize(
+        ("name", "schema"), [("minicorpus.jsonl", "scrolls_govreport"), ("qmsum_record.jsonl", "scrolls_qmsum")]
+    )
+    def test_fixture_datasets(self, name, schema):
+        for doc in load_dataset(DATA_DIR / name, schema):
+            _assert_equals_row_form(doc.token_index)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_govreport_length_text(self, seed):
+        doc = make_document("gov", _govreport_length_text(seed))
+        assert len(doc.sentences) > 500
+        _assert_equals_row_form(doc.token_index)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta", "eps", "the", "of", "x1"]), max_size=8).map(
+                " ".join
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.data(),
+    )
+    def test_drawn_sentences_with_duplicates_and_no_tokens(self, texts, data):
+        # repeat drawn sentences and add ones with no token or only stopwords
+        texts = texts + [data.draw(st.sampled_from(texts)) for _ in range(data.draw(st.integers(0, 5)))]
+        texts += data.draw(st.lists(st.sampled_from(["", "the of", "..."]), max_size=3))
+        texts = data.draw(st.permutations(texts))
+        _assert_equals_row_form(TokenIndex.build(texts))
 
 
 def _dominant_eigenvector(weights: np.ndarray, damping: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import email.utils
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import asdict
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higen import llm_client, pipeline, runner
-from higen.corpus import TOKEN_RE, make_document, normalize_text, segment_sentences
+from higen.corpus import TOKEN_RE, load_dataset, make_document, normalize_text, segment_sentences
 from higen.errors import CapabilityError, ConfigError, EndpointError, OversizeError, TransportError
 from higen.llm_client import (
     GenRequest,
@@ -34,7 +35,7 @@ from higen.llm_client import (
     packed_score_key,
     prompt_hash,
 )
-from higen.prompts import fill, load_template
+from higen.prompts import Highlight, fill, format_highlights, load_template, numbered_items
 
 from conftest import DATA_DIR, RecordingBackend, make_mock_client, per_token_scorer
 
@@ -110,6 +111,130 @@ class TestMockContract:
     def test_request_invariants(self):
         with pytest.raises(ValueError):
             GenRequest(model="m", user_prompt="p", max_tokens=0)
+
+
+def _scanning_echo_first_k(req: GenRequest) -> str:
+    """Oracle: ``echo_first_k`` as it scanned each prompt before it lowered an
+    ASCII prompt once: the fence regex on every prompt, the IGNORECASE search
+    for "key sentences", and the key points at the offset found in
+    ``prompt.lower()``."""
+    prompt = req.user_prompt
+    judged = llm_client._mock_judge(prompt)
+    if judged is not None:
+        return judged
+    fences = list(re.finditer(r"^={4,}\s*$", prompt, re.MULTILINE))
+    if len(fences) >= 2:
+        body = prompt[fences[0].end() : fences[1].start()].strip()
+    elif prompt.rfind("Report:") >= 0:
+        body = prompt[prompt.rfind("Report:") + len("Report:") :]
+        cut = body.find("You should only focus")
+        body = (body[:cut] if cut >= 0 else body).strip()
+    else:
+        body = prompt.strip()
+    k_match = re.search(r"list of (\d+) key sentences", prompt, re.IGNORECASE)
+    if k_match:
+        chosen = llm_client._first_sentences(body, int(k_match.group(1)))
+        numbered = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(chosen))
+        return f"Key Sentences:\n{numbered}\nSummary: {' '.join(chosen)}"
+    idx = prompt.lower().rfind("key points:")
+    points = numbered_items(prompt[idx + len("key points:") :]) if idx >= 0 else []
+    if points:
+        return "Summary: " + " ".join(points)
+    return "Summary: " + " ".join(llm_client._first_sentences(body, 2) or ["ok."])
+
+
+def _template_prompts() -> list[str]:
+    """Every template filled from each fixture dataset's first document: the
+    four pipeline prompts of its family and both judge prompts."""
+    prompts = []
+    for name, schema, family in (
+        ("minicorpus.jsonl", "scrolls_govreport", "gov"),
+        ("qmsum_record.jsonl", "scrolls_qmsum", "qmsum"),
+    ):
+        doc = load_dataset(DATA_DIR / name, schema)[0]
+        highlights = [Highlight(s.text, i) for i, s in enumerate(doc.sentences[:2])]
+        values = {
+            "document": doc.normalized_text,
+            "k": "3",
+            "query": doc.query or "",
+            "highlights": format_highlights(highlights),
+            "summary": doc.reference_summary,
+            "statement": doc.sentences[0].text,
+        }
+        for template in ("direct", "e2e", "stage1_highlights", "stage2_summary"):
+            prompts.append(fill(load_template(f"{template}_{family}"), values))
+        prompts += [fill(load_template(f"judge_{step}"), values) for step in ("extract_facts", "verify_fact")]
+    return prompts
+
+
+_BODY = "Alpha one is first. Beta two is second. Gamma three is third. Delta four is fourth."
+
+
+class TestMockScansEachPromptOnce:
+    @pytest.mark.parametrize("index", range(12))
+    def test_every_template_prompt_equals_the_scanning_oracle(self, index):
+        prompt = _template_prompts()[index]
+        req = GenRequest(model="m", user_prompt=prompt)
+        assert echo_first_k(req) == _scanning_echo_first_k(req)
+        assert MockBackend().complete(req)[1] == len(prompt.split())
+
+    @pytest.mark.parametrize(
+        "prompt",
+        [
+            _gov_prompt("Alpha one.\n====\nBeta two. Gamma three.\n=====  \nDelta four.", k=2),
+            _gov_prompt("Alpha one. ==== Beta two.\n====x\nGamma three."),
+            "Extract a list of 2 key sentences.\n====\n" + _BODY + "\n====\nQuery: q",
+            "Key points:\n1. Alpha.\n====\nBody. Text.\n====\n",
+        ],
+        ids=["fenced-lines", "no-fence-line", "two-fences", "fences-after-the-key-points"],
+    )
+    def test_a_body_holding_four_equals_signs_equals_the_scanning_oracle(self, prompt):
+        req = GenRequest(model="m", user_prompt=prompt)
+        assert echo_first_k(req) == _scanning_echo_first_k(req)
+
+    @pytest.mark.parametrize("char", ["\u212a", "\u017f", "\u0131", "\u0130"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda c: f"{c}\n" + _gov_prompt(_BODY, k=2),
+            lambda c: _gov_prompt(_BODY, k=2).replace("key sentences", f"key {c} sentences"),
+            lambda c: _gov_prompt(_BODY, k=2).replace("Extract", f"Extract {c}"),
+            lambda c: _gov_prompt(_BODY, k=2).replace("key", "\u212aey").replace("sentences", "\u017fentences"),
+            lambda c: _gov_prompt(_BODY, k=2).replace("list", "l\u0130st") + c,
+            lambda c: _gov_prompt(_BODY, k=2).replace("list", "l\u0131st") + c,
+        ],
+        ids=["before-the-prompt", "inside-the-phrase", "just-before-the-phrase", "kelvin-and-long-s-in-it",
+             "dotted-capital-i-in-it", "dotless-i-in-it"],
+    )
+    def test_non_ascii_letters_before_key_sentences_equal_the_scanning_oracle(self, char, make):
+        req = GenRequest(model="m", user_prompt=make(char))
+        assert echo_first_k(req) == _scanning_echo_first_k(req)
+
+    @pytest.mark.parametrize("capital_i", ["I", "\u0130"])
+    def test_key_points_after_a_dotted_capital_i(self, capital_i):
+        # U+0130 lowercases to two characters: an offset found in the
+        # lowercase would cut into the prompt's first point.
+        prompt = f"Report: {capital_i * 5} text.\nKey points:\n1. Alpha beta.\n2. Gamma delta.\n"
+        assert echo_first_k(GenRequest(model="m", user_prompt=prompt)) == "Summary: Alpha beta. Gamma delta."
+
+    @pytest.mark.parametrize("marker", ["KEY POINTS:", "\u212aey points:", "key points:"])
+    def test_key_points_found_in_any_case_in_a_non_ascii_prompt(self, marker):
+        prompt = f"Report: \u0130stanbul text.\nkey points:\n1. Early.\n{marker}\n1. Alpha beta.\n2. Gamma delta.\n"
+        assert echo_first_k(GenRequest(model="m", user_prompt=prompt)) == "Summary: Alpha beta. Gamma delta."
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["w", "Word", "\xe9", "\u212a", "\u0130", " ", "   ", "\t", "\n", "\r\n", "\x0b", "\x0c"]
+                + ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000", "\x00", "\x7f", "."]
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    def test_the_prompt_word_count_is_the_split_count(self, text):
+        assert llm_client._word_count(text) == len(text.split())
+        assert llm_client._word_count(f" \t{text}\x1f ") == len(text.split())
 
 
 def _set_missing(context: str, continuation: str) -> tuple[int, int]:

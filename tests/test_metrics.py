@@ -17,6 +17,7 @@ from higen.metrics import (
     SUPPORTED,
     UNPARSEABLE,
     UNSUPPORTED,
+    RougeReference,
     extract_facts,
     factscore,
     lcs_length,
@@ -169,6 +170,18 @@ class TestRougeL:
         score = rouge_l("a b c d", "a b x y z")
         p, r = score.precision, score.recall
         assert score.f1 == pytest.approx(2 * p * r / (p + r), abs=1e-12)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.text(alphabet="ab xy", max_size=30),
+        st.lists(st.text(alphabet="ab xy", max_size=30), max_size=6),
+    )
+    def test_a_shared_reference_scores_every_candidate_as_its_string(self, reference, candidates):
+        # shorter and longer candidates in turn, against one reference's tokens and bit table
+        shared = RougeReference(reference)
+        for candidate in candidates:
+            assert rouge_l(candidate, shared) == rouge_l(candidate, reference)
 
 
 def _judge_client(responses: list[str], tmp_path) -> LLMClient:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from higen.corpus import load_dataset
+from higen.corpus import load_dataset, tokenize
 from higen.errors import ConfigError, DatasetError
 from higen.llm_client import GenRequest, LLMClient, MockBackend, echo_first_k
 from higen.pipeline import METHODS, SummaryRecord
@@ -505,6 +505,47 @@ class TestRun:
         manifest = json.loads((Path(config.run_dir) / "manifest.json").read_text())
         assert manifest["corpus_size"] == 10
 
+    def test_workers_run_at_most_two_tasks_per_worker_ahead_of_the_writer(self, tmp_path, monkeypatch):
+        import gc
+        import weakref
+
+        import higen.runner as runner_mod
+
+        refs: dict[str, weakref.ref] = {}
+        plain_load, plain_run_method = runner_mod._load_documents, runner_mod.run_method
+        plain_to_dict = SummaryRecord.to_dict
+
+        def load(config):
+            documents = plain_load(config)
+            refs.update((doc.id, weakref.ref(doc)) for doc in documents)
+            return documents
+
+        alive_behind: dict[str, list[str]] = {}
+
+        def run_method(client, document, method, params):
+            # The documents two or more tasks behind this one, still alive.
+            gc.collect()
+            ids = sorted(refs)
+            behind = ids[: max(ids.index(document.id) - 1, 0)]
+            alive_behind[document.id] = [doc_id for doc_id in behind if refs[doc_id]() is not None]
+            return plain_run_method(client, document, method, params)
+
+        def slow_to_dict(record):
+            # A slow writer, which workers free to run ahead would outpace.
+            time.sleep(0.1)
+            return plain_to_dict(record)
+
+        monkeypatch.setattr(runner_mod, "_load_documents", load)
+        monkeypatch.setattr(runner_mod, "run_method", run_method)
+        monkeypatch.setattr(SummaryRecord, "to_dict", slow_to_dict)
+        config = parse_config(_config_dict(tmp_path, concurrency=1, cache_dir=None))
+        run(config)
+        # At one worker, task j is submitted only once task j - 2 is written,
+        # and its document then has no other task to hold it.
+        assert len(alive_behind) == 10
+        assert alive_behind == {doc_id: [] for doc_id in refs}
+        assert len(read_records(config.run_dir)) == 10
+
     def test_cache_dir_monotone_growth(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
         cache = Path(config.cache_dir)
@@ -586,7 +627,47 @@ class TestResumeUnderAnotherConfig:
         assert sorted(path.name for path in Path(config.run_dir).iterdir()) == ["manifest.json"]
 
 
+def _oracle_rouge_l_f1(candidate: str, reference: str) -> float:
+    """ROUGE-L F1 as evaluate computed it before a document's records shared
+    its reference: both texts tokenized, and the longer one's bit table built,
+    for every record."""
+    cand, ref = tokenize(candidate), tokenize(reference)
+    if not cand or not ref:
+        return 0.0
+    a, b = (ref, cand) if len(cand) < len(ref) else (cand, ref)
+    positions: dict[str, int] = {}
+    for i, item in enumerate(a):
+        positions[item] = positions.get(item, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for item in b:
+        u = v & positions.get(item, 0)
+        v = ((v + u) | (v - u)) & full
+    lcs = len(a) - v.bit_count()
+    precision, recall = lcs / len(cand), lcs / len(ref)
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize(
+        ("name", "schema"), [("minicorpus.jsonl", "scrolls_govreport"), ("qmsum_record.jsonl", "scrolls_qmsum")]
+    )
+    def test_rouge_l_equals_the_per_record_oracle_on_the_fixture_datasets(self, tmp_path, name, schema):
+        dataset = {"path": str(DATA_DIR / name), "schema": schema}
+        config = parse_config(_config_dict(tmp_path, dataset=dataset, methods=list(METHODS), attribution={"m": 16}))
+        run(config)
+        evaluate(config)
+        references = {doc.id: doc.reference_summary for doc in load_dataset(DATA_DIR / name, schema)}
+        records = read_records(config.run_dir)
+        assert len(records) == len(METHODS) * len(references) and all(r.ok for r in records)
+        rows = read_metric_rows(config.run_dir)
+        values = {(r["doc_id"], r["method"]): r["value"] for r in rows if r.get("metric") == "rouge_l"}
+        assert values == {(r.doc_id, r.method): _oracle_rouge_l_f1(r.summary, references[r.doc_id]) for r in records}
+        # The minicorpus has candidates shorter and longer than their
+        # reference, so both orientations of the LCS; the transcript's are all longer.
+        longer = {len(tokenize(r.summary)) >= len(tokenize(references[r.doc_id])) for r in records}
+        assert longer == ({True, False} if name == "minicorpus.jsonl" else {True})
+
     def test_rows_per_doc_and_metric(self, tmp_path):
         config = parse_config(_config_dict(tmp_path))
         run(config)
